@@ -40,6 +40,7 @@ from .kernel import (
     check_type,
     defeq,
     infer_type,
+    normalize,
     unify,
     whnf,
 )

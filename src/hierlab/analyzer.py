@@ -17,6 +17,16 @@ constructor-headed path then only unifies under structural eta.  A
 placement of preferred projections therefore only counts as coherent when
 every diamond passes the oracle and, in a kernel without structural eta,
 the predictor as well.
+
+``analyze`` decides oracles per path, not per pair: it builds each path's
+composite once per source class and reduces it once to its beta/delta/iota
+normal form.  Equal normal forms are equal; without eta, different ones are
+not.  With eta, the kernel compares the two normal forms, once per distinct
+pair.  Normal forms are not grouped by an eta-long form instead, because
+the eta rule is not transitive on structures without fields (``x = unit.mk``
+and ``unit.mk = y`` hold while ``x = y`` does not).  ``check_diamond``, the
+pairwise comparison of the composites, stays as the reference and decides
+the diamonds of any path whose normal form runs out of fuel.
 """
 from __future__ import annotations
 
@@ -28,7 +38,7 @@ from .elaborator import (
     FLAT, FLAT_HACK_CLASS, PREFERRED, SYNTHESIZED, Elaboration,
     EncodingStrategy, InstanceInfo, elaborate,
 )
-from .kernel import DefEqConfig, DEFAULT_CONFIG, Trace, defeq
+from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
 from .surface import SurfaceModule
 from .terms import Binder, Const, FreeVar, Term, apps, fresh_name, subst_frees, unfold_apps
 
@@ -170,16 +180,23 @@ def predict_diamond(diamond: Diamond) -> bool:
     return last_a == last_b
 
 
+def _source_context(env: Environment, source: str
+                    ) -> tuple[tuple[Binder, ...], tuple[Term, ...], Term]:
+    """The source class's parameters plus a fresh instance of it: the
+    context, the parameter variables, and the instance variable."""
+    decl = env.struct(source)
+    args = tuple(FreeVar(b.name) for b in decl.params)
+    inst = fresh_name("i", {b.name for b in decl.params})
+    ctx = decl.params + (
+        Binder(inst, apps(Const(source), *args), instance_implicit=True),)
+    return ctx, args, FreeVar(inst)
+
+
 def check_diamond(env: Environment, diamond: Diamond,
                   config: DefEqConfig = DEFAULT_CONFIG,
                   trace: Trace | None = None) -> DiamondReport:
     """Build both composites over a fresh instance variable and compare."""
-    decl = env.struct(diamond.source)
-    args = tuple(FreeVar(b.name) for b in decl.params)
-    inst = fresh_name("i", {b.name for b in decl.params})
-    ctx = decl.params + (
-        Binder(inst, apps(Const(diamond.source), *args), instance_implicit=True),)
-    start = FreeVar(inst)
+    ctx, args, start = _source_context(env, diamond.source)
     term_a = path_composite(env, diamond.path_a, args, start)
     term_b = path_composite(env, diamond.path_b, args, start)
     oracle = defeq(env, config, ctx, term_a, term_b, trace)
@@ -195,10 +212,55 @@ def commutes_under(report: DiamondReport, config: DefEqConfig) -> bool:
 
 def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
             max_path_len: int = MAX_PATH_LEN) -> list[DiamondReport]:
-    """Enumerate and check every diamond of an elaborated module."""
-    graph = build_graph(elab.env, elab.instances)
-    return [check_diamond(elab.env, d, config)
-            for d in enumerate_diamonds(graph, max_path_len)]
+    """Enumerate and check every diamond of an elaborated module.
+
+    Verdicts equal those of ``check_diamond``; they are decided from one
+    normal form per path (see the module docstring)."""
+    env = elab.env
+    diamonds = enumerate_diamonds(build_graph(env, elab.instances), max_path_len)
+    reports: list[DiamondReport] = []
+    for source, group in itertools.groupby(diamonds, key=lambda d: d.source):
+        ctx, args, start = _source_context(env, source)
+        composites: dict[Path, tuple[Term, int | None]] = {}
+        form_ids: dict[Term, int] = {}
+        forms: list[Term] = []
+        verdicts: dict[tuple[int, int], bool] = {}
+
+        def composite(path: Path) -> tuple[Term, int | None]:
+            """The path's composite and the id of its normal form, or None
+            when normalising it runs out of fuel."""
+            entry = composites.get(path)
+            if entry is None:
+                term = path_composite(env, path, args, start)
+                try:
+                    form = normalize(env, config, ctx, term)
+                except FuelExhausted:
+                    entry = (term, None)
+                else:
+                    if form not in form_ids:
+                        form_ids[form] = len(forms)
+                        forms.append(form)
+                    entry = (term, form_ids[form])
+                composites[path] = entry
+            return entry
+
+        for d in group:
+            term_a, id_a = composite(d.path_a)
+            term_b, id_b = composite(d.path_b)
+            if id_a is None or id_b is None:
+                reports.append(check_diamond(env, d, config))
+                continue
+            if id_a == id_b:
+                oracle = True
+            elif not config.eta_kernel:
+                oracle = False
+            else:
+                oracle = verdicts.get((id_a, id_b))
+                if oracle is None:
+                    oracle = defeq(env, config, ctx, forms[id_a], forms[id_b])
+                    verdicts[(id_a, id_b)] = oracle
+            reports.append(DiamondReport(d, term_a, term_b, oracle, predict_diamond(d)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +297,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     for index, combo in enumerate(combos):
         first = {name: parent for (name, _), parent in zip(chooseable, combo)}
         elab = elaborate(module, EncodingStrategy(strategy.kind).with_first_parent(first))
-        checked = tuple(_checked(elab, config, max_path_len))
+        checked = tuple(analyze(elab, config, max_path_len))
         coherent = all(commutes_under(r, config) for r in checked)
         invariant = _nonfirst_order_invariant(
             module, strategy.kind, chooseable, first, config, max_path_len,
@@ -243,13 +305,6 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
         reports.append(PlacementReport(index, tuple(sorted(first.items())),
                                        checked, coherent, invariant))
     return reports
-
-
-def _checked(elab: Elaboration, config: DefEqConfig,
-             max_path_len: int) -> list[DiamondReport]:
-    graph = build_graph(elab.env, elab.instances)
-    return [check_diamond(elab.env, d, config)
-            for d in enumerate_diamonds(graph, max_path_len)]
 
 
 def _verdicts(reports: tuple[DiamondReport, ...] | list[DiamondReport]
@@ -281,7 +336,7 @@ def _nonfirst_order_invariant(module: SurfaceModule, kind: str,
             continue
         strat = EncodingStrategy(kind, dict(zip(names, full_combo)))
         elab = elaborate(module, strat)
-        if _verdicts(_checked(elab, config, max_path_len)) != reference:
+        if _verdicts(analyze(elab, config, max_path_len)) != reference:
             return False
     return True
 

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from .analyzer import analyze, commutes_under, random_hierarchy, report_dict, spanning_search
+from .analyzer import (
+    analyze, check_diamond, commutes_under, random_hierarchy, report_dict, spanning_search,
+)
 from .declarations import DefDecl, OpaqueDecl, StructDecl
 from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
 from .kernel import DefEqConfig, KernelError, Trace, defeq
@@ -331,6 +334,10 @@ def cmd_diamonds(args: argparse.Namespace) -> int:
                   f"oracle={'equal' if entry['oracle'] else 'not-equal'} "
                   f"predictor={'commutes' if entry['predictor'] else 'fails'} "
                   f"-> {verdict}")
+            if args.trace and not report.oracle:
+                trace = Trace()
+                check_diamond(elab.env, report.diamond, config, trace)
+                print("\n".join("  " + line for line in trace.lines))
         summary = payload["summary"]
         print(f"{summary['commuting']} / {summary['total']} commuting, "
               f"{summary['mismatches']} oracle/predictor mismatches")
@@ -404,9 +411,21 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        # Flush here so that a reader closing the pipe early is reported
+        # below rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The unwritten output stays buffered; send it to devnull so that
+        # the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("hier: output closed before it was fully written", file=sys.stderr)
         return 2
 
 

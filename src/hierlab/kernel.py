@@ -166,6 +166,36 @@ def whnf(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
     return _whnf(env, t, _Fuel(config.unfold_depth), trace)
 
 
+def normalize(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
+              trace: Trace | None = None) -> Term:
+    """Reduce to full beta/delta/iota normal form, under binders too.
+
+    One fuel budget of config.unfold_depth covers the whole term, as in
+    ``defeq``.  Without eta, two terms are definitionally equal exactly when
+    their normal forms are equal; raises FuelExhausted like ``whnf``.
+    """
+    del ctx  # context variables have no definitions to unfold
+    return _normalize(env, t, _Fuel(config.unfold_depth), trace)
+
+
+def _normalize(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
+    head, args = unfold_apps(_whnf(env, t, fuel, trace))
+    # Bound variables stay loose below binders: instantiate shifts indices,
+    # so reducing an open body needs no fresh names.
+    if isinstance(head, Lam):
+        head = Lam(head.binder, _normalize(env, head.ty, fuel, trace),
+                   _normalize(env, head.body, fuel, trace))
+    elif isinstance(head, Pi):
+        head = Pi(head.binder, _normalize(env, head.ty, fuel, trace),
+                  _normalize(env, head.body, fuel, trace), head.implicit)
+    elif isinstance(head, Mk):
+        head = Mk(head.struct, tuple(_normalize(env, p, fuel, trace) for p in head.params),
+                  tuple(_normalize(env, f, fuel, trace) for f in head.fields))
+    elif isinstance(head, Proj):
+        head = Proj(head.struct, head.field, _normalize(env, head.target, fuel, trace))
+    return apps(head, *(_normalize(env, a, fuel, trace) for a in args))
+
+
 def infer_type(env: Environment, ctx: Telescope, t: Term,
                meta_types: dict[int, Term] | None = None) -> Term:
     """Synthesize the type of t.

@@ -1,9 +1,12 @@
 """Diamond-analysis tests: the instance graph, diamond enumeration, the
 commutation oracle and predictor, placement search, and reports."""
 
+from collections import Counter
+
 import jsonschema
 import pytest
 
+from hierlab import analyzer
 from hierlab.analyzer import (
     ANALYZER_REPORT_SCHEMA,
     CycleDetected,
@@ -21,10 +24,10 @@ from hierlab.analyzer import (
     spanning_search,
 )
 from hierlab.elaborator import PREFERRED, EncodingStrategy, InstanceInfo, elaborate
-from hierlab.kernel import check_type, defeq
+from hierlab.kernel import FuelExhausted, check_type, defeq
 from hierlab.surface import parse
-from hierlab.terms import Binder, Const, FreeVar, apps
-from conftest import ETA_OFF, ETA_ON, load
+from hierlab.terms import Binder, Const, FreeVar, apps, unfold_apps
+from conftest import CORPUS, ETA_OFF, ETA_ON, load
 
 
 def path_names(path):
@@ -207,6 +210,68 @@ def test_predict_diamond_compares_last_edge_kinds():
     mixed = Diamond("a", "c", (lead_a, pref), (lead_b, nonpref))
     assert predict_diamond(both_pref) is True
     assert predict_diamond(mixed) is False
+
+
+# ---------------------------------------------------------------------------
+# Oracles decided from per-path normal forms
+
+def pairwise(elab, config):
+    graph = build_graph(elab.env, elab.instances)
+    return [check_diamond(elab.env, d, config) for d in enumerate_diamonds(graph)]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.hier")))
+def test_analyze_matches_pairwise_check_diamond_on_the_corpus(name):
+    module = load(name)
+    for kind in ("nested", "flat", "flat_hack"):
+        elab = elaborate(module, EncodingStrategy(kind))
+        for config in (ETA_OFF, ETA_ON):
+            assert analyze(elab, config) == pairwise(elab, config), (kind, config)
+
+
+def count_calls(monkeypatch, *names: str) -> Counter:
+    """Count calls of the analyzer's module-level kernel entry points."""
+    calls: Counter = Counter()
+    for name in names:
+        original = getattr(analyzer, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(analyzer, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("config", [ETA_OFF, ETA_ON], ids=["eta-off", "eta-on"])
+def test_cube_is_decided_by_one_normal_form_per_path(monkeypatch, cube_module, config):
+    elab = elaborate(cube_module, EncodingStrategy("nested"))
+    calls = count_calls(monkeypatch, "normalize", "defeq")
+    reports = analyze(elab, config)
+    assert len(reports) == 21
+    assert calls == {"normalize": 18}
+
+
+def test_fig1_nested_with_eta_asks_the_kernel_once(monkeypatch, fig1_nested):
+    calls = count_calls(monkeypatch, "normalize", "defeq")
+    assert all(r.oracle for r in analyze(fig1_nested, ETA_ON))
+    assert calls == {"normalize": 7, "defeq": 1}
+
+
+def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):
+    """A path whose normal form runs out of fuel has its diamonds decided by
+    the pairwise reference; here that is the semiring route to
+    add_comm_monoid, used by one diamond."""
+    normalize = analyzer.normalize
+
+    def starved(env, config, ctx, term, trace=None):
+        if unfold_apps(term)[0] == Const("semiring.to_add_comm_monoid"):
+            raise FuelExhausted("starved")
+        return normalize(env, config, ctx, term, trace)
+    monkeypatch.setattr(analyzer, "normalize", starved)
+    calls = count_calls(monkeypatch, "check_diamond")
+    for config in (ETA_OFF, ETA_ON):
+        assert analyze(fig1_nested, config) == pairwise(fig1_nested, config)
+    assert calls["check_diamond"] == 2
 
 
 # ---------------------------------------------------------------------------

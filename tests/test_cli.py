@@ -2,10 +2,15 @@
 determinism, and diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hierlab
 from hierlab.analyzer import ANALYZER_REPORT_SCHEMA
 from hierlab.cli import main as cli_main
 from conftest import corpus_path
@@ -220,6 +225,31 @@ def test_diamonds_json_validates_against_the_schema(run_cli):
     assert payload["summary"] == {"total": 5, "commuting": 4, "mismatches": 0}
 
 
+def test_diamonds_trace_shows_the_stuck_pair_under_each_failing_diamond(run_cli):
+    code, out, _ = run_cli("diamonds", FIG1, "--eta-kernel", "off", "--trace")
+    assert code == 1
+    lines = out.splitlines()
+    failing = lines.index(next(line for line in lines if line.endswith("DOES NOT COMMUTE")))
+    assert lines[failing + 1:failing + 8] == [
+        "  delta add_comm_group.to_add_comm_monoid",
+        "  beta",
+        "  delta semiring.to_add_comm_monoid",
+        "  beta",
+        "  delta ring.to_semiring",
+        "  beta",
+        "  stuck: @add_comm_monoid.mk α (@ring.to_add_comm_group α i).to_add_group.to_add_monoid"
+        " vs (@ring.to_semiring α i).to_add_comm_monoid",
+    ]
+    assert lines[failing + 8].startswith("ring -> add_monoid: ")
+    assert out.count("stuck:") == 1
+
+
+def test_diamonds_trace_leaves_json_unchanged(run_cli):
+    plain = run_cli("diamonds", FIG1, "--eta-kernel", "off", "--emit", "json")
+    traced = run_cli("diamonds", FIG1, "--eta-kernel", "off", "--emit", "json", "--trace")
+    assert traced == plain
+
+
 # ---------------------------------------------------------------------------
 # spanning-search
 
@@ -270,6 +300,27 @@ def test_repeated_runs_are_byte_identical(run_cli):
     for args in [("elaborate", FIG1, "--emit", "json"),
                  ("diamonds", CUBE, "--eta-kernel", "off", "--emit", "json")]:
         assert run_cli(*args) == run_cli(*args)
+
+
+def test_closing_the_output_early_is_a_diagnostic(tmp_path):
+    # Far more output than a pipe buffers, so the command is still writing
+    # when the reader goes away.
+    source = tmp_path / "wide.hier"
+    source.write_text("\n".join(
+        f"class c{k} (α : Type) where\n" + "".join(f"  (f{j} : α)\n" for j in range(20))
+        for k in range(300)))
+    src = str(Path(hierlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "hierlab", "elaborate", str(source)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"structure c0")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err == "hier: output closed before it was fully written\n"
 
 
 def test_missing_file_is_a_diagnostic(run_cli):

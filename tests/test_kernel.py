@@ -15,6 +15,7 @@ from hierlab.kernel import (
     check_type,
     defeq,
     infer_type,
+    normalize,
     unify,
     whnf,
 )
@@ -88,6 +89,15 @@ def test_whnf_keeps_stuck_projections_in_declared_form(fig1_nested):
 
 def test_whnf_opaque_constants_do_not_unfold(tiny_env):
     assert whnf(tiny_env, DEFAULT_CONFIG, (), Const("a")) == Const("a")
+
+
+def test_normalize_reduces_under_binders_and_inside_constructors(tiny_env):
+    ι, a = Const("ι"), Const("a")
+    t = Lam("z", ι, Mk("pair", (), (
+        App(Lam("w", ι, BoundVar(0)), BoundVar(0)),
+        Proj("pair", "snd", Mk("pair", (), (a, BoundVar(0)))))))
+    assert normalize(tiny_env, ETA_OFF, (), t) == Lam("z", ι, Mk("pair", (), (
+        BoundVar(0), BoundVar(0))))
 
 
 def test_whnf_fuel_exhaustion_raises(fig1_nested):
@@ -165,6 +175,20 @@ def test_eta_applies_on_either_side(tiny_env):
                                Proj("pair", "snd", FreeVar("p"))))
     assert defeq(tiny_env, ETA_ON, ctx, expanded, FreeVar("p")) is True
     assert defeq(tiny_env, ETA_ON, ctx, FreeVar("p"), expanded) is True
+
+
+def test_eta_is_not_transitive_on_structures_without_fields():
+    """x and y each equal the empty constructor by eta, yet x = y fails: with
+    no constructor on either side, eta never fires.  This is why the diamond
+    analyzer never groups normal forms by an eta-long key (which would put x
+    and y together) and asks defeq about every pair of distinct ones."""
+    env = Environment()
+    env.add(StructDecl("unit", (), (), "unit.mk"))
+    ctx = (Binder("x", Const("unit")), Binder("y", Const("unit")))
+    x, y, mk = FreeVar("x"), FreeVar("y"), Mk("unit", (), ())
+    assert defeq(env, ETA_ON, ctx, x, mk) is True
+    assert defeq(env, ETA_ON, ctx, mk, y) is True
+    assert defeq(env, ETA_ON, ctx, x, y) is False
 
 
 def test_constructors_compare_fieldwise(tiny_env):

@@ -2,13 +2,16 @@
 
 Each suite runs 200 derandomized examples: reduction and eta behave the same
 on every record shape, the encoding guarantees hold on arbitrary generated
-hierarchies, resolution only returns well-typed instances, and definitional
+hierarchies, diamond verdicts from per-path normal forms match the pairwise
+reference, resolution only returns well-typed instances, and definitional
 equality is symmetric.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from hierlab.analyzer import analyze, build_graph, random_hierarchy
+from hierlab.analyzer import (
+    analyze, build_graph, check_diamond, enumerate_diamonds, random_hierarchy,
+)
 from hierlab.declarations import Environment, OpaqueDecl, StructDecl
 from hierlab.elaborator import EncodingStrategy, elaborate
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
@@ -93,6 +96,17 @@ def test_nested_encoding_diamonds_commute_with_eta(seed):
     elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy("nested"))
     for report in analyze(elab, ETA_ON):
         assert report.oracle
+
+
+@COMMON
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(("nested", "flat", "flat_hack")),
+       st.sampled_from((ETA_OFF, ETA_ON)))
+def test_analyze_matches_pairwise_check_diamond(seed, encoding, config):
+    elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy(encoding))
+    graph = build_graph(elab.env, elab.instances)
+    assert analyze(elab, config) == [check_diamond(elab.env, d, config)
+                                     for d in enumerate_diamonds(graph)]
 
 
 def ancestors_of(graph, cls: str) -> set[str]:
