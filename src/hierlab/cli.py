@@ -122,7 +122,7 @@ def _config(args: argparse.Namespace) -> DefEqConfig:
 def _elaborated(args: argparse.Namespace) -> tuple[Elaboration, str]:
     module, path = _load_module(args)
     try:
-        return elaborate(module, _strategy(args), _config(args)), path
+        return elaborate(module, _strategy(args), _config(args), args.max_depth), path
     except (ElabError, KernelError) as exc:
         raise CliError(f"{path}:{exc}") from exc
 

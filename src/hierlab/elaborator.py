@@ -26,12 +26,13 @@ from typing import Mapping
 
 from .declarations import DefDecl, Environment, OpaqueDecl, StructDecl
 from .kernel import DefEqConfig, DEFAULT_CONFIG
+from .resolution import MAX_DEPTH
 from .surface import (
     ClassItem, DefeqItem, GoalItem, InstanceItem, Pos, SOpaque, SurfaceModule,
     VariablesItem, resolve_expr,
 )
 from .terms import (
-    Binder, Const, FreeVar, Mk, Proj, Telescope, Term, apps, subst_frees,
+    Binder, Const, FreeVar, Mk, Proj, Telescope, Term, apps, pp_term, subst_frees,
     unfold_apps,
 )
 
@@ -146,27 +147,7 @@ class Elaboration:
 def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[str, Term]]:
     """The flat leaf-field view of a class: parents first (duplicates merged
     at first occurrence, alpha-equal types required), then own fields."""
-    info = classes[name]
-    merged: dict[str, Term] = {}
-    sources: dict[str, str] = {}
-    for parent, args in info.parents:
-        mapping = _param_map(classes[parent], args)
-        for leaf, ty in flatten_fields(classes, parent):
-            ty = subst_frees(ty, mapping)
-            if leaf in merged:
-                if merged[leaf] != ty:
-                    raise FieldTypeClash(leaf, sources[leaf], parent)
-            else:
-                merged[leaf] = ty
-                sources[leaf] = parent
-    for leaf, ty in info.own_fields:
-        if leaf in merged:
-            if merged[leaf] != ty:
-                raise FieldTypeClash(leaf, sources[leaf], name)
-        else:
-            merged[leaf] = ty
-            sources[leaf] = name
-    return list(merged.items())
+    return list(classes[name].leaf_types.items())
 
 
 def _param_map(info: ClassInfo, args: tuple[Term, ...]) -> dict[str, Term]:
@@ -174,11 +155,13 @@ def _param_map(info: ClassInfo, args: tuple[Term, ...]) -> dict[str, Term]:
 
 
 def elaborate(module: SurfaceModule, strategy: EncodingStrategy,
-              config: DefEqConfig = DEFAULT_CONFIG) -> Elaboration:
+              config: DefEqConfig = DEFAULT_CONFIG,
+              max_depth: int = MAX_DEPTH) -> Elaboration:
     """Elaborate a parsed module under the given encoding strategy.
 
-    Deterministic: the same module and strategy produce the same environment,
-    declaration by declaration.
+    ``config`` and ``max_depth`` govern the instance searches that complete
+    under-applied instance targets.  Deterministic: the same module and
+    strategy produce the same environment, declaration by declaration.
     """
     elab = Elaboration(strategy=strategy, env=Environment(), instances=[],
                        classes={}, variables=(), goals=[], defeqs=[])
@@ -188,7 +171,7 @@ def elaborate(module: SurfaceModule, strategy: EncodingStrategy,
         if isinstance(item, ClassItem):
             _declare_class(elab, item)
         elif isinstance(item, InstanceItem):
-            _declare_instance(elab, item, config)
+            _declare_instance(elab, item, config, max_depth)
         elif isinstance(item, VariablesItem):
             elab.variables = _resolve_binders(item.binders, (), elab.env)
         elif isinstance(item, GoalItem):
@@ -229,7 +212,7 @@ def _declare_class(elab: Elaboration, item: ClassItem) -> None:
     elab.classes[item.name] = info
     try:
         if elab.strategy.kind == "flat":
-            _layout_flat(elab, info)
+            _layout_flat(elab, info, item.pos)
         else:
             _layout_nested(elab, info, item.pos)
     except Exception:
@@ -295,12 +278,33 @@ def _apply_parent_order(strategy: EncodingStrategy, name: str,
     return [by_name[p] for p in override]
 
 
-def _layout_flat(elab: Elaboration, info: ClassInfo) -> None:
-    leaves = flatten_fields(elab.classes, info.name)
-    info.layout = tuple(LayoutField(n, ty) for n, ty in leaves)
-    info.leaf_types = dict(leaves)
-    info.leaf_origins = {n: ((info.name, n),) for n, _ in leaves}
-    info.all_names = frozenset(info.leaf_types)
+def _add_leaf(leaf_types: dict[str, Term], sources: dict[str, str], leaf: str,
+              ty: Term, source: str, pos: Pos) -> bool:
+    """Record an inherited or own leaf field; False when it is already there
+    with an alpha-equal type, FieldTypeClash when the types differ."""
+    if leaf in leaf_types:
+        if leaf_types[leaf] != ty:
+            raise FieldTypeClash(leaf, sources[leaf], source, pos)
+        return False
+    leaf_types[leaf] = ty
+    sources[leaf] = source
+    return True
+
+
+def _layout_flat(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
+    leaf_types: dict[str, Term] = {}
+    sources: dict[str, str] = {}
+    for parent, args in info.parents:
+        pinfo = elab.classes[parent]
+        mapping = _param_map(pinfo, args)
+        for leaf, ty in pinfo.leaf_types.items():
+            _add_leaf(leaf_types, sources, leaf, subst_frees(ty, mapping), parent, pos)
+    for leaf, ty in info.own_fields:
+        _add_leaf(leaf_types, sources, leaf, ty, info.name, pos)
+    info.layout = tuple(LayoutField(n, ty) for n, ty in leaf_types.items())
+    info.leaf_types = leaf_types
+    info.leaf_origins = {n: ((info.name, n),) for n in leaf_types}
+    info.all_names = frozenset(leaf_types)
 
 
 def _layout_nested(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
@@ -326,31 +330,21 @@ def _layout_nested(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
                 leaf_sources[leaf] = parent
         else:
             overlapping.append((parent, args))
-            for leaf, ty in flatten_fields(elab.classes, parent):
+            for leaf, ty in pinfo.leaf_types.items():
                 ty = subst_frees(ty, mapping)
-                if leaf in leaf_types:
-                    if leaf_types[leaf] != ty:
-                        raise FieldTypeClash(leaf, leaf_sources[leaf], parent, pos)
-                    continue
-                layout.append(LayoutField(leaf, ty))
-                collected.add(leaf)
-                leaf_types[leaf] = ty
-                leaf_sources[leaf] = parent
-                origins[leaf] = ((info.name, leaf),)
+                if _add_leaf(leaf_types, leaf_sources, leaf, ty, parent, pos):
+                    layout.append(LayoutField(leaf, ty))
+                    collected.add(leaf)
+                    origins[leaf] = ((info.name, leaf),)
 
     for leaf, ty in info.own_fields:
-        if leaf in leaf_types:
-            if leaf_types[leaf] != ty:
-                raise FieldTypeClash(leaf, leaf_sources[leaf], info.name, pos)
-            continue
-        if leaf in collected:
+        if leaf not in leaf_types and leaf in collected:
             raise ElabError(f"field name {leaf!r} collides with an inherited "
                             f"substructure field", pos)
-        layout.append(LayoutField(leaf, ty))
-        collected.add(leaf)
-        leaf_types[leaf] = ty
-        leaf_sources[leaf] = info.name
-        origins[leaf] = ((info.name, leaf),)
+        if _add_leaf(leaf_types, leaf_sources, leaf, ty, info.name, pos):
+            layout.append(LayoutField(leaf, ty))
+            collected.add(leaf)
+            origins[leaf] = ((info.name, leaf),)
 
     info.layout = tuple(layout)
     info.leaf_types = leaf_types
@@ -406,7 +400,7 @@ def _synthesize_flat_instance(elab: Elaboration, info: ClassInfo,
                               parent: str, args: tuple[Term, ...]) -> None:
     binders, self_var = _forgetful_binders(info)
     fields = tuple(Proj(info.name, leaf, self_var)
-                   for leaf, _ in flatten_fields(elab.classes, parent))
+                   for leaf in elab.classes[parent].leaf_types)
     decl_name = f"{info.name}.to_{parent}"
     elab.env.add(DefDecl(decl_name, binders, apps(Const(parent), *args),
                          Mk(parent, args, fields)))
@@ -475,18 +469,20 @@ def _preferred_path(elab: Elaboration, source: str,
 # ---------------------------------------------------------------------------
 # Instances
 
-def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig) -> None:
+def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig,
+                      max_depth: int) -> None:
     binders = _resolve_binders(item.binders, (), elab.env)
     target = resolve_expr(item.target, binders, elab.env)
     head, args = unfold_apps(target)
     if not isinstance(head, Const) or head.name not in elab.classes:
         raise ElabError(f"instance {item.name!r} must target a declared class", item.pos)
     cinfo = elab.classes[head.name]
-    full_args = _fill_instance_args(elab, item, cinfo, tuple(args), binders, config)
+    full_args = _fill_instance_args(elab, item, cinfo, tuple(args), binders,
+                                    config, max_depth)
     target = apps(Const(cinfo.name), *full_args)
 
-    leaves = [(leaf, subst_frees(ty, _param_map(cinfo, full_args)))
-              for leaf, ty in flatten_fields(elab.classes, cinfo.name)]
+    mapping = _param_map(cinfo, full_args)
+    leaves = [(leaf, subst_frees(ty, mapping)) for leaf, ty in cinfo.leaf_types.items()]
     expected = {leaf for leaf, _ in leaves}
     assigned: dict[str, Term] = {}
     for a in item.assignments:
@@ -520,7 +516,7 @@ def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig
 
 def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
                         args: tuple[Term, ...], binders: Telescope,
-                        config: DefEqConfig) -> tuple[Term, ...]:
+                        config: DefEqConfig, max_depth: int) -> tuple[Term, ...]:
     """Complete an under-applied class target by resolving the missing
     instance-implicit parameters in the instance's binder context."""
     if len(args) > len(cinfo.params):
@@ -539,11 +535,11 @@ def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
         subgoal = subst_frees(param.ty, mapping)
         try:
             term, _trace = resolve(elab.env, elab.instances, binders, subgoal,
-                                   config=config)
+                                   config=config, max_depth=max_depth)
         except ResolutionError as exc:
             raise ElabError(
                 f"cannot synthesize argument [{param.name} : "
-                f"{subgoal}] of instance {item.name!r}: {exc}", item.pos) from None
+                f"{pp_term(subgoal)}] of instance {item.name!r}: {exc}", item.pos) from None
         full.append(term)
     return tuple(full)
 

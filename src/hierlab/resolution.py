@@ -1,4 +1,4 @@
-"""Instance resolution: depth-first search over registered instances.
+"""Instance resolution: depth-first search over registered instances, tabled.
 
 A goal is a class application in some context.  Candidates are, in order:
 
@@ -6,18 +6,34 @@ A goal is a class application in some context.  Candidates are, in order:
 2. registered global instances targeting the goal's class, highest priority
    first, most recently declared first within a priority.
 
+The candidate list of each class is built once per ``resolve`` call.
+
 Applying a global candidate means allocating a fresh metavariable per
 binder, unifying the candidate's result type against the goal, and then
 solving each still-open instance-implicit argument as a subgoal in binder
-order.  A branch is pruned when its goal is alpha-equal to a goal already
-on the path (after substitution), which keeps cyclic instance graphs from
-looping.  The search depth is capped; exceeding the cap aborts the whole
-search rather than backtracking, since a too-deep branch usually means a
-runaway loop the guard cannot see.
+order.  The first candidate whose subgoals all succeed gives the answer;
+a failing subgoal fails its candidate, and the search never re-enters an
+earlier subgoal for a second answer.  A branch is pruned when its goal is
+alpha-equal to a goal already on the path (after substitution), which keeps
+cyclic instance graphs from looping.  The search depth is capped; exceeding
+the cap aborts the whole search rather than backtracking, since a too-deep
+branch usually means a runaway loop the guard cannot see.
+
+Answers are tabled per ``resolve`` call, so a class reached along many paths
+is searched once rather than once per path.  The table holds ground goals
+only (no metavariables); other goals are searched every time.  An entry
+holds the goal's first answer, or a failure, together with every goal its
+search visited and how many levels below the goal it went.  It is written
+only when the loop guard cut nowhere below the goal, and reused only when
+none of its visited goals is on the current path and the levels it needs
+still fit under the depth cap.  Under these rules a reused entry is exactly
+what searching again would produce, so answers, failures and
+``DepthExceeded`` are those of the untabled search; only the trace is
+shorter, with a ``cached:`` line where a subtree was skipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .declarations import DefDecl, Environment
@@ -56,15 +72,32 @@ class InstanceLike(Protocol):
     priority: int
 
 
+@dataclass(frozen=True)
+class _Entry:
+    """A ground goal's first answer (None for a failure), the goals its
+    search visited, and how many levels below the goal that search went."""
+
+    answer: Term | None
+    visited: frozenset[Term]
+    reached: int
+
+
 @dataclass
 class _State:
     env: Environment
-    instances: Sequence[InstanceLike]
     ctx: Telescope
     config: DefEqConfig
     max_depth: int
     trace: Trace
     metas: MetaCtx
+    local: list[tuple[str, object]]
+    by_class: dict[str | None, list[tuple[str, object]]]
+    table: dict[Term, _Entry] = field(default_factory=dict)
+    # What the innermost open goal's search has done so far: the goals it
+    # visited, the deepest level it entered, and whether the guard cut.
+    visited: set[Term] = field(default_factory=set)
+    reached: int = 0
+    cut: bool = False
 
 
 def resolve(env: Environment, instances: Sequence[InstanceLike], ctx: Telescope,
@@ -73,7 +106,10 @@ def resolve(env: Environment, instances: Sequence[InstanceLike], ctx: Telescope,
             trace: Trace | None = None) -> tuple[Term, Trace]:
     """Find a term of the goal type, or raise NotFound / DepthExceeded."""
     trace = trace if trace is not None else Trace()
-    state = _State(env, instances, ctx, config, max_depth, trace, MetaCtx())
+    local: list[tuple[str, object]] = [("local", b) for b in reversed(ctx)
+                                       if b.instance_implicit]
+    state = _State(env, ctx, config, max_depth, trace, MetaCtx(), local,
+                   _rank_by_class(local, instances))
     target = _saturate_goal(state, target)
     result = _solve(state, target, {}, 0, ())
     if result is None:
@@ -109,17 +145,16 @@ def _goal_class(target: Term) -> str | None:
     return head.name if isinstance(head, Const) else None
 
 
-def _candidates(state: _State, cls: str | None) -> list[tuple[str, object]]:
-    out: list[tuple[str, object]] = []
-    for binder in reversed(state.ctx):
-        if binder.instance_implicit:
-            out.append(("local", binder))
-    ranked = [(inst.priority, idx, inst)
-              for idx, inst in enumerate(state.instances)
-              if cls is None or inst.to_class == cls]
-    ranked.sort(key=lambda t: (-t[0], -t[1]))
-    out.extend(("global", inst) for _, _, inst in ranked)
-    return out
+def _rank_by_class(local: list[tuple[str, object]], instances: Sequence[InstanceLike]
+                   ) -> dict[str | None, list[tuple[str, object]]]:
+    """Each class's candidates in search order, and under None those of a
+    goal whose head is not a class: every instance."""
+    ranked = sorted(enumerate(instances), key=lambda t: (-t[1].priority, -t[0]))
+    by_class: dict[str | None, list[tuple[str, object]]] = {
+        None: local + [("global", inst) for _, inst in ranked]}
+    for _, inst in ranked:
+        by_class.setdefault(inst.to_class, list(local)).append(("global", inst))
+    return by_class
 
 
 def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
@@ -129,13 +164,43 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
     target = zonk(target, subst)
     trace = state.trace
     trace.step(f"goal: {pp_term(target)}")
-    if any(seen == target for seen in path):
+    if target in path:
         trace.step("failed: goal already on path")
+        state.cut = True
         return None
-    path = path + (target,)
+    ground = not metas_in(target)
+    entry = state.table.get(target) if ground else None
+    if (entry is not None and depth + entry.reached <= state.max_depth
+            and entry.visited.isdisjoint(path)):
+        trace.push()
+        if entry.answer is None:
+            trace.step(f"cached: failed {pp_term(target)}")
+        else:
+            trace.step(f"cached: solved {pp_term(target)} := {pp_term(entry.answer)}")
+        trace.pop()
+        state.visited |= entry.visited
+        state.reached = max(state.reached, depth + entry.reached)
+        return None if entry.answer is None else (entry.answer, subst)
+
+    outer_visited, outer_reached, outer_cut = state.visited, state.reached, state.cut
+    state.visited, state.reached, state.cut = {target}, depth, False
+    result = _search(state, target, subst, depth, path + (target,))
+    if ground and not state.cut:
+        state.table[target] = _Entry(None if result is None else result[0],
+                                     frozenset(state.visited), state.reached - depth)
+    outer_visited |= state.visited
+    state.visited = outer_visited
+    state.reached = max(outer_reached, state.reached)
+    state.cut = outer_cut or state.cut
+    return result
+
+
+def _search(state: _State, target: Term, subst: dict[int, Term], depth: int,
+            path: tuple[Term, ...]) -> tuple[Term, dict[int, Term]] | None:
+    trace = state.trace
     trace.push()
     try:
-        for kind, cand in _candidates(state, _goal_class(target)):
+        for kind, cand in state.by_class.get(_goal_class(target), state.local):
             if kind == "local":
                 result = _try_local(state, cand, target, subst)
             else:

@@ -4,6 +4,7 @@ Everything here is session-scoped because elaboration is pure; tests must
 not mutate the returned objects.
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,38 @@ def corpus_path(name: str) -> Path:
 
 def load(name: str):
     return parse(corpus_path(name).read_text())
+
+
+def cube_name(subset: tuple[int, ...]) -> str:
+    return "base" if not subset else "c" + "".join(map(str, subset))
+
+
+def cube_source(n: int, top_instance: bool = False) -> str:
+    """The n-dimensional mixin hypercube, shaped like corpus/cube.hier: a
+    base with three fields, one class per singleton adding one field, and
+    one field-less class per larger subset extending each subset one
+    element smaller.  Then one goal `g_<class> : <class> T` per class, in a
+    context that holds an instance of the top class when `top_instance`."""
+    lines: list[str] = []
+    for k in range(n + 1):
+        for subset in itertools.combinations(range(n), k):
+            head = f"class {cube_name(subset)} (α : Type)"
+            if k:
+                head += " extends " + ", ".join(
+                    f"{cube_name(s)} α" for s in itertools.combinations(subset, k - 1))
+            if k == 0:
+                lines += [head + " where", "  (zero : α)", "  (add : α → α → α)",
+                          "  (mul : α → α → α)"]
+            elif k == 1:
+                lines += [head + " where", f"  (op{subset[0]} : α → α)"]
+            else:
+                lines.append(head)
+    top = cube_name(tuple(range(n)))
+    lines.append(f"variables (T : Type) [iT : {top} T]" if top_instance
+                 else "variables (T : Type)")
+    lines += [f"goal g_{cube_name(s)} : {cube_name(s)} T"
+              for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,134 @@
+"""Slow, obviously-correct versions of fast paths, kept as test oracles.
+
+- ``flatten_fields``: the leaf-field view of a class, recomputed by recursion
+  through every ancestor path.  The elaborator stores this view once per
+  class in ``ClassInfo.leaf_types``.
+- ``resolve``: instance search as a plain depth-first search with no answer
+  table; every subgoal is searched again on every path that reaches it.
+  ``hierlab.resolution.resolve`` tables ground answers and must agree with
+  it on every goal.
+"""
+from __future__ import annotations
+
+from typing import Mapping
+
+from hierlab.declarations import DefDecl, StructDecl
+from hierlab.elaborator import ClassInfo, FieldTypeClash
+from hierlab.kernel import DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, unify
+from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
+from hierlab.terms import (
+    Const, FreeVar, Meta, Term, apps, metas_in, subst_frees, unfold_apps, zonk,
+)
+
+
+def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[str, Term]]:
+    """Parents first (duplicates merged at first occurrence, alpha-equal
+    types required), then own fields."""
+    info = classes[name]
+    merged: dict[str, Term] = {}
+    sources: dict[str, str] = {}
+    for parent, args in info.parents:
+        mapping = {b.name: a for b, a in zip(classes[parent].params, args)}
+        for leaf, ty in flatten_fields(classes, parent):
+            ty = subst_frees(ty, mapping)
+            if leaf in merged:
+                if merged[leaf] != ty:
+                    raise FieldTypeClash(leaf, sources[leaf], parent)
+            else:
+                merged[leaf] = ty
+                sources[leaf] = parent
+    for leaf, ty in info.own_fields:
+        if leaf in merged:
+            if merged[leaf] != ty:
+                raise FieldTypeClash(leaf, sources[leaf], name)
+        else:
+            merged[leaf] = ty
+            sources[leaf] = name
+    return list(merged.items())
+
+
+def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,
+            max_depth: int = MAX_DEPTH) -> Term:
+    """Untabled depth-first instance search: the same candidate order, path
+    guard and depth cap as the library, without the answer table."""
+    metas = MetaCtx()
+    target = _saturate(env, metas, target)
+
+    def candidates(goal: Term) -> list[tuple[str, object]]:
+        head, _ = unfold_apps(goal)
+        cls = head.name if isinstance(head, Const) else None
+        out: list[tuple[str, object]] = [("local", b) for b in reversed(ctx)
+                                         if b.instance_implicit]
+        ranked = [(inst.priority, idx, inst) for idx, inst in enumerate(instances)
+                  if cls is None or inst.to_class == cls]
+        ranked.sort(key=lambda t: (-t[0], -t[1]))
+        return out + [("global", inst) for _, _, inst in ranked]
+
+    def solve(goal, subst, depth, path):
+        if depth > max_depth:
+            raise DepthExceeded(max_depth)
+        goal = zonk(goal, subst)
+        if any(seen == goal for seen in path):
+            return None
+        path = path + (goal,)
+        for kind, cand in candidates(goal):
+            if kind == "local":
+                try:
+                    return FreeVar(cand.name), unify(env, config, ctx, cand.ty, goal,
+                                                     subst=subst, meta_types=metas.types)
+                except (Mismatch, OccursCheck):
+                    continue
+            result = try_global(cand, goal, subst, depth, path)
+            if result is not None:
+                return result
+        return None
+
+    def try_global(inst, goal, subst, depth, path):
+        decl = env.get(inst.decl_name)
+        if not isinstance(decl, DefDecl):
+            return None
+        mapping: dict[str, Term] = {}
+        arg_metas: list[Meta] = []
+        for binder in decl.binders:
+            m = metas.fresh(subst_frees(binder.ty, mapping))
+            mapping[binder.name] = m
+            arg_metas.append(m)
+        try:
+            new = unify(env, config, ctx, subst_frees(decl.result_type, mapping), goal,
+                        subst=subst, meta_types=metas.types)
+        except (Mismatch, OccursCheck):
+            return None
+        for binder, m in zip(decl.binders, arg_metas):
+            current = zonk(m, new)
+            if not binder.instance_implicit or not isinstance(current, Meta):
+                continue
+            sub = solve(zonk(metas.types[m.mid], new), new, depth + 1, path)
+            if sub is None:
+                return None
+            sub_term, new = sub
+            new = dict(new)
+            new[current.mid] = zonk(sub_term, new)
+        value = zonk(apps(Const(decl.name), *arg_metas), new)
+        return None if metas_in(value) else (value, new)
+
+    result = solve(target, {}, 0, ())
+    if result is None:
+        raise NotFound(target)
+    term = zonk(*result)
+    if metas_in(term):
+        raise NotFound(target)
+    return term
+
+
+def _saturate(env, metas: MetaCtx, target: Term) -> Term:
+    head, args = unfold_apps(target)
+    decl = env.get(head.name) if isinstance(head, Const) else None
+    if not isinstance(decl, StructDecl) or len(args) >= len(decl.params):
+        return target
+    mapping: dict[str, Term] = {b.name: a for b, a in zip(decl.params, args)}
+    extra = []
+    for binder in decl.params[len(args):]:
+        m = metas.fresh(subst_frees(binder.ty, mapping))
+        mapping[binder.name] = m
+        extra.append(m)
+    return apps(head, *args, *extra)

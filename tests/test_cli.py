@@ -78,6 +78,33 @@ def test_elaborate_field_clash_is_a_diagnostic(run_cli, tmp_path):
     assert "one" in err and "clashing types" in err
 
 
+def test_field_clash_is_positioned_in_every_encoding(run_cli, tmp_path):
+    src = tmp_path / "clash.hier"
+    src.write_text(
+        "class has_one (α : Type) where\n"
+        "  (one : α)\n"
+        "class weird (α : Type) where\n"
+        "  (one : α → α)\n"
+        "class both (α : Type) extends has_one α, weird α\n")
+    for encoding in ("flat", "nested", "flat-hack"):
+        code, out, err = run_cli("elaborate", str(src), "--encoding", encoding)
+        assert (code, out) == (2, "")
+        assert err == (f"{src}:5:1: field 'one' is inherited from has_one and "
+                       f"weird with clashing types\n"), encoding
+
+
+def test_max_depth_reaches_instance_argument_synthesis(run_cli):
+    """semiring.to_module's target is under-applied; filling in its
+    add_comm_monoid argument needs one forgetful step below the goal."""
+    code, out, err = run_cli("elaborate", MODULE, "--max-depth", "0")
+    assert (code, out) == (2, "")
+    assert err == (f"{MODULE}:27:1: cannot synthesize argument [_inst_2 : "
+                   f"@add_comm_monoid R] of instance 'semiring.to_module': "
+                   f"instance search exceeded depth 0\n")
+    code, _, err = run_cli("elaborate", MODULE, "--max-depth", "1")
+    assert (code, err) == (0, "")
+
+
 # ---------------------------------------------------------------------------
 # defeq
 

@@ -3,22 +3,25 @@
 Each suite runs 200 derandomized examples: reduction and eta behave the same
 on every record shape, the encoding guarantees hold on arbitrary generated
 hierarchies, diamond verdicts from per-path normal forms match the pairwise
-reference, resolution only returns well-typed instances, and definitional
-equality is symmetric.
+reference, the stored leaf-field view matches its recursive reference,
+tabled resolution matches the untabled search and only returns well-typed
+instances, and definitional equality is symmetric.
 """
 
 from hypothesis import given, settings, strategies as st
+
+import reference
 
 from hierlab.analyzer import (
     analyze, build_graph, check_diamond, enumerate_diamonds, random_hierarchy,
 )
 from hierlab.declarations import Environment, OpaqueDecl, StructDecl
-from hierlab.elaborator import EncodingStrategy, elaborate
+from hierlab.elaborator import EncodingStrategy, elaborate, flatten_fields
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
-from hierlab.resolution import resolve
+from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound, resolve
 from hierlab.surface import parse
 from hierlab.terms import Binder, Const, FreeVar, Mk, Pi, Proj, Sort, apps
-from conftest import ETA_OFF, ETA_ON
+from conftest import ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path, cube_source
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -107,6 +110,98 @@ def test_analyze_matches_pairwise_check_diamond(seed, encoding, config):
     graph = build_graph(elab.env, elab.instances)
     assert analyze(elab, config) == [check_diamond(elab.env, d, config)
                                      for d in enumerate_diamonds(graph)]
+
+
+ENCODINGS = ("nested", "flat", "flat_hack")
+
+
+@COMMON
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(ENCODINGS))
+def test_stored_leaf_view_matches_recursive_flatten(seed, encoding):
+    elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy(encoding))
+    for name in elab.classes:
+        assert flatten_fields(elab.classes, name) == \
+            reference.flatten_fields(elab.classes, name)
+
+
+# A self-referential instance: its only subgoal is its own goal, which the
+# path guard cuts, so that goal's answer is never tabled.
+AM_SELF = """
+instance am_self (α : Type) [i : add_monoid α] : add_monoid α where
+  (zero := add_monoid.zero α i)
+  (add := add_monoid.add α i)
+"""
+
+
+def resolution_source(kind: str, n: int) -> str:
+    if kind == "random":
+        return random_hierarchy(n)
+    if kind == "cube":
+        return cube_source(n)
+    return corpus_path("fig1.hier").read_text() + AM_SELF
+
+
+def extra_instances(data, elab) -> str:
+    """A few user instances between random classes, with every field
+    opaque.  They add cycles and candidates with several subgoals, where a
+    goal can fail on one path because the guard cut it and succeed on
+    another."""
+    classes = [c for c, info in elab.classes.items() if len(info.params) == 1]
+    out = []
+    for k in range(data.draw(st.integers(0, 8), label="extra instances")):
+        target = data.draw(st.sampled_from(classes), label=f"extra {k} target")
+        needs = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=3,
+                                   unique=True), label=f"extra {k} needs")
+        priority = data.draw(st.sampled_from((10, 1000, 2000)), label=f"extra {k} priority")
+        binders = " ".join(f"[i{j} : {c} α]" for j, c in enumerate(needs))
+        fields = "".join(f"\n  ({leaf} := opaque)" for leaf in elab.classes[target].leaf_types)
+        out.append(f"@[priority {priority}] instance extra{k} (α : Type) {binders} : "
+                   f"{target} α where{fields}\n")
+    # Expressions are whitespace-insensitive, so an `@[...]` attribute right
+    # after a class header or goal would parse as part of its expression; a
+    # variables item (closed by its binder's parenthesis) separates them.
+    return "\nvariables (β : Type)\n" + "\n".join(out) + "\n"
+
+
+def outcome(search):
+    try:
+        return "found", search()
+    except NotFound:
+        return "not-found", None
+    except DepthExceeded:
+        return "depth-exceeded", None
+
+
+@COMMON
+@given(st.data(),
+       st.one_of(st.tuples(st.just("random"), st.integers(0, 10 ** 6)),
+                 st.tuples(st.just("cube"), st.integers(1, 4)),
+                 st.just(("am_self", 0))),
+       st.sampled_from(ENCODINGS),
+       st.booleans(),
+       st.sampled_from((ETA_OFF, UNIFIER_ON)))
+def test_tabled_resolution_matches_untabled_search(data, source, encoding, top_binder,
+                                                   config):
+    text = resolution_source(*source)
+    elab = elaborate(parse(text), EncodingStrategy(encoding))
+    if source[0] != "am_self":
+        head, sep, tail = text.partition("variables")
+        elab = elaborate(parse(head + extra_instances(data, elab) + sep + tail),
+                         EncodingStrategy(encoding))
+    classes = [c for c, info in elab.classes.items() if len(info.params) == 1]
+    T = FreeVar("T")
+    ctx = (Binder("T", Sort()),)
+    if top_binder:
+        ctx += (Binder("iT", apps(Const(classes[-1]), T), instance_implicit=True),)
+    # Small caps make the search exceed its depth on some goals and not others.
+    for max_depth in (1, 3, MAX_DEPTH):
+        for cls in classes:
+            goal = apps(Const(cls), T)
+            tabled = outcome(lambda: resolve(elab.env, elab.instances, ctx, goal,
+                                             config=config, max_depth=max_depth)[0])
+            untabled = outcome(lambda: reference.resolve(
+                elab.env, elab.instances, ctx, goal, config=config, max_depth=max_depth))
+            assert tabled == untabled, (cls, max_depth)
 
 
 def ancestors_of(graph, cls: str) -> set[str]:

@@ -9,7 +9,7 @@ from hierlab.kernel import Trace, check_type, infer_type, defeq
 from hierlab.resolution import DepthExceeded, NotFound, resolve
 from hierlab.surface import parse, parse_term
 from hierlab.terms import Binder, Const, FreeVar, Mk, Sort, apps
-from conftest import ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path
+from conftest import ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path, cube_source
 
 
 def goal_by_label(elab, label):
@@ -218,6 +218,154 @@ instance am_self (α : Type) [i : add_monoid α] : add_monoid α where
     term, trace = resolve(elab.env, elab.instances, ctx, goal)
     assert any("already on path" in line for line in trace.lines)
     assert infer_type(elab.env, ctx, term) == goal
+
+
+# ---------------------------------------------------------------------------
+# Tabling
+
+def cube5_base_trace(top_instance: bool) -> list[str]:
+    elab = elaborate(parse(cube_source(5, top_instance)), EncodingStrategy("nested"))
+    ctx, goal = goal_by_label(elab, "g_base")
+    trace = Trace()
+    try:
+        resolve(elab.env, elab.instances, ctx, goal, config=ETA_OFF, trace=trace)
+    except NotFound:
+        pass
+    return [line.lstrip() for line in trace.lines]
+
+
+def test_failing_cube_goal_searches_each_class_once():
+    """The nested 5-cube's failing `base T`: every class above base is
+    reached along many paths but searched once; later arrivals read the
+    table.  So each forgetful edge is tried once (n·2ⁿ⁻¹ = 80), 32 goals are
+    searched, and every other goal line is followed by a `cached:` line."""
+    lines = cube5_base_trace(top_instance=False)
+    goals = [(k, line[len("goal: "):]) for k, line in enumerate(lines)
+             if line.startswith("goal: ")]
+    searched = [g for k, g in goals if not lines[k + 1].startswith("cached: ")]
+    cached = [line for line in lines if line.startswith("cached: ")]
+    assert sum(line.startswith("try ") for line in lines) == 80
+    assert len(searched) == len(set(searched)) == 32
+    assert len(cached) == len(goals) - 32 == 49
+    assert all(line.startswith("cached: failed ") for line in cached)
+    assert len(lines) == 242  # 977 before tabling
+
+
+def test_succeeding_cube_goal_is_unchanged_by_tabling():
+    # The first path found succeeds, so nothing is reached twice.
+    lines = cube5_base_trace(top_instance=True)
+    assert not any(line.startswith("cached: ") for line in lines)
+    assert len(lines) == 23
+
+
+def test_table_hits_are_traced(fig1_nested):
+    """`ring S` is reached through add_group and again through
+    add_comm_monoid; the second arrival, and the second `add_comm_group S`,
+    read their failure from the table."""
+    S = FreeVar("S")
+    trace = Trace()
+    with pytest.raises(NotFound):
+        resolve(fig1_nested.env, fig1_nested.instances, (Binder("S", Sort()),),
+                apps(Const("add_monoid"), S), trace=trace)
+    assert trace.lines == [
+        "goal: @add_monoid S",
+        "  try add_group.to_add_monoid (priority 1000)",
+        "  goal: @add_group S",
+        "    try add_comm_group.to_add_group (priority 1000)",
+        "    goal: @add_comm_group S",
+        "      try ring.to_add_comm_group (priority 100)",
+        "      goal: @ring S",
+        "        failed: @ring S",
+        "      failed: @add_comm_group S",
+        "    failed: @add_group S",
+        "  try add_comm_monoid.to_add_monoid (priority 1000)",
+        "  goal: @add_comm_monoid S",
+        "    try semiring.to_add_comm_monoid (priority 1000)",
+        "    goal: @semiring S",
+        "      try ring.to_semiring (priority 1000)",
+        "      goal: @ring S",
+        "        cached: failed @ring S",
+        "      failed: @semiring S",
+        "    try add_comm_group.to_add_comm_monoid (priority 100)",
+        "    goal: @add_comm_group S",
+        "      cached: failed @add_comm_group S",
+        "    failed: @add_comm_monoid S",
+        "  failed: @add_monoid S",
+    ]
+
+
+TWO_SUBGOALS = """
+instance needs_two (α : Type) [a : add_group α] [b : semiring α] : add_comm_monoid α where
+  (zero := opaque)
+  (add := opaque)
+"""
+
+
+def test_answers_of_a_failed_candidate_are_reused():
+    """needs_two solves `add_group S` (via `add_comm_group S`) and then fails
+    on `semiring S`; the later candidates meet both goals again and take
+    the tabled answers, the solved one included."""
+    text = corpus_path("fig1.hier").read_text() + TWO_SUBGOALS
+    elab = elaborate(parse(text), EncodingStrategy("nested"))
+    S = FreeVar("S")
+    ctx = (Binder("S", Sort()),
+           Binder("i", apps(Const("add_comm_group"), S), instance_implicit=True))
+    term, trace = resolve(elab.env, elab.instances, ctx, apps(Const("add_comm_monoid"), S))
+    assert term == apps(Const("add_comm_group.to_add_comm_monoid"), S, FreeVar("i"))
+    lines = [line.lstrip() for line in trace.lines]
+    assert "cached: failed @semiring S" in lines
+    assert lines[-2:] == ["cached: solved @add_comm_group S := i",
+                          "solved @add_comm_monoid S := @add_comm_group.to_add_comm_monoid S i"]
+
+
+def one_field_classes(*names: str) -> str:
+    return "".join(f"class {n} (α : Type) where\n  (f{n} : α)\n" for n in names)
+
+
+def forgetful(name: str, target: str, *needs: str) -> str:
+    binders = " ".join(f"[i{k} : {c} α]" for k, c in enumerate(needs))
+    return f"instance {name} (α : Type) {binders} : {target} α where\n  (f{target} := opaque)\n"
+
+
+def test_goals_below_a_guard_cut_are_not_tabled():
+    """r_of_af first solves `a T`, whose first candidate needs `x T`, whose
+    only candidate needs `a T` again: the guard cuts it, so `x T` fails
+    there.  Then `f T` fails.  r_of_x asks for `x T` with no `a T` on the
+    path, and now `x T` succeeds through `a T`.  Had the failure of `x T`
+    under the cut been tabled, `r T` would not be found."""
+    text = (one_field_classes("b", "a", "x", "f", "r")
+            + forgetful("a_of_b", "a", "b") + forgetful("a_of_x", "a", "x")
+            + forgetful("x_of_a", "x", "a")
+            + forgetful("r_of_x", "r", "x") + forgetful("r_of_af", "r", "a", "f"))
+    elab = elaborate(parse(text), EncodingStrategy("nested"))
+    T = FreeVar("T")
+    ctx = (Binder("T", Sort()), Binder("ib", apps(Const("b"), T), instance_implicit=True))
+    term, trace = resolve(elab.env, elab.instances, ctx, apps(Const("r"), T))
+    assert term == apps(Const("r_of_x"), T,
+                        apps(Const("x_of_a"), T, apps(Const("a_of_b"), T, FreeVar("ib"))))
+    # Only `b T`, solved with no cut below it, comes from the table.
+    assert [line.lstrip() for line in trace.lines if "cached:" in line] == \
+        ["cached: solved @b T := ib"]
+
+
+def test_table_entries_respect_the_depth_cap():
+    """`x T` fails at depth 1 after going two levels down.  r_of_w meets it
+    again at depth 2, where those two levels no longer fit under a cap of 3,
+    so it is searched again and the search exceeds the cap, as the untabled
+    search does.  Under a cap of 4 the entry is reused."""
+    text = (one_field_classes("z", "y", "x", "w", "r")
+            + forgetful("y_of_z", "y", "z") + forgetful("x_of_y", "x", "y")
+            + forgetful("w_of_x", "w", "x")
+            + forgetful("r_of_w", "r", "w") + forgetful("r_of_x", "r", "x"))
+    elab = elaborate(parse(text), EncodingStrategy("nested"))
+    ctx = (Binder("T", Sort()),)
+    goal = apps(Const("r"), FreeVar("T"))
+    with pytest.raises(DepthExceeded):
+        resolve(elab.env, elab.instances, ctx, goal, max_depth=3)
+    trace = Trace()
+    with pytest.raises(NotFound):
+        resolve(elab.env, elab.instances, ctx, goal, max_depth=4, trace=trace)
+    assert [line.lstrip() for line in trace.lines].count("cached: failed @x T") == 1
 
 
 # ---------------------------------------------------------------------------
