@@ -39,6 +39,7 @@ from .elaborator import (
     EncodingStrategy, InstanceInfo, elaborate,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
+from .resolution import MAX_DEPTH
 from .surface import SurfaceModule
 from .terms import Binder, Const, FreeVar, Term, apps, fresh_name, subst_frees, unfold_apps
 
@@ -65,9 +66,6 @@ class Edge:
 class HierGraph:
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
-
-    def edges_from(self, node: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.src == node)
 
 
 Path = tuple[Edge, ...]
@@ -214,8 +212,12 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
             max_path_len: int = MAX_PATH_LEN) -> list[DiamondReport]:
     """Enumerate and check every diamond of an elaborated module.
 
-    Verdicts equal those of ``check_diamond``; they are decided from one
-    normal form per path (see the module docstring)."""
+    Verdicts are decided from one normal form per path (see the module
+    docstring) and equal those of ``check_diamond`` wherever it returns.
+    It can run out of fuel where this does not: its comparison spends one
+    ``unfold_depth`` budget on both composites, while each normal form here
+    gets a budget of its own (on ``cube.hier``: ``unfold_depth`` 6–10 under
+    nested, 7–13 under flat, 9–17 under flat_hack)."""
     env = elab.env
     diamonds = enumerate_diamonds(build_graph(env, elab.instances), max_path_len)
     reports: list[DiamondReport] = []
@@ -277,68 +279,49 @@ class PlacementReport:
 
 def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
                     config: DefEqConfig = DEFAULT_CONFIG,
-                    max_path_len: int = MAX_PATH_LEN) -> list[PlacementReport]:
+                    max_path_len: int = MAX_PATH_LEN,
+                    max_depth: int = MAX_DEPTH) -> list[PlacementReport]:
     """Re-elaborate under every first-parent choice and score coherence.
 
-    Also re-elaborates each placement with the remaining parents permuted
-    and records whether any such permutation changes a verdict, rather than
-    assuming it cannot.
+    Each placement is elaborated under every order of the remaining parents,
+    declared order first; that first order gives the placement's verdicts,
+    and the placement is order-invariant when no other order changes one.
+    The search stops at the first order that does, rather than assuming none
+    can.  ``config`` and ``max_depth`` reach every elaboration.
     """
-    base = elaborate(module, EncodingStrategy(strategy.kind))
+    base = elaborate(module, EncodingStrategy(strategy.kind), config, max_depth)
     chooseable: list[tuple[str, list[str]]] = []
     for name, info in base.classes.items():
         parents = [p for p, _ in info.parents if p != FLAT_HACK_CLASS]
         if len(parents) >= 2:
             chooseable.append((name, parents))
+    names = [name for name, _ in chooseable]
+
+    def analyzed(order: tuple[tuple[str, ...], ...]) -> tuple[DiamondReport, ...]:
+        strat = EncodingStrategy(strategy.kind, dict(zip(names, order)))
+        return tuple(analyze(elaborate(module, strat, config, max_depth),
+                             config, max_path_len))
 
     reports: list[PlacementReport] = []
-    combos = itertools.product(*(parents for _, parents in chooseable)) \
-        if chooseable else iter([()])
+    combos = itertools.product(*(parents for _, parents in chooseable))
     for index, combo in enumerate(combos):
-        first = {name: parent for (name, _), parent in zip(chooseable, combo)}
-        elab = elaborate(module, EncodingStrategy(strategy.kind).with_first_parent(first))
-        checked = tuple(analyze(elab, config, max_path_len))
+        orders = itertools.product(*(
+            [(first,) + rest for rest in itertools.permutations(
+                [p for p in parents if p != first])]
+            for (_, parents), first in zip(chooseable, combo)))
+        checked = analyzed(next(orders))
+        reference = _verdicts(checked)
+        invariant = all(_verdicts(analyzed(order)) == reference for order in orders)
         coherent = all(commutes_under(r, config) for r in checked)
-        invariant = _nonfirst_order_invariant(
-            module, strategy.kind, chooseable, first, config, max_path_len,
-            _verdicts(checked))
-        reports.append(PlacementReport(index, tuple(sorted(first.items())),
+        reports.append(PlacementReport(index, tuple(sorted(zip(names, combo))),
                                        checked, coherent, invariant))
     return reports
 
 
-def _verdicts(reports: tuple[DiamondReport, ...] | list[DiamondReport]
-              ) -> dict[tuple, tuple[bool, bool]]:
+def _verdicts(reports: tuple[DiamondReport, ...]) -> dict[tuple, tuple[bool, bool]]:
     return {(r.diamond.source, r.diamond.target,
              _path_key(r.diamond.path_a), _path_key(r.diamond.path_b)):
             (r.oracle, r.predictor) for r in reports}
-
-
-def _nonfirst_order_invariant(module: SurfaceModule, kind: str,
-                              chooseable: list[tuple[str, list[str]]],
-                              first: dict[str, str], config: DefEqConfig,
-                              max_path_len: int,
-                              reference: dict[tuple, tuple[bool, bool]]) -> bool:
-    """Re-run the placement with non-first parents permuted; True when every
-    permutation reproduces the reference verdicts diamond for diamond."""
-    per_class: list[list[tuple[str, ...]]] = []
-    names: list[str] = []
-    for name, parents in chooseable:
-        rest = [p for p in parents if p != first[name]]
-        orders = [tuple([first[name]] + list(perm))
-                  for perm in itertools.permutations(rest)]
-        per_class.append(orders)
-        names.append(name)
-    declared = tuple(tuple([first[n]] + [p for p in parents if p != first[n]])
-                     for n, parents in chooseable)
-    for full_combo in itertools.product(*per_class):
-        if full_combo == declared:
-            continue
-        strat = EncodingStrategy(kind, dict(zip(names, full_combo)))
-        elab = elaborate(module, strat)
-        if _verdicts(analyze(elab, config, max_path_len)) != reference:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

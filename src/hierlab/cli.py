@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Elaborate class hierarchies and probe their instance diamonds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, parent_order: bool = True) -> None:
         p.add_argument("path",
                        help="input module, or @random to generate one from --seed")
         p.add_argument("--encoding", choices=sorted(ENCODINGS), default="nested",
@@ -62,9 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for @random input (default: 0)")
         p.add_argument("--max-depth", type=int, default=32,
                        help="instance search depth limit (default: 32)")
-        p.add_argument("--parent-order", action="append", default=[],
-                       metavar="CLASS:PARENT",
-                       help="move PARENT first in CLASS's extends list (repeatable)")
+        if parent_order:  # spanning-search chooses the parent orders itself
+            p.add_argument("--parent-order", action="append", default=[],
+                           metavar="CLASS:PARENT",
+                           help="move PARENT first in CLASS's extends list (repeatable)")
 
     add_common(sub.add_parser("elaborate", help="dump the elaborated environment"))
 
@@ -80,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("diamonds", help="check every instance diamond"))
     add_common(sub.add_parser("spanning-search",
-                              help="score every first-parent placement"))
+                              help="score every first-parent placement"),
+               parent_order=False)
     return parser
 
 
@@ -352,7 +354,8 @@ def cmd_spanning_search(args: argparse.Namespace) -> int:
     module, path = _load_module(args)
     config = _config(args)
     try:
-        placements = spanning_search(module, _strategy(args), config)
+        placements = spanning_search(module, EncodingStrategy(ENCODINGS[args.encoding]),
+                                     config, max_depth=args.max_depth)
     except (ElabError, KernelError) as exc:
         raise CliError(f"{path}:{exc}") from exc
     coherent = sum(1 for p in placements if p.coherent)

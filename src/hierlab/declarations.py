@@ -37,13 +37,12 @@ class StructDecl:
 
 @dataclass(frozen=True)
 class DefDecl:
-    """A definition; unfolded by delta-reduction when reducible."""
+    """A definition; always unfolded by delta-reduction."""
 
     name: str
     binders: Telescope
     result_type: Term
     body: Term
-    reducible: bool = True
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,9 @@ class Environment:
         return pi_type(decl.binders, decl.result_type)
 
     def unfolding(self, name: str) -> Term | None:
-        """The lambda-closed value of a reducible definition, memoized."""
+        """The lambda-closed value of a definition, memoized."""
         decl = self._decls.get(name)
-        if not isinstance(decl, DefDecl) or not decl.reducible:
+        if not isinstance(decl, DefDecl):
             return None
         cached = self._closures.get(name)
         if cached is None:

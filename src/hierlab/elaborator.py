@@ -2,9 +2,6 @@
 
 Three encodings of ``extends`` are implemented:
 
-- flat: every class stores all leaf fields directly (duplicates merged at
-  first occurrence); one constructor-rebuilding forgetful instance per
-  direct parent, priority 1000.
 - nested: parents are processed in order; a parent sharing no field name
   with what was already collected becomes a substructure field ``to_<parent>``
   whose projection is registered as a preferred instance (priority 1000); an
@@ -12,6 +9,11 @@ Three encodings of ``extends`` are implemented:
   synthesized constructor instance (priority 100) rebuilds it, filling
   substructure fields through the shortest preferred-projection path or a
   recursively built constructor, and leaf fields through their origin paths.
+- flat: the nested rules with no parent stored as a substructure.  Every
+  parent takes the overlapping branch, so a class stores its leaf-field view
+  in order, and each direct parent gets a rebuilt instance
+  ``Mk(parent, args, <leaf projections>)`` of kind flat-constructor at
+  priority 1000.
 - flat_hack: an empty class is prepended to every extends list and the
   nested rules run; the shared empty substructure makes every real parent
   overlap, so no preferred edge between real classes survives.
@@ -211,10 +213,7 @@ def _declare_class(elab: Elaboration, item: ClassItem) -> None:
     info = ClassInfo(item.name, params, parents, tuple(own_fields))
     elab.classes[item.name] = info
     try:
-        if elab.strategy.kind == "flat":
-            _layout_flat(elab, info, item.pos)
-        else:
-            _layout_nested(elab, info, item.pos)
+        _layout(elab, info, item.pos)
     except Exception:
         del elab.classes[item.name]
         raise
@@ -291,36 +290,24 @@ def _add_leaf(leaf_types: dict[str, Term], sources: dict[str, str], leaf: str,
     return True
 
 
-def _layout_flat(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
-    leaf_types: dict[str, Term] = {}
-    sources: dict[str, str] = {}
-    for parent, args in info.parents:
-        pinfo = elab.classes[parent]
-        mapping = _param_map(pinfo, args)
-        for leaf, ty in pinfo.leaf_types.items():
-            _add_leaf(leaf_types, sources, leaf, subst_frees(ty, mapping), parent, pos)
-    for leaf, ty in info.own_fields:
-        _add_leaf(leaf_types, sources, leaf, ty, info.name, pos)
-    info.layout = tuple(LayoutField(n, ty) for n, ty in leaf_types.items())
-    info.leaf_types = leaf_types
-    info.leaf_origins = {n: ((info.name, n),) for n in leaf_types}
-    info.all_names = frozenset(leaf_types)
-
-
-def _layout_nested(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
+def _layout(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
+    """Lay out the parents in order, then the own fields.  A parent sharing
+    no name with what was already collected becomes a substructure field
+    (never under flat); any other parent contributes its missing leaf fields
+    and is rebuilt by a forgetful instance."""
     layout: list[LayoutField] = []
     collected: set[str] = set()
     leaf_types: dict[str, Term] = {}
     leaf_sources: dict[str, str] = {}
     origins: dict[str, tuple[tuple[str, str], ...]] = {}
-    overlapping: list[tuple[str, tuple[Term, ...]]] = []
+    substructures = elab.strategy.kind != "flat"
 
     for parent, args in info.parents:
         pinfo = elab.classes[parent]
         mapping = _param_map(pinfo, args)
         sub_name = f"to_{parent}"
         parent_names = pinfo.all_names | {sub_name}
-        if not (parent_names & collected):
+        if substructures and not (parent_names & collected):
             layout.append(LayoutField(sub_name, apps(Const(parent), *args),
                                       parent=parent, parent_args=args))
             collected |= parent_names
@@ -329,7 +316,6 @@ def _layout_nested(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
                 leaf_types[leaf] = subst_frees(pinfo.leaf_types[leaf], mapping)
                 leaf_sources[leaf] = parent
         else:
-            overlapping.append((parent, args))
             for leaf, ty in pinfo.leaf_types.items():
                 ty = subst_frees(ty, mapping)
                 if _add_leaf(leaf_types, leaf_sources, leaf, ty, parent, pos):
@@ -349,11 +335,7 @@ def _layout_nested(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
     info.layout = tuple(layout)
     info.leaf_types = leaf_types
     info.leaf_origins = origins
-    names = set(collected)
-    for f in layout:
-        names.add(f.name)
-    info.all_names = frozenset(names)
-    info.__dict__["_overlapping"] = tuple(overlapping)
+    info.all_names = frozenset(collected)
 
 
 def _declare_constructor(elab: Elaboration, info: ClassInfo) -> None:
@@ -378,44 +360,33 @@ def _declare_projections(elab: Elaboration, info: ClassInfo) -> None:
 
 
 def _declare_forgetful_instances(elab: Elaboration, info: ClassInfo) -> None:
-    if elab.strategy.kind == "flat":
-        for parent, args in info.parents:
-            _synthesize_flat_instance(elab, info, parent, args)
-        return
+    """A preferred instance per substructure field, then a rebuilt instance
+    per parent stored without one, in parent order."""
+    stored: set[str] = set()
     for f in info.layout:
         if f.parent is not None:
+            stored.add(f.parent)
             elab.instances.append(InstanceInfo(
                 f"{info.name}.{f.name}", info.name, f.parent,
                 PRIORITY_PREFERRED, PREFERRED))
-    for parent, args in getattr(info, "_overlapping", ()):
-        _synthesize_nested_instance(elab, info, parent, args)
+    for parent, args in info.parents:
+        if parent not in stored:
+            _synthesize_instance(elab, info, parent, args)
 
 
-def _forgetful_binders(info: ClassInfo) -> tuple[Telescope, Term]:
+def _synthesize_instance(elab: Elaboration, info: ClassInfo,
+                         parent: str, args: tuple[Term, ...]) -> None:
+    """The forgetful instance that rebuilds a parent not stored as a
+    substructure, with the constructor kind and priority of the encoding."""
     binders = info.params + (Binder("i", info.self_type, instance_implicit=True),)
-    return binders, FreeVar("i")
-
-
-def _synthesize_flat_instance(elab: Elaboration, info: ClassInfo,
-                              parent: str, args: tuple[Term, ...]) -> None:
-    binders, self_var = _forgetful_binders(info)
-    fields = tuple(Proj(info.name, leaf, self_var)
-                   for leaf in elab.classes[parent].leaf_types)
     decl_name = f"{info.name}.to_{parent}"
-    elab.env.add(DefDecl(decl_name, binders, apps(Const(parent), *args),
-                         Mk(parent, args, fields)))
-    elab.instances.append(InstanceInfo(decl_name, info.name, parent,
-                                       PRIORITY_PREFERRED, FLAT))
-
-
-def _synthesize_nested_instance(elab: Elaboration, info: ClassInfo,
-                                parent: str, args: tuple[Term, ...]) -> None:
-    binders, self_var = _forgetful_binders(info)
-    body = _build_parent_value(elab, info, parent, args, self_var)
-    decl_name = f"{info.name}.to_{parent}"
+    body = _build_parent_value(elab, info, parent, args, FreeVar("i"))
     elab.env.add(DefDecl(decl_name, binders, apps(Const(parent), *args), body))
-    elab.instances.append(InstanceInfo(decl_name, info.name, parent,
-                                       PRIORITY_SYNTHESIZED, SYNTHESIZED))
+    if elab.strategy.kind == "flat":
+        kind, priority = FLAT, PRIORITY_PREFERRED
+    else:
+        kind, priority = SYNTHESIZED, PRIORITY_SYNTHESIZED
+    elab.instances.append(InstanceInfo(decl_name, info.name, parent, priority, kind))
 
 
 def _build_parent_value(elab: Elaboration, info: ClassInfo, target: str,

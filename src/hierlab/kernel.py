@@ -1,7 +1,7 @@
 """Reduction, typing, definitional equality, and first-order unification.
 
 Reduction is weak-head only: beta (lambda application), delta (unfolding
-reducible definitions, fuel-limited), and iota (projection of a constructor
+definitions, fuel-limited), and iota (projection of a constructor
 field).  Eta for structures is not a reduction; it lives inside the equality
 check as a comparison rule, tried only after both sides are in weak head
 normal form and exactly one of them is a constructor.  Two independent flags

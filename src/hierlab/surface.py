@@ -487,7 +487,9 @@ class _Parser:
 
     def parse_app(self) -> SExpr:
         expr = self.parse_atom()
-        while self.peek().kind in _ATOM_STARTS and not self.at_keyword(*_STOP_KEYWORDS):
+        while (self.peek().kind in _ATOM_STARTS and not self.at_keyword(*_STOP_KEYWORDS)
+               and not (self.at("AT") and self.peek(1).kind == "LBRACK")):
+            # ``@[`` opens the attribute of the next item, not an argument.
             expr = SApp(expr, self.parse_atom())
         return expr
 

@@ -3,6 +3,10 @@
 - ``flatten_fields``: the leaf-field view of a class, recomputed by recursion
   through every ancestor path.  The elaborator stores this view once per
   class in ``ClassInfo.leaf_types``.
+- ``flat_forgetful_body``: the body of a flat class's instance for a direct
+  parent, the parent's constructor applied to the class's projections onto
+  each parent leaf.  The elaborator derives it from the nested rebuilding
+  rule, since under flat no parent is stored as a substructure.
 - ``resolve``: instance search as a plain depth-first search with no answer
   table; every subgoal is searched again on every path that reaches it.
   ``hierlab.resolution.resolve`` tables ground answers and must agree with
@@ -17,7 +21,8 @@ from hierlab.elaborator import ClassInfo, FieldTypeClash
 from hierlab.kernel import DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, unify
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
 from hierlab.terms import (
-    Const, FreeVar, Meta, Term, apps, metas_in, subst_frees, unfold_apps, zonk,
+    Const, FreeVar, Meta, Mk, Proj, Term, apps, metas_in, subst_frees, unfold_apps,
+    zonk,
 )
 
 
@@ -45,6 +50,13 @@ def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[st
             merged[leaf] = ty
             sources[leaf] = name
     return list(merged.items())
+
+
+def flat_forgetful_body(classes: Mapping[str, ClassInfo], name: str, parent: str,
+                        args: tuple[Term, ...], self_var: Term) -> Term:
+    """``Mk(parent, args, Proj(name, leaf, self_var) for each parent leaf)``."""
+    return Mk(parent, args, tuple(Proj(name, leaf, self_var)
+                                  for leaf, _ in flatten_fields(classes, parent)))
 
 
 def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,

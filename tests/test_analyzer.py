@@ -230,7 +230,7 @@ def test_analyze_matches_pairwise_check_diamond_on_the_corpus(name):
 
 
 def count_calls(monkeypatch, *names: str) -> Counter:
-    """Count calls of the analyzer's module-level kernel entry points."""
+    """Count calls of functions the analyzer looks up as module globals."""
     calls: Counter = Counter()
     for name in names:
         original = getattr(analyzer, name)
@@ -307,6 +307,15 @@ def test_no_cube_placement_is_coherent_without_eta(cube_module):
     assert sum(p.coherent for p in placements) == 0
     assert all(len(p.diamonds) == 21 for p in placements)
     assert all(p.nonfirst_order_invariant for p in placements)
+
+
+def test_cube_spanning_search_elaborates_each_parent_order_once(monkeypatch,
+                                                               cube_module):
+    """One base elaboration, then per placement (2·2·2·3 first-parent
+    choices) both orders of c012's two remaining parents: 1 + 24·2."""
+    calls = count_calls(monkeypatch, "elaborate", "analyze")
+    spanning_search(cube_module, EncodingStrategy("nested"), ETA_OFF)
+    assert calls == {"elaborate": 49, "analyze": 48}
 
 
 def test_every_cube_placement_is_coherent_with_eta(cube_module):

@@ -320,6 +320,33 @@ def test_spanning_search_random_module_is_seed_deterministic(run_cli):
         run_cli("elaborate", "@random", "--seed", "4")
 
 
+def test_spanning_search_honours_max_depth(run_cli):
+    """Every re-elaboration completes under-applied instance targets under
+    the same depth cap as `elaborate`, so the diagnostic is the same."""
+    code, out, err = run_cli("spanning-search", MODULE, "--max-depth", "0")
+    assert (code, out) == (2, "")
+    assert err == run_cli("elaborate", MODULE, "--max-depth", "0")[2]
+    assert err.startswith(f"{MODULE}:27:1: cannot synthesize argument ")
+    # Depth 1 suffices in the declared order but not in the placements where
+    # add_comm_group stores add_comm_monoid as its substructure.
+    assert run_cli("elaborate", MODULE, "--max-depth", "1")[0] == 0
+    code, out, err = run_cli("spanning-search", MODULE, "--max-depth", "1")
+    assert (code, out) == (2, "")
+    assert err == run_cli("elaborate", MODULE, "--max-depth", "1", "--parent-order",
+                          "add_comm_group:add_comm_monoid")[2]
+    code, out, err = run_cli("spanning-search", MODULE, "--max-depth", "2")
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith("4 / 4 coherent")
+
+
+def test_spanning_search_rejects_parent_order(run_cli, capsys):
+    """Spanning search chooses every parent order itself."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["spanning-search", FIG1, "--parent-order", "a:b"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parent-order" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting behavior
 

@@ -4,6 +4,7 @@ Each suite runs 200 derandomized examples: reduction and eta behave the same
 on every record shape, the encoding guarantees hold on arbitrary generated
 hierarchies, diamond verdicts from per-path normal forms match the pairwise
 reference, the stored leaf-field view matches its recursive reference,
+the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
 instances, and definitional equality is symmetric.
 """
@@ -16,7 +17,7 @@ from hierlab.analyzer import (
     analyze, build_graph, check_diamond, enumerate_diamonds, random_hierarchy,
 )
 from hierlab.declarations import Environment, OpaqueDecl, StructDecl
-from hierlab.elaborator import EncodingStrategy, elaborate, flatten_fields
+from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, flatten_fields
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound, resolve
 from hierlab.surface import parse
@@ -122,6 +123,24 @@ def test_stored_leaf_view_matches_recursive_flatten(seed, encoding):
     for name in elab.classes:
         assert flatten_fields(elab.classes, name) == \
             reference.flatten_fields(elab.classes, name)
+
+
+@COMMON
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_flat_layout_is_the_leaf_view_with_rebuilt_parents(seed):
+    """Flat is nested with no substructure: every class stores its leaf view
+    in order, and every parent is rebuilt from the leaf projections."""
+    elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy("flat"))
+    for name, info in elab.classes.items():
+        assert [(f.name, f.ty, f.parent) for f in info.layout] == \
+            [(leaf, ty, None) for leaf, ty in reference.flatten_fields(elab.classes, name)]
+        edges = [i for i in elab.instances if i.from_class == name]
+        assert [(i.decl_name, i.to_class, i.kind, i.priority) for i in edges] == \
+            [(f"{name}.to_{p}", p, FLAT, 1000) for p, _ in info.parents]
+        for parent, args in info.parents:
+            decl = elab.instance_decl(f"{name}.to_{parent}")
+            assert decl.body == reference.flat_forgetful_body(
+                elab.classes, name, parent, args, FreeVar(decl.binders[-1].name))
 
 
 # A self-referential instance: its only subgoal is its own goal, which the

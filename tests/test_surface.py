@@ -109,6 +109,32 @@ instance int.has_one : has_one int where
     assert module.items[-1].priority is None
 
 
+PRIORITY_AFTER = {
+    "extends": "class has_one_too (α : Type) extends has_one α",
+    "goal": "variables (T : Type) [iT : has_one T]\ngoal g : has_one T",
+    "defeq": "variables (T : Type) [iT : has_one T]\ndefeq d : iT = iT",
+}
+
+
+@pytest.mark.parametrize("before", sorted(PRIORITY_AFTER))
+def test_priority_attribute_after_an_item_ending_in_an_expression(before):
+    """`@[` opens the next item's attribute; it is not an argument to the
+    expression that ends the previous item."""
+    module = parse(f"""
+class int
+class has_one (α : Type) where
+  (one : α)
+{PRIORITY_AFTER[before]}
+@[priority 7] instance int.has_one : has_one int where
+  (one := opaque)
+""")
+    inst = module.items[-1]
+    assert isinstance(inst, InstanceItem) and inst.priority == 7
+    printed = print_module(module)
+    assert "@[priority 7] instance int.has_one" in printed
+    assert print_module(parse(printed)) == printed
+
+
 def test_variables_goal_and_defeq_items():
     module = parse(FIG1 + """
 variables (R : Type) [iS : semiring R]
