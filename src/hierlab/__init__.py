@@ -44,7 +44,7 @@ from .kernel import (
     unify,
     whnf,
 )
-from .resolution import DepthExceeded, NotFound, ResolutionError, resolve
+from .resolution import AnswerTable, DepthExceeded, NotFound, ResolutionError, resolve
 from .surface import (
     ParseError,
     ScopeError,

@@ -296,11 +296,14 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
         if len(parents) >= 2:
             chooseable.append((name, parents))
     names = [name for name, _ in chooseable]
+    declared = tuple(tuple(parents) for _, parents in chooseable)
 
     def analyzed(order: tuple[tuple[str, ...], ...]) -> tuple[DiamondReport, ...]:
-        strat = EncodingStrategy(strategy.kind, dict(zip(names, order)))
-        return tuple(analyze(elaborate(module, strat, config, max_depth),
-                             config, max_path_len))
+        # The declared order is placement 0's first order, elaborated as `base`.
+        elab = base if order == declared else elaborate(
+            module, EncodingStrategy(strategy.kind, dict(zip(names, order))),
+            config, max_depth)
+        return tuple(analyze(elab, config, max_path_len))
 
     reports: list[PlacementReport] = []
     combos = itertools.product(*(parents for _, parents in chooseable))

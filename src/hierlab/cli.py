@@ -26,9 +26,9 @@ from .analyzer import (
 from .declarations import DefDecl, OpaqueDecl, StructDecl
 from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
 from .kernel import DefEqConfig, KernelError, Trace, defeq
-from .resolution import DepthExceeded, NotFound, resolve
+from .resolution import AnswerTable, DepthExceeded, NotFound, resolve
 from .surface import SurfaceError, parse, parse_term
-from .terms import pp_binder, pp_term
+from .terms import Telescope, pp_binder, pp_term
 
 ENCODINGS = {"flat": "flat", "nested": "nested", "flat-hack": "flat_hack"}
 
@@ -46,7 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Elaborate class hierarchies and probe their instance diamonds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, parent_order: bool = True) -> None:
+    def depth(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+        return value
+
+    def add_common(p: argparse.ArgumentParser, parent_order: bool = True,
+                   trace: bool = True) -> None:
         p.add_argument("path",
                        help="input module, or @random to generate one from --seed")
         p.add_argument("--encoding", choices=sorted(ENCODINGS), default="nested",
@@ -56,18 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-unifier", choices=("on", "off"), default="off",
                        help="structural eta in the unifier (default: off)")
         p.add_argument("--emit", choices=("text", "json"), default="text")
-        p.add_argument("--trace", action="store_true",
-                       help="log reduction and search steps")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for @random input (default: 0)")
-        p.add_argument("--max-depth", type=int, default=32,
+        p.add_argument("--max-depth", type=depth, default=32,
                        help="instance search depth limit (default: 32)")
+        if trace:  # elaborate and spanning-search have no steps to log
+            p.add_argument("--trace", action="store_true",
+                           help="log reduction and search steps")
         if parent_order:  # spanning-search chooses the parent orders itself
             p.add_argument("--parent-order", action="append", default=[],
                            metavar="CLASS:PARENT",
                            help="move PARENT first in CLASS's extends list (repeatable)")
 
-    add_common(sub.add_parser("elaborate", help="dump the elaborated environment"))
+    add_common(sub.add_parser("elaborate", help="dump the elaborated environment"),
+               trace=False)
 
     p = sub.add_parser("defeq", help="check definitional equalities")
     add_common(p)
@@ -82,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("diamonds", help="check every instance diamond"))
     add_common(sub.add_parser("spanning-search",
                               help="score every first-parent placement"),
-               parent_order=False)
+               parent_order=False, trace=False)
     return parser
 
 
@@ -284,6 +293,9 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     else:
         todo = [("goal", elab.variables, _parse_in_ctx(args.goal, elab, path))]
 
+    # Goals of one context share an answer table, so a class an earlier goal
+    # settled is not searched again.
+    tables: dict[Telescope, AnswerTable] = {}
     results = []
     all_found = True
     for label, ctx, goal in todo:
@@ -291,7 +303,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
         status, term = "found", None
         try:
             term, _ = resolve(elab.env, elab.instances, ctx, goal,
-                              config=config, max_depth=args.max_depth, trace=trace)
+                              config=config, max_depth=args.max_depth, trace=trace,
+                              table=tables.setdefault(ctx, AnswerTable()))
         except NotFound:
             status = "not-found"
         except DepthExceeded:
@@ -421,6 +434,12 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except CliError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        # Deep hierarchies recurse once per level in the elaborator, the
+        # kernel and instance search.
+        print(f"{args.path}: nested too deeply for the interpreter's recursion "
+              f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The unwritten output stays buffered; send it to devnull so that

@@ -6,7 +6,7 @@ A goal is a class application in some context.  Candidates are, in order:
 2. registered global instances targeting the goal's class, highest priority
    first, most recently declared first within a priority.
 
-The candidate list of each class is built once per ``resolve`` call.
+The candidate list of each class is built once per answer table.
 
 Applying a global candidate means allocating a fresh metavariable per
 binder, unifying the candidate's result type against the goal, and then
@@ -19,9 +19,14 @@ cyclic instance graphs from looping.  The search depth is capped; exceeding
 the cap aborts the whole search rather than backtracking, since a too-deep
 branch usually means a runaway loop the guard cannot see.
 
-Answers are tabled per ``resolve`` call, so a class reached along many paths
-is searched once rather than once per path.  The table holds ground goals
-only (no metavariables); other goals are searched every time.  An entry
+Answers are tabled, so a class reached along many paths is searched once
+rather than once per path.  An ``AnswerTable`` spans every goal it is passed
+to: goals asked one after another in the same context share what earlier
+goals settled, and ``resolve`` without a table makes a fresh one that lives
+for that call only.  A table belongs to the environment, instances,
+context, config and depth cap of its first search; reusing it with any
+other raises ``ValueError``.  The table holds ground goals only (no
+metavariables); other goals are searched every time.  An entry
 holds the goal's first answer, or a failure, together with every goal its
 search visited and how many levels below the goal it went.  It is written
 only when the loop guard cut nowhere below the goal, and reused only when
@@ -29,7 +34,9 @@ none of its visited goals is on the current path and the levels it needs
 still fit under the depth cap.  Under these rules a reused entry is exactly
 what searching again would produce, so answers, failures and
 ``DepthExceeded`` are those of the untabled search; only the trace is
-shorter, with a ``cached:`` line where a subtree was skipped.
+shorter, with a ``cached:`` line where a subtree was skipped.  Every goal
+passed to ``resolve`` starts with an empty path at depth 0, so the rules
+hold across goals as they do within one.
 """
 from __future__ import annotations
 
@@ -82,6 +89,29 @@ class _Entry:
     reached: int
 
 
+class AnswerTable:
+    """Each class's candidates in search order and the ground-goal entries,
+    shared by the goals of one context."""
+
+    def __init__(self) -> None:
+        self._owner: tuple | None = None
+        self.local: list[tuple[str, object]] = []
+        self.by_class: dict[str | None, list[tuple[str, object]]] = {}
+        self.entries: dict[Term, _Entry] = {}
+
+    def _bind(self, env: Environment, instances: Sequence[InstanceLike],
+              ctx: Telescope, config: DefEqConfig, max_depth: int) -> None:
+        """Belong to the first search's inputs; refuse any other."""
+        if self._owner is None:
+            self._owner = (env, tuple(instances), ctx, config, max_depth)
+            self.local = [("local", b) for b in reversed(ctx) if b.instance_implicit]
+            self.by_class = _rank_by_class(self.local, instances)
+        elif (env is not self._owner[0]
+              or (tuple(instances), ctx, config, max_depth) != self._owner[1:]):
+            raise ValueError("an answer table is reused with another environment, "
+                             "instance list, context, config or depth cap")
+
+
 @dataclass
 class _State:
     env: Environment
@@ -90,9 +120,7 @@ class _State:
     max_depth: int
     trace: Trace
     metas: MetaCtx
-    local: list[tuple[str, object]]
-    by_class: dict[str | None, list[tuple[str, object]]]
-    table: dict[Term, _Entry] = field(default_factory=dict)
+    table: AnswerTable
     # What the innermost open goal's search has done so far: the goals it
     # visited, the deepest level it entered, and whether the guard cut.
     visited: set[Term] = field(default_factory=set)
@@ -102,14 +130,16 @@ class _State:
 
 def resolve(env: Environment, instances: Sequence[InstanceLike], ctx: Telescope,
             target: Term, *, config: DefEqConfig = DEFAULT_CONFIG,
-            max_depth: int = MAX_DEPTH,
-            trace: Trace | None = None) -> tuple[Term, Trace]:
-    """Find a term of the goal type, or raise NotFound / DepthExceeded."""
+            max_depth: int = MAX_DEPTH, trace: Trace | None = None,
+            table: AnswerTable | None = None) -> tuple[Term, Trace]:
+    """Find a term of the goal type, or raise NotFound / DepthExceeded.
+
+    ``table`` carries answers over from earlier goals of the same context;
+    without one the search starts from an empty table."""
     trace = trace if trace is not None else Trace()
-    local: list[tuple[str, object]] = [("local", b) for b in reversed(ctx)
-                                       if b.instance_implicit]
-    state = _State(env, ctx, config, max_depth, trace, MetaCtx(), local,
-                   _rank_by_class(local, instances))
+    table = table if table is not None else AnswerTable()
+    table._bind(env, instances, ctx, config, max_depth)
+    state = _State(env, ctx, config, max_depth, trace, MetaCtx(), table)
     target = _saturate_goal(state, target)
     result = _solve(state, target, {}, 0, ())
     if result is None:
@@ -169,7 +199,7 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
         state.cut = True
         return None
     ground = not metas_in(target)
-    entry = state.table.get(target) if ground else None
+    entry = state.table.entries.get(target) if ground else None
     if (entry is not None and depth + entry.reached <= state.max_depth
             and entry.visited.isdisjoint(path)):
         trace.push()
@@ -186,8 +216,9 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
     state.visited, state.reached, state.cut = {target}, depth, False
     result = _search(state, target, subst, depth, path + (target,))
     if ground and not state.cut:
-        state.table[target] = _Entry(None if result is None else result[0],
-                                     frozenset(state.visited), state.reached - depth)
+        state.table.entries[target] = _Entry(None if result is None else result[0],
+                                             frozenset(state.visited),
+                                             state.reached - depth)
     outer_visited |= state.visited
     state.visited = outer_visited
     state.reached = max(outer_reached, state.reached)
@@ -200,7 +231,7 @@ def _search(state: _State, target: Term, subst: dict[int, Term], depth: int,
     trace = state.trace
     trace.push()
     try:
-        for kind, cand in state.by_class.get(_goal_class(target), state.local):
+        for kind, cand in state.table.by_class.get(_goal_class(target), state.table.local):
             if kind == "local":
                 result = _try_local(state, cand, target, subst)
             else:

@@ -13,7 +13,7 @@ import pytest
 import hierlab
 from hierlab.analyzer import ANALYZER_REPORT_SCHEMA
 from hierlab.cli import main as cli_main
-from conftest import corpus_path
+from conftest import corpus_path, cube_source
 
 FIG1 = str(corpus_path("fig1.hier"))
 MODULE = str(corpus_path("module.hier"))
@@ -210,6 +210,36 @@ def test_resolve_json_lists_goal_statuses(run_cli):
                         "neg_smul_int": "found"}
 
 
+def test_resolve_whole_cube_file_tries_each_forgetful_edge_once(run_cli, tmp_path):
+    """The nested 5-cube's 32 goals, with no instance in context, share one
+    answer table: the first goal, `base T`, tries every forgetful edge once
+    (n·2ⁿ⁻¹ = 80) and every later goal reads its answer from the table."""
+    source = tmp_path / "cube5.hier"
+    source.write_text(cube_source(5))
+    code, out, _ = run_cli("resolve", source, "--trace")
+    assert code == 1
+    lines = [line.lstrip() for line in out.splitlines()]
+    assert sum(line.startswith("try ") for line in lines) == 80  # 405 per goal
+    assert lines.count("not-found") == 32
+
+
+def test_resolve_later_goals_reuse_earlier_answers(run_cli, tmp_path):
+    source = tmp_path / "cube3.hier"
+    source.write_text(cube_source(3, top_instance=True))
+    code, out, _ = run_cli("resolve", source, "--trace")
+    assert code == 0
+    later = out.split("goal g_c2 : ")[1].split("goal g_c01 : ")[0]
+    assert "  cached: solved @c2 T := @c12.to_c2 T (@c012.to_c12 T iT)" in later
+    assert "cached:" not in run_cli("resolve", source, "g_c2", "--trace")[1]
+    # Each goal's status and term are those of a run of that goal alone.
+    whole = json.loads(run_cli("resolve", source, "--emit", "json")[1])["goals"]
+    assert len(whole) == 8
+    for entry in whole:
+        alone = json.loads(run_cli("resolve", source, entry["label"],
+                                   "--emit", "json")[1])["goals"]
+        assert alone == [entry]
+
+
 # ---------------------------------------------------------------------------
 # diamonds
 
@@ -356,6 +386,15 @@ def test_repeated_runs_are_byte_identical(run_cli):
         assert run_cli(*args) == run_cli(*args)
 
 
+def hier_process(*argv: str) -> subprocess.Popen:
+    """Run `hier` in a fresh interpreter, on this checkout's sources."""
+    src = str(Path(hierlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.Popen([sys.executable, "-m", "hierlab", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
 def test_closing_the_output_early_is_a_diagnostic(tmp_path):
     # Far more output than a pipe buffers, so the command is still writing
     # when the reader goes away.
@@ -363,11 +402,7 @@ def test_closing_the_output_early_is_a_diagnostic(tmp_path):
     source.write_text("\n".join(
         f"class c{k} (α : Type) where\n" + "".join(f"  (f{j} : α)\n" for j in range(20))
         for k in range(300)))
-    src = str(Path(hierlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.Popen([sys.executable, "-m", "hierlab", "elaborate", str(source)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = hier_process("elaborate", str(source))
     assert proc.stdout.readline().startswith(b"structure c0")
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -375,6 +410,22 @@ def test_closing_the_output_early_is_a_diagnostic(tmp_path):
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert err == "hier: output closed before it was fully written\n"
+
+
+def test_search_deeper_than_the_interpreter_allows_is_a_diagnostic(tmp_path):
+    """Instance search recurses three frames per level, so a 400-level
+    chain under a depth cap of 500 exceeds Python's recursion limit."""
+    source = tmp_path / "chain.hier"
+    source.write_text("class k0 (α : Type) where\n  (f0 : α)\n" + "".join(
+        f"class k{k} (α : Type) extends k{k - 1} α\n" for k in range(1, 400))
+        + "variables (T : Type) [iT : k399 T]\ngoal g : k0 T\n")
+    proc = hier_process("resolve", str(source), "--max-depth", "500")
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err
+    assert err.decode() == (f"{source}: nested too deeply for the interpreter's "
+                            f"recursion limit ({sys.getrecursionlimit()})\n")
+    assert out == b""
 
 
 def test_missing_file_is_a_diagnostic(run_cli):
@@ -407,3 +458,18 @@ def test_unknown_encoding_is_rejected_by_the_argument_parser(run_cli, capsys):
     with pytest.raises(SystemExit):
         cli_main(["elaborate", FIG1, "--encoding", "packed"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["elaborate", "spanning-search"])
+def test_trace_is_rejected_where_there_is_nothing_to_trace(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, FIG1, "--trace"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+
+def test_negative_max_depth_is_rejected_by_the_argument_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["resolve", FIG1, "--max-depth", "-1"])
+    assert exc.value.code == 2
+    assert "argument --max-depth: must be 0 or more, got -1" in capsys.readouterr().err

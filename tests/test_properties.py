@@ -19,7 +19,7 @@ from hierlab.analyzer import (
 from hierlab.declarations import Environment, OpaqueDecl, StructDecl
 from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, flatten_fields
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
-from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound, resolve
+from hierlab.resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from hierlab.surface import parse
 from hierlab.terms import Binder, Const, FreeVar, Mk, Pi, Proj, Sort, apps
 from conftest import ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path, cube_source
@@ -212,12 +212,17 @@ def test_tabled_resolution_matches_untabled_search(data, source, encoding, top_b
     ctx = (Binder("T", Sort()),)
     if top_binder:
         ctx += (Binder("iT", apps(Const(classes[-1]), T), instance_implicit=True),)
-    # Small caps make the search exceed its depth on some goals and not others.
+    # One table per cap serves every goal, in a drawn order, as `hier resolve`
+    # shares one among the goals of a context.  Small caps make the search
+    # exceed its depth on some goals and not others.
+    order = data.draw(st.permutations(classes), label="goal order")
     for max_depth in (1, 3, MAX_DEPTH):
-        for cls in classes:
+        table = AnswerTable()
+        for cls in order:
             goal = apps(Const(cls), T)
             tabled = outcome(lambda: resolve(elab.env, elab.instances, ctx, goal,
-                                             config=config, max_depth=max_depth)[0])
+                                             config=config, max_depth=max_depth,
+                                             table=table)[0])
             untabled = outcome(lambda: reference.resolve(
                 elab.env, elab.instances, ctx, goal, config=config, max_depth=max_depth))
             assert tabled == untabled, (cls, max_depth)

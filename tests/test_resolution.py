@@ -6,9 +6,9 @@ import pytest
 from hierlab.declarations import DefDecl, Environment, StructDecl
 from hierlab.elaborator import EncodingStrategy, elaborate
 from hierlab.kernel import Trace, check_type, infer_type, defeq
-from hierlab.resolution import DepthExceeded, NotFound, resolve
+from hierlab.resolution import AnswerTable, DepthExceeded, NotFound, resolve
 from hierlab.surface import parse, parse_term
-from hierlab.terms import Binder, Const, FreeVar, Mk, Sort, apps
+from hierlab.terms import Binder, Const, FreeVar, Mk, Sort, apps, pp_term
 from conftest import ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path, cube_source
 
 
@@ -366,6 +366,30 @@ def test_table_entries_respect_the_depth_cap():
     with pytest.raises(NotFound):
         resolve(elab.env, elab.instances, ctx, goal, max_depth=4, trace=trace)
     assert [line.lstrip() for line in trace.lines].count("cached: failed @x T") == 1
+
+
+def test_an_answer_table_belongs_to_the_inputs_of_its_first_search(fig1_nested,
+                                                                   module_nested):
+    """Entries hold only for the candidates, context, config and cap they
+    were found under, so any other use of a table is refused."""
+    ctx, goal = goal_by_label(fig1_nested, "weaken")
+    env, instances = fig1_nested.env, fig1_nested.instances
+    table = AnswerTable()
+    first, _ = resolve(env, instances, ctx, goal, table=table)
+    with pytest.raises(ValueError):
+        resolve(env, instances, ctx + (Binder("S", Sort()),), goal, table=table)
+    with pytest.raises(ValueError):
+        resolve(env, instances, ctx, goal, config=ETA_OFF, table=table)
+    with pytest.raises(ValueError):
+        resolve(env, instances, ctx, goal, max_depth=5, table=table)
+    with pytest.raises(ValueError):
+        resolve(env, instances[:-1], ctx, goal, table=table)
+    with pytest.raises(ValueError):
+        resolve(module_nested.env, instances, ctx, goal, table=table)
+    # An equal instance list is the same inputs: the goal comes from the table.
+    again, trace = resolve(env, list(instances), ctx, goal, table=table)
+    assert again == first
+    assert trace.lines[1].lstrip() == f"cached: solved {pp_term(goal)} := {pp_term(first)}"
 
 
 # ---------------------------------------------------------------------------
