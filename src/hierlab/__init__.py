@@ -8,6 +8,7 @@ from .analyzer import (
     Diamond,
     DiamondReport,
     HierGraph,
+    PathLimitExceeded,
     PlacementReport,
     analyze,
     build_graph,

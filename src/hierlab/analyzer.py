@@ -18,15 +18,20 @@ placement of preferred projections therefore only counts as coherent when
 every diamond passes the oracle and, in a kernel without structural eta,
 the predictor as well.
 
-``analyze`` decides oracles per path, not per pair: it builds each path's
-composite once per source class and reduces it once to its beta/delta/iota
-normal form.  Equal normal forms are equal; without eta, different ones are
-not.  With eta, the kernel compares the two normal forms, once per distinct
-pair.  Normal forms are not grouped by an eta-long form instead, because
-the eta rule is not transitive on structures without fields (``x = unit.mk``
-and ``unit.mk = y`` hold while ``x = y`` does not).  ``check_diamond``, the
-pairwise comparison of the composites, stays as the reference and decides
-the diamonds of any path whose normal form runs out of fuel.
+``analyze`` decides oracles per path, not per pair.  It numbers each
+source's paths as the nodes of a prefix trie and reduces each path's
+composite to its beta/delta/iota normal form by extension: the normal form
+of a path is that of its last edge applied to the normal form of its
+prefix, since reducing a subterm first does not change the normal form.
+Each ``normalize`` call therefore unfolds one edge, with a fuel budget of
+its own, and only paths that some diamond needs are reduced.  Equal normal
+forms are equal; without eta, different ones are not.  With eta, the kernel
+compares the two normal forms, once per distinct pair.  Normal forms are
+not grouped by an eta-long form instead, because the eta rule is not
+transitive on structures without fields (``x = unit.mk`` and ``unit.mk = y``
+hold while ``x = y`` does not).  ``check_diamond``, the pairwise comparison
+of the composites, stays as the reference and decides the diamonds of any
+path whose normal form runs out of fuel.
 """
 from __future__ import annotations
 
@@ -52,6 +57,19 @@ class CycleDetected(Exception):
     def __init__(self, nodes: tuple[str, ...]) -> None:
         super().__init__(f"instance graph has a cycle through {', '.join(nodes)}")
         self.nodes = nodes
+
+
+class PathLimitExceeded(Exception):
+    """Two classes are joined by several paths and one of them is longer
+    than the path limit, so some of their diamonds would go unchecked."""
+
+    def __init__(self, source: str, target: str, limit: int) -> None:
+        super().__init__(f"{source} reaches {target} by several paths, some longer "
+                         f"than the limit of {limit} edges; their diamonds cannot "
+                         f"all be checked")
+        self.source = source
+        self.target = target
+        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -103,10 +121,15 @@ def build_graph(env: Environment, instances: list[InstanceInfo]) -> HierGraph:
     return graph
 
 
-def _check_acyclic(graph: HierGraph) -> None:
+def _outgoing(graph: HierGraph) -> dict[str, list[Edge]]:
     outgoing: dict[str, list[Edge]] = {}
     for e in graph.edges:
         outgoing.setdefault(e.src, []).append(e)
+    return outgoing
+
+
+def _check_acyclic(graph: HierGraph) -> None:
+    outgoing = _outgoing(graph)
     state: dict[str, int] = {}  # 1 visiting, 2 done
 
     def visit(node: str, stack: tuple[str, ...]) -> None:
@@ -129,9 +152,7 @@ def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> li
     ordered lexicographically by source, target, then path decl names."""
     if max_path_len < 2:
         raise ValueError("max_path_len must be at least 2")
-    outgoing: dict[str, list[Edge]] = {}
-    for e in graph.edges:
-        outgoing.setdefault(e.src, []).append(e)
+    outgoing = _outgoing(graph)
 
     diamonds: list[Diamond] = []
     for source in sorted(graph.nodes):
@@ -157,17 +178,63 @@ def _path_key(path: Path) -> tuple[str, ...]:
     return tuple(e.decl_name for e in path)
 
 
+def _check_path_limit(graph: HierGraph, max_path_len: int) -> None:
+    """Raise PathLimitExceeded when some source reaches some target by two
+    or more paths and one of them is longer than ``max_path_len``, since
+    ``enumerate_diamonds`` leaves that path's diamonds out.  Paths are
+    counted per source in topological order, not enumerated: a chain has one
+    path per pair however long it is."""
+    outgoing = _outgoing(graph)
+    indegree = dict.fromkeys(graph.nodes, 0)
+    for e in graph.edges:
+        indegree[e.dst] += 1
+    pending = dict(indegree)
+    order = [n for n in graph.nodes if pending[n] == 0]
+    for node in order:  # the graph is acyclic
+        for e in outgoing.get(node, ()):
+            pending[e.dst] -= 1
+            if pending[e.dst] == 0:
+                order.append(e.dst)
+    # Only a source that reaches a class with two incoming edges can reach
+    # some target by two paths.
+    joining: set[str] = set()
+    for node in reversed(order):
+        if any(indegree[e.dst] > 1 or e.dst in joining for e in outgoing.get(node, ())):
+            joining.add(node)
+    position = {n: i for i, n in enumerate(order)}
+    for source in sorted(joining):
+        # node -> (number of paths from source, at most 2; longest length)
+        paths = {source: (1, 0)}
+        for node in order[position[source]:]:
+            entry = paths.get(node)
+            if entry is None:
+                continue
+            count, longest = entry
+            if count > 1 and longest > max_path_len:
+                raise PathLimitExceeded(source, node, max_path_len)
+            for e in outgoing.get(node, ()):
+                c, l = paths.get(e.dst, (0, 0))
+                paths[e.dst] = (min(c + count, 2), max(l, longest + 1))
+
+
 def path_composite(env: Environment, path: Path, args: tuple[Term, ...],
                    value: Term) -> Term:
     """Apply the path's instance declarations left to right, starting from a
     value of the source class at the given parameters."""
     for edge in path:
-        decl = env[edge.decl_name]
-        value = apps(Const(edge.decl_name), *args, value)
-        mapping = {b.name: a for b, a in zip(decl.binders[:-1], args)}
-        _, result_args = unfold_apps(decl.result_type)
-        args = tuple(subst_frees(a, mapping) for a in result_args)
+        value, args = _apply_edge(env, edge, args, value)
     return value
+
+
+def _apply_edge(env: Environment, edge: Edge, args: tuple[Term, ...],
+                value: Term) -> tuple[Term, tuple[Term, ...]]:
+    """The edge's instance applied to a value of its source class at the
+    given parameters, and the parameters of its target class."""
+    decl = env[edge.decl_name]
+    mapping = {b.name: a for b, a in zip(decl.binders[:-1], args)}
+    _, result_args = unfold_apps(decl.result_type)
+    return (apps(Const(edge.decl_name), *args, value),
+            tuple(subst_frees(a, mapping) for a in result_args))
 
 
 def predict_diamond(diamond: Diamond) -> bool:
@@ -212,43 +279,77 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
             max_path_len: int = MAX_PATH_LEN) -> list[DiamondReport]:
     """Enumerate and check every diamond of an elaborated module.
 
-    Verdicts are decided from one normal form per path (see the module
-    docstring) and equal those of ``check_diamond`` wherever it returns.
-    It can run out of fuel where this does not: its comparison spends one
-    ``unfold_depth`` budget on both composites, while each normal form here
-    gets a budget of its own (on ``cube.hier``: ``unfold_depth`` 6–10 under
-    nested, 7–13 under flat, 9–17 under flat_hack)."""
+    Verdicts are decided from one normal form per path, each computed by
+    extending the normal form of the path's prefix by its last edge (see
+    the module docstring), and equal those of ``check_diamond`` wherever it
+    returns.  Fuel is spent per trie node: each ``normalize`` call unfolds
+    one edge under its own ``unfold_depth`` budget, and a node whose prefix
+    ran out of fuel normalises its whole composite instead.  So this can
+    return verdicts where ``check_diamond``, which spends one budget on both
+    whole composites, runs out of fuel.
+
+    Raises PathLimitExceeded when some diamond has a path longer than
+    ``max_path_len``, rather than leave it out of the report."""
     env = elab.env
-    diamonds = enumerate_diamonds(build_graph(env, elab.instances), max_path_len)
+    graph = build_graph(env, elab.instances)
+    _check_path_limit(graph, max_path_len)
+    diamonds = enumerate_diamonds(graph, max_path_len)
+    position = {e: i for i, e in enumerate(graph.edges)}
     reports: list[DiamondReport] = []
     for source, group in itertools.groupby(diamonds, key=lambda d: d.source):
         ctx, args, start = _source_context(env, source)
-        composites: dict[Path, tuple[Term, int | None]] = {}
+        # The trie of this source's paths, as lists indexed by node id: each
+        # node's composite, the parameters its out-edges take, its normal
+        # form (None when out of fuel) and that form's id.  Node 0 is the
+        # empty path.  A child is keyed by its parent's id and its edge's
+        # position in the graph.
+        terms, node_args, normals = [start], [args], [start]
+        form_of: list[int | None] = [None]
+        children: dict[tuple[int, int], int] = {}
         form_ids: dict[Term, int] = {}
         forms: list[Term] = []
+        # A path tuple hashes every edge, so paths are looked up by object
+        # identity, which holds while `diamonds` keeps them alive.
+        path_ids: dict[int, int] = {}
         verdicts: dict[tuple[int, int], bool] = {}
 
-        def composite(path: Path) -> tuple[Term, int | None]:
-            """The path's composite and the id of its normal form, or None
-            when normalising it runs out of fuel."""
-            entry = composites.get(path)
-            if entry is None:
-                term = path_composite(env, path, args, start)
-                try:
-                    form = normalize(env, config, ctx, term)
-                except FuelExhausted:
-                    entry = (term, None)
-                else:
-                    if form not in form_ids:
-                        form_ids[form] = len(forms)
-                        forms.append(form)
-                    entry = (term, form_ids[form])
-                composites[path] = entry
-            return entry
+        def add_path(path: Path) -> int:
+            node = 0
+            for e in path:
+                key = (node, position[e])
+                child = children.get(key)
+                if child is None:
+                    child = children[key] = len(terms)
+                    term, edge_args = _apply_edge(env, e, node_args[node], terms[node])
+                    # By extension when the prefix has a normal form, else
+                    # from the whole composite.
+                    prefix = normals[node]
+                    reduced = term if prefix is None else apps(
+                        Const(e.decl_name), *node_args[node], prefix)
+                    try:
+                        normal = normalize(env, config, ctx, reduced)
+                    except FuelExhausted:
+                        normal = form = None
+                    else:
+                        form = form_ids.setdefault(normal, len(forms))
+                        if form == len(forms):
+                            forms.append(normal)
+                    terms.append(term)
+                    node_args.append(edge_args)
+                    normals.append(normal)
+                    form_of.append(form)
+                node = child
+            path_ids[id(path)] = node
+            return node
 
         for d in group:
-            term_a, id_a = composite(d.path_a)
-            term_b, id_b = composite(d.path_b)
+            a = path_ids.get(id(d.path_a))
+            if a is None:
+                a = add_path(d.path_a)
+            b = path_ids.get(id(d.path_b))
+            if b is None:
+                b = add_path(d.path_b)
+            id_a, id_b = form_of[a], form_of[b]
             if id_a is None or id_b is None:
                 reports.append(check_diamond(env, d, config))
                 continue
@@ -261,7 +362,7 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
                 if oracle is None:
                     oracle = defeq(env, config, ctx, forms[id_a], forms[id_b])
                     verdicts[(id_a, id_b)] = oracle
-            reports.append(DiamondReport(d, term_a, term_b, oracle, predict_diamond(d)))
+            reports.append(DiamondReport(d, terms[a], terms[b], oracle, predict_diamond(d)))
     return reports
 
 

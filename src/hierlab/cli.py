@@ -18,10 +18,12 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analyzer import (
-    analyze, check_diamond, commutes_under, random_hierarchy, report_dict, spanning_search,
+    PathLimitExceeded, analyze, check_diamond, commutes_under, random_hierarchy,
+    report_dict, spanning_search,
 )
 from .declarations import DefDecl, OpaqueDecl, StructDecl
 from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
@@ -139,7 +141,56 @@ def _elaborated(args: argparse.Namespace) -> tuple[Elaboration, str]:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
+
+
+def _json_text(value: object) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for values whose dict
+    keys are strings.  CPython's C encoder only runs without ``indent``, so
+    this writer makes one recursive pass instead, encodes each distinct
+    string (and each distinct key) once, and joins the pieces once."""
+    chunks: list[str] = []
+    append = chunks.append
+    encoded: dict[str, str] = {}
+    keys: dict[str, str] = {}
+
+    def write(v: object, indent: str) -> None:
+        if isinstance(v, str):
+            quoted = encoded.get(v)
+            if quoted is None:
+                quoted = encoded[v] = encode_basestring_ascii(v)
+            append(quoted)
+        elif v is None or v is True or v is False:
+            append("null" if v is None else "true" if v else "false")
+        elif isinstance(v, int):
+            append(int.__repr__(v))
+        elif isinstance(v, (list, tuple)) and v:
+            inner = indent + "  "
+            separator = ",\n" + inner
+            append("[\n" + inner)
+            for i, item in enumerate(v):
+                if i:
+                    append(separator)
+                write(item, inner)
+            append("\n" + indent + "]")
+        elif isinstance(v, dict) and v:
+            inner = indent + "  "
+            separator = ",\n" + inner
+            append("{\n" + inner)
+            for i, (key, item) in enumerate(sorted(v.items())):
+                if i:
+                    append(separator)
+                prefix = keys.get(key)
+                if prefix is None:
+                    prefix = keys[key] = encode_basestring_ascii(key) + ": "
+                append(prefix)
+                write(item, inner)
+            append("\n" + indent + "}")
+        else:  # empty containers and floats; raises TypeError like json.dumps
+            append(json.dumps(v))
+
+    write(value, "")
+    return "".join(chunks)
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -335,9 +386,12 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 # diamonds
 
 def cmd_diamonds(args: argparse.Namespace) -> int:
-    elab, _ = _elaborated(args)
+    elab, path = _elaborated(args)
     config = _config(args)
-    reports = analyze(elab, config)
+    try:
+        reports = analyze(elab, config)
+    except PathLimitExceeded as exc:
+        raise CliError(f"{path}: {exc}") from exc
     payload = report_dict(ENCODINGS[args.encoding], config, reports)
     if args.emit == "json":
         _emit_json(payload)
@@ -371,6 +425,8 @@ def cmd_spanning_search(args: argparse.Namespace) -> int:
                                      config, max_depth=args.max_depth)
     except (ElabError, KernelError) as exc:
         raise CliError(f"{path}:{exc}") from exc
+    except PathLimitExceeded as exc:
+        raise CliError(f"{path}: {exc}") from exc
     coherent = sum(1 for p in placements if p.coherent)
 
     if args.emit == "json":

@@ -61,6 +61,15 @@ def cube_source(n: int, top_instance: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+# d extends b and c, which extend a; the chain e1 … e7 extends d.  So e7
+# reaches a by two 9-edge paths, one edge past the analyzer's path limit.
+LONG_DIAMOND = (
+    "class a (α : Type) where\n  (x : α)\n"
+    "class b (α : Type) extends a α\nclass c (α : Type) extends a α\n"
+    "class d (α : Type) extends b α, c α\nclass e1 (α : Type) extends d α\n"
+    + "".join(f"class e{k} (α : Type) extends e{k - 1} α\n" for k in range(2, 8)))
+
+
 @pytest.fixture(scope="session")
 def fig1_module():
     return load("fig1.hier")

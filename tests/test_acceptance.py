@@ -205,6 +205,7 @@ def test_criterion_09_property_suites_run_at_scale(capsys):
             test_properties.test_tabled_resolution_matches_untabled_search,
             test_properties.test_resolved_instances_are_well_typed,
             test_properties.test_definitional_equality_is_symmetric,
+            test_properties.test_json_writer_matches_json_dumps,
         ]
         for fn in suites:
             hyp_settings = fn._hypothesis_internal_use_settings

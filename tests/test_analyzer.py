@@ -12,6 +12,7 @@ from hierlab.analyzer import (
     CycleDetected,
     Edge,
     HierGraph,
+    PathLimitExceeded,
     analyze,
     build_graph,
     check_diamond,
@@ -24,10 +25,10 @@ from hierlab.analyzer import (
     spanning_search,
 )
 from hierlab.elaborator import PREFERRED, EncodingStrategy, InstanceInfo, elaborate
-from hierlab.kernel import FuelExhausted, check_type, defeq
+from hierlab.kernel import DefEqConfig, FuelExhausted, Trace, check_type, defeq
 from hierlab.surface import parse
 from hierlab.terms import Binder, Const, FreeVar, apps, unfold_apps
-from conftest import CORPUS, ETA_OFF, ETA_ON, load
+from conftest import CORPUS, ETA_OFF, ETA_ON, LONG_DIAMOND, cube_source, load
 
 
 def path_names(path):
@@ -116,6 +117,21 @@ def test_path_length_cap_bounds_the_enumeration(fig1_nested):
     assert len(enumerate_diamonds(graph, max_path_len=2)) == 2
     with pytest.raises(ValueError):
         enumerate_diamonds(graph, max_path_len=1)
+
+
+def test_analyze_refuses_diamonds_with_paths_beyond_the_limit():
+    """enumerate_diamonds alone would leave the e7 -> a diamond out."""
+    elab = elaborate(parse(LONG_DIAMOND), EncodingStrategy("nested"))
+    with pytest.raises(PathLimitExceeded) as info:
+        analyze(elab, ETA_OFF)
+    assert (info.value.source, info.value.target, info.value.limit) == ("e7", "a", 8)
+    assert len(analyze(elab, ETA_OFF, max_path_len=9)) == 8
+
+
+def test_long_chains_have_one_path_per_pair_and_no_limit():
+    source = "class k0 (α : Type) where\n  (f0 : α)\n" + "".join(
+        f"class k{k} (α : Type) extends k{k - 1} α\n" for k in range(1, 1000))
+    assert analyze(elaborate(parse(source), EncodingStrategy("nested")), ETA_OFF) == []
 
 
 def test_path_composite_applies_edges_outside_in(fig1_nested):
@@ -248,13 +264,64 @@ def test_cube_is_decided_by_one_normal_form_per_path(monkeypatch, cube_module, c
     calls = count_calls(monkeypatch, "normalize", "defeq")
     reports = analyze(elab, config)
     assert len(reports) == 21
-    assert calls == {"normalize": 18}
+    assert calls == {"normalize": 27}
 
 
 def test_fig1_nested_with_eta_asks_the_kernel_once(monkeypatch, fig1_nested):
     calls = count_calls(monkeypatch, "normalize", "defeq")
     assert all(r.oracle for r in analyze(fig1_nested, ETA_ON))
-    assert calls == {"normalize": 7, "defeq": 1}
+    assert calls == {"normalize": 12, "defeq": 1}
+
+
+@pytest.mark.parametrize("n, nested_calls", [(4, 148), (5, 835)])
+def test_each_normal_form_unfolds_one_edge(monkeypatch, n, nested_calls):
+    """A path's normal form extends its prefix's by one edge, so every
+    normalize call takes exactly one delta step, under every encoding."""
+    normalize = analyzer.normalize
+    steps: list[int] = []
+
+    def traced(env, config, ctx, term, trace=None):
+        log = Trace()
+        try:
+            return normalize(env, config, ctx, term, log)
+        finally:
+            steps.append(sum(1 for line in log.lines if line.lstrip().startswith("delta ")))
+    monkeypatch.setattr(analyzer, "normalize", traced)
+    module = parse(cube_source(n))
+    for kind in ("nested", "flat", "flat_hack"):
+        steps.clear()
+        analyze(elaborate(module, EncodingStrategy(kind)), ETA_OFF)
+        assert steps and set(steps) == {1}, kind
+        if kind == "nested":
+            assert len(steps) == nested_calls
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.hier")))
+def test_analyze_runs_out_of_fuel_only_where_check_diamond_does(name):
+    """Normal forms by extension spend fuel per trie node, not per path.
+    At every small budget analyze still agrees with the pairwise reference
+    wherever that returns, and raises only where it raises."""
+    module = load(name)
+    for kind in ("nested", "flat", "flat_hack"):
+        elab = elaborate(module, EncodingStrategy(kind))
+        diamonds = enumerate_diamonds(build_graph(elab.env, elab.instances))
+        for eta in (False, True):
+            for depth in range(1, 21):
+                config = DefEqConfig(eta_kernel=eta, eta_unifier=False, unfold_depth=depth)
+                reference = {}
+                for d in diamonds:
+                    try:
+                        reference[d] = check_diamond(elab.env, d, config).oracle
+                    except FuelExhausted:
+                        pass
+                try:
+                    reports = analyze(elab, config)
+                except FuelExhausted:
+                    assert len(reference) < len(diamonds), (kind, eta, depth)
+                    continue
+                for r in reports:
+                    if r.diamond in reference:
+                        assert r.oracle == reference[r.diamond], (kind, eta, depth)
 
 
 def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):

@@ -13,7 +13,7 @@ import pytest
 import hierlab
 from hierlab.analyzer import ANALYZER_REPORT_SCHEMA
 from hierlab.cli import main as cli_main
-from conftest import corpus_path, cube_source
+from conftest import LONG_DIAMOND, corpus_path, cube_source
 
 FIG1 = str(corpus_path("fig1.hier"))
 MODULE = str(corpus_path("module.hier"))
@@ -305,6 +305,17 @@ def test_diamonds_trace_leaves_json_unchanged(run_cli):
     plain = run_cli("diamonds", FIG1, "--eta-kernel", "off", "--emit", "json")
     traced = run_cli("diamonds", FIG1, "--eta-kernel", "off", "--emit", "json", "--trace")
     assert traced == plain
+
+
+@pytest.mark.parametrize("command", ["diamonds", "spanning-search"])
+def test_diamonds_beyond_the_path_limit_are_a_diagnostic(run_cli, tmp_path, command):
+    """The e7 -> a diamond cannot be checked, so it must not vanish."""
+    source = tmp_path / "long.hier"
+    source.write_text(LONG_DIAMOND)
+    code, out, err = run_cli(command, source)
+    assert (code, out) == (2, "")
+    assert err == (f"{source}: e7 reaches a by several paths, some longer than the "
+                   f"limit of 8 edges; their diamonds cannot all be checked\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ hierarchies, diamond verdicts from per-path normal forms match the pairwise
 reference, the stored leaf-field view matches its recursive reference,
 the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
-instances, and definitional equality is symmetric.
+instances, definitional equality is symmetric, and the command line's JSON
+writer matches ``json.dumps``.
 """
+
+import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ import reference
 from hierlab.analyzer import (
     analyze, build_graph, check_diamond, enumerate_diamonds, random_hierarchy,
 )
+from hierlab.cli import _json_text
 from hierlab.declarations import Environment, OpaqueDecl, StructDecl
 from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, flatten_fields
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
@@ -299,3 +303,21 @@ def test_definitional_equality_is_symmetric(fig1_nested, data):
     for config in (ETA_OFF, ETA_ON):
         assert verdict(a, a, config) is True
         assert verdict(a, b, config) == verdict(b, a, config)
+
+
+# Quotes, backslashes, control characters and non-ASCII text, including
+# characters outside the basic plane that encode as surrogate pairs.
+JSON_STRINGS = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€𝔸') | st.characters(),
+                       max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.sampled_from([0, 1]) | st.integers()
+    | st.integers(min_value=2 ** 64, max_value=2 ** 200) | JSON_STRINGS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@COMMON
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
