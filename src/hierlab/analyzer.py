@@ -35,17 +35,21 @@ path whose normal form runs out of fuel.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .declarations import Environment, StructDecl
+# `elaborate` is not called here; it stays importable from this module,
+# where perfbench's tracer wraps it.
 from .elaborator import (
     FLAT, FLAT_HACK_CLASS, PREFERRED, SYNTHESIZED, Elaboration,
-    EncodingStrategy, InstanceInfo, elaborate,
+    EncodingStrategy, InstanceInfo, begin_elaboration, elaborate, elaborate_item,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
 from .resolution import MAX_DEPTH
-from .surface import SurfaceModule
+from .surface import ClassItem, SurfaceModule
 from .terms import Binder, Const, FreeVar, Term, apps, fresh_name, subst_frees, unfold_apps
 
 MAX_PATH_LEN = 8
@@ -290,79 +294,100 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
 
     Raises PathLimitExceeded when some diamond has a path longer than
     ``max_path_len``, rather than leave it out of the report."""
+    return [r for _, group in _source_reports(elab, config, max_path_len, {})
+            for r in group]
+
+
+def _source_reports(elab: Elaboration, config: DefEqConfig, max_path_len: int,
+                    known: dict[str, list[DiamondReport]]
+                    ) -> list[tuple[str, list[DiamondReport]]]:
+    """The reports of each source with diamonds, in source order; a source
+    in ``known`` takes its reports from there instead of being checked."""
     env = elab.env
     graph = build_graph(env, elab.instances)
     _check_path_limit(graph, max_path_len)
     diamonds = enumerate_diamonds(graph, max_path_len)
     position = {e: i for i, e in enumerate(graph.edges)}
-    reports: list[DiamondReport] = []
+    out: list[tuple[str, list[DiamondReport]]] = []
     for source, group in itertools.groupby(diamonds, key=lambda d: d.source):
-        ctx, args, start = _source_context(env, source)
-        # The trie of this source's paths, as lists indexed by node id: each
-        # node's composite, the parameters its out-edges take, its normal
-        # form (None when out of fuel) and that form's id.  Node 0 is the
-        # empty path.  A child is keyed by its parent's id and its edge's
-        # position in the graph.
-        terms, node_args, normals = [start], [args], [start]
-        form_of: list[int | None] = [None]
-        children: dict[tuple[int, int], int] = {}
-        form_ids: dict[Term, int] = {}
-        forms: list[Term] = []
-        # A path tuple hashes every edge, so paths are looked up by object
-        # identity, which holds while `diamonds` keeps them alive.
-        path_ids: dict[int, int] = {}
-        verdicts: dict[tuple[int, int], bool] = {}
+        reports = known.get(source)
+        if reports is None:
+            reports = _check_source(env, config, source, group, position)
+        out.append((source, reports))
+    return out
 
-        def add_path(path: Path) -> int:
-            node = 0
-            for e in path:
-                key = (node, position[e])
-                child = children.get(key)
-                if child is None:
-                    child = children[key] = len(terms)
-                    term, edge_args = _apply_edge(env, e, node_args[node], terms[node])
-                    # By extension when the prefix has a normal form, else
-                    # from the whole composite.
-                    prefix = normals[node]
-                    reduced = term if prefix is None else apps(
-                        Const(e.decl_name), *node_args[node], prefix)
-                    try:
-                        normal = normalize(env, config, ctx, reduced)
-                    except FuelExhausted:
-                        normal = form = None
-                    else:
-                        form = form_ids.setdefault(normal, len(forms))
-                        if form == len(forms):
-                            forms.append(normal)
-                    terms.append(term)
-                    node_args.append(edge_args)
-                    normals.append(normal)
-                    form_of.append(form)
-                node = child
-            path_ids[id(path)] = node
-            return node
 
-        for d in group:
-            a = path_ids.get(id(d.path_a))
-            if a is None:
-                a = add_path(d.path_a)
-            b = path_ids.get(id(d.path_b))
-            if b is None:
-                b = add_path(d.path_b)
-            id_a, id_b = form_of[a], form_of[b]
-            if id_a is None or id_b is None:
-                reports.append(check_diamond(env, d, config))
-                continue
-            if id_a == id_b:
-                oracle = True
-            elif not config.eta_kernel:
-                oracle = False
-            else:
-                oracle = verdicts.get((id_a, id_b))
-                if oracle is None:
-                    oracle = defeq(env, config, ctx, forms[id_a], forms[id_b])
-                    verdicts[(id_a, id_b)] = oracle
-            reports.append(DiamondReport(d, terms[a], terms[b], oracle, predict_diamond(d)))
+def _check_source(env: Environment, config: DefEqConfig, source: str,
+                  group: Iterable[Diamond], position: dict[Edge, int]
+                  ) -> list[DiamondReport]:
+    """Decide the diamonds of one source from the normal forms of its paths."""
+    ctx, args, start = _source_context(env, source)
+    # The trie of this source's paths, as lists indexed by node id: each
+    # node's composite, the parameters its out-edges take, its normal
+    # form (None when out of fuel) and that form's id.  Node 0 is the
+    # empty path.  A child is keyed by its parent's id and its edge's
+    # position in the graph.
+    terms, node_args, normals = [start], [args], [start]
+    form_of: list[int | None] = [None]
+    children: dict[tuple[int, int], int] = {}
+    form_ids: dict[Term, int] = {}
+    forms: list[Term] = []
+    # A path tuple hashes every edge, so paths are looked up by object
+    # identity, which holds while the caller keeps the diamonds alive.
+    path_ids: dict[int, int] = {}
+    verdicts: dict[tuple[int, int], bool] = {}
+
+    def add_path(path: Path) -> int:
+        node = 0
+        for e in path:
+            key = (node, position[e])
+            child = children.get(key)
+            if child is None:
+                child = children[key] = len(terms)
+                term, edge_args = _apply_edge(env, e, node_args[node], terms[node])
+                # By extension when the prefix has a normal form, else
+                # from the whole composite.
+                prefix = normals[node]
+                reduced = term if prefix is None else apps(
+                    Const(e.decl_name), *node_args[node], prefix)
+                try:
+                    normal = normalize(env, config, ctx, reduced)
+                except FuelExhausted:
+                    normal = form = None
+                else:
+                    form = form_ids.setdefault(normal, len(forms))
+                    if form == len(forms):
+                        forms.append(normal)
+                terms.append(term)
+                node_args.append(edge_args)
+                normals.append(normal)
+                form_of.append(form)
+            node = child
+        path_ids[id(path)] = node
+        return node
+
+    reports: list[DiamondReport] = []
+    for d in group:
+        a = path_ids.get(id(d.path_a))
+        if a is None:
+            a = add_path(d.path_a)
+        b = path_ids.get(id(d.path_b))
+        if b is None:
+            b = add_path(d.path_b)
+        id_a, id_b = form_of[a], form_of[b]
+        if id_a is None or id_b is None:
+            reports.append(check_diamond(env, d, config))
+            continue
+        if id_a == id_b:
+            oracle = True
+        elif not config.eta_kernel:
+            oracle = False
+        else:
+            oracle = verdicts.get((id_a, id_b))
+            if oracle is None:
+                oracle = defeq(env, config, ctx, forms[id_a], forms[id_b])
+                verdicts[(id_a, id_b)] = oracle
+        reports.append(DiamondReport(d, terms[a], terms[b], oracle, predict_diamond(d)))
     return reports
 
 
@@ -378,41 +403,96 @@ class PlacementReport:
     nonfirst_order_invariant: bool
 
 
+@dataclass
+class _Frame:
+    """The elaboration state before one choice class, and the reports of
+    the sources that come after the previous choice class and before it."""
+
+    elab: Elaboration
+    reports: dict[str, list[DiamondReport]] = field(default_factory=dict)
+
+
 def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
                     config: DefEqConfig = DEFAULT_CONFIG,
                     max_path_len: int = MAX_PATH_LEN,
                     max_depth: int = MAX_DEPTH) -> list[PlacementReport]:
-    """Re-elaborate under every first-parent choice and score coherence.
+    """Elaborate under every first-parent choice and score coherence.
 
     Each placement is elaborated under every order of the remaining parents,
     declared order first; that first order gives the placement's verdicts,
     and the placement is order-invariant when no other order changes one.
     The search stops at the first order that does, rather than assuming none
     can.  ``config`` and ``max_depth`` reach every elaboration.
+
+    A choice class is one with two or more parents.  Elaboration goes item
+    by item, and a stack of frames holds a fork of the state before each
+    choice class.  The declared order is elaborated first.  Each later
+    order finds the first choice class whose parent order differs from the
+    previous order's, drops the frames above that class's frame, forks it
+    and elaborates from that class on, so a class is elaborated again only
+    when a choice at or before it changed.  A source's diamonds use only
+    the declarations of the classes up to it, so its reports are kept in
+    the frame of the first choice class after it: that frame stays exactly
+    while the choices before it are unchanged, and the reports are reused
+    while it stays.  The graph is still built, bounded by the path limit
+    and enumerated for every order.
     """
-    base = elaborate(module, EncodingStrategy(strategy.kind), config, max_depth)
-    chooseable: list[tuple[str, list[str]]] = []
-    for name, info in base.classes.items():
-        parents = [p for p, _ in info.parents if p != FLAT_HACK_CLASS]
+    items = module.items
+    positions = [index for index, item in enumerate(items)
+                 if isinstance(item, ClassItem) and len(item.parents) >= 2]
+    frames: list[_Frame] = []
+
+    def elaborate_from(elab: Elaboration, start: int) -> Elaboration:
+        for index in range(start, len(items)):
+            if len(frames) < len(positions) and positions[len(frames)] == index:
+                frames.append(_Frame(elab.fork(elab.strategy)))
+            elaborate_item(elab, items[index], config, max_depth)
+        return elab
+
+    elab = elaborate_from(begin_elaboration(EncodingStrategy(strategy.kind)), 0)
+    # Under flat_hack a class may list flat_hack itself among its parents,
+    # which leaves it fewer to choose from.
+    chooseable: list[tuple[int, str, list[str]]] = []
+    for k, index in enumerate(positions):
+        name = items[index].name
+        parents = [p for p, _ in elab.classes[name].parents if p != FLAT_HACK_CLASS]
         if len(parents) >= 2:
-            chooseable.append((name, parents))
-    names = [name for name, _ in chooseable]
-    declared = tuple(tuple(parents) for _, parents in chooseable)
+            chooseable.append((k, name, parents))
+    frames[:] = [frames[k] for k, _, _ in chooseable]
+    positions = [positions[k] for k, _, _ in chooseable]
+    names = [name for _, name, _ in chooseable]
+    # A class's level: the number of choice classes at or before it.
+    level: dict[str, int] = {}
+    for index, item in enumerate(items):
+        if isinstance(item, ClassItem):
+            level[item.name] = bisect.bisect_right(positions, index)
+    previous = tuple(tuple(parents) for _, _, parents in chooseable)
 
     def analyzed(order: tuple[tuple[str, ...], ...]) -> tuple[DiamondReport, ...]:
-        # The declared order is placement 0's first order, elaborated as `base`.
-        elab = base if order == declared else elaborate(
-            module, EncodingStrategy(strategy.kind, dict(zip(names, order))),
-            config, max_depth)
-        return tuple(analyze(elab, config, max_path_len))
+        nonlocal elab, previous
+        if order != previous:
+            d = next(k for k, (new, old) in enumerate(zip(order, previous)) if new != old)
+            del frames[d + 1:]
+            overrides = EncodingStrategy(strategy.kind, dict(zip(names, order)))
+            elab = elaborate_from(frames[d].elab.fork(overrides), positions[d])
+            previous = order
+        known: dict[str, list[DiamondReport]] = {}
+        for frame in frames:
+            known.update(frame.reports)
+        groups = _source_reports(elab, config, max_path_len, known)
+        for source, reports in groups:
+            lvl = level.get(source, len(frames))
+            if lvl < len(frames):
+                frames[lvl].reports.setdefault(source, reports)
+        return tuple(r for _, reports in groups for r in reports)
 
     reports: list[PlacementReport] = []
-    combos = itertools.product(*(parents for _, parents in chooseable))
+    combos = itertools.product(*(parents for _, _, parents in chooseable))
     for index, combo in enumerate(combos):
         orders = itertools.product(*(
             [(first,) + rest for rest in itertools.permutations(
                 [p for p in parents if p != first])]
-            for (_, parents), first in zip(chooseable, combo)))
+            for (_, _, parents), first in zip(chooseable, combo)))
         checked = analyzed(next(orders))
         reference = _verdicts(checked)
         invariant = all(_verdicts(analyzed(order)) == reference for order in orders)
@@ -498,11 +578,19 @@ def report_dict(encoding: str, config: DefEqConfig,
             }
             for r in reports
         ],
-        "summary": {
-            "total": len(reports),
-            "commuting": sum(1 for r in reports if commutes_under(r, config)),
-            "mismatches": sum(1 for r in reports if r.oracle != r.predictor),
-        },
+        "summary": report_summary(config, reports),
+    }
+
+
+def report_summary(config: DefEqConfig,
+                   reports: list[DiamondReport] | tuple[DiamondReport, ...]
+                   ) -> dict[str, int]:
+    """The diamond count, how many commute under commutes_under, and how
+    many oracle/predictor disagreements there are."""
+    return {
+        "total": len(reports),
+        "commuting": sum(1 for r in reports if commutes_under(r, config)),
+        "mismatches": sum(1 for r in reports if r.oracle != r.predictor),
     }
 
 

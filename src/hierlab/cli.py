@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .analyzer import (
     PathLimitExceeded, analyze, check_diamond, commutes_under, random_hierarchy,
-    report_dict, spanning_search,
+    report_dict, report_summary, spanning_search,
 )
 from .declarations import DefDecl, OpaqueDecl, StructDecl
 from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
@@ -392,25 +392,27 @@ def cmd_diamonds(args: argparse.Namespace) -> int:
         reports = analyze(elab, config)
     except PathLimitExceeded as exc:
         raise CliError(f"{path}: {exc}") from exc
-    payload = report_dict(ENCODINGS[args.encoding], config, reports)
     if args.emit == "json":
+        payload = report_dict(ENCODINGS[args.encoding], config, reports)
         _emit_json(payload)
+        summary = payload["summary"]
     else:
-        for report, entry in zip(reports, payload["diamonds"]):
+        for report in reports:
+            d = report.diamond
             verdict = "commutes" if commutes_under(report, config) else "DOES NOT COMMUTE"
-            print(f"{entry['source']} -> {entry['target']}: "
-                  f"[{', '.join(entry['pathA'])}] vs [{', '.join(entry['pathB'])}]: "
-                  f"oracle={'equal' if entry['oracle'] else 'not-equal'} "
-                  f"predictor={'commutes' if entry['predictor'] else 'fails'} "
+            print(f"{d.source} -> {d.target}: "
+                  f"[{', '.join(e.decl_name for e in d.path_a)}] vs "
+                  f"[{', '.join(e.decl_name for e in d.path_b)}]: "
+                  f"oracle={'equal' if report.oracle else 'not-equal'} "
+                  f"predictor={'commutes' if report.predictor else 'fails'} "
                   f"-> {verdict}")
             if args.trace and not report.oracle:
                 trace = Trace()
-                check_diamond(elab.env, report.diamond, config, trace)
+                check_diamond(elab.env, d, config, trace)
                 print("\n".join("  " + line for line in trace.lines))
-        summary = payload["summary"]
+        summary = report_summary(config, reports)
         print(f"{summary['commuting']} / {summary['total']} commuting, "
               f"{summary['mismatches']} oracle/predictor mismatches")
-    summary = payload["summary"]
     return 0 if summary["commuting"] == summary["total"] else 1
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .terms import Binder, Telescope, Term, consts_in, lam_closure, pi_type
+from .terms import (
+    App, Binder, Const, Lam, Mk, Pi, Proj, Telescope, Term, lam_closure, pi_type,
+)
 
 
 class EnvironmentError_(Exception):
@@ -64,6 +66,15 @@ class Environment:
         self._decls: dict[str, Declaration] = {}
         self._closures: dict[str, Term] = {}
 
+    def copy(self) -> "Environment":
+        """An environment with the same declarations that grows separately.
+        The unfolding memo is copied, never shared: a name declared after
+        the copy may unfold to different bodies in the two environments."""
+        env = Environment()
+        env._decls = dict(self._decls)
+        env._closures = dict(self._closures)
+        return env
+
     def __contains__(self, name: str) -> bool:
         return name in self._decls
 
@@ -96,10 +107,36 @@ class Environment:
         self._decls[decl.name] = decl
 
     def _validate_refs(self, owner: str, term: Term) -> None:
-        for name in sorted(consts_in(term)):
-            if name != owner and name not in self._decls:
-                raise EnvironmentError_(
-                    f"declaration {owner!r} references {name!r} before its declaration")
+        """Raise on the alphabetically first name the term uses, as a
+        constant or a structure, that is neither declared nor ``owner``."""
+        decls = self._decls
+        missing: set[str] = set()
+        stack = [term]
+        while stack:
+            t = stack.pop()
+            kind = type(t)
+            if kind is App:
+                stack.append(t.fn)
+                stack.append(t.arg)
+            elif kind is Const:
+                if t.name not in decls:
+                    missing.add(t.name)
+            elif kind is Proj:
+                if t.struct not in decls:
+                    missing.add(t.struct)
+                stack.append(t.target)
+            elif kind is Mk:
+                if t.struct not in decls:
+                    missing.add(t.struct)
+                stack.extend(t.params)
+                stack.extend(t.fields)
+            elif kind is Pi or kind is Lam:
+                stack.append(t.ty)
+                stack.append(t.body)
+        missing.discard(owner)
+        if missing:
+            raise EnvironmentError_(f"declaration {owner!r} references "
+                                    f"{min(missing)!r} before its declaration")
 
     def decl_type(self, name: str) -> Term:
         """The Pi-closed type of a declaration's constant."""

@@ -20,6 +20,15 @@ Three encodings of ``extends`` are implemented:
 
 The overlap test uses the parent's complete transitive field-name set
 (substructure names included), which is exactly what makes flat_hack work.
+
+``elaborate`` is ``begin_elaboration``, then ``elaborate_item`` once per
+module item, then a check that every parent-order override names a class
+of the module.  What an item adds depends only on the state the items
+before it left and, for a class, on the strategy's order of its parents.
+``Elaboration.fork`` copies that state so that the rest of the module can
+be elaborated under another strategy; the spanning search forks before
+each class with several parents rather than re-elaborate the module from
+its first item.
 """
 from __future__ import annotations
 
@@ -30,7 +39,7 @@ from .declarations import DefDecl, Environment, OpaqueDecl, StructDecl
 from .kernel import DefEqConfig, DEFAULT_CONFIG
 from .resolution import MAX_DEPTH
 from .surface import (
-    ClassItem, DefeqItem, GoalItem, InstanceItem, Pos, SOpaque, SurfaceModule,
+    ClassItem, DefeqItem, GoalItem, InstanceItem, Item, Pos, SOpaque, SurfaceModule,
     VariablesItem, resolve_expr,
 )
 from .terms import (
@@ -140,6 +149,15 @@ class Elaboration:
     goals: list[tuple[str, Telescope, Term]]
     defeqs: list[tuple[str, Telescope, Term, Term]]
 
+    def fork(self, strategy: EncodingStrategy) -> "Elaboration":
+        """A copy that later items extend separately, under ``strategy``.
+        The containers are copied; declarations and ``ClassInfo`` records
+        are shared, since a record is only filled while its own class is
+        declared."""
+        return Elaboration(strategy, self.env.copy(), list(self.instances),
+                           dict(self.classes), self.variables, list(self.goals),
+                           list(self.defeqs))
+
     def instance_decl(self, name: str) -> DefDecl:
         decl = self.env[name]
         assert isinstance(decl, DefDecl)
@@ -165,28 +183,43 @@ def elaborate(module: SurfaceModule, strategy: EncodingStrategy,
     under-applied instance targets.  Deterministic: the same module and
     strategy produce the same environment, declaration by declaration.
     """
-    elab = Elaboration(strategy=strategy, env=Environment(), instances=[],
-                       classes={}, variables=(), goals=[], defeqs=[])
-    if strategy.kind == "flat_hack":
-        _declare_class(elab, ClassItem(FLAT_HACK_CLASS, (), (), (), Pos(0, 0)))
+    elab = begin_elaboration(strategy)
     for item in module.items:
-        if isinstance(item, ClassItem):
-            _declare_class(elab, item)
-        elif isinstance(item, InstanceItem):
-            _declare_instance(elab, item, config, max_depth)
-        elif isinstance(item, VariablesItem):
-            elab.variables = _resolve_binders(item.binders, (), elab.env)
-        elif isinstance(item, GoalItem):
-            elab.goals.append((item.label, elab.variables,
-                               resolve_expr(item.target, elab.variables, elab.env)))
-        elif isinstance(item, DefeqItem):
-            elab.defeqs.append((item.label, elab.variables,
-                                resolve_expr(item.lhs, elab.variables, elab.env),
-                                resolve_expr(item.rhs, elab.variables, elab.env)))
+        elaborate_item(elab, item, config, max_depth)
     unused = sorted(set(strategy.parent_order) - set(elab.classes))
     if unused:
         raise ElabError(f"parent-order override names unknown class {unused[0]!r}")
     return elab
+
+
+def begin_elaboration(strategy: EncodingStrategy) -> Elaboration:
+    """The state before a module's first item: empty, except for the empty
+    class that flat_hack prepends to every extends list."""
+    elab = Elaboration(strategy=strategy, env=Environment(), instances=[],
+                       classes={}, variables=(), goals=[], defeqs=[])
+    if strategy.kind == "flat_hack":
+        _declare_class(elab, ClassItem(FLAT_HACK_CLASS, (), (), (), Pos(0, 0)))
+    return elab
+
+
+def elaborate_item(elab: Elaboration, item: Item, config: DefEqConfig = DEFAULT_CONFIG,
+                   max_depth: int = MAX_DEPTH) -> None:
+    """Elaborate one module item into ``elab``.  What an item adds depends
+    only on the items before it and, for a class, on the strategy's order
+    of that class's parents."""
+    if isinstance(item, ClassItem):
+        _declare_class(elab, item)
+    elif isinstance(item, InstanceItem):
+        _declare_instance(elab, item, config, max_depth)
+    elif isinstance(item, VariablesItem):
+        elab.variables = _resolve_binders(item.binders, (), elab.env)
+    elif isinstance(item, GoalItem):
+        elab.goals.append((item.label, elab.variables,
+                           resolve_expr(item.target, elab.variables, elab.env)))
+    elif isinstance(item, DefeqItem):
+        elab.defeqs.append((item.label, elab.variables,
+                            resolve_expr(item.lhs, elab.variables, elab.env),
+                            resolve_expr(item.rhs, elab.variables, elab.env)))
 
 
 def preferred_edges(elab: Elaboration) -> frozenset[tuple[str, str]]:

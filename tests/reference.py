@@ -11,13 +11,22 @@
   table; every subgoal is searched again on every path that reaches it.
   ``hierlab.resolution.resolve`` tables ground answers and must agree with
   it on every goal.
+- ``spanning_search``: every parent order of every placement elaborated and
+  analysed as a whole module.  ``hierlab.analyzer.spanning_search`` forks
+  the elaboration at each class with several parents and reuses the
+  reports of sources whose choices did not change; its placement reports
+  and errors must equal these.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
+from hierlab.analyzer import MAX_PATH_LEN, PlacementReport, analyze, commutes_under
 from hierlab.declarations import DefDecl, StructDecl
-from hierlab.elaborator import ClassInfo, FieldTypeClash
+from hierlab.elaborator import (
+    FLAT_HACK_CLASS, ClassInfo, EncodingStrategy, FieldTypeClash, elaborate,
+)
 from hierlab.kernel import DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, unify
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
 from hierlab.terms import (
@@ -144,3 +153,45 @@ def _saturate(env, metas: MetaCtx, target: Term) -> Term:
         mapping[binder.name] = m
         extra.append(m)
     return apps(head, *args, *extra)
+
+
+def spanning_search(module, strategy: EncodingStrategy, config=DEFAULT_CONFIG,
+                    max_path_len: int = MAX_PATH_LEN,
+                    max_depth: int = MAX_DEPTH) -> list[PlacementReport]:
+    """Each order of each placement elaborated from scratch and analysed
+    whole; the declared order is placement 0's first order."""
+    base = elaborate(module, EncodingStrategy(strategy.kind), config, max_depth)
+    chooseable: list[tuple[str, list[str]]] = []
+    for name, info in base.classes.items():
+        parents = [p for p, _ in info.parents if p != FLAT_HACK_CLASS]
+        if len(parents) >= 2:
+            chooseable.append((name, parents))
+    names = [name for name, _ in chooseable]
+    declared = tuple(tuple(parents) for _, parents in chooseable)
+
+    def analyzed(order):
+        elab = base if order == declared else elaborate(
+            module, EncodingStrategy(strategy.kind, dict(zip(names, order))),
+            config, max_depth)
+        return tuple(analyze(elab, config, max_path_len))
+
+    def verdicts(reports):
+        return {(r.diamond.source, r.diamond.target,
+                 tuple(e.decl_name for e in r.diamond.path_a),
+                 tuple(e.decl_name for e in r.diamond.path_b)): (r.oracle, r.predictor)
+                for r in reports}
+
+    reports = []
+    combos = itertools.product(*(parents for _, parents in chooseable))
+    for index, combo in enumerate(combos):
+        orders = itertools.product(*(
+            [(first,) + rest for rest in itertools.permutations(
+                [p for p in parents if p != first])]
+            for (_, parents), first in zip(chooseable, combo)))
+        checked = analyzed(next(orders))
+        reference = verdicts(checked)
+        invariant = all(verdicts(analyzed(order)) == reference for order in orders)
+        coherent = all(commutes_under(r, config) for r in checked)
+        reports.append(PlacementReport(index, tuple(sorted(zip(names, combo))),
+                                       checked, coherent, invariant))
+    return reports

@@ -203,6 +203,7 @@ def test_criterion_09_property_suites_run_at_scale(capsys):
             test_properties.test_stored_leaf_view_matches_recursive_flatten,
             test_properties.test_flat_layout_is_the_leaf_view_with_rebuilt_parents,
             test_properties.test_tabled_resolution_matches_untabled_search,
+            test_properties.test_incremental_spanning_search_matches_whole_module_search,
             test_properties.test_resolved_instances_are_well_typed,
             test_properties.test_definitional_equality_is_symmetric,
             test_properties.test_json_writer_matches_json_dumps,

@@ -6,7 +6,9 @@ from collections import Counter
 import jsonschema
 import pytest
 
-from hierlab import analyzer
+import reference
+
+from hierlab import analyzer, elaborator
 from hierlab.analyzer import (
     ANALYZER_REPORT_SCHEMA,
     CycleDetected,
@@ -376,14 +378,55 @@ def test_no_cube_placement_is_coherent_without_eta(cube_module):
     assert all(p.nonfirst_order_invariant for p in placements)
 
 
+def count_declarations(monkeypatch) -> Counter:
+    """Count the classes the elaborator declares."""
+    calls: Counter = Counter()
+    declare = elaborator._declare_class
+
+    def counted(*args, **kwargs):
+        calls["_declare_class"] += 1
+        return declare(*args, **kwargs)
+    monkeypatch.setattr(elaborator, "_declare_class", counted)
+    return calls
+
+
 def test_cube_spanning_search_elaborates_each_parent_order_once(monkeypatch,
                                                                cube_module):
-    """Per placement (2·2·2·3 first-parent choices) both orders of c012's
-    two remaining parents: 24·2.  The declared order, placement 0's first,
-    is the base elaboration that lists the multi-parent classes."""
-    calls = count_calls(monkeypatch, "elaborate", "analyze")
+    """Per placement (2·2·2·3 first-parent choices) both orders of
+    top_mag's two remaining parents: 24·2 analysed orders.  Each class is
+    declared once per distinct prefix of the choices up to it: the four
+    classes with one parent once, the three pair classes 2, 4 and 8 times,
+    top_mag 48 times.  A source's normal forms are likewise computed once
+    per distinct prefix of the choices up to it."""
+    calls = count_calls(monkeypatch, "enumerate_diamonds", "normalize")
+    declarations = count_declarations(monkeypatch)
     spanning_search(cube_module, EncodingStrategy("nested"), ETA_OFF)
-    assert calls == {"elaborate": 48, "analyze": 48}
+    calls.update(declarations)
+    assert calls == {"_declare_class": 66, "enumerate_diamonds": 48, "normalize": 776}
+
+
+def test_cube_flat_hack_spanning_search_declares_each_prefix_once(monkeypatch,
+                                                                 cube_module):
+    """As under nested, plus the one flat_hack class every order shares."""
+    declarations = count_declarations(monkeypatch)
+    spanning_search(cube_module, EncodingStrategy("flat_hack"), ETA_OFF)
+    assert declarations == {"_declare_class": 67}
+
+
+def test_a_parent_named_flat_hack_is_not_a_choice_as_in_the_whole_module_search():
+    """Both searches leave a parent named like flat_hack's marker class out
+    of the choices, even under nested, so `a` below has one parent to
+    choose and `d` three."""
+    module = parse("class flat_hack (α : Type) where\n  (y : α)\n"
+                   "class b (α : Type) where\n  (x : α)\n"
+                   "class c (α : Type) extends b α\n"
+                   "class a (α : Type) extends flat_hack α, c α\n"
+                   "class d (α : Type) extends a α, b α, c α\n")
+    placements = spanning_search(module, EncodingStrategy("nested"), ETA_OFF)
+    assert [p.first_parents for p in placements] == [(("d", "a"),), (("d", "b"),),
+                                                     (("d", "c"),)]
+    assert placements == reference.spanning_search(module, EncodingStrategy("nested"),
+                                                   ETA_OFF)
 
 
 def test_every_cube_placement_is_coherent_with_eta(cube_module):

@@ -3,7 +3,9 @@ forgetful instances, encodings, and error reporting."""
 
 import pytest
 
-from hierlab.declarations import DefDecl, EnvironmentError_, OpaqueDecl, StructDecl
+from hierlab.declarations import (
+    DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl,
+)
 from hierlab.elaborator import (
     FLAT,
     FLAT_HACK_CLASS,
@@ -18,7 +20,7 @@ from hierlab.elaborator import (
     preferred_edges,
 )
 from hierlab.surface import parse
-from hierlab.terms import Const, FreeVar, Mk, Proj, apps
+from hierlab.terms import SORT, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps
 from conftest import ETA_OFF
 
 
@@ -385,6 +387,26 @@ def test_duplicate_declarations_cannot_share_an_environment(fig1_nested):
     env_decl = fig1_nested.env["ring.mk"]
     with pytest.raises(EnvironmentError_):
         fig1_nested.env.add(env_decl)
+
+
+def test_forward_reference_names_the_first_missing_name_of_the_first_bad_term():
+    """Terms are checked binder types first, then the result type and the
+    body; the first with unknown names is reported by the alphabetically
+    first of them, however deep it sits.  The declaration may mention
+    itself."""
+    env = Environment()
+    env.add(OpaqueDecl("ι", (), SORT))
+    # `beta` sits under a Pi, an application, a projection, a lambda and a
+    # constructor.
+    deep = Pi("_", Const("ι"), apps(Const("zeta"), Proj(
+        "ι", "f", Lam("_", Const("ι"), Mk("ι", (Const("beta"),), ())))))
+    with pytest.raises(EnvironmentError_,
+                       match="^declaration 'd' references 'beta' before its declaration$"):
+        env.add(DefDecl("d", (Binder("x", deep),), Const("ι"), Const("alpha")))
+    body = apps(Const("d"), Mk("omega", (), ()), Const("alpha"))
+    with pytest.raises(EnvironmentError_, match="references 'alpha' before"):
+        env.add(DefDecl("d", (Binder("x", Const("ι")),), Const("ι"), body))
+    assert "d" not in env
 
 
 def test_parent_applied_to_wrong_arity_is_rejected():

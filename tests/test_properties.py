@@ -6,8 +6,9 @@ hierarchies, diamond verdicts from per-path normal forms match the pairwise
 reference, the stored leaf-field view matches its recursive reference,
 the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
-instances, definitional equality is symmetric, and the command line's JSON
-writer matches ``json.dumps``.
+instances, the incremental spanning search matches the whole-module one,
+definitional equality is symmetric, and the command line's JSON writer
+matches ``json.dumps``.
 """
 
 import json
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import reference
 
 from hierlab.analyzer import (
-    analyze, build_graph, check_diamond, enumerate_diamonds, random_hierarchy,
+    MAX_PATH_LEN, analyze, build_graph, check_diamond, enumerate_diamonds,
+    random_hierarchy, spanning_search,
 )
 from hierlab.cli import _json_text
 from hierlab.declarations import Environment, OpaqueDecl, StructDecl
@@ -230,6 +232,33 @@ def test_tabled_resolution_matches_untabled_search(data, source, encoding, top_b
             untabled = outcome(lambda: reference.resolve(
                 elab.env, elab.instances, ctx, goal, config=config, max_depth=max_depth))
             assert tabled == untabled, (cls, max_depth)
+
+
+def raised_or_returned(search):
+    try:
+        return "returned", search()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@COMMON
+@given(st.data(), st.integers(0, 10 ** 6), st.sampled_from(ENCODINGS),
+       st.sampled_from((ETA_OFF, ETA_ON)), st.booleans(),
+       st.sampled_from((2, 3, MAX_PATH_LEN)))
+def test_incremental_spanning_search_matches_whole_module_search(
+        data, seed, encoding, config, with_instances, max_path_len):
+    """Forking at each class with several parents and reusing the reports
+    of unchanged sources gives the placements of elaborating and analysing
+    every order whole, or the same error; short path limits make some
+    searches fail."""
+    text = random_hierarchy(seed)
+    if with_instances:
+        text += extra_instances(data, elaborate(parse(text), EncodingStrategy(encoding)))
+    module, strategy = parse(text), EncodingStrategy(encoding)
+    assert raised_or_returned(
+        lambda: spanning_search(module, strategy, config, max_path_len)) == \
+        raised_or_returned(
+            lambda: reference.spanning_search(module, strategy, config, max_path_len))
 
 
 def ancestors_of(graph, cls: str) -> set[str]:
