@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .terms import (
-    App, Binder, Const, Lam, Mk, Pi, Proj, Telescope, Term, lam_closure, pi_type,
-)
+from .terms import Binder, Telescope, Term, consts_in, lam_closure, pi_type
 
 
 class EnvironmentError_(Exception):
@@ -109,30 +107,7 @@ class Environment:
     def _validate_refs(self, owner: str, term: Term) -> None:
         """Raise on the alphabetically first name the term uses, as a
         constant or a structure, that is neither declared nor ``owner``."""
-        decls = self._decls
-        missing: set[str] = set()
-        stack = [term]
-        while stack:
-            t = stack.pop()
-            kind = type(t)
-            if kind is App:
-                stack.append(t.fn)
-                stack.append(t.arg)
-            elif kind is Const:
-                if t.name not in decls:
-                    missing.add(t.name)
-            elif kind is Proj:
-                if t.struct not in decls:
-                    missing.add(t.struct)
-                stack.append(t.target)
-            elif kind is Mk:
-                if t.struct not in decls:
-                    missing.add(t.struct)
-                stack.extend(t.params)
-                stack.extend(t.fields)
-            elif kind is Pi or kind is Lam:
-                stack.append(t.ty)
-                stack.append(t.body)
+        missing = consts_in(term).difference(self._decls)
         missing.discard(owner)
         if missing:
             raise EnvironmentError_(f"declaration {owner!r} references "

@@ -263,12 +263,28 @@ def free_names(t: Term) -> set[str]:
 
 
 def consts_in(t: Term) -> set[str]:
+    """The names a term uses as constants or as structures.  The walk keeps
+    its own stack: it runs on every declaration added to an environment."""
     names: set[str] = set()
-    for s in subterms(t):
-        if isinstance(s, Const):
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        kind = type(s)
+        if kind is App:
+            stack.append(s.fn)
+            stack.append(s.arg)
+        elif kind is Const:
             names.add(s.name)
-        elif isinstance(s, (Mk, Proj)):
+        elif kind is Lam or kind is Pi:
+            stack.append(s.ty)
+            stack.append(s.body)
+        elif kind is Proj:
             names.add(s.struct)
+            stack.append(s.target)
+        elif kind is Mk:
+            names.add(s.struct)
+            stack.extend(s.params)
+            stack.extend(s.fields)
     return names
 
 

@@ -93,6 +93,12 @@ def test_metas_in_and_free_names_and_consts_in():
     assert "f" in consts_in(t)
 
 
+def test_consts_in_names_constants_and_structures_under_every_child():
+    t = Pi("_", Const("a"), Lam("_", Const("b"), apps(Const("c"), Proj(
+        "s", "f", Mk("t", (Const("d"),), (FreeVar("x"), Const("e")))))))
+    assert consts_in(t) == {"a", "b", "c", "d", "e", "s", "t"}
+
+
 def test_subterms_visits_binder_bodies():
     t = Lam("x", Const("int"), App(BoundVar(0), FreeVar("y")))
     seen = list(subterms(t))

@@ -1,59 +1,21 @@
 """perfbench's tracer wraps `hierlab` functions by module and name, so a
 name it patches must stay defined in that module even when nothing in the
 program calls it there any more; otherwise a traced run fails on
-`getattr`.  The names are read from the tracer's source, not imported from
-it."""
+`getattr`.  Installing each set of wrappers reads every patched name."""
 
-import ast
-import importlib
+import importlib.util
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def patched_names() -> set[tuple[str, str]]:
-    """Every (module, name) the tracer imports, reads or patches: names
-    imported from `hierlab` modules, attributes of the local aliases of
-    those modules (`cli, analyzer = hierlab.cli, hierlab.analyzer`), patch
-    entries `(module, "name", wrapper)`, and the loop entries
-    `("name", (module, ...))`."""
-    tree = ast.parse(TRACER.read_text())
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            targets = [t for target in node.targets
-                       for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
-            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
-            for target, value in zip(targets, values):
-                if (isinstance(target, ast.Name) and isinstance(value, ast.Attribute)
-                        and isinstance(value.value, ast.Name) and value.value.id == "hierlab"):
-                    aliases[target.id] = f"hierlab.{value.attr}"
-
-    def module_of(node) -> str | None:
-        return aliases.get(node.id) if isinstance(node, ast.Name) else None
-
-    found: set[tuple[str, str]] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hierlab"):
-            found |= {(node.module, a.name) for a in node.names}
-        elif isinstance(node, ast.Attribute) and module_of(node.value):
-            found.add((module_of(node.value), node.attr))
-        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
-            first, second = node.elts[:2]
-            if module_of(first) and isinstance(second, ast.Constant):
-                found.add((module_of(first), second.value))
-            elif (isinstance(first, ast.Constant) and isinstance(first.value, str)
-                  and isinstance(second, ast.Tuple)):
-                found |= {(module_of(m), first.value) for m in second.elts if module_of(m)}
-    return found
-
-
 def test_every_name_the_tracer_patches_exists():
-    names = patched_names()
-    # The reader finds the entries of each kind.
-    assert {("hierlab.analyzer", "elaborate"), ("hierlab.cli", "spanning_search"),
-            ("hierlab.analyzer", "enumerate_diamonds"), ("hierlab.kernel", "instantiate"),
-            ("hierlab.resolution", "zonk"), ("hierlab.kernel", "Trace")} <= names
-    missing = sorted((module, name) for module, name in names
-                     if not hasattr(importlib.import_module(module), name))
-    assert missing == []
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    for install in ("install_counters", "install_spans"):
+        tracer = tracer_module.Tracer()
+        try:
+            getattr(tracer, install)()
+        finally:
+            tracer.uninstall()
