@@ -450,12 +450,15 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
         return elab
 
     elab = elaborate_from(begin_elaboration(EncodingStrategy(strategy.kind)), 0)
-    # Under flat_hack a class may list flat_hack itself among its parents,
-    # which leaves it fewer to choose from.
+    # Under flat_hack the marker class comes first in every class's parents
+    # and is no choice.  Under the other encodings a parent of that name is
+    # a user class like any other.
+    hack = strategy.kind == "flat_hack"
     chooseable: list[tuple[int, str, list[str]]] = []
     for k, index in enumerate(positions):
         name = items[index].name
-        parents = [p for p, _ in elab.classes[name].parents if p != FLAT_HACK_CLASS]
+        parents = [p for p, _ in elab.classes[name].parents
+                   if not (hack and p == FLAT_HACK_CLASS)]
         if len(parents) >= 2:
             chooseable.append((k, name, parents))
     frames[:] = [frames[k] for k, _, _ in chooseable]

@@ -136,7 +136,7 @@ def _elaborated(args: argparse.Namespace) -> tuple[Elaboration, str]:
     module, path = _load_module(args)
     try:
         return elaborate(module, _strategy(args), _config(args), args.max_depth), path
-    except (ElabError, KernelError) as exc:
+    except (ElabError, KernelError, SurfaceError) as exc:
         raise CliError(f"{path}:{exc}") from exc
 
 
@@ -425,7 +425,7 @@ def cmd_spanning_search(args: argparse.Namespace) -> int:
     try:
         placements = spanning_search(module, EncodingStrategy(ENCODINGS[args.encoding]),
                                      config, max_depth=args.max_depth)
-    except (ElabError, KernelError) as exc:
+    except (ElabError, KernelError, SurfaceError) as exc:
         raise CliError(f"{path}:{exc}") from exc
     except PathLimitExceeded as exc:
         raise CliError(f"{path}: {exc}") from exc

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .terms import Binder, Telescope, Term, consts_in, lam_closure, pi_type
+from .terms import Telescope, Term, consts_in, lam_closure, pi_type
 
 
 class EnvironmentError_(Exception):
@@ -98,10 +98,18 @@ class Environment:
         return decl
 
     def add(self, decl: Declaration) -> None:
+        """Add a declaration after one walk over all its terms finds no name
+        that is neither declared nor the declaration itself.  Only when one
+        is missing are the terms walked one by one, so that the error names
+        the alphabetically first missing name of the first offending term."""
         if decl.name in self._decls:
             raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
-        for term in _decl_terms(decl):
-            self._validate_refs(decl.name, term)
+        terms = _decl_terms(decl)
+        missing = consts_in(*terms).difference(self._decls)
+        missing.discard(decl.name)
+        if missing:
+            for term in terms:
+                self._validate_refs(decl.name, term)
         self._decls[decl.name] = decl
 
     def _validate_refs(self, owner: str, term: Term) -> None:
@@ -133,14 +141,11 @@ class Environment:
         return cached
 
 
-def _decl_terms(decl: Declaration) -> Iterator[Term]:
+def _decl_terms(decl: Declaration) -> list[Term]:
     if isinstance(decl, StructDecl):
-        binders: tuple[Binder, ...] = decl.params + decl.fields
-    else:
-        binders = decl.binders
-    for b in binders:
-        yield b.ty
-    if isinstance(decl, (DefDecl, OpaqueDecl)):
-        yield decl.result_type
+        return [b.ty for b in decl.params + decl.fields]
+    terms = [b.ty for b in decl.binders]
+    terms.append(decl.result_type)
     if isinstance(decl, DefDecl):
-        yield decl.body
+        terms.append(decl.body)
+    return terms

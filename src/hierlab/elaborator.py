@@ -35,7 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
-from .declarations import DefDecl, Environment, OpaqueDecl, StructDecl
+from .declarations import (
+    DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl,
+)
 from .kernel import DefEqConfig, DEFAULT_CONFIG
 from .resolution import MAX_DEPTH
 from .surface import (
@@ -171,7 +173,10 @@ def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[st
 
 
 def _param_map(info: ClassInfo, args: tuple[Term, ...]) -> dict[str, Term]:
-    return {b.name: a for b, a in zip(info.params, args)}
+    """Parameter name -> argument, leaving out a parameter applied to its own
+    name, so that ``extends p α`` substitutes nothing and shares its terms."""
+    return {b.name: a for b, a in zip(info.params, args)
+            if not (type(a) is FreeVar and a.name == b.name)}
 
 
 def elaborate(module: SurfaceModule, strategy: EncodingStrategy,
@@ -206,20 +211,24 @@ def elaborate_item(elab: Elaboration, item: Item, config: DefEqConfig = DEFAULT_
                    max_depth: int = MAX_DEPTH) -> None:
     """Elaborate one module item into ``elab``.  What an item adds depends
     only on the items before it and, for a class, on the strategy's order
-    of that class's parents."""
-    if isinstance(item, ClassItem):
-        _declare_class(elab, item)
-    elif isinstance(item, InstanceItem):
-        _declare_instance(elab, item, config, max_depth)
-    elif isinstance(item, VariablesItem):
-        elab.variables = _resolve_binders(item.binders, (), elab.env)
-    elif isinstance(item, GoalItem):
-        elab.goals.append((item.label, elab.variables,
-                           resolve_expr(item.target, elab.variables, elab.env)))
-    elif isinstance(item, DefeqItem):
-        elab.defeqs.append((item.label, elab.variables,
-                            resolve_expr(item.lhs, elab.variables, elab.env),
-                            resolve_expr(item.rhs, elab.variables, elab.env)))
+    of that class's parents.  A name the item declares twice is an error
+    at the item."""
+    try:
+        if isinstance(item, ClassItem):
+            _declare_class(elab, item)
+        elif isinstance(item, InstanceItem):
+            _declare_instance(elab, item, config, max_depth)
+        elif isinstance(item, VariablesItem):
+            elab.variables = _resolve_binders(item.binders, (), elab.env)
+        elif isinstance(item, GoalItem):
+            elab.goals.append((item.label, elab.variables,
+                               resolve_expr(item.target, elab.variables, elab.env)))
+        elif isinstance(item, DefeqItem):
+            elab.defeqs.append((item.label, elab.variables,
+                                resolve_expr(item.lhs, elab.variables, elab.env),
+                                resolve_expr(item.rhs, elab.variables, elab.env)))
+    except EnvironmentError_ as exc:
+        raise ElabError(str(exc), item.pos) from None
 
 
 def preferred_edges(elab: Elaboration) -> frozenset[tuple[str, str]]:
@@ -382,14 +391,14 @@ def _declare_constructor(elab: Elaboration, info: ClassInfo) -> None:
 def _declare_projections(elab: Elaboration, info: ClassInfo) -> None:
     # The value argument is instance-implicit so substructure projections
     # can serve directly as forgetful instances during resolution.
-    self_binder = Binder("self", info.self_type, instance_implicit=True)
+    binders = info.params + (Binder("self", info.self_type, instance_implicit=True),)
+    self_var = FreeVar("self")
     mapping: dict[str, Term] = {}
     for f in info.layout:
-        ty = subst_frees(f.ty, mapping)
-        elab.env.add(DefDecl(f"{info.name}.{f.name}",
-                             info.params + (self_binder,), ty,
-                             Proj(info.name, f.name, FreeVar("self"))))
-        mapping[f.name] = Proj(info.name, f.name, FreeVar("self"))
+        proj = Proj(info.name, f.name, self_var)
+        elab.env.add(DefDecl(f"{info.name}.{f.name}", binders,
+                             subst_frees(f.ty, mapping), proj))
+        mapping[f.name] = proj
 
 
 def _declare_forgetful_instances(elab: Elaboration, info: ClassInfo) -> None:
@@ -531,7 +540,7 @@ def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
     from .resolution import ResolutionError, resolve
     full = list(args)
     for param in cinfo.params[len(args):]:
-        mapping = {b.name: a for b, a in zip(cinfo.params, full)}
+        mapping = _param_map(cinfo, tuple(full))
         if not param.instance_implicit:
             raise ElabError(
                 f"instance {item.name!r} leaves explicit parameter "

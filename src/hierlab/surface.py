@@ -8,6 +8,12 @@ is fully explicit: ``@name arg ...`` application, ``→`` (or ``->``) arrows,
 ``Pi``/``fun`` binders, and dotted projections resolved against the
 environment.  ``--`` starts a line comment.
 
+The lexer matches one compiled alternation at each offset: a newline, a
+run of other blanks, a comment, a name, a number or a symbol, in that
+order.  A token's column is its offset from the start of its line, plus
+one.  A comment does not move the column, so the end-of-input position
+after a trailing comment is where the comment began.
+
 Parsing is total: any input yields a SurfaceModule or a positioned
 ParseError/ScopeError, never a crash.  Forward references are rejected: a
 dotted name is in scope when some prefix of it was declared earlier.
@@ -197,61 +203,50 @@ _STOP_KEYWORDS = KEYWORDS - {"Type"}
 # ---------------------------------------------------------------------------
 # Lexer
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 _IDENT_RE = re.compile(r"[^\W\d][\w']*(?:\.[^\W\d][\w']*)*")
-_NUM_RE = re.compile(r"\d+")
 _SYMBOLS = ((":=", "ASSIGN"), ("->", "ARROW"), ("→", "ARROW"), ("(", "LPAREN"),
             (")", "RPAREN"), ("[", "LBRACK"), ("]", "RBRACK"), (",", "COMMA"),
             (":", "COLON"), ("=", "EQ"), ("@", "AT"), (".", "DOT"), ("?", "QUESTION"))
+# One alternative per lexeme, tried in this order at each offset; the last
+# one takes any other character, which no token starts with.
+_LEXEME_RE = re.compile("|".join(
+    ["(\n)", r"([^\S\n]+)", "(--[^\n]*)", f"({_IDENT_RE.pattern})", r"(\d+)"]
+    + [f"({re.escape(sym)})" for sym, _ in _SYMBOLS] + ["(.)"]), re.DOTALL)
+_NEWLINE, _BLANKS, _COMMENT = 1, 2, 3
+_GROUP_KINDS = (None, None, None, None, "IDENT", "NUM") + tuple(k for _, k in _SYMBOLS)
+_STRAY = len(_GROUP_KINDS)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start, end = 1, 0, 0
+    for m in _LEXEME_RE.finditer(text):
+        group = m.lastindex
+        if group == _BLANKS:
+            end = m.end()
+        elif group == _NEWLINE:
             line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(_Token("IDENT", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            toks.append(_Token("NUM", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Token(kind, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+            line_start = end = m.end()
+        elif group == _COMMENT:
+            pass  # a comment leaves the column where it began
+        elif group == _STRAY:
+            raise ParseError(line, m.start() - line_start + 1, ("a token",),
+                             repr(m.group()))
         else:
-            raise ParseError(line, col, ("a token",), repr(ch))
-    toks.append(_Token("EOF", "", line, col))
+            start = m.start()
+            toks.append(_Token(_GROUP_KINDS[group], m.group(), line, start - line_start + 1))
+            end = m.end()
+    toks.append(_Token("EOF", "", line, end - line_start + 1))
     return toks
 
 
@@ -267,7 +262,9 @@ class _Parser:
         self.i = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        if ahead:
+            return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i]  # never past EOF: advance stops there
 
     def at(self, kind: str, value: str | None = None) -> bool:
         tok = self.peek()
@@ -551,7 +548,7 @@ def _scope_check(module: SurfaceModule) -> None:
 
     def check_expr(e: SExpr, local: set[str]) -> None:
         if isinstance(e, SName):
-            if not _prefix_in_scope(e.name, declared | local):
+            if not _prefix_in_scope(e.name, declared, local):
                 raise ScopeError(e.name, e.pos.line, e.pos.col)
         elif isinstance(e, SApp):
             check_expr(e.fn, local)
@@ -607,9 +604,13 @@ def _scope_check(module: SurfaceModule) -> None:
             check_expr(item.rhs, set())
 
 
-def _prefix_in_scope(dotted: str, scope: set[str]) -> bool:
+def _prefix_in_scope(dotted: str, declared: set[str], local: set[str]) -> bool:
     parts = dotted.split(".")
-    return any(".".join(parts[:k]) in scope for k in range(1, len(parts) + 1))
+    for k in range(1, len(parts) + 1):
+        prefix = ".".join(parts[:k])
+        if prefix in declared or prefix in local:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -262,11 +262,11 @@ def free_names(t: Term) -> set[str]:
     return {s.name for s in subterms(t) if isinstance(s, FreeVar)}
 
 
-def consts_in(t: Term) -> set[str]:
-    """The names a term uses as constants or as structures.  The walk keeps
-    its own stack: it runs on every declaration added to an environment."""
+def consts_in(*roots: Term) -> set[str]:
+    """The names the terms use as constants or as structures.  The walk keeps
+    its own stack: it runs once on every declaration added to an environment."""
     names: set[str] = set()
-    stack = [t]
+    stack = list(roots)
     while stack:
         s = stack.pop()
         kind = type(s)

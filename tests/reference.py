@@ -1,5 +1,9 @@
 """Slow, obviously-correct versions of fast paths, kept as test oracles.
 
+- ``tokenize``: the lexer as a loop over characters, one column per
+  character and none for a comment.  ``hierlab.surface._tokenize`` matches
+  one compiled alternation per lexeme and must give the same tokens and
+  errors.
 - ``flatten_fields``: the leaf-field view of a class, recomputed by recursion
   through every ancestor path.  The elaborator stores this view once per
   class in ``ClassInfo.leaf_types``.
@@ -20,6 +24,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Mapping
 
 from hierlab.analyzer import MAX_PATH_LEN, PlacementReport, analyze, commutes_under
@@ -29,10 +34,58 @@ from hierlab.elaborator import (
 )
 from hierlab.kernel import DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, unify
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
+from hierlab.surface import _IDENT_RE, _SYMBOLS, ParseError
 from hierlab.terms import (
     Const, FreeVar, Meta, Mk, Proj, Term, apps, metas_in, subst_frees, unfold_apps,
     zonk,
 )
+
+
+_NUM_RE = re.compile(r"\d+")
+
+
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, value, line, col)`` per token, then an EOF token."""
+    toks: list[tuple[str, str, int, int]] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            toks.append(("IDENT", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _NUM_RE.match(text, i)
+        if m:
+            toks.append(("NUM", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        for sym, kind in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append((kind, sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(line, col, ("a token",), repr(ch))
+    toks.append(("EOF", "", line, col))
+    return toks
 
 
 def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[str, Term]]:
@@ -162,8 +215,9 @@ def spanning_search(module, strategy: EncodingStrategy, config=DEFAULT_CONFIG,
     whole; the declared order is placement 0's first order."""
     base = elaborate(module, EncodingStrategy(strategy.kind), config, max_depth)
     chooseable: list[tuple[str, list[str]]] = []
+    hack = strategy.kind == "flat_hack"
     for name, info in base.classes.items():
-        parents = [p for p, _ in info.parents if p != FLAT_HACK_CLASS]
+        parents = [p for p, _ in info.parents if not (hack and p == FLAT_HACK_CLASS)]
         if len(parents) >= 2:
             chooseable.append((name, parents))
     names = [name for name, _ in chooseable]

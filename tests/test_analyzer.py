@@ -413,18 +413,19 @@ def test_cube_flat_hack_spanning_search_declares_each_prefix_once(monkeypatch,
     assert declarations == {"_declare_class": 67}
 
 
-def test_a_parent_named_flat_hack_is_not_a_choice_as_in_the_whole_module_search():
-    """Both searches leave a parent named like flat_hack's marker class out
-    of the choices, even under nested, so `a` below has one parent to
-    choose and `d` three."""
+def test_a_parent_named_flat_hack_is_a_choice_under_nested_as_in_the_whole_module_search():
+    """Only the flat_hack encoding leaves its marker class out of the
+    choices.  Under nested a user class of that name is a parent like any
+    other, so `a` below has two parents to choose from and `d` three."""
     module = parse("class flat_hack (α : Type) where\n  (y : α)\n"
                    "class b (α : Type) where\n  (x : α)\n"
                    "class c (α : Type) extends b α\n"
                    "class a (α : Type) extends flat_hack α, c α\n"
                    "class d (α : Type) extends a α, b α, c α\n")
     placements = spanning_search(module, EncodingStrategy("nested"), ETA_OFF)
-    assert [p.first_parents for p in placements] == [(("d", "a"),), (("d", "b"),),
-                                                     (("d", "c"),)]
+    assert [p.first_parents for p in placements] == [
+        (("a", first_a), ("d", first_d))
+        for first_a in ("flat_hack", "c") for first_d in ("a", "b", "c")]
     assert placements == reference.spanning_search(module, EncodingStrategy("nested"),
                                                    ETA_OFF)
 

@@ -453,6 +453,28 @@ def test_parse_errors_carry_file_line_and_column(run_cli, tmp_path):
     assert f"{src}:2:8: expected a term" in err
 
 
+HAS_ONE = "class int\nclass has_one (α : Type) where\n  (one : α)\n"
+
+
+@pytest.mark.parametrize("command", ["elaborate", "spanning-search"])
+@pytest.mark.parametrize("text, diagnostic", [
+    # An instance named like a projection, and one declared twice.
+    (HAS_ONE + "instance has_one.one : has_one int where\n  (one := opaque)\n",
+     ":4:1: duplicate declaration 'has_one.one'"),
+    (HAS_ONE + "instance i : has_one int where\n  (one := opaque)\n" * 2,
+     ":6:1: duplicate declaration 'i.one'"),
+    # A projection the value's type does not have.
+    (HAS_ONE + "variables (x : int)\ngoal g : x.one\n",
+     ":5:10: expected a field of a structure value (no field 'one'), found projection"),
+], ids=["named-like-a-projection", "declared-twice", "missing-field"])
+def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, command,
+                                                       text, diagnostic):
+    src = tmp_path / "bad.hier"
+    src.write_text(text)
+    code, out, err = run_cli(command, str(src))
+    assert (code, out, err) == (2, "", f"{src}{diagnostic}\n")
+
+
 def test_malformed_parent_order_flag_is_rejected(run_cli):
     code, _, err = run_cli("diamonds", FIG1, "--parent-order", "ringsemiring")
     assert code == 2

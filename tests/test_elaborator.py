@@ -3,6 +3,7 @@ forgetful instances, encodings, and error reporting."""
 
 import pytest
 
+from hierlab import declarations
 from hierlab.declarations import (
     DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl,
 )
@@ -407,6 +408,17 @@ def test_forward_reference_names_the_first_missing_name_of_the_first_bad_term():
     with pytest.raises(EnvironmentError_, match="references 'alpha' before"):
         env.add(DefDecl("d", (Binder("x", Const("ι")),), Const("ι"), body))
     assert "d" not in env
+
+
+def test_environment_walks_each_declaration_once(monkeypatch, cube_module):
+    """One constant walk over all the terms of each added declaration; the
+    per-term walks run only to name a missing constant."""
+    walks = []
+    walk = declarations.consts_in
+    monkeypatch.setattr(declarations, "consts_in",
+                        lambda *roots: walks.append(roots) or walk(*roots))
+    elab = elaborate(cube_module, EncodingStrategy("nested"))
+    assert len(walks) == len(elab.env)
 
 
 def test_parent_applied_to_wrong_arity_is_rejected():

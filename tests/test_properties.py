@@ -7,11 +7,16 @@ reference, the stored leaf-field view matches its recursive reference,
 the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
 instances, the incremental spanning search matches the whole-module one,
-definitional equality is symmetric, and the command line's JSON writer
-matches ``json.dumps``.
+definitional equality is symmetric, the command line's JSON writer
+matches ``json.dumps``, the lexer matches its character loop, and random
+token streams through ``hier elaborate`` and ``hier resolve`` end in an
+exit code, never an escaped exception.
 """
 
+import contextlib
+import io
 import json
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,12 +26,12 @@ from hierlab.analyzer import (
     MAX_PATH_LEN, analyze, build_graph, check_diamond, enumerate_diamonds,
     random_hierarchy, spanning_search,
 )
-from hierlab.cli import _json_text
+from hierlab.cli import _json_text, main as cli_main
 from hierlab.declarations import Environment, OpaqueDecl, StructDecl
 from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, flatten_fields
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
 from hierlab.resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
-from hierlab.surface import parse
+from hierlab.surface import _SYMBOLS, KEYWORDS, ParseError, _tokenize, parse
 from hierlab.terms import Binder, Const, FreeVar, Mk, Pi, Proj, Sort, apps
 from conftest import ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path, cube_source
 
@@ -350,3 +355,56 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# Names (Unicode and dotted, a digit after a dot), numbers, every symbol, a
+# lone minus, comments with and without their newline, every kind of blank
+# and a character that starts no token.
+LEXER_PIECES = ("a", "x'", "αβ", "ℕ.succ", "_y", "a.b.c", "x.1", "0", "42", "٣",
+                *(sym for sym, _ in _SYMBOLS), "-", "--", "-- note", "-- note\n",
+                " ", "\n", "\r", "\t", "\x0b", "\xa0", "\u2003", "!")
+
+
+def lexed(tokenize, text: str):
+    try:
+        return [t if isinstance(t, tuple) else (t.kind, t.value, t.line, t.col)
+                for t in tokenize(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+@COMMON
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=30))
+def test_lexer_matches_the_character_loop(pieces):
+    text = "".join(pieces)
+    assert lexed(_tokenize, text) == lexed(reference.tokenize, text)
+
+
+FUZZ_TOKENS = (*sorted(KEYWORDS), "a", "b", "T", "α", "iT", "mag.z", "x.y", "0", "7",
+               "?1", *(sym for sym, _ in _SYMBOLS), "@[priority 5]", "\n", "!")
+FUZZ_CORPUS = ("cube.hier", "fig1.hier", "module.hier", "point.hier")
+
+
+@COMMON
+@given(st.data())
+def test_random_token_streams_end_in_an_exit_code(tmp_path_factory, data):
+    """Keywords, names and symbols at random, or a corpus file with a few
+    words replaced: ``elaborate`` and ``resolve`` exit with 0, 1 or 2 and
+    let no exception escape."""
+    if data.draw(st.booleans(), label="from corpus"):
+        name = data.draw(st.sampled_from(FUZZ_CORPUS), label="file")
+        words = re.split(r"(\s+)", corpus_path(name).read_text())
+        for _ in range(data.draw(st.integers(1, 3), label="replacements")):
+            # Even pieces are the words, odd ones the blanks between them.
+            k = data.draw(st.integers(0, len(words) // 2), label="word") * 2
+            words[k] = data.draw(st.sampled_from(FUZZ_TOKENS), label="token")
+        text = "".join(words)
+    else:
+        text = " ".join(data.draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40),
+                                  label="tokens"))
+    path = tmp_path_factory.getbasetemp() / "fuzz.hier"
+    path.write_text(text)
+    for command in ("elaborate", "resolve"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli_main([command, str(path)]) in (0, 1, 2)
