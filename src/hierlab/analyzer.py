@@ -570,18 +570,20 @@ def report_dict(encoding: str, config: DefEqConfig,
             "eta_kernel": config.eta_kernel,
             "eta_unifier": config.eta_unifier,
         },
-        "diamonds": [
-            {
-                "source": r.diamond.source,
-                "target": r.diamond.target,
-                "pathA": list(_path_key(r.diamond.path_a)),
-                "pathB": list(_path_key(r.diamond.path_b)),
-                "oracle": r.oracle,
-                "predictor": r.predictor,
-            }
-            for r in reports
-        ],
+        "diamonds": [diamond_dict(r) for r in reports],
         "summary": report_summary(config, reports),
+    }
+
+
+def diamond_dict(r: DiamondReport) -> dict:
+    """One diamond's JSON record in the diamonds and spanning-search reports."""
+    return {
+        "source": r.diamond.source,
+        "target": r.diamond.target,
+        "pathA": list(_path_key(r.diamond.path_a)),
+        "pathB": list(_path_key(r.diamond.path_b)),
+        "oracle": r.oracle,
+        "predictor": r.predictor,
     }
 
 

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analyzer import (
-    PathLimitExceeded, analyze, check_diamond, commutes_under, random_hierarchy,
+    PathLimitExceeded, analyze, check_diamond, commutes_under, diamond_dict, random_hierarchy,
     report_dict, report_summary, spanning_search,
 )
 from .declarations import DefDecl, OpaqueDecl, StructDecl
@@ -30,7 +30,7 @@ from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
 from .kernel import DefEqConfig, KernelError, Trace, defeq
 from .resolution import AnswerTable, DepthExceeded, NotFound, resolve
 from .surface import SurfaceError, parse, parse_term
-from .terms import Telescope, pp_binder, pp_term
+from .terms import Telescope, pp_binder, pp_telescope, pp_term
 
 ENCODINGS = {"flat": "flat", "nested": "nested", "flat-hack": "flat_hack"}
 
@@ -216,7 +216,7 @@ def _dump_text(elab: Elaboration) -> str:
     lines: list[str] = []
     for decl in elab.env:
         if isinstance(decl, StructDecl):
-            sig = " ".join(pp_binder(b) for b in decl.params)
+            sig = pp_telescope(decl.params)
             head = f"structure {decl.name}" + (f" {sig}" if sig else "")
             if decl.fields:
                 lines.append(head + " where")
@@ -224,7 +224,7 @@ def _dump_text(elab: Elaboration) -> str:
             else:
                 lines.append(head)
         elif isinstance(decl, DefDecl):
-            sig = " ".join(pp_binder(b) for b in decl.binders)
+            sig = pp_telescope(decl.binders)
             sig = f" {sig}" if sig else ""
             info = instances.get(decl.name)
             if info is not None:
@@ -235,7 +235,7 @@ def _dump_text(elab: Elaboration) -> str:
                 lines.append(f"def {decl.name}{sig} : {pp_term(decl.result_type)} := "
                              f"{pp_term(decl.body, elab.env)}")
         elif isinstance(decl, OpaqueDecl):
-            sig = " ".join(pp_binder(b) for b in decl.binders)
+            sig = pp_telescope(decl.binders)
             sig = f" {sig}" if sig else ""
             lines.append(f"opaque {decl.name}{sig} : {pp_term(decl.result_type)}")
         lines.append("")
@@ -440,14 +440,8 @@ def cmd_spanning_search(args: argparse.Namespace) -> int:
                     "first_parents": dict(p.first_parents),
                     "coherent": p.coherent,
                     "order_invariant": p.nonfirst_order_invariant,
-                    "diamonds": [
-                        {"source": r.diamond.source, "target": r.diamond.target,
-                         "pathA": [e.decl_name for e in r.diamond.path_a],
-                         "pathB": [e.decl_name for e in r.diamond.path_b],
-                         "oracle": r.oracle, "predictor": r.predictor,
-                         "commutes": commutes_under(r, config)}
-                        for r in p.diamonds
-                    ],
+                    "diamonds": [{**diamond_dict(r), "commutes": commutes_under(r, config)}
+                                 for r in p.diamonds],
                 }
                 for p in placements
             ],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .declarations import Environment, StructDecl
 from .terms import (
     App, Binder, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Sort,
-    SORT, Telescope, Term, abstract1, apps, fresh_name, instantiate,
+    SORT, Telescope, Term, abstract, apps, fresh_name, instantiate,
     metas_in, pp_term, subst_frees, unfold_apps, zonk,
 )
 
@@ -198,19 +198,35 @@ def _normalize(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> T
 
 def infer_type(env: Environment, ctx: Telescope, t: Term,
                meta_types: dict[int, Term] | None = None) -> Term:
-    """Synthesize the type of t.
+    """Synthesize the type of t, taking the types of metas from meta_types.
 
-    Argument compatibility is not rechecked here; ``check_type`` does the
-    full job.  Raises IllTyped on structural impossibilities such as applying
-    a non-function or projecting a non-structure.
+    Arguments, binder types and constructor components are not checked
+    against the types they should have; ``check_type`` checks them too.
+    Raises IllTyped on structural impossibilities such as applying a
+    non-function or projecting a non-structure.
     """
-    fuel = _Fuel(DEFAULT_UNFOLD_DEPTH)
-    ctx_types = {b.name: b.ty for b in ctx}
-    return _infer(env, ctx_types, t, fuel, meta_types)
+    return _infer(env, None, {b.name: b.ty for b in ctx}, t,
+                  _Fuel(DEFAULT_UNFOLD_DEPTH), meta_types)
 
 
-def _infer(env: Environment, ctx_types: dict[str, Term], t: Term, fuel: _Fuel,
-           meta_types: dict[int, Term] | None) -> Term:
+def check_type(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
+               expected: Term | None = None) -> Term:
+    """Synthesize the type of t as ``infer_type`` does, and check with
+    ``defeq`` under config that every argument, binder type and constructor
+    component fits and, when given, that the type is expected.  One fuel
+    budget of config.unfold_depth covers the whole term."""
+    ty = _infer(env, config, {b.name: b.ty for b in ctx}, t,
+                _Fuel(config.unfold_depth), None)
+    if expected is not None and not defeq(env, config, ctx, ty, expected):
+        raise IllTyped(
+            f"type mismatch: inferred {pp_term(ty)}, expected {pp_term(expected)}")
+    return ty
+
+
+def _infer(env: Environment, config: DefEqConfig | None, ctx: dict[str, Term], t: Term,
+           fuel: _Fuel, meta_types: dict[int, Term] | None) -> Term:
+    """The type of t in ctx; with a config, also check every argument,
+    binder type and constructor component against its expected type."""
     if isinstance(t, Sort):
         return SORT
     if isinstance(t, Const):
@@ -218,7 +234,7 @@ def _infer(env: Environment, ctx_types: dict[str, Term], t: Term, fuel: _Fuel,
             raise IllTyped(f"unknown constant {t.name!r}")
         return env.decl_type(t.name)
     if isinstance(t, FreeVar):
-        ty = ctx_types.get(t.name)
+        ty = ctx.get(t.name)
         if ty is None:
             raise IllTyped(f"unknown free variable {t.name!r}")
         return ty
@@ -230,24 +246,41 @@ def _infer(env: Environment, ctx_types: dict[str, Term], t: Term, fuel: _Fuel,
     if isinstance(t, BoundVar):
         raise IllTyped("loose bound variable")
     if isinstance(t, App):
-        fn_ty = _whnf(env, _infer(env, ctx_types, t.fn, fuel, meta_types), fuel, None)
+        fn_ty = _whnf(env, _infer(env, config, ctx, t.fn, fuel, meta_types), fuel, None)
         if not isinstance(fn_ty, Pi):
             raise IllTyped(f"applied non-function of type {pp_term(fn_ty)}")
+        if config is not None:
+            arg_ty = _infer(env, config, ctx, t.arg, fuel, meta_types)
+            if not defeq(env, config, _telescope(ctx), arg_ty, fn_ty.ty):
+                raise IllTyped(
+                    f"argument type {pp_term(arg_ty)} does not match {pp_term(fn_ty.ty)}")
         return instantiate(fn_ty.body, t.arg)
-    if isinstance(t, Lam):
-        name = fresh_name(t.binder or "x", set(ctx_types))
-        body = instantiate(t.body, FreeVar(name))
-        body_ty = _infer(env, {**ctx_types, name: t.ty}, body, fuel, meta_types)
-        return Pi(t.binder, t.ty, abstract1(body_ty, name))
-    if isinstance(t, Pi):
+    if isinstance(t, Pi) and config is None:
         return SORT
+    if isinstance(t, (Lam, Pi)):
+        if config is not None:
+            _infer(env, config, ctx, t.ty, fuel, meta_types)
+        name = fresh_name(t.binder or "x", set(ctx))
+        body_ty = _infer(env, config, {**ctx, name: t.ty}, instantiate(t.body, FreeVar(name)),
+                         fuel, meta_types)
+        return SORT if isinstance(t, Pi) else Pi(t.binder, t.ty, abstract(body_ty, (name,)))
     if isinstance(t, Mk):
         decl = env.struct(t.struct)
         if len(t.params) != len(decl.params) or len(t.fields) != len(decl.fields):
             raise IllTyped(f"constructor of {t.struct!r} applied to the wrong arity")
+        if config is not None:
+            mapping: dict[str, Term] = {}
+            for binder, value in zip(decl.params + decl.fields, t.params + t.fields):
+                expected = subst_frees(binder.ty, mapping)
+                got = _infer(env, config, ctx, value, fuel, meta_types)
+                if not defeq(env, config, _telescope(ctx), got, expected):
+                    raise IllTyped(
+                        f"constructor component {binder.name!r} has type {pp_term(got)}, "
+                        f"expected {pp_term(expected)}")
+                mapping[binder.name] = value
         return apps(Const(t.struct), *t.params)
     if isinstance(t, Proj):
-        target_ty = _whnf(env, _infer(env, ctx_types, t.target, fuel, meta_types), fuel, None)
+        target_ty = _whnf(env, _infer(env, config, ctx, t.target, fuel, meta_types), fuel, None)
         head, args = unfold_apps(target_ty)
         if not (isinstance(head, Const) and head.name == t.struct):
             raise IllTyped(
@@ -264,56 +297,8 @@ def _infer(env: Environment, ctx_types: dict[str, Term], t: Term, fuel: _Fuel,
     raise IllTyped(f"cannot infer type of {t!r}")
 
 
-def check_type(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
-               expected: Term | None = None) -> Term:
-    """Fully typecheck t, verifying every application and constructor."""
-    ty = _check(env, config, list(ctx), t)
-    if expected is not None and not defeq(env, config, ctx, ty, expected):
-        raise IllTyped(
-            f"type mismatch: inferred {pp_term(ty)}, expected {pp_term(expected)}")
-    return ty
-
-
-def _check(env: Environment, config: DefEqConfig, ctx: list[Binder], t: Term) -> Term:
-    fuel = _Fuel(config.unfold_depth)
-    if isinstance(t, App):
-        fn_ty = _whnf(env, _check(env, config, ctx, t.fn), fuel, None)
-        if not isinstance(fn_ty, Pi):
-            raise IllTyped(f"applied non-function of type {pp_term(fn_ty)}")
-        arg_ty = _check(env, config, ctx, t.arg)
-        if not defeq(env, config, tuple(ctx), arg_ty, fn_ty.ty):
-            raise IllTyped(
-                f"argument type {pp_term(arg_ty)} does not match {pp_term(fn_ty.ty)}")
-        return instantiate(fn_ty.body, t.arg)
-    if isinstance(t, Lam):
-        _check(env, config, ctx, t.ty)
-        name = fresh_name(t.binder or "x", {b.name for b in ctx})
-        body = instantiate(t.body, FreeVar(name))
-        body_ty = _check(env, config, ctx + [Binder(name, t.ty)], body)
-        return Pi(t.binder, t.ty, abstract1(body_ty, name))
-    if isinstance(t, Pi):
-        _check(env, config, ctx, t.ty)
-        name = fresh_name(t.binder or "x", {b.name for b in ctx})
-        _check(env, config, ctx + [Binder(name, t.ty)], instantiate(t.body, FreeVar(name)))
-        return SORT
-    if isinstance(t, Mk):
-        decl = env.struct(t.struct)
-        if len(t.params) != len(decl.params) or len(t.fields) != len(decl.fields):
-            raise IllTyped(f"constructor of {t.struct!r} applied to the wrong arity")
-        mapping: dict[str, Term] = {}
-        for binder, value in zip(decl.params + decl.fields, t.params + t.fields):
-            expected = subst_frees(binder.ty, mapping)
-            got = _check(env, config, ctx, value)
-            if not defeq(env, config, tuple(ctx), got, expected):
-                raise IllTyped(
-                    f"constructor component {binder.name!r} has type {pp_term(got)}, "
-                    f"expected {pp_term(expected)}")
-            mapping[binder.name] = value
-        return apps(Const(t.struct), *t.params)
-    if isinstance(t, Proj):
-        _check(env, config, ctx, t.target)
-        return infer_type(env, tuple(ctx), t)
-    return infer_type(env, tuple(ctx), t)
+def _telescope(ctx: dict[str, Term]) -> Telescope:
+    return tuple(Binder(name, ty) for name, ty in ctx.items())
 
 
 class _Comparator:

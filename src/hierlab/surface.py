@@ -27,7 +27,7 @@ from .declarations import Environment, StructDecl
 from .kernel import DEFAULT_CONFIG, DefEqConfig, IllTyped, check_type, infer_type, whnf
 from .terms import (
     App, Binder, Const, FreeVar, Lam, Meta, Pi, Proj, SORT, Telescope, Term,
-    abstract1, unfold_apps,
+    abstract, unfold_apps,
 )
 
 
@@ -740,7 +740,7 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
                 body = resolve(e.body)
             finally:
                 scope.pop()
-            body = abstract1(body, e.binder)
+            body = abstract(body, (e.binder,))
             if isinstance(e, SPi):
                 return Pi(e.binder, ty, body, implicit=e.implicit)
             return Lam(e.binder, ty, body)

@@ -4,11 +4,18 @@ Binding is locally nameless: bound variables are de Bruijn indices
 (``BoundVar``), binders keep a display name that is ignored by equality, and
 open terms refer to context variables through ``FreeVar``.  Alpha-equivalence
 is therefore plain structural equality.
+
+Every substitution (``lift``, ``instantiate``, ``abstract``, ``subst_frees``,
+``zonk``) and every variable reader (``metas_in``, ``free_names``) is one
+walker, ``_map_vars``, given a different function for the variable and meta
+leaves.  The walker shares unchanged subterms: a substitution that changes
+nothing returns its input object.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator
+from operator import is_
+from typing import Callable, Iterable, Sequence
 
 
 class Term:
@@ -125,67 +132,78 @@ def unfold_apps(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+def _map_vars(t: Term, leaf: Callable[[Term, int], Term], depth: int) -> Term:
+    """Rebuild t with each BoundVar, FreeVar and Meta node replaced by
+    ``leaf(node, depth + binders above it)``.  A subterm in which nothing
+    changed comes back as the same object, so unchanged subterms are shared."""
+    kind = type(t)
+    if kind is App:
+        fn = _map_vars(t.fn, leaf, depth)
+        arg = _map_vars(t.arg, leaf, depth)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if kind is BoundVar or kind is FreeVar or kind is Meta:
+        return leaf(t, depth)
+    if kind is Lam or kind is Pi:
+        ty = _map_vars(t.ty, leaf, depth)
+        body = _map_vars(t.body, leaf, depth + 1)
+        if ty is t.ty and body is t.body:
+            return t
+        return Lam(t.binder, ty, body) if kind is Lam else Pi(t.binder, ty, body, t.implicit)
+    if kind is Mk:
+        params = tuple([_map_vars(p, leaf, depth) for p in t.params])
+        fields = tuple([_map_vars(f, leaf, depth) for f in t.fields])
+        if all(map(is_, params, t.params)) and all(map(is_, fields, t.fields)):
+            return t
+        return Mk(t.struct, params, fields)
+    if kind is Proj:
+        target = _map_vars(t.target, leaf, depth)
+        return t if target is t.target else Proj(t.struct, t.field, target)
+    return t
+
+
 def lift(t: Term, amount: int, cutoff: int = 0) -> Term:
     """Shift dangling de Bruijn indices >= cutoff by amount."""
     if amount == 0:
         return t
-    if isinstance(t, BoundVar):
-        return BoundVar(t.index + amount) if t.index >= cutoff else t
-    if isinstance(t, App):
-        return App(lift(t.fn, amount, cutoff), lift(t.arg, amount, cutoff))
-    if isinstance(t, Lam):
-        return Lam(t.binder, lift(t.ty, amount, cutoff), lift(t.body, amount, cutoff + 1))
-    if isinstance(t, Pi):
-        return Pi(t.binder, lift(t.ty, amount, cutoff), lift(t.body, amount, cutoff + 1), t.implicit)
-    if isinstance(t, Mk):
-        return Mk(t.struct, tuple(lift(p, amount, cutoff) for p in t.params),
-                  tuple(lift(f, amount, cutoff) for f in t.fields))
-    if isinstance(t, Proj):
-        return Proj(t.struct, t.field, lift(t.target, amount, cutoff))
-    return t
+
+    def leaf(v: Term, depth: int) -> Term:
+        if type(v) is BoundVar and v.index >= depth:
+            return BoundVar(v.index + amount)
+        return v
+    return _map_vars(t, leaf, cutoff)
 
 
 def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
     """Replace BoundVar(depth) in body with value (entering one binder)."""
-    if isinstance(body, BoundVar):
-        if body.index == depth:
-            return lift(value, depth)
-        if body.index > depth:
-            return BoundVar(body.index - 1)
-        return body
-    if isinstance(body, App):
-        return App(instantiate(body.fn, value, depth), instantiate(body.arg, value, depth))
-    if isinstance(body, Lam):
-        return Lam(body.binder, instantiate(body.ty, value, depth), instantiate(body.body, value, depth + 1))
-    if isinstance(body, Pi):
-        return Pi(body.binder, instantiate(body.ty, value, depth), instantiate(body.body, value, depth + 1),
-                  body.implicit)
-    if isinstance(body, Mk):
-        return Mk(body.struct, tuple(instantiate(p, value, depth) for p in body.params),
-                  tuple(instantiate(f, value, depth) for f in body.fields))
-    if isinstance(body, Proj):
-        return Proj(body.struct, body.field, instantiate(body.target, value, depth))
-    return body
+    def leaf(v: Term, d: int) -> Term:
+        if type(v) is BoundVar:
+            if v.index == d:
+                return lift(value, d)
+            if v.index > d:
+                return BoundVar(v.index - 1)
+        return v
+    return _map_vars(body, leaf, depth)
 
 
-def abstract1(t: Term, name: str, depth: int = 0) -> Term:
-    """Turn FreeVar(name) into BoundVar(depth): the inverse of instantiate."""
-    if isinstance(t, FreeVar):
-        return BoundVar(depth) if t.name == name else t
-    if isinstance(t, BoundVar):
-        return BoundVar(t.index + 1) if t.index >= depth else t
-    if isinstance(t, App):
-        return App(abstract1(t.fn, name, depth), abstract1(t.arg, name, depth))
-    if isinstance(t, Lam):
-        return Lam(t.binder, abstract1(t.ty, name, depth), abstract1(t.body, name, depth + 1))
-    if isinstance(t, Pi):
-        return Pi(t.binder, abstract1(t.ty, name, depth), abstract1(t.body, name, depth + 1), t.implicit)
-    if isinstance(t, Mk):
-        return Mk(t.struct, tuple(abstract1(p, name, depth) for p in t.params),
-                  tuple(abstract1(f, name, depth) for f in t.fields))
-    if isinstance(t, Proj):
-        return Proj(t.struct, t.field, abstract1(t.target, name, depth))
-    return t
+def abstract(t: Term, names: Sequence[str], depth: int = 0) -> Term:
+    """Close t under one binder per name, outermost first: the inverse of
+    instantiating those binders.  FreeVar(names[i]) becomes the BoundVar of
+    its binder, and a name that repeats binds at its last binder."""
+    count = len(names)
+    if count == 0:
+        return t
+    # Later entries overwrite earlier ones: the innermost binder of a name wins.
+    inner = {name: count - 1 - i for i, name in enumerate(names)}
+
+    def leaf(v: Term, d: int) -> Term:
+        kind = type(v)
+        if kind is FreeVar:
+            i = inner.get(v.name)
+            return v if i is None else BoundVar(d + i)
+        if kind is BoundVar and v.index >= d:
+            return BoundVar(v.index + count)
+        return v
+    return _map_vars(t, leaf, depth)
 
 
 def subst_frees(t: Term, mapping: dict[str, Term]) -> Term:
@@ -196,20 +214,10 @@ def subst_frees(t: Term, mapping: dict[str, Term]) -> Term:
     """
     if not mapping:
         return t
-    if isinstance(t, FreeVar):
-        return mapping.get(t.name, t)
-    if isinstance(t, App):
-        return App(subst_frees(t.fn, mapping), subst_frees(t.arg, mapping))
-    if isinstance(t, Lam):
-        return Lam(t.binder, subst_frees(t.ty, mapping), subst_frees(t.body, mapping))
-    if isinstance(t, Pi):
-        return Pi(t.binder, subst_frees(t.ty, mapping), subst_frees(t.body, mapping), t.implicit)
-    if isinstance(t, Mk):
-        return Mk(t.struct, tuple(subst_frees(p, mapping) for p in t.params),
-                  tuple(subst_frees(f, mapping) for f in t.fields))
-    if isinstance(t, Proj):
-        return Proj(t.struct, t.field, subst_frees(t.target, mapping))
-    return t
+
+    def leaf(v: Term, _depth: int) -> Term:
+        return mapping.get(v.name, v) if type(v) is FreeVar else v
+    return _map_vars(t, leaf, 0)
 
 
 def zonk(t: Term, subst: dict[int, Term]) -> Term:
@@ -219,47 +227,35 @@ def zonk(t: Term, subst: dict[int, Term]) -> Term:
     """
     if not subst:
         return t
-    if isinstance(t, Meta):
-        v = subst.get(t.mid)
-        return t if v is None else zonk(v, subst)
-    if isinstance(t, App):
-        return App(zonk(t.fn, subst), zonk(t.arg, subst))
-    if isinstance(t, Lam):
-        return Lam(t.binder, zonk(t.ty, subst), zonk(t.body, subst))
-    if isinstance(t, Pi):
-        return Pi(t.binder, zonk(t.ty, subst), zonk(t.body, subst), t.implicit)
-    if isinstance(t, Mk):
-        return Mk(t.struct, tuple(zonk(p, subst) for p in t.params),
-                  tuple(zonk(f, subst) for f in t.fields))
-    if isinstance(t, Proj):
-        return Proj(t.struct, t.field, zonk(t.target, subst))
-    return t
+
+    def leaf(v: Term, depth: int) -> Term:
+        value = subst.get(v.mid) if type(v) is Meta else None
+        return v if value is None else _map_vars(value, leaf, depth)
+    return _map_vars(t, leaf, 0)
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """Yield t and every subterm, preorder."""
-    yield t
-    if isinstance(t, App):
-        yield from subterms(t.fn)
-        yield from subterms(t.arg)
-    elif isinstance(t, (Lam, Pi)):
-        yield from subterms(t.ty)
-        yield from subterms(t.body)
-    elif isinstance(t, Mk):
-        for p in t.params:
-            yield from subterms(p)
-        for f in t.fields:
-            yield from subterms(f)
-    elif isinstance(t, Proj):
-        yield from subterms(t.target)
+def _var_nodes(t: Term) -> list[tuple[Term, int]]:
+    """Each BoundVar, FreeVar and Meta node of t, with the binders above it."""
+    found: list[tuple[Term, int]] = []
+
+    def leaf(v: Term, depth: int) -> Term:
+        found.append((v, depth))
+        return v
+    _map_vars(t, leaf, 0)
+    return found
 
 
 def metas_in(t: Term) -> set[int]:
-    return {s.mid for s in subterms(t) if isinstance(s, Meta)}
+    return {v.mid for v, _ in _var_nodes(t) if type(v) is Meta}
 
 
 def free_names(t: Term) -> set[str]:
-    return {s.name for s in subterms(t) if isinstance(s, FreeVar)}
+    return {v.name for v, _ in _var_nodes(t) if type(v) is FreeVar}
+
+
+def _mentions_bound0(t: Term) -> bool:
+    """Whether t uses the variable of the binder just outside it."""
+    return any(type(v) is BoundVar and v.index == depth for v, depth in _var_nodes(t))
 
 
 def consts_in(*roots: Term) -> set[str]:
@@ -290,17 +286,21 @@ def consts_in(*roots: Term) -> set[str]:
 
 def pi_type(binders: Iterable[Binder], result: Term) -> Term:
     """Close a name-based telescope into an iterated Pi type."""
-    t = result
-    for b in reversed(tuple(binders)):
-        t = Pi(b.name, b.ty, abstract1(t, b.name), implicit=b.instance_implicit)
+    bs = tuple(binders)
+    names = [b.name for b in bs]
+    t = abstract(result, names)
+    for i in reversed(range(len(bs))):
+        t = Pi(bs[i].name, abstract(bs[i].ty, names[:i]), t, implicit=bs[i].instance_implicit)
     return t
 
 
 def lam_closure(binders: Iterable[Binder], body: Term) -> Term:
     """Close a name-based telescope into an iterated lambda."""
-    t = body
-    for b in reversed(tuple(binders)):
-        t = Lam(b.name, b.ty, abstract1(t, b.name))
+    bs = tuple(binders)
+    names = [b.name for b in bs]
+    t = abstract(body, names)
+    for i in reversed(range(len(bs))):
+        t = Lam(bs[i].name, abstract(bs[i].ty, names[:i]), t)
     return t
 
 
@@ -379,21 +379,6 @@ def _pp(t: Term, env: object | None, names: list[str], prec: int) -> str:
         s = f"fun ({name} : {_pp(t.ty, env, names, _ARROW)}), {body}"
         return f"({s})" if prec < _ARROW else s
     raise TypeError(f"unknown term node: {t!r}")
-
-
-def _mentions_bound0(t: Term, depth: int = 0) -> bool:
-    if isinstance(t, BoundVar):
-        return t.index == depth
-    if isinstance(t, App):
-        return _mentions_bound0(t.fn, depth) or _mentions_bound0(t.arg, depth)
-    if isinstance(t, (Lam, Pi)):
-        return _mentions_bound0(t.ty, depth) or _mentions_bound0(t.body, depth + 1)
-    if isinstance(t, Mk):
-        return any(_mentions_bound0(p, depth) for p in t.params) or \
-            any(_mentions_bound0(f, depth) for f in t.fields)
-    if isinstance(t, Proj):
-        return _mentions_bound0(t.target, depth)
-    return False
 
 
 def pp_binder(b: Binder, env: object | None = None) -> str:

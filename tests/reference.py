@@ -20,6 +20,11 @@
   the elaboration at each class with several parents and reuses the
   reports of sources whose choices did not change; its placement reports
   and errors must equal these.
+- ``lift``, ``instantiate``, ``abstract1``, ``subst_frees``, ``zonk``: each
+  substitution as its own recursive rebuild of every node, and ``abstract``,
+  ``pi_type`` and ``lam_closure`` as one ``abstract1`` per name, innermost
+  binder first.  ``hierlab.terms`` runs them all through one walker that
+  shares unchanged subterms, and must give the same terms.
 """
 from __future__ import annotations
 
@@ -36,8 +41,8 @@ from hierlab.kernel import DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, unify
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
 from hierlab.surface import _IDENT_RE, _SYMBOLS, ParseError
 from hierlab.terms import (
-    Const, FreeVar, Meta, Mk, Proj, Term, apps, metas_in, subst_frees, unfold_apps,
-    zonk,
+    App, Binder, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Term, apps, metas_in,
+    unfold_apps,
 )
 
 
@@ -249,3 +254,135 @@ def spanning_search(module, strategy: EncodingStrategy, config=DEFAULT_CONFIG,
         reports.append(PlacementReport(index, tuple(sorted(zip(names, combo))),
                                        checked, coherent, invariant))
     return reports
+
+
+def lift(t: Term, amount: int, cutoff: int = 0) -> Term:
+    """Shift dangling de Bruijn indices >= cutoff by amount."""
+    if amount == 0:
+        return t
+    if isinstance(t, BoundVar):
+        return BoundVar(t.index + amount) if t.index >= cutoff else t
+    if isinstance(t, App):
+        return App(lift(t.fn, amount, cutoff), lift(t.arg, amount, cutoff))
+    if isinstance(t, Lam):
+        return Lam(t.binder, lift(t.ty, amount, cutoff), lift(t.body, amount, cutoff + 1))
+    if isinstance(t, Pi):
+        return Pi(t.binder, lift(t.ty, amount, cutoff), lift(t.body, amount, cutoff + 1),
+                  t.implicit)
+    if isinstance(t, Mk):
+        return Mk(t.struct, tuple(lift(p, amount, cutoff) for p in t.params),
+                  tuple(lift(f, amount, cutoff) for f in t.fields))
+    if isinstance(t, Proj):
+        return Proj(t.struct, t.field, lift(t.target, amount, cutoff))
+    return t
+
+
+def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
+    """Replace BoundVar(depth) in body with value (entering one binder)."""
+    if isinstance(body, BoundVar):
+        if body.index == depth:
+            return lift(value, depth)
+        if body.index > depth:
+            return BoundVar(body.index - 1)
+        return body
+    if isinstance(body, App):
+        return App(instantiate(body.fn, value, depth), instantiate(body.arg, value, depth))
+    if isinstance(body, Lam):
+        return Lam(body.binder, instantiate(body.ty, value, depth),
+                   instantiate(body.body, value, depth + 1))
+    if isinstance(body, Pi):
+        return Pi(body.binder, instantiate(body.ty, value, depth),
+                  instantiate(body.body, value, depth + 1), body.implicit)
+    if isinstance(body, Mk):
+        return Mk(body.struct, tuple(instantiate(p, value, depth) for p in body.params),
+                  tuple(instantiate(f, value, depth) for f in body.fields))
+    if isinstance(body, Proj):
+        return Proj(body.struct, body.field, instantiate(body.target, value, depth))
+    return body
+
+
+def abstract1(t: Term, name: str, depth: int = 0) -> Term:
+    """Turn FreeVar(name) into BoundVar(depth): the inverse of instantiate."""
+    if isinstance(t, FreeVar):
+        return BoundVar(depth) if t.name == name else t
+    if isinstance(t, BoundVar):
+        return BoundVar(t.index + 1) if t.index >= depth else t
+    if isinstance(t, App):
+        return App(abstract1(t.fn, name, depth), abstract1(t.arg, name, depth))
+    if isinstance(t, Lam):
+        return Lam(t.binder, abstract1(t.ty, name, depth), abstract1(t.body, name, depth + 1))
+    if isinstance(t, Pi):
+        return Pi(t.binder, abstract1(t.ty, name, depth), abstract1(t.body, name, depth + 1),
+                  t.implicit)
+    if isinstance(t, Mk):
+        return Mk(t.struct, tuple(abstract1(p, name, depth) for p in t.params),
+                  tuple(abstract1(f, name, depth) for f in t.fields))
+    if isinstance(t, Proj):
+        return Proj(t.struct, t.field, abstract1(t.target, name, depth))
+    return t
+
+
+def abstract(t: Term, names: list[str], depth: int = 0) -> Term:
+    """Close t under one binder per name, outermost first: the innermost
+    name first, each next name one binder further out."""
+    for i, name in enumerate(reversed(names)):
+        t = abstract1(t, name, depth + i)
+    return t
+
+
+def subst_frees(t: Term, mapping: dict[str, Term]) -> Term:
+    """Simultaneous substitution of free variables."""
+    if not mapping:
+        return t
+    if isinstance(t, FreeVar):
+        return mapping.get(t.name, t)
+    if isinstance(t, App):
+        return App(subst_frees(t.fn, mapping), subst_frees(t.arg, mapping))
+    if isinstance(t, Lam):
+        return Lam(t.binder, subst_frees(t.ty, mapping), subst_frees(t.body, mapping))
+    if isinstance(t, Pi):
+        return Pi(t.binder, subst_frees(t.ty, mapping), subst_frees(t.body, mapping),
+                  t.implicit)
+    if isinstance(t, Mk):
+        return Mk(t.struct, tuple(subst_frees(p, mapping) for p in t.params),
+                  tuple(subst_frees(f, mapping) for f in t.fields))
+    if isinstance(t, Proj):
+        return Proj(t.struct, t.field, subst_frees(t.target, mapping))
+    return t
+
+
+def zonk(t: Term, subst: dict[int, Term]) -> Term:
+    """Replace assigned metas by their values, transitively."""
+    if not subst:
+        return t
+    if isinstance(t, Meta):
+        v = subst.get(t.mid)
+        return t if v is None else zonk(v, subst)
+    if isinstance(t, App):
+        return App(zonk(t.fn, subst), zonk(t.arg, subst))
+    if isinstance(t, Lam):
+        return Lam(t.binder, zonk(t.ty, subst), zonk(t.body, subst))
+    if isinstance(t, Pi):
+        return Pi(t.binder, zonk(t.ty, subst), zonk(t.body, subst), t.implicit)
+    if isinstance(t, Mk):
+        return Mk(t.struct, tuple(zonk(p, subst) for p in t.params),
+                  tuple(zonk(f, subst) for f in t.fields))
+    if isinstance(t, Proj):
+        return Proj(t.struct, t.field, zonk(t.target, subst))
+    return t
+
+
+def pi_type(binders: list[Binder], result: Term) -> Term:
+    """Close a name-based telescope into an iterated Pi type."""
+    t = result
+    for b in reversed(binders):
+        t = Pi(b.name, b.ty, abstract1(t, b.name), implicit=b.instance_implicit)
+    return t
+
+
+def lam_closure(binders: list[Binder], body: Term) -> Term:
+    """Close a name-based telescope into an iterated lambda."""
+    t = body
+    for b in reversed(binders):
+        t = Lam(b.name, b.ty, abstract1(t, b.name))
+    return t

@@ -206,6 +206,7 @@ def test_criterion_09_property_suites_run_at_scale(capsys):
             test_properties.test_incremental_spanning_search_matches_whole_module_search,
             test_properties.test_resolved_instances_are_well_typed,
             test_properties.test_definitional_equality_is_symmetric,
+            test_properties.test_term_walker_matches_the_recursive_substitutions,
             test_properties.test_json_writer_matches_json_dumps,
         ]
         for fn in suites:

@@ -272,6 +272,26 @@ def test_check_type_against_expected(tiny_env):
         check_type(tiny_env, DEFAULT_CONFIG, (), Const("a"), expected=Const("pair"))
 
 
+# (fun (x : ι), x) applied to a type, not to a value of ι.
+ILL_TYPED_APP = App(Lam("x", Const("ι"), BoundVar(0)), Const("pair"))
+
+
+def test_check_type_rejects_an_ill_typed_argument(tiny_env):
+    with pytest.raises(IllTyped, match="^argument type Type does not match ι$"):
+        check_type(tiny_env, DEFAULT_CONFIG, (), ILL_TYPED_APP)
+
+
+def test_infer_type_does_not_check_arguments(tiny_env):
+    assert infer_type(tiny_env, (), ILL_TYPED_APP) == Const("ι")
+
+
+@pytest.mark.parametrize("binder", [Lam, Pi], ids=["fun", "Pi"])
+def test_check_type_rejects_an_ill_typed_binder_type(tiny_env, binder):
+    t = binder("x", App(Const("a"), Const("b")), Const("ι"))
+    with pytest.raises(IllTyped, match="^applied non-function of type ι$"):
+        check_type(tiny_env, DEFAULT_CONFIG, (), t)
+
+
 def test_forgetful_instance_bodies_typecheck(fig1_nested):
     """Every synthesized definition in the environment checks against its
     declared result type, with eta disabled."""

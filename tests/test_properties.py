@@ -7,7 +7,8 @@ reference, the stored leaf-field view matches its recursive reference,
 the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
 instances, the incremental spanning search matches the whole-module one,
-definitional equality is symmetric, the command line's JSON writer
+definitional equality is symmetric, every substitution of the one term
+walker matches its recursive reference, the command line's JSON writer
 matches ``json.dumps``, the lexer matches its character loop, and random
 token streams through ``hier elaborate`` and ``hier resolve`` end in an
 exit code, never an escaped exception.
@@ -32,7 +33,10 @@ from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, flatten_fields
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
 from hierlab.resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from hierlab.surface import _SYMBOLS, KEYWORDS, ParseError, _tokenize, parse
-from hierlab.terms import Binder, Const, FreeVar, Mk, Pi, Proj, Sort, apps
+from hierlab import terms
+from hierlab.terms import (
+    App, Binder, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Sort, apps,
+)
 from conftest import ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path, cube_source
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True)
@@ -337,6 +341,75 @@ def test_definitional_equality_is_symmetric(fig1_nested, data):
     for config in (ETA_OFF, ETA_ON):
         assert verdict(a, a, config) is True
         assert verdict(a, b, config) == verdict(b, a, config)
+
+
+WALK_NAMES = st.sampled_from(("x", "y", "z"))
+
+
+def walker_terms(metas):
+    """Terms with every node kind.  Binders, free variables and constants
+    share three names, so binders shadow each other and the free variables;
+    bound variables may be loose; metas come from ``metas``."""
+    leaves = st.one_of(
+        st.just(Sort()), WALK_NAMES.map(Const), WALK_NAMES.map(FreeVar),
+        st.integers(0, 3).map(BoundVar), st.sampled_from(metas).map(Meta))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(App, kids, kids),
+        st.builds(Lam, WALK_NAMES, kids, kids),
+        st.builds(Pi, WALK_NAMES, kids, kids, st.booleans()),
+        st.builds(Mk, st.just("s"), st.lists(kids, max_size=2).map(tuple),
+                  st.lists(kids, max_size=2).map(tuple)),
+        st.builds(Proj, st.just("s"), st.just("f"), kids),
+    ), max_leaves=12)
+
+
+# Terms with metas ?first..?4.  Meta ?i is assigned a term from
+# WALKER_TERMS[i + 1], so assignments chain but never cycle.
+WALKER_TERMS = [walker_terms(range(first, 5)) for first in range(5)]
+
+
+@COMMON
+@given(st.data())
+def test_term_walker_matches_the_recursive_substitutions(data):
+    t = data.draw(WALKER_TERMS[0], label="term")
+    # A bound variable instantiated by BoundVar(0), or a free variable
+    # mapped to itself, comes back equal but as a new object.
+    value = data.draw(WALKER_TERMS[0].filter(lambda v: v != BoundVar(0)), label="value")
+    mapping = data.draw(st.dictionaries(WALK_NAMES, WALKER_TERMS[0], max_size=2)
+                        .filter(lambda m: all(v != FreeVar(k) for k, v in m.items())),
+                        label="mapping")
+    subst = {}
+    for mid in range(4):
+        if data.draw(st.booleans(), label=f"assign ?{mid}"):
+            subst[mid] = data.draw(WALKER_TERMS[mid + 1], label=f"?{mid}")
+    names = data.draw(st.lists(WALK_NAMES, max_size=3), label="names")
+    binders = data.draw(st.lists(st.builds(Binder, WALK_NAMES, WALKER_TERMS[0], st.booleans()),
+                                 max_size=3), label="binders")
+    amount = data.draw(st.integers(0, 2), label="amount")
+    depth = data.draw(st.integers(0, 3), label="depth")
+
+    substitutions = [
+        (terms.lift(t, amount, depth), reference.lift(t, amount, depth)),
+        (terms.instantiate(t, value, depth), reference.instantiate(t, value, depth)),
+        (terms.abstract(t, names, depth), reference.abstract(t, names, depth)),
+        (terms.subst_frees(t, mapping), reference.subst_frees(t, mapping)),
+        (terms.zonk(t, subst), reference.zonk(t, subst)),
+    ]
+    closures = [
+        (terms.pi_type(binders, t), reference.pi_type(binders, t)),
+        (terms.lam_closure(binders, t), reference.lam_closure(binders, t)),
+    ]
+    # repr also compares binder names and Pi's implicit flag, which == ignores.
+    for got, want in substitutions + closures:
+        assert repr(got) == repr(want)
+    for got, want in substitutions:
+        if repr(want) == repr(t):
+            assert got is t
+    beyond = 4  # no bound variable index reaches this, under any binder
+    assert terms.lift(t, 1, beyond) is t
+    assert terms.instantiate(t, value, beyond) is t
+    assert terms.subst_frees(t, {"w": Sort()}) is t
+    assert terms.zonk(t, {99: Sort()}) is t
 
 
 # Quotes, backslashes, control characters and non-ASCII text, including

@@ -14,7 +14,7 @@ from hierlab.terms import (
     Pi,
     Proj,
     Sort,
-    abstract1,
+    abstract,
     apps,
     consts_in,
     free_names,
@@ -24,7 +24,6 @@ from hierlab.terms import (
     pp_binder,
     pp_term,
     subst_frees,
-    subterms,
     unfold_apps,
     zonk,
 )
@@ -50,17 +49,17 @@ def test_instantiate_replaces_only_the_outermost_binder():
     assert out == Lam("y", Sort(), App(FreeVar("a"), BoundVar(0)))
 
 
-def test_abstract1_then_instantiate_is_identity():
+def test_abstract_then_instantiate_is_identity():
     t = apps(Const("f"), FreeVar("x"),
              Lam("y", Sort(), apps(Const("g"), FreeVar("x"), BoundVar(0))))
-    closed = abstract1(t, "x")
+    closed = abstract(t, ["x"])
     assert "x" not in free_names(closed)
     assert instantiate(closed, FreeVar("x")) == t
 
 
-def test_abstract1_respects_shadowing_depth():
+def test_abstract_respects_shadowing_depth():
     t = Lam("y", Sort(), App(FreeVar("x"), BoundVar(0)))
-    closed = abstract1(t, "x")
+    closed = abstract(t, ["x"])
     assert closed == Lam("y", Sort(), App(BoundVar(1), BoundVar(0)))
 
 
@@ -99,11 +98,11 @@ def test_consts_in_names_constants_and_structures_under_every_child():
     assert consts_in(t) == {"a", "b", "c", "d", "e", "s", "t"}
 
 
-def test_subterms_visits_binder_bodies():
-    t = Lam("x", Const("int"), App(BoundVar(0), FreeVar("y")))
-    seen = list(subterms(t))
-    assert FreeVar("y") in seen
-    assert Const("int") in seen
+def test_metas_in_and_free_names_read_binder_types_and_bodies():
+    t = Lam("x", apps(Const("int"), FreeVar("z"), Meta(1)),
+            apps(BoundVar(0), FreeVar("y"), Meta(2)))
+    assert free_names(t) == {"y", "z"}
+    assert metas_in(t) == {1, 2}
 
 
 def test_fresh_name_avoids_taken_names():
