@@ -44,7 +44,7 @@ from .declarations import Environment, StructDecl
 # `elaborate` is not called here; it stays importable from this module,
 # where perfbench's tracer wraps it.
 from .elaborator import (
-    FLAT, FLAT_HACK_CLASS, PREFERRED, SYNTHESIZED, Elaboration,
+    FLAT, PREFERRED, SYNTHESIZED, Elaboration,
     EncodingStrategy, InstanceInfo, begin_elaboration, elaborate, elaborate_item,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
@@ -450,26 +450,17 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
         return elab
 
     elab = elaborate_from(begin_elaboration(EncodingStrategy(strategy.kind)), 0)
-    # Under flat_hack the marker class comes first in every class's parents
-    # and is no choice.  Under the other encodings a parent of that name is
-    # a user class like any other.
-    hack = strategy.kind == "flat_hack"
-    chooseable: list[tuple[int, str, list[str]]] = []
-    for k, index in enumerate(positions):
-        name = items[index].name
-        parents = [p for p, _ in elab.classes[name].parents
-                   if not (hack and p == FLAT_HACK_CLASS)]
-        if len(parents) >= 2:
-            chooseable.append((k, name, parents))
-    frames[:] = [frames[k] for k, _, _ in chooseable]
-    positions = [positions[k] for k, _, _ in chooseable]
-    names = [name for _, name, _ in chooseable]
+    # Under flat_hack the marker class is every class's first parent and is
+    # no choice.
+    skip = 1 if strategy.kind == "flat_hack" else 0
+    names = [items[index].name for index in positions]
+    choices = [[p for p, _ in elab.classes[name].parents[skip:]] for name in names]
     # A class's level: the number of choice classes at or before it.
     level: dict[str, int] = {}
     for index, item in enumerate(items):
         if isinstance(item, ClassItem):
             level[item.name] = bisect.bisect_right(positions, index)
-    previous = tuple(tuple(parents) for _, _, parents in chooseable)
+    previous = tuple(tuple(parents) for parents in choices)
 
     def analyzed(order: tuple[tuple[str, ...], ...]) -> tuple[DiamondReport, ...]:
         nonlocal elab, previous
@@ -490,12 +481,11 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
         return tuple(r for _, reports in groups for r in reports)
 
     reports: list[PlacementReport] = []
-    combos = itertools.product(*(parents for _, _, parents in chooseable))
-    for index, combo in enumerate(combos):
+    for index, combo in enumerate(itertools.product(*choices)):
         orders = itertools.product(*(
             [(first,) + rest for rest in itertools.permutations(
                 [p for p in parents if p != first])]
-            for (_, _, parents), first in zip(chooseable, combo)))
+            for parents, first in zip(choices, combo)))
         checked = analyzed(next(orders))
         reference = _verdicts(checked)
         invariant = all(_verdicts(analyzed(order)) == reference for order in orders)

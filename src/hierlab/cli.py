@@ -29,7 +29,7 @@ from .declarations import DefDecl, OpaqueDecl, StructDecl
 from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
 from .kernel import DefEqConfig, KernelError, Trace, defeq
 from .resolution import AnswerTable, DepthExceeded, NotFound, resolve
-from .surface import SurfaceError, parse, parse_term
+from .surface import SurfaceError, SurfaceModule, parse, parse_term
 from .terms import Telescope, pp_binder, pp_telescope, pp_term
 
 ENCODINGS = {"flat": "flat", "nested": "nested", "flat-hack": "flat_hack"}
@@ -100,18 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-def _load_module(args: argparse.Namespace):
+def _load_module(args: argparse.Namespace) -> SurfaceModule:
     if args.path == "@random":
-        return parse(random_hierarchy(args.seed)), "@random"
-    path = Path(args.path)
+        return parse(random_hierarchy(args.seed))
     try:
-        text = path.read_text()
+        text = Path(args.path).read_text()
     except OSError as exc:
         raise CliError(f"{args.path}: {exc.strerror or exc}") from exc
-    try:
-        return parse(text), args.path
-    except SurfaceError as exc:
-        raise CliError(f"{args.path}:{exc}") from exc
+    return parse(text)
 
 
 def _strategy(args: argparse.Namespace) -> EncodingStrategy:
@@ -132,12 +128,8 @@ def _config(args: argparse.Namespace) -> DefEqConfig:
                        eta_unifier=args.eta_unifier == "on")
 
 
-def _elaborated(args: argparse.Namespace) -> tuple[Elaboration, str]:
-    module, path = _load_module(args)
-    try:
-        return elaborate(module, _strategy(args), _config(args), args.max_depth), path
-    except (ElabError, KernelError, SurfaceError) as exc:
-        raise CliError(f"{path}:{exc}") from exc
+def _elaborated(args: argparse.Namespace) -> Elaboration:
+    return elaborate(_load_module(args), _strategy(args), _config(args), args.max_depth)
 
 
 def _emit_json(payload: dict) -> None:
@@ -267,7 +259,7 @@ def _dump_json(elab: Elaboration, args: argparse.Namespace) -> dict:
 
 
 def cmd_elaborate(args: argparse.Namespace) -> int:
-    elab, _ = _elaborated(args)
+    elab = _elaborated(args)
     if args.emit == "json":
         _emit_json(_dump_json(elab, args))
     else:
@@ -281,24 +273,24 @@ def cmd_elaborate(args: argparse.Namespace) -> int:
 # defeq
 
 def cmd_defeq(args: argparse.Namespace) -> int:
-    elab, path = _elaborated(args)
+    elab = _elaborated(args)
     config = _config(args)
     stored = {label: (ctx, lhs, rhs) for label, ctx, lhs, rhs in elab.defeqs}
 
     checks: list[tuple[str, object, object, object]] = []
     if len(args.terms) == 0:
         if not stored:
-            raise CliError(f"{path}: no defeq items to check")
+            raise CliError(f"{args.path}: no defeq items to check")
         checks = [(label, ctx, lhs, rhs) for label, (ctx, lhs, rhs) in stored.items()]
     elif len(args.terms) == 1:
         label = args.terms[0]
         if label not in stored:
-            raise CliError(f"{path}: no defeq item named {label!r}")
+            raise CliError(f"{args.path}: no defeq item named {label!r}")
         ctx, lhs, rhs = stored[label]
         checks = [(label, ctx, lhs, rhs)]
     elif len(args.terms) == 2:
-        lhs = _parse_in_ctx(args.terms[0], elab, path)
-        rhs = _parse_in_ctx(args.terms[1], elab, path)
+        lhs = _parse_in_ctx(args.terms[0], elab, args.path)
+        rhs = _parse_in_ctx(args.terms[1], elab, args.path)
         checks = [("defeq", elab.variables, lhs, rhs)]
     else:
         raise CliError("defeq takes a label, two terms, or nothing")
@@ -330,19 +322,19 @@ def cmd_defeq(args: argparse.Namespace) -> int:
 # resolve
 
 def cmd_resolve(args: argparse.Namespace) -> int:
-    elab, path = _elaborated(args)
+    elab = _elaborated(args)
     config = _config(args)
     stored = {label: (ctx, goal) for label, ctx, goal in elab.goals}
 
     if args.goal is None:
         if not stored:
-            raise CliError(f"{path}: no goals to resolve")
+            raise CliError(f"{args.path}: no goals to resolve")
         todo = [(label, ctx, goal) for label, (ctx, goal) in stored.items()]
     elif args.goal in stored:
         ctx, goal = stored[args.goal]
         todo = [(args.goal, ctx, goal)]
     else:
-        todo = [("goal", elab.variables, _parse_in_ctx(args.goal, elab, path))]
+        todo = [("goal", elab.variables, _parse_in_ctx(args.goal, elab, args.path))]
 
     # Goals of one context share an answer table, so a class an earlier goal
     # settled is not searched again.
@@ -386,12 +378,9 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 # diamonds
 
 def cmd_diamonds(args: argparse.Namespace) -> int:
-    elab, path = _elaborated(args)
+    elab = _elaborated(args)
     config = _config(args)
-    try:
-        reports = analyze(elab, config)
-    except PathLimitExceeded as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    reports = analyze(elab, config)
     if args.emit == "json":
         payload = report_dict(ENCODINGS[args.encoding], config, reports)
         _emit_json(payload)
@@ -420,15 +409,10 @@ def cmd_diamonds(args: argparse.Namespace) -> int:
 # spanning-search
 
 def cmd_spanning_search(args: argparse.Namespace) -> int:
-    module, path = _load_module(args)
+    module = _load_module(args)
     config = _config(args)
-    try:
-        placements = spanning_search(module, EncodingStrategy(ENCODINGS[args.encoding]),
-                                     config, max_depth=args.max_depth)
-    except (ElabError, KernelError, SurfaceError) as exc:
-        raise CliError(f"{path}:{exc}") from exc
-    except PathLimitExceeded as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    placements = spanning_search(module, EncodingStrategy(ENCODINGS[args.encoding]),
+                                 config, max_depth=args.max_depth)
     coherent = sum(1 for p in placements if p.coherent)
 
     if args.emit == "json":
@@ -486,6 +470,13 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except CliError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except (SurfaceError, ElabError, KernelError, PathLimitExceeded) as exc:
+        # Surface errors and positioned elaboration errors read "line:col: ...".
+        positioned = isinstance(exc, SurfaceError) or (
+            isinstance(exc, ElabError) and exc.pos is not None)
+        print(f"{args.path}:{exc}" if positioned else f"{args.path}: {exc}",
+              file=sys.stderr)
         return 2
     except RecursionError:
         # Deep hierarchies recurse once per level in the elaborator, the

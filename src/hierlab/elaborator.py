@@ -280,7 +280,11 @@ def _resolve_binders(binders, scope: Telescope, env: Environment) -> Telescope:
 
 def _resolve_parents(elab: Elaboration, item: ClassItem,
                      params: Telescope) -> tuple[tuple[str, tuple[Term, ...]], ...]:
-    declared: list[tuple[str, tuple[Term, ...]]] = []
+    # Under flat_hack the marker class is every class's first parent, so
+    # naming it again is a duplicate.
+    marker = ([(FLAT_HACK_CLASS, ())] if elab.strategy.kind == "flat_hack"
+              and item.name != FLAT_HACK_CLASS else [])
+    declared: list[tuple[str, tuple[Term, ...]]] = list(marker)
     for parent_expr in item.parents:
         term = resolve_expr(parent_expr, params, elab.env)
         head, args = unfold_apps(term)
@@ -294,10 +298,8 @@ def _resolve_parents(elab: Elaboration, item: ClassItem,
         if any(head.name == p for p, _ in declared):
             raise ElabError(f"duplicate parent {head.name!r} in {item.name!r}", item.pos)
         declared.append((head.name, tuple(args)))
-    ordered = _apply_parent_order(elab.strategy, item.name, declared, item.pos)
-    if elab.strategy.kind == "flat_hack" and item.name != FLAT_HACK_CLASS:
-        ordered = [(FLAT_HACK_CLASS, ())] + ordered
-    return tuple(ordered)
+    return tuple(marker + _apply_parent_order(elab.strategy, item.name,
+                                              declared[len(marker):], item.pos))
 
 
 def _apply_parent_order(strategy: EncodingStrategy, name: str,
@@ -510,16 +512,16 @@ def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig
     if missing:
         raise ElabError(f"{item.name!r} is missing fields {missing}", item.pos)
 
-    values: dict[str, Term] = {}
+    # Every value is resolved before the opaque fields are declared, so that
+    # no value can name the instance's own fields.
+    values = {leaf: resolve_expr(assigned[leaf], binders, elab.env)
+              for leaf, _ in leaves if not isinstance(assigned[leaf], SOpaque)}
     for leaf, leaf_ty in leaves:
-        raw = assigned[leaf]
-        if isinstance(raw, SOpaque):
+        if isinstance(assigned[leaf], SOpaque):
             opaque_name = f"{item.name}.{leaf}"
             elab.env.add(OpaqueDecl(opaque_name, binders, leaf_ty))
             values[leaf] = apps(Const(opaque_name),
                                 *(FreeVar(b.name) for b in binders))
-        else:
-            values[leaf] = resolve_expr(raw, binders, elab.env)
 
     body = _pack_value(elab, cinfo.name, full_args, values)
     elab.env.add(DefDecl(item.name, binders, target, body))

@@ -1,4 +1,4 @@
-"""The .hier surface language: lexer, parser, printer, and term resolution.
+"""The .hier surface language: lexer, parser, printer, and name resolution.
 
 A module is an ordered list of items: class declarations (with ``extends``
 lists and ``where`` field blocks), instance declarations (field assignments,
@@ -15,8 +15,8 @@ one.  A comment does not move the column, so the end-of-input position
 after a trailing comment is where the comment began.
 
 Parsing is total: any input yields a SurfaceModule or a positioned
-ParseError/ScopeError, never a crash.  Forward references are rejected: a
-dotted name is in scope when some prefix of it was declared earlier.
+ParseError, never a crash.  Names are resolved later, item by item, by
+``resolve_expr`` against the environment the earlier items built.
 """
 from __future__ import annotations
 
@@ -526,10 +526,9 @@ class _Parser:
 
 
 def parse(text: str) -> SurfaceModule:
-    """Parse and scope-check a .hier module."""
-    module = _Parser(_tokenize(text)).parse_module()
-    _scope_check(module)
-    return module
+    """Parse a .hier module.  Names are not looked up here: ``resolve_expr``
+    does that when the module is elaborated."""
+    return _Parser(_tokenize(text)).parse_module()
 
 
 def parse_expr_text(text: str) -> SExpr:
@@ -537,80 +536,6 @@ def parse_expr_text(text: str) -> SExpr:
     expr = parser.parse_expr()
     parser.expect("EOF", what="end of input")
     return expr
-
-
-# ---------------------------------------------------------------------------
-# Scope checking: names must be declared earlier in the file
-
-def _scope_check(module: SurfaceModule) -> None:
-    classes: set[str] = set()
-    declared: set[str] = set()
-
-    def check_expr(e: SExpr, local: set[str]) -> None:
-        if isinstance(e, SName):
-            if not _prefix_in_scope(e.name, declared, local):
-                raise ScopeError(e.name, e.pos.line, e.pos.col)
-        elif isinstance(e, SApp):
-            check_expr(e.fn, local)
-            check_expr(e.arg, local)
-        elif isinstance(e, SArrow):
-            check_expr(e.lhs, local)
-            check_expr(e.rhs, local)
-        elif isinstance(e, (SPi, SFun)):
-            check_expr(e.ty, local)
-            check_expr(e.body, local | {e.binder})
-        elif isinstance(e, SProj):
-            check_expr(e.target, local)
-
-    def check_binders(binders: tuple[SurfaceBinder, ...], local: set[str]) -> set[str]:
-        seen = set(local)
-        for b in binders:
-            check_expr(b.ty, seen)
-            seen.add(b.name)
-        return seen
-
-    for item in module.items:
-        if isinstance(item, ClassItem):
-            local = check_binders(item.binders, set())
-            for parent in item.parents:
-                head = parent
-                while isinstance(head, SApp):
-                    check_expr(head.arg, local)
-                    head = head.fn
-                if not (isinstance(head, SName) and head.name in classes):
-                    pos = getattr(head, "pos", item.pos)
-                    raise ScopeError(getattr(head, "name", "?"), pos.line, pos.col)
-            field_scope = set(local)
-            for f in item.fields:
-                check_expr(f.ty, field_scope)
-                field_scope.add(f.name)
-            classes.add(item.name)
-            declared.add(item.name)
-        elif isinstance(item, InstanceItem):
-            local = check_binders(item.binders, set())
-            check_expr(item.target, local)
-            for a in item.assignments:
-                if not isinstance(a.value, SOpaque):
-                    check_expr(a.value, local)
-            declared.add(item.name)
-        elif isinstance(item, VariablesItem):
-            for b in item.binders:
-                check_expr(b.ty, set())
-                declared.add(b.name)
-        elif isinstance(item, GoalItem):
-            check_expr(item.target, set())
-        elif isinstance(item, DefeqItem):
-            check_expr(item.lhs, set())
-            check_expr(item.rhs, set())
-
-
-def _prefix_in_scope(dotted: str, declared: set[str], local: set[str]) -> bool:
-    parts = dotted.split(".")
-    for k in range(1, len(parts) + 1):
-        prefix = ".".join(parts[:k])
-        if prefix in declared or prefix in local:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +637,10 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
 
     Plain names resolve to context variables or global constants; dotted
     names resolve type-directedly, taking the longest declared prefix and
-    treating the remaining segments as field projections.
+    treating the remaining segments as field projections.  A name must be
+    declared before it is used: when no prefix of it is in ``env`` (and,
+    for a plain name, it is no variable of ``ctx``), a ScopeError is raised
+    at its position.  This is the only place the rule is checked.
     """
     scope = list(ctx)
 

@@ -208,6 +208,8 @@ def test_criterion_09_property_suites_run_at_scale(capsys):
             test_properties.test_definitional_equality_is_symmetric,
             test_properties.test_term_walker_matches_the_recursive_substitutions,
             test_properties.test_json_writer_matches_json_dumps,
+            test_properties.test_lexer_matches_the_character_loop,
+            test_properties.test_random_token_streams_end_in_an_exit_code,
         ]
         for fn in suites:
             hyp_settings = fn._hypothesis_internal_use_settings

@@ -439,6 +439,43 @@ def test_search_deeper_than_the_interpreter_allows_is_a_diagnostic(tmp_path):
     assert out == b""
 
 
+def chain_forgetting_to(depth: int) -> str:
+    """The composite that takes `i : k299 T` down to `k{depth} T`."""
+    term = "i"
+    for k in range(299, depth, -1):
+        term = f"(@k{k}.to_k{k - 1} T {term})"
+    return term
+
+
+# A 300-class chain with one field per class; the two sides of each
+# scenario reach f0 and f1 through about 300 projections, more than the
+# kernel's unfold depth of 256.
+CHAIN_300 = "class k0 (α : Type) where\n  (f0 : α)\n" + "".join(
+    f"class k{k} (α : Type) extends k{k - 1} α where\n  (f{k} : α)\n" for k in range(1, 300))
+P0, P1 = chain_forgetting_to(0), chain_forgetting_to(1)
+
+
+@pytest.mark.parametrize("command, text, unfolding", [
+    ("defeq", CHAIN_300 + "variables (T : Type) [i : k299 T]\n"
+     f"defeq d : @k0.f0 T {P0} = @k1.f1 T {P1}\n", "k256.to_k255"),
+    ("resolve", CHAIN_300 + "class p (α : Type) (x : α)\n"
+     f"variables (T : Type) [i : k299 T] [j : p T (@k1.f1 T {P1})]\n"
+     f"goal g : p T (@k0.f0 T {P0})\n", "k257.to_k256"),
+    # The same search, run by the elaborator to complete an instance target.
+    ("elaborate", CHAIN_300 + "class p (α : Type) (x : α)\n"
+     "class r (α : Type) (x : α) [h : p α x]\n"
+     f"instance j (T : Type) [i : k299 T] [jj : p T (@k1.f1 T {P1})] : "
+     f"r T (@k0.f0 T {P0})\n", "k257.to_k256"),
+], ids=["defeq", "resolve", "elaborate"])
+def test_running_out_of_unfold_depth_is_a_diagnostic(run_cli, tmp_path, command, text,
+                                                     unfolding):
+    src = tmp_path / "chain.hier"
+    src.write_text(text)
+    code, out, err = run_cli(command, str(src))
+    assert (code, out, err) == (
+        2, "", f"{src}: unfold depth exhausted while unfolding {unfolding!r}\n")
+
+
 def test_missing_file_is_a_diagnostic(run_cli):
     code, out, err = run_cli("elaborate", "nosuch.hier")
     assert code == 2 and out == ""
@@ -454,24 +491,42 @@ def test_parse_errors_carry_file_line_and_column(run_cli, tmp_path):
 
 
 HAS_ONE = "class int\nclass has_one (α : Type) where\n  (one : α)\n"
+MARKER_PARENT = HAS_ONE + "class a (α : Type)\nclass x (α : Type) extends flat_hack, a α\n"
 
 
 @pytest.mark.parametrize("command", ["elaborate", "spanning-search"])
-@pytest.mark.parametrize("text, diagnostic", [
+@pytest.mark.parametrize("text, encoding, diagnostic", [
     # An instance named like a projection, and one declared twice.
     (HAS_ONE + "instance has_one.one : has_one int where\n  (one := opaque)\n",
-     ":4:1: duplicate declaration 'has_one.one'"),
+     "nested", ":4:1: duplicate declaration 'has_one.one'"),
     (HAS_ONE + "instance i : has_one int where\n  (one := opaque)\n" * 2,
-     ":6:1: duplicate declaration 'i.one'"),
+     "nested", ":6:1: duplicate declaration 'i.one'"),
     # A projection the value's type does not have.
     (HAS_ONE + "variables (x : int)\ngoal g : x.one\n",
-     ":5:10: expected a field of a structure value (no field 'one'), found projection"),
-], ids=["named-like-a-projection", "declared-twice", "missing-field"])
+     "nested", ":5:10: expected a field of a structure value (no field 'one'), "
+     "found projection"),
+    # Items are checked in order, so an earlier item's error wins over a
+    # later unknown name.
+    (HAS_ONE + "class x (α : Type) extends has_one α, has_one α\ngoal g : nosuch\n",
+     "nested", ":4:1: duplicate parent 'has_one' in 'x'"),
+    (HAS_ONE + "class x (α : Type) extends (α → α)\n",
+     "nested", ":4:1: parent of 'x' is not a declared class"),
+    # Values are resolved before the instance's opaque fields are declared.
+    (HAS_ONE + "class two (α : Type) where\n  (x : α)\n  (y : α)\n"
+     "instance foo : two int where\n  (x := opaque)\n  (y := foo.x)\n",
+     "nested", ":9:9: name 'foo.x' is not declared at this point"),
+    # Under flat-hack the marker class is declared and is already every
+    # class's first parent.
+    (MARKER_PARENT, "flat-hack", ":5:1: duplicate parent 'flat_hack' in 'x'"),
+    (MARKER_PARENT, "nested", ":5:28: name 'flat_hack' is not declared at this point"),
+], ids=["named-like-a-projection", "declared-twice", "missing-field",
+        "earlier-item-first", "non-name-parent", "own-opaque-field",
+        "marker-parent-flat-hack", "marker-parent-nested"])
 def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, command,
-                                                       text, diagnostic):
+                                                       text, encoding, diagnostic):
     src = tmp_path / "bad.hier"
     src.write_text(text)
-    code, out, err = run_cli(command, str(src))
+    code, out, err = run_cli(command, str(src), "--encoding", encoding)
     assert (code, out, err) == (2, "", f"{src}{diagnostic}\n")
 
 
@@ -482,9 +537,9 @@ def test_malformed_parent_order_flag_is_rejected(run_cli):
 
 
 def test_parent_order_for_an_unknown_class_is_rejected(run_cli):
-    code, _, err = run_cli("diamonds", FIG1, "--parent-order", "nosuch:foo")
-    assert code == 2
-    assert "unknown class 'nosuch'" in err
+    code, out, err = run_cli("diamonds", FIG1, "--parent-order", "nosuch:foo")
+    assert (code, out) == (2, "")
+    assert err == f"{FIG1}: parent-order override names unknown class 'nosuch'\n"
 
 
 def test_unknown_encoding_is_rejected_by_the_argument_parser(run_cli, capsys):

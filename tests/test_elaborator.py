@@ -20,7 +20,7 @@ from hierlab.elaborator import (
     flatten_fields,
     preferred_edges,
 )
-from hierlab.surface import parse
+from hierlab.surface import ScopeError, parse
 from hierlab.terms import SORT, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps
 from conftest import ETA_OFF
 
@@ -122,6 +122,15 @@ def test_flat_hack_prepends_an_empty_marker_class(fig1_hack):
     assert marker.fields == ()
     assert layout_names(fig1_hack, "ring")[0] == "to_flat_hack"
     assert layout_names(fig1_hack, "ring")[1:] == ["zero", "add", "one", "mul", "neg"]
+
+
+def test_flat_hack_names_the_marker_class_only_under_flat_hack():
+    module = parse("goal g : flat_hack")
+    elab = elaborate(module, EncodingStrategy("flat_hack"))
+    assert elab.goals == [("g", (), Const(FLAT_HACK_CLASS))]
+    with pytest.raises(ScopeError) as err:
+        elaborate(module, EncodingStrategy("nested"))
+    assert (err.value.name, err.value.line, err.value.col) == (FLAT_HACK_CLASS, 1, 10)
 
 
 def test_flat_hack_demotes_every_real_edge_to_synthesized(fig1_hack):

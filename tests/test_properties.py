@@ -10,8 +10,8 @@ instances, the incremental spanning search matches the whole-module one,
 definitional equality is symmetric, every substitution of the one term
 walker matches its recursive reference, the command line's JSON writer
 matches ``json.dumps``, the lexer matches its character loop, and random
-token streams through ``hier elaborate`` and ``hier resolve`` end in an
-exit code, never an escaped exception.
+token streams through every ``hier`` subcommand end in an exit code and at
+most one diagnostic line, never an escaped exception.
 """
 
 import contextlib
@@ -462,8 +462,9 @@ FUZZ_CORPUS = ("cube.hier", "fig1.hier", "module.hier", "point.hier")
 @given(st.data())
 def test_random_token_streams_end_in_an_exit_code(tmp_path_factory, data):
     """Keywords, names and symbols at random, or a corpus file with a few
-    words replaced: ``elaborate`` and ``resolve`` exit with 0, 1 or 2 and
-    let no exception escape."""
+    words replaced: every subcommand exits with 0 or 1 and writes nothing to
+    stderr, or exits with 2 and writes one ``path:line:col: `` or ``path: ``
+    diagnostic line, and lets no exception escape."""
     if data.draw(st.booleans(), label="from corpus"):
         name = data.draw(st.sampled_from(FUZZ_CORPUS), label="file")
         words = re.split(r"(\s+)", corpus_path(name).read_text())
@@ -477,7 +478,12 @@ def test_random_token_streams_end_in_an_exit_code(tmp_path_factory, data):
                                   label="tokens"))
     path = tmp_path_factory.getbasetemp() / "fuzz.hier"
     path.write_text(text)
-    for command in ("elaborate", "resolve"):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            assert cli_main([command, str(path)]) in (0, 1, 2)
+    diagnostic = re.compile(re.escape(str(path)) + r"(:\d+:\d+)?: [^\n]*\n")
+    for command in ("elaborate", "defeq", "resolve", "diamonds", "spanning-search"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main([command, str(path)])
+        if code == 2:
+            assert diagnostic.fullmatch(err.getvalue()), (command, err.getvalue())
+        else:
+            assert (code, err.getvalue()) in ((0, ""), (1, "")), command

@@ -1,8 +1,9 @@
-"""Tests for the surface language: lexing, parsing, scope checking,
+"""Tests for the surface language: lexing, parsing, name resolution,
 printing, and standalone term parsing."""
 
 import pytest
 
+from hierlab.elaborator import EncodingStrategy, elaborate
 from hierlab.kernel import IllTyped
 from hierlab.surface import (
     ClassItem,
@@ -178,11 +179,12 @@ def test_parse_error_reports_line_and_column():
 
 
 def test_scope_error_names_the_unknown_identifier():
+    """Parsing looks no name up; elaboration reports the unknown one."""
+    module = parse("class foo (α : Type) extends bar α")
     with pytest.raises(ScopeError) as err:
-        parse("class foo (α : Type) extends bar α")
-    assert err.value.name == "bar"
-    assert "bar" in str(err.value)
-    assert err.value.line == 1 and err.value.col > 1
+        elaborate(module, EncodingStrategy("nested"))
+    assert (err.value.name, err.value.line, err.value.col) == ("bar", 1, 30)
+    assert str(err.value) == "1:30: name 'bar' is not declared at this point"
 
 
 def test_redeclared_name_parses_but_cannot_enter_one_environment():
@@ -193,8 +195,10 @@ def test_redeclared_name_parses_but_cannot_enter_one_environment():
 
 
 def test_goal_referencing_later_class_is_rejected():
-    with pytest.raises(ScopeError):
-        parse("goal g : later_class\nclass later_class")
+    module = parse("goal g : later_class\nclass later_class")
+    with pytest.raises(ScopeError) as err:
+        elaborate(module, EncodingStrategy("nested"))
+    assert (err.value.name, err.value.line, err.value.col) == ("later_class", 1, 10)
 
 
 @pytest.mark.parametrize("name", ["fig1.hier", "module.hier", "cube.hier",
