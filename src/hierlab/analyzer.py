@@ -35,16 +35,15 @@ path whose normal form runs out of fuel.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .declarations import Environment, StructDecl
 # `elaborate` is not called here; it stays importable from this module,
 # where perfbench's tracer wraps it.
 from .elaborator import (
-    FLAT, PREFERRED, SYNTHESIZED, Elaboration,
+    FLAT, PREFERRED, SYNTHESIZED, ClassInfo, Elaboration,
     EncodingStrategy, InstanceInfo, begin_elaboration, elaborate, elaborate_item,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
@@ -294,26 +293,31 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
 
     Raises PathLimitExceeded when some diamond has a path longer than
     ``max_path_len``, rather than leave it out of the report."""
-    return [r for _, group in _source_reports(elab, config, max_path_len, {})
-            for r in group]
+    return _source_reports(elab, config, max_path_len, {})
 
 
 def _source_reports(elab: Elaboration, config: DefEqConfig, max_path_len: int,
-                    known: dict[str, list[DiamondReport]]
-                    ) -> list[tuple[str, list[DiamondReport]]]:
-    """The reports of each source with diamonds, in source order; a source
-    in ``known`` takes its reports from there instead of being checked."""
+                    made: dict[str, tuple[ClassInfo, list[DiamondReport]]]
+                    ) -> list[DiamondReport]:
+    """The reports of every source with diamonds, in source order.  A
+    source's diamonds use only the declarations of the classes up to it,
+    so its reports in ``made`` are reused while its class record there is
+    the one ``elab`` holds; ``made`` takes the reports checked here."""
     env = elab.env
     graph = build_graph(env, elab.instances)
     _check_path_limit(graph, max_path_len)
     diamonds = enumerate_diamonds(graph, max_path_len)
     position = {e: i for i, e in enumerate(graph.edges)}
-    out: list[tuple[str, list[DiamondReport]]] = []
+    out: list[DiamondReport] = []
     for source, group in itertools.groupby(diamonds, key=lambda d: d.source):
-        reports = known.get(source)
-        if reports is None:
+        info = elab.classes[source]
+        entry = made.get(source)
+        if entry is not None and entry[0] is info:
+            reports = entry[1]
+        else:
             reports = _check_source(env, config, source, group, position)
-        out.append((source, reports))
+            made[source] = (info, reports)
+        out.extend(reports)
     return out
 
 
@@ -403,15 +407,6 @@ class PlacementReport:
     nonfirst_order_invariant: bool
 
 
-@dataclass
-class _Frame:
-    """The elaboration state before one choice class, and the reports of
-    the sources that come after the previous choice class and before it."""
-
-    elab: Elaboration
-    reports: dict[str, list[DiamondReport]] = field(default_factory=dict)
-
-
 def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
                     config: DefEqConfig = DEFAULT_CONFIG,
                     max_path_len: int = MAX_PATH_LEN,
@@ -425,27 +420,29 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     can.  ``config`` and ``max_depth`` reach every elaboration.
 
     A choice class is one with two or more parents.  Elaboration goes item
-    by item, and a stack of frames holds a fork of the state before each
-    choice class.  The declared order is elaborated first.  Each later
-    order finds the first choice class whose parent order differs from the
-    previous order's, drops the frames above that class's frame, forks it
-    and elaborates from that class on, so a class is elaborated again only
-    when a choice at or before it changed.  A source's diamonds use only
-    the declarations of the classes up to it, so its reports are kept in
-    the frame of the first choice class after it: that frame stays exactly
-    while the choices before it are unchanged, and the reports are reused
-    while it stays.  The graph is still built, bounded by the path limit
-    and enumerated for every order.
+    by item, and a stack holds a fork of the state before each choice
+    class.  The declared order is elaborated first.  Each later order finds
+    the first choice class whose parent order differs from the previous
+    order's, drops the forks above that class's, forks it again and
+    elaborates from that class on, so a class is elaborated again only when
+    a choice at or before it changed.  A fork shares the class records of
+    the classes before it, so a source's reports are reused while its
+    record is unchanged (see ``_source_reports``).  The graph is still
+    built, bounded by the path limit and enumerated for every order.
+
+    Every order has the same edges, one ``C.to_P`` per class and parent,
+    and so lists the same diamonds in the same order; orders are compared
+    verdict by verdict in that order.
     """
     items = module.items
     positions = [index for index, item in enumerate(items)
                  if isinstance(item, ClassItem) and len(item.parents) >= 2]
-    frames: list[_Frame] = []
+    forks: list[Elaboration] = []
 
     def elaborate_from(elab: Elaboration, start: int) -> Elaboration:
         for index in range(start, len(items)):
-            if len(frames) < len(positions) and positions[len(frames)] == index:
-                frames.append(_Frame(elab.fork(elab.strategy)))
+            if len(forks) < len(positions) and positions[len(forks)] == index:
+                forks.append(elab.fork(elab.strategy))
             elaborate_item(elab, items[index], config, max_depth)
         return elab
 
@@ -455,30 +452,18 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     skip = 1 if strategy.kind == "flat_hack" else 0
     names = [items[index].name for index in positions]
     choices = [[p for p, _ in elab.classes[name].parents[skip:]] for name in names]
-    # A class's level: the number of choice classes at or before it.
-    level: dict[str, int] = {}
-    for index, item in enumerate(items):
-        if isinstance(item, ClassItem):
-            level[item.name] = bisect.bisect_right(positions, index)
     previous = tuple(tuple(parents) for parents in choices)
+    made: dict[str, tuple[ClassInfo, list[DiamondReport]]] = {}
 
-    def analyzed(order: tuple[tuple[str, ...], ...]) -> tuple[DiamondReport, ...]:
+    def analyzed(order: tuple[tuple[str, ...], ...]) -> list[DiamondReport]:
         nonlocal elab, previous
         if order != previous:
             d = next(k for k, (new, old) in enumerate(zip(order, previous)) if new != old)
-            del frames[d + 1:]
+            del forks[d + 1:]
             overrides = EncodingStrategy(strategy.kind, dict(zip(names, order)))
-            elab = elaborate_from(frames[d].elab.fork(overrides), positions[d])
+            elab = elaborate_from(forks[d].fork(overrides), positions[d])
             previous = order
-        known: dict[str, list[DiamondReport]] = {}
-        for frame in frames:
-            known.update(frame.reports)
-        groups = _source_reports(elab, config, max_path_len, known)
-        for source, reports in groups:
-            lvl = level.get(source, len(frames))
-            if lvl < len(frames):
-                frames[lvl].reports.setdefault(source, reports)
-        return tuple(r for _, reports in groups for r in reports)
+        return _source_reports(elab, config, max_path_len, made)
 
     reports: list[PlacementReport] = []
     for index, combo in enumerate(itertools.product(*choices)):
@@ -487,18 +472,13 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
                 [p for p in parents if p != first])]
             for parents, first in zip(choices, combo)))
         checked = analyzed(next(orders))
-        reference = _verdicts(checked)
-        invariant = all(_verdicts(analyzed(order)) == reference for order in orders)
+        reference = [(r.oracle, r.predictor) for r in checked]
+        invariant = all([(r.oracle, r.predictor) for r in analyzed(order)] == reference
+                        for order in orders)
         coherent = all(commutes_under(r, config) for r in checked)
         reports.append(PlacementReport(index, tuple(sorted(zip(names, combo))),
-                                       checked, coherent, invariant))
+                                       tuple(checked), coherent, invariant))
     return reports
-
-
-def _verdicts(reports: tuple[DiamondReport, ...]) -> dict[tuple, tuple[bool, bool]]:
-    return {(r.diamond.source, r.diamond.target,
-             _path_key(r.diamond.path_a), _path_key(r.diamond.path_b)):
-            (r.oracle, r.predictor) for r in reports}
 
 
 # ---------------------------------------------------------------------------

@@ -111,16 +111,13 @@ def _load_module(args: argparse.Namespace) -> SurfaceModule:
 
 
 def _strategy(args: argparse.Namespace) -> EncodingStrategy:
-    strategy = EncodingStrategy(ENCODINGS[args.encoding])
-    overrides: dict[str, str] = {}
+    overrides: dict[str, tuple[str, ...]] = {}
     for entry in args.parent_order:
         cls, sep, parent = entry.partition(":")
         if not sep or not cls or not parent:
             raise CliError(f"--parent-order expects CLASS:PARENT, got {entry!r}")
-        overrides[cls] = parent
-    if overrides:
-        strategy = strategy.with_first_parent(overrides)
-    return strategy
+        overrides[cls] = (parent,)
+    return EncodingStrategy(ENCODINGS[args.encoding], overrides)
 
 
 def _config(args: argparse.Namespace) -> DefEqConfig:

@@ -7,6 +7,7 @@ names to declarations; later declarations may only mention earlier ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .terms import Telescope, Term, consts_in, lam_closure, pi_type
@@ -44,6 +45,11 @@ class DefDecl:
     result_type: Term
     body: Term
 
+    @cached_property
+    def closure(self) -> Term:
+        """The lambda-closed value that delta-reduction unfolds to."""
+        return lam_closure(self.binders, self.body)
+
 
 @dataclass(frozen=True)
 class OpaqueDecl:
@@ -62,15 +68,11 @@ class Environment:
 
     def __init__(self) -> None:
         self._decls: dict[str, Declaration] = {}
-        self._closures: dict[str, Term] = {}
 
     def copy(self) -> "Environment":
-        """An environment with the same declarations that grows separately.
-        The unfolding memo is copied, never shared: a name declared after
-        the copy may unfold to different bodies in the two environments."""
+        """An environment with the same declarations that grows separately."""
         env = Environment()
         env._decls = dict(self._decls)
-        env._closures = dict(self._closures)
         return env
 
     def __contains__(self, name: str) -> bool:
@@ -130,15 +132,9 @@ class Environment:
         return pi_type(decl.binders, decl.result_type)
 
     def unfolding(self, name: str) -> Term | None:
-        """The lambda-closed value of a definition, memoized."""
+        """The lambda-closed value of a definition."""
         decl = self._decls.get(name)
-        if not isinstance(decl, DefDecl):
-            return None
-        cached = self._closures.get(name)
-        if cached is None:
-            cached = lam_closure(decl.binders, decl.body)
-            self._closures[name] = cached
-        return cached
+        return decl.closure if isinstance(decl, DefDecl) else None
 
 
 def _decl_terms(decl: Declaration) -> list[Term]:

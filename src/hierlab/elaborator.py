@@ -80,7 +80,10 @@ class FieldTypeClash(ElabError):
 
 @dataclass(frozen=True)
 class EncodingStrategy:
-    """Which extends-encoding to use, plus per-class parent-order overrides."""
+    """Which extends-encoding to use, plus per-class parent-order overrides.
+
+    ``parent_order[cls]`` names some of the class's parents: they come
+    first, in that order, and the rest follow in declared order."""
 
     kind: str = "nested"  # flat | nested | flat_hack
     parent_order: Mapping[str, tuple[str, ...]] = dc_field(default_factory=dict)
@@ -88,13 +91,6 @@ class EncodingStrategy:
     def __post_init__(self) -> None:
         if self.kind not in ("flat", "nested", "flat_hack"):
             raise ValueError(f"unknown encoding {self.kind!r}")
-
-    def with_first_parent(self, overrides: Mapping[str, str]) -> "EncodingStrategy":
-        """Derive a strategy that moves the named parent first for each class."""
-        merged = dict(self.parent_order)
-        for cls, parent in overrides.items():
-            merged[cls] = ("!first", parent)  # resolved against declared order later
-        return EncodingStrategy(self.kind, merged)
 
 
 @dataclass(frozen=True)
@@ -118,16 +114,20 @@ class LayoutField:
     parent_args: tuple[Term, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ClassInfo:
+    """An elaborated class, built once when the class is declared.  A fork
+    shares it, so a record that is still in a fork's ``classes`` stands
+    for the same class, laid out the same way."""
+
     name: str
     params: Telescope
     parents: tuple[tuple[str, tuple[Term, ...]], ...]
     own_fields: tuple[tuple[str, Term], ...]
-    layout: tuple[LayoutField, ...] = ()
-    leaf_types: dict[str, Term] = dc_field(default_factory=dict)
-    leaf_origins: dict[str, tuple[tuple[str, str], ...]] = dc_field(default_factory=dict)
-    all_names: frozenset[str] = frozenset()
+    layout: tuple[LayoutField, ...]
+    leaf_types: dict[str, Term]
+    leaf_origins: dict[str, tuple[tuple[str, str], ...]]
+    all_names: frozenset[str]
 
     @property
     def self_type(self) -> Term:
@@ -154,8 +154,7 @@ class Elaboration:
     def fork(self, strategy: EncodingStrategy) -> "Elaboration":
         """A copy that later items extend separately, under ``strategy``.
         The containers are copied; declarations and ``ClassInfo`` records
-        are shared, since a record is only filled while its own class is
-        declared."""
+        are shared, since neither changes once made."""
         return Elaboration(strategy, self.env.copy(), list(self.instances),
                            dict(self.classes), self.variables, list(self.goals),
                            list(self.defeqs))
@@ -252,14 +251,9 @@ def _declare_class(elab: Elaboration, item: ClassItem) -> None:
         own_fields.append((f.name, ty))
         own_scope = own_scope + (Binder(f.name, ty),)
 
-    info = ClassInfo(item.name, params, parents, tuple(own_fields))
+    info = ClassInfo(item.name, params, parents, tuple(own_fields),
+                     *_layout(elab, item.name, parents, own_fields, item.pos))
     elab.classes[item.name] = info
-    try:
-        _layout(elab, info, item.pos)
-    except Exception:
-        del elab.classes[item.name]
-        raise
-
     struct = StructDecl(
         info.name, info.params,
         tuple(Binder(f.name, f.ty) for f in info.layout),
@@ -305,20 +299,18 @@ def _resolve_parents(elab: Elaboration, item: ClassItem,
 def _apply_parent_order(strategy: EncodingStrategy, name: str,
                         declared: list[tuple[str, tuple[Term, ...]]],
                         pos: Pos) -> list[tuple[str, tuple[Term, ...]]]:
-    override = strategy.parent_order.get(name)
-    if override is None:
-        return declared
-    by_name = {p: (p, a) for p, a in declared}
-    if override and override[0] == "!first":
-        first = override[1]
-        if first not in by_name:
-            raise ElabError(f"{name!r} has no parent {first!r} to put first", pos)
-        return [by_name[first]] + [pa for pa in declared if pa[0] != first]
-    if sorted(override) != sorted(by_name):
-        raise ElabError(
-            f"parent-order override for {name!r} must be a permutation of its "
-            f"declared parents", pos)
-    return [by_name[p] for p in override]
+    """The override's parents first, in its order, then the rest in
+    declared order."""
+    first = strategy.parent_order.get(name, ())
+    by_name = dict(declared)
+    for k, parent in enumerate(first):
+        if parent not in by_name:
+            raise ElabError(f"{name!r} has no parent {parent!r} to put first", pos)
+        if parent in first[:k]:
+            raise ElabError(f"parent-order override for {name!r} names {parent!r} "
+                            f"twice", pos)
+    return ([(p, by_name[p]) for p in first]
+            + [pa for pa in declared if pa[0] not in first])
 
 
 def _add_leaf(leaf_types: dict[str, Term], sources: dict[str, str], leaf: str,
@@ -334,11 +326,16 @@ def _add_leaf(leaf_types: dict[str, Term], sources: dict[str, str], leaf: str,
     return True
 
 
-def _layout(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
+def _layout(elab: Elaboration, name: str,
+            parents: tuple[tuple[str, tuple[Term, ...]], ...],
+            own_fields: list[tuple[str, Term]], pos: Pos
+            ) -> tuple[tuple[LayoutField, ...], dict[str, Term],
+                       dict[str, tuple[tuple[str, str], ...]], frozenset[str]]:
     """Lay out the parents in order, then the own fields.  A parent sharing
     no name with what was already collected becomes a substructure field
     (never under flat); any other parent contributes its missing leaf fields
-    and is rebuilt by a forgetful instance."""
+    and is rebuilt by a forgetful instance.  Returns the layout, the leaf
+    types, the leaf origins and the collected names."""
     layout: list[LayoutField] = []
     collected: set[str] = set()
     leaf_types: dict[str, Term] = {}
@@ -346,7 +343,7 @@ def _layout(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
     origins: dict[str, tuple[tuple[str, str], ...]] = {}
     substructures = elab.strategy.kind != "flat"
 
-    for parent, args in info.parents:
+    for parent, args in parents:
         pinfo = elab.classes[parent]
         mapping = _param_map(pinfo, args)
         sub_name = f"to_{parent}"
@@ -356,7 +353,7 @@ def _layout(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
                                       parent=parent, parent_args=args))
             collected |= parent_names
             for leaf, path in pinfo.leaf_origins.items():
-                origins[leaf] = ((info.name, sub_name),) + path
+                origins[leaf] = ((name, sub_name),) + path
                 leaf_types[leaf] = subst_frees(pinfo.leaf_types[leaf], mapping)
                 leaf_sources[leaf] = parent
         else:
@@ -365,21 +362,17 @@ def _layout(elab: Elaboration, info: ClassInfo, pos: Pos) -> None:
                 if _add_leaf(leaf_types, leaf_sources, leaf, ty, parent, pos):
                     layout.append(LayoutField(leaf, ty))
                     collected.add(leaf)
-                    origins[leaf] = ((info.name, leaf),)
+                    origins[leaf] = ((name, leaf),)
 
-    for leaf, ty in info.own_fields:
+    for leaf, ty in own_fields:
         if leaf not in leaf_types and leaf in collected:
             raise ElabError(f"field name {leaf!r} collides with an inherited "
                             f"substructure field", pos)
-        if _add_leaf(leaf_types, leaf_sources, leaf, ty, info.name, pos):
+        if _add_leaf(leaf_types, leaf_sources, leaf, ty, name, pos):
             layout.append(LayoutField(leaf, ty))
             collected.add(leaf)
-            origins[leaf] = ((info.name, leaf),)
-
-    info.layout = tuple(layout)
-    info.leaf_types = leaf_types
-    info.leaf_origins = origins
-    info.all_names = frozenset(collected)
+            origins[leaf] = ((name, leaf),)
+    return tuple(layout), leaf_types, origins, frozenset(collected)
 
 
 def _declare_constructor(elab: Elaboration, info: ClassInfo) -> None:

@@ -214,6 +214,8 @@ def subst_frees(t: Term, mapping: dict[str, Term]) -> Term:
     """
     if not mapping:
         return t
+    if type(t) is FreeVar:
+        return mapping.get(t.name, t)
 
     def leaf(v: Term, _depth: int) -> Term:
         return mapping.get(v.name, v) if type(v) is FreeVar else v

@@ -177,8 +177,7 @@ def test_criterion_08_predictor_matches_oracle(capsys, fig1_module):
     def checks():
         placements = [
             EncodingStrategy("nested"),
-            EncodingStrategy("nested").with_first_parent(
-                {"add_comm_group": "add_comm_monoid"}),
+            EncodingStrategy("nested", {"add_comm_group": ("add_comm_monoid",)}),
             EncodingStrategy("flat_hack"),
         ]
         for strategy in placements:

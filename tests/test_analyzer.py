@@ -1,6 +1,7 @@
 """Diamond-analysis tests: the instance graph, diamond enumeration, the
 commutation oracle and predictor, placement search, and reports."""
 
+import itertools
 from collections import Counter
 
 import jsonschema
@@ -201,8 +202,8 @@ def test_predictor_agrees_with_oracle_on_fig1_under_all_placements(fig1_module,
     """The last-segment rule matches the equality oracle diamond by diamond,
     for the default placement, the swapped placement, and the flat-hack
     encoding, all without eta."""
-    swapped = elaborate(fig1_module, EncodingStrategy("nested").with_first_parent(
-        {"add_comm_group": "add_comm_monoid"}))
+    swapped = elaborate(fig1_module, EncodingStrategy(
+        "nested", {"add_comm_group": ("add_comm_monoid",)}))
     for elab in (fig1_nested, swapped, fig1_hack):
         for r in analyze(elab, ETA_OFF):
             assert r.oracle == r.predictor, diamond_key(r)
@@ -396,21 +397,27 @@ def test_cube_spanning_search_elaborates_each_parent_order_once(monkeypatch,
     top_mag's two remaining parents: 24·2 analysed orders.  Each class is
     declared once per distinct prefix of the choices up to it: the four
     classes with one parent once, the three pair classes 2, 4 and 8 times,
-    top_mag 48 times.  A source's normal forms are likewise computed once
-    per distinct prefix of the choices up to it."""
-    calls = count_calls(monkeypatch, "enumerate_diamonds", "normalize")
+    top_mag 48 times.  A source's diamonds are likewise checked, and its
+    normal forms computed, once per distinct prefix of the choices up to
+    it."""
+    calls = count_calls(monkeypatch, "enumerate_diamonds", "normalize", "_check_source")
     declarations = count_declarations(monkeypatch)
     spanning_search(cube_module, EncodingStrategy("nested"), ETA_OFF)
     calls.update(declarations)
-    assert calls == {"_declare_class": 66, "enumerate_diamonds": 48, "normalize": 776}
+    assert calls == {"_declare_class": 66, "enumerate_diamonds": 48, "normalize": 776,
+                     "_check_source": 62}
 
 
 def test_cube_flat_hack_spanning_search_declares_each_prefix_once(monkeypatch,
                                                                  cube_module):
-    """As under nested, plus the one flat_hack class every order shares."""
+    """As under nested, plus the one flat_hack class every order shares.
+    Each of the three classes with one parent reaches that class by two
+    paths, so it is a source too, checked once."""
+    calls = count_calls(monkeypatch, "_check_source")
     declarations = count_declarations(monkeypatch)
     spanning_search(cube_module, EncodingStrategy("flat_hack"), ETA_OFF)
-    assert declarations == {"_declare_class": 67}
+    calls.update(declarations)
+    assert calls == {"_declare_class": 67, "_check_source": 65}
 
 
 def test_a_parent_named_flat_hack_is_a_choice_under_nested_as_in_the_whole_module_search():
@@ -428,6 +435,24 @@ def test_a_parent_named_flat_hack_is_a_choice_under_nested_as_in_the_whole_modul
         for first_a in ("flat_hack", "c") for first_d in ("a", "b", "c")]
     assert placements == reference.spanning_search(module, EncodingStrategy("nested"),
                                                    ETA_OFF)
+
+
+@pytest.mark.parametrize("name", ["cube.hier", "fig1.hier"])
+@pytest.mark.parametrize("kind", ["nested", "flat", "flat_hack"])
+def test_every_parent_order_lists_the_same_diamonds_in_the_same_order(name, kind):
+    """The spanning search compares the verdicts of two orders position by
+    position, which holds because every order has the same edges, one
+    `C.to_P` per class and parent."""
+    module = load(name)
+    declared = elaborate(module, EncodingStrategy(kind))
+    skip = 1 if kind == "flat_hack" else 0
+    choices = {cls: [p for p, _ in info.parents[skip:]]
+               for cls, info in declared.classes.items() if len(info.parents) - skip >= 2}
+    expected = [diamond_key(r) for r in analyze(declared, ETA_OFF)]
+    assert expected
+    for order in itertools.product(*map(itertools.permutations, choices.values())):
+        elab = elaborate(module, EncodingStrategy(kind, dict(zip(choices, order))))
+        assert [diamond_key(r) for r in analyze(elab, ETA_OFF)] == expected, order
 
 
 def test_every_cube_placement_is_coherent_with_eta(cube_module):

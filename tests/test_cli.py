@@ -542,6 +542,12 @@ def test_parent_order_for_an_unknown_class_is_rejected(run_cli):
     assert err == f"{FIG1}: parent-order override names unknown class 'nosuch'\n"
 
 
+def test_parent_order_naming_no_parent_of_the_class_is_rejected(run_cli):
+    code, out, err = run_cli("diamonds", FIG1, "--parent-order", "ring:add_monoid")
+    assert (code, out) == (2, "")
+    assert err == f"{FIG1}:20:1: 'ring' has no parent 'add_monoid' to put first\n"
+
+
 def test_unknown_encoding_is_rejected_by_the_argument_parser(run_cli, capsys):
     with pytest.raises(SystemExit):
         cli_main(["elaborate", FIG1, "--encoding", "packed"])
