@@ -43,8 +43,8 @@ from .declarations import Environment, StructDecl
 # `elaborate` is not called here; it stays importable from this module,
 # where perfbench's tracer wraps it.
 from .elaborator import (
-    FLAT, PREFERRED, SYNTHESIZED, ClassInfo, Elaboration,
-    EncodingStrategy, InstanceInfo, begin_elaboration, elaborate, elaborate_item,
+    PREFERRED, ClassInfo, Elaboration, EncodingStrategy, InstanceInfo,
+    begin_elaboration, elaborate, elaborate_item,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
 from .resolution import MAX_DEPTH
@@ -53,12 +53,10 @@ from .terms import Binder, Const, FreeVar, Term, apps, fresh_name, subst_frees, 
 
 MAX_PATH_LEN = 8
 
-_EDGE_KIND = {PREFERRED: "preferred", SYNTHESIZED: "non-preferred", FLAT: "flat"}
-
 
 class CycleDetected(Exception):
     def __init__(self, nodes: tuple[str, ...]) -> None:
-        super().__init__(f"instance graph has a cycle through {', '.join(nodes)}")
+        super().__init__(f"instance graph has a cycle; cannot order {', '.join(nodes)}")
         self.nodes = nodes
 
 
@@ -76,20 +74,12 @@ class PathLimitExceeded(Exception):
 
 
 @dataclass(frozen=True)
-class Edge:
-    src: str
-    dst: str
-    decl_name: str
-    kind: str  # preferred | non-preferred | flat
-
-
-@dataclass(frozen=True)
 class HierGraph:
-    nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    nodes: tuple[str, ...]  # in topological order
+    edges: tuple[InstanceInfo, ...]
 
 
-Path = tuple[Edge, ...]
+Path = tuple[InstanceInfo, ...]
 
 
 @dataclass(frozen=True)
@@ -110,44 +100,31 @@ class DiamondReport:
 
 
 def build_graph(env: Environment, instances: list[InstanceInfo]) -> HierGraph:
-    """One edge per forgetful instance; user instances carry no from-class
-    and are not part of the graph."""
-    edges = tuple(Edge(i.from_class, i.to_class, i.decl_name, _EDGE_KIND[i.kind])
-                  for i in instances if i.from_class is not None)
-    nodes: list[str] = [d.name for d in env if isinstance(d, StructDecl)]
+    """The forgetful instances as edges and the classes in topological
+    order; user instances carry no from-class and are not part of the
+    graph.  Raises CycleDetected with the classes that cannot be ordered."""
+    edges = tuple(i for i in instances if i.from_class is not None)
+    outgoing = _outgoing(edges)
+    pending = dict.fromkeys((d.name for d in env if isinstance(d, StructDecl)), 0)
     for e in edges:
-        for name in (e.src, e.dst):
-            if name not in nodes:
-                nodes.append(name)
-    graph = HierGraph(tuple(nodes), edges)
-    _check_acyclic(graph)
-    return graph
-
-
-def _outgoing(graph: HierGraph) -> dict[str, list[Edge]]:
-    outgoing: dict[str, list[Edge]] = {}
-    for e in graph.edges:
-        outgoing.setdefault(e.src, []).append(e)
-    return outgoing
-
-
-def _check_acyclic(graph: HierGraph) -> None:
-    outgoing = _outgoing(graph)
-    state: dict[str, int] = {}  # 1 visiting, 2 done
-
-    def visit(node: str, stack: tuple[str, ...]) -> None:
-        if state.get(node) == 2:
-            return
-        if state.get(node) == 1:
-            cycle = stack[stack.index(node):] + (node,)
-            raise CycleDetected(cycle)
-        state[node] = 1
+        pending.setdefault(e.from_class, 0)
+        pending[e.to_class] = pending.get(e.to_class, 0) + 1
+    order = [n for n, count in pending.items() if count == 0]
+    for node in order:
         for e in outgoing.get(node, ()):
-            visit(e.dst, stack + (node,))
-        state[node] = 2
+            pending[e.to_class] -= 1
+            if pending[e.to_class] == 0:
+                order.append(e.to_class)
+    if len(order) < len(pending):
+        raise CycleDetected(tuple(n for n, count in pending.items() if count))
+    return HierGraph(tuple(order), edges)
 
-    for node in graph.nodes:
-        visit(node, ())
+
+def _outgoing(edges: Iterable[InstanceInfo]) -> dict[str, list[InstanceInfo]]:
+    outgoing: dict[str, list[InstanceInfo]] = {}
+    for e in edges:
+        outgoing.setdefault(e.from_class, []).append(e)
+    return outgoing
 
 
 def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> list[Diamond]:
@@ -155,7 +132,7 @@ def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> li
     ordered lexicographically by source, target, then path decl names."""
     if max_path_len < 2:
         raise ValueError("max_path_len must be at least 2")
-    outgoing = _outgoing(graph)
+    outgoing = _outgoing(graph.edges)
 
     diamonds: list[Diamond] = []
     for source in sorted(graph.nodes):
@@ -167,7 +144,7 @@ def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> li
             if len(path) >= max_path_len:
                 return
             for e in outgoing.get(node, ()):
-                walk(e.dst, path + (e,))
+                walk(e.to_class, path + (e,))
 
         walk(source, ())
         for target in sorted(by_target):
@@ -187,22 +164,17 @@ def _check_path_limit(graph: HierGraph, max_path_len: int) -> None:
     ``enumerate_diamonds`` leaves that path's diamonds out.  Paths are
     counted per source in topological order, not enumerated: a chain has one
     path per pair however long it is."""
-    outgoing = _outgoing(graph)
-    indegree = dict.fromkeys(graph.nodes, 0)
+    order = graph.nodes
+    outgoing = _outgoing(graph.edges)
+    indegree = dict.fromkeys(order, 0)
     for e in graph.edges:
-        indegree[e.dst] += 1
-    pending = dict(indegree)
-    order = [n for n in graph.nodes if pending[n] == 0]
-    for node in order:  # the graph is acyclic
-        for e in outgoing.get(node, ()):
-            pending[e.dst] -= 1
-            if pending[e.dst] == 0:
-                order.append(e.dst)
+        indegree[e.to_class] += 1
     # Only a source that reaches a class with two incoming edges can reach
     # some target by two paths.
     joining: set[str] = set()
     for node in reversed(order):
-        if any(indegree[e.dst] > 1 or e.dst in joining for e in outgoing.get(node, ())):
+        if any(indegree[e.to_class] > 1 or e.to_class in joining
+               for e in outgoing.get(node, ())):
             joining.add(node)
     position = {n: i for i, n in enumerate(order)}
     for source in sorted(joining):
@@ -216,8 +188,8 @@ def _check_path_limit(graph: HierGraph, max_path_len: int) -> None:
             if count > 1 and longest > max_path_len:
                 raise PathLimitExceeded(source, node, max_path_len)
             for e in outgoing.get(node, ()):
-                c, l = paths.get(e.dst, (0, 0))
-                paths[e.dst] = (min(c + count, 2), max(l, longest + 1))
+                c, l = paths.get(e.to_class, (0, 0))
+                paths[e.to_class] = (min(c + count, 2), max(l, longest + 1))
 
 
 def path_composite(env: Environment, path: Path, args: tuple[Term, ...],
@@ -229,7 +201,7 @@ def path_composite(env: Environment, path: Path, args: tuple[Term, ...],
     return value
 
 
-def _apply_edge(env: Environment, edge: Edge, args: tuple[Term, ...],
+def _apply_edge(env: Environment, edge: InstanceInfo, args: tuple[Term, ...],
                 value: Term) -> tuple[Term, tuple[Term, ...]]:
     """The edge's instance applied to a value of its source class at the
     given parameters, and the parameters of its target class."""
@@ -243,9 +215,7 @@ def _apply_edge(env: Environment, edge: Edge, args: tuple[Term, ...],
 def predict_diamond(diamond: Diamond) -> bool:
     """The last-segment rule: the paths stay interchangeable when their
     final edges are both preferred projections or both constructor-built."""
-    last_a = diamond.path_a[-1].kind == "preferred"
-    last_b = diamond.path_b[-1].kind == "preferred"
-    return last_a == last_b
+    return (diamond.path_a[-1].kind == PREFERRED) == (diamond.path_b[-1].kind == PREFERRED)
 
 
 def _source_context(env: Environment, source: str
@@ -322,7 +292,7 @@ def _source_reports(elab: Elaboration, config: DefEqConfig, max_path_len: int,
 
 
 def _check_source(env: Environment, config: DefEqConfig, source: str,
-                  group: Iterable[Diamond], position: dict[Edge, int]
+                  group: Iterable[Diamond], position: dict[InstanceInfo, int]
                   ) -> list[DiamondReport]:
     """Decide the diamonds of one source from the normal forms of its paths."""
     ctx, args, start = _source_context(env, source)
@@ -535,13 +505,18 @@ def report_dict(encoding: str, config: DefEqConfig,
     """The JSON-ready diamonds report; `commuting` uses the scoring rule of
     commutes_under and `mismatches` counts oracle/predictor disagreements."""
     return {
-        "config": {
-            "encoding": encoding,
-            "eta_kernel": config.eta_kernel,
-            "eta_unifier": config.eta_unifier,
-        },
+        "config": config_dict(encoding, config),
         "diamonds": [diamond_dict(r) for r in reports],
         "summary": report_summary(config, reports),
+    }
+
+
+def config_dict(encoding: str, config: DefEqConfig) -> dict:
+    """The ``config`` record of every JSON report."""
+    return {
+        "encoding": encoding,
+        "eta_kernel": config.eta_kernel,
+        "eta_unifier": config.eta_unifier,
     }
 
 

@@ -22,13 +22,13 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analyzer import (
-    PathLimitExceeded, analyze, check_diamond, commutes_under, diamond_dict, random_hierarchy,
-    report_dict, report_summary, spanning_search,
+    PathLimitExceeded, analyze, check_diamond, commutes_under, config_dict, diamond_dict,
+    random_hierarchy, report_dict, report_summary, spanning_search,
 )
 from .declarations import DefDecl, OpaqueDecl, StructDecl
 from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
 from .kernel import DefEqConfig, KernelError, Trace, defeq
-from .resolution import AnswerTable, DepthExceeded, NotFound, resolve
+from .resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from .surface import SurfaceError, SurfaceModule, parse, parse_term
 from .terms import Telescope, pp_binder, pp_telescope, pp_term
 
@@ -67,15 +67,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for @random input (default: 0)")
-        p.add_argument("--max-depth", type=depth, default=32,
-                       help="instance search depth limit (default: 32)")
+        p.add_argument("--max-depth", type=depth, default=MAX_DEPTH,
+                       help=f"instance search depth limit (default: {MAX_DEPTH})")
         if trace:  # elaborate and spanning-search have no steps to log
             p.add_argument("--trace", action="store_true",
                            help="log reduction and search steps")
         if parent_order:  # spanning-search chooses the parent orders itself
             p.add_argument("--parent-order", action="append", default=[],
                            metavar="CLASS:PARENT",
-                           help="move PARENT first in CLASS's extends list (repeatable)")
+                           help="move PARENT first in CLASS's extends list; repeated "
+                                "entries for one class form a prefix, in the order "
+                                "given")
 
     add_common(sub.add_parser("elaborate", help="dump the elaborated environment"),
                trace=False)
@@ -116,7 +118,7 @@ def _strategy(args: argparse.Namespace) -> EncodingStrategy:
         cls, sep, parent = entry.partition(":")
         if not sep or not cls or not parent:
             raise CliError(f"--parent-order expects CLASS:PARENT, got {entry!r}")
-        overrides[cls] = (parent,)
+        overrides[cls] = overrides.get(cls, ()) + (parent,)
     return EncodingStrategy(ENCODINGS[args.encoding], overrides)
 
 
@@ -182,14 +184,6 @@ def _json_text(value: object) -> str:
     return "".join(chunks)
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    return {
-        "encoding": ENCODINGS[args.encoding],
-        "eta_kernel": args.eta_kernel == "on",
-        "eta_unifier": args.eta_unifier == "on",
-    }
-
-
 def _parse_in_ctx(text: str, elab: Elaboration, path: str):
     try:
         return parse_term(text, elab.variables, elab.env)
@@ -219,10 +213,10 @@ def _dump_text(elab: Elaboration) -> str:
             if info is not None:
                 lines.append(f"@[priority {info.priority}] instance {decl.name}{sig} "
                              f": {pp_term(decl.result_type)} := "
-                             f"{pp_term(decl.body, elab.env)}  -- {info.kind}")
+                             f"{pp_term(decl.body)}  -- {info.kind}")
             else:
                 lines.append(f"def {decl.name}{sig} : {pp_term(decl.result_type)} := "
-                             f"{pp_term(decl.body, elab.env)}")
+                             f"{pp_term(decl.body)}")
         elif isinstance(decl, OpaqueDecl):
             sig = pp_telescope(decl.binders)
             sig = f" {sig}" if sig else ""
@@ -231,7 +225,7 @@ def _dump_text(elab: Elaboration) -> str:
     return "\n".join(lines).rstrip("\n")
 
 
-def _dump_json(elab: Elaboration, args: argparse.Namespace) -> dict:
+def _dump_json(elab: Elaboration, config: DefEqConfig) -> dict:
     classes = {
         info.name: {
             "params": [pp_binder(b) for b in info.params],
@@ -243,7 +237,7 @@ def _dump_json(elab: Elaboration, args: argparse.Namespace) -> dict:
         for info in elab.classes.values()
     }
     return {
-        "config": _config_dict(args),
+        "config": config_dict(elab.strategy.kind, config),
         "classes": classes,
         "instances": [
             {"name": i.decl_name, "from": i.from_class, "to": i.to_class,
@@ -258,7 +252,7 @@ def _dump_json(elab: Elaboration, args: argparse.Namespace) -> dict:
 def cmd_elaborate(args: argparse.Namespace) -> int:
     elab = _elaborated(args)
     if args.emit == "json":
-        _emit_json(_dump_json(elab, args))
+        _emit_json(_dump_json(elab, _config(args)))
     else:
         dump = _dump_text(elab)
         if dump:
@@ -305,7 +299,7 @@ def cmd_defeq(args: argparse.Namespace) -> int:
                 print(trace.render())
     if args.emit == "json":
         _emit_json({
-            "config": _config_dict(args),
+            "config": config_dict(ENCODINGS[args.encoding], config),
             "defeqs": [
                 {"label": label, "lhs": pp_term(lhs), "rhs": pp_term(rhs),
                  "equal": equal}
@@ -361,7 +355,7 @@ def cmd_resolve(args: argparse.Namespace) -> int:
                 print(trace.render())
     if args.emit == "json":
         _emit_json({
-            "config": _config_dict(args),
+            "config": config_dict(ENCODINGS[args.encoding], config),
             "goals": [
                 {"label": label, "goal": pp_term(goal), "status": status,
                  "term": pp_term(term) if term is not None else None}
@@ -414,7 +408,7 @@ def cmd_spanning_search(args: argparse.Namespace) -> int:
 
     if args.emit == "json":
         _emit_json({
-            "config": _config_dict(args),
+            "config": config_dict(ENCODINGS[args.encoding], config),
             "placements": [
                 {
                     "index": p.index,

@@ -19,12 +19,12 @@ class EnvironmentError_(Exception):
 
 @dataclass(frozen=True)
 class StructDecl:
-    """A single-constructor structure (also serving as a typeclass)."""
+    """A single-constructor structure (also serving as a typeclass), whose
+    constructor is named ``<name>.mk``."""
 
     name: str
     params: Telescope
     fields: Telescope
-    ctor_name: str
 
     def field_names(self) -> tuple[str, ...]:
         return tuple(b.name for b in self.fields)

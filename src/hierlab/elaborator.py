@@ -254,11 +254,8 @@ def _declare_class(elab: Elaboration, item: ClassItem) -> None:
     info = ClassInfo(item.name, params, parents, tuple(own_fields),
                      *_layout(elab, item.name, parents, own_fields, item.pos))
     elab.classes[item.name] = info
-    struct = StructDecl(
-        info.name, info.params,
-        tuple(Binder(f.name, f.ty) for f in info.layout),
-        f"{info.name}.mk")
-    elab.env.add(struct)
+    elab.env.add(StructDecl(info.name, info.params,
+                            tuple(Binder(f.name, f.ty) for f in info.layout)))
     _declare_constructor(elab, info)
     _declare_projections(elab, info)
     _declare_forgetful_instances(elab, info)

@@ -6,9 +6,11 @@ A goal is a class application in some context.  Candidates are, in order:
 2. registered global instances targeting the goal's class, highest priority
    first, most recently declared first within a priority.
 
-The candidate list of each class is built once per answer table.
+The candidate list of each class is built once per answer table, and both
+kinds of candidate take one form: a context binder is a candidate with no
+binders whose answer is the variable itself.
 
-Applying a global candidate means allocating a fresh metavariable per
+Applying a candidate means allocating a fresh metavariable per
 binder, unifying the candidate's result type against the goal, and then
 solving each still-open instance-implicit argument as a subgoal in binder
 order.  The first candidate whose subgoals all succeed gives the answer;
@@ -43,12 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .declarations import DefDecl, Environment
+from .declarations import DefDecl, Environment, StructDecl
 from .kernel import (
     DefEqConfig, DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, Trace, unify,
 )
 from .terms import (
-    Binder, Const, FreeVar, Meta, Telescope, Term, apps, metas_in, pp_term,
+    Const, FreeVar, Meta, Telescope, Term, apps, metas_in, pp_term,
     subst_frees, unfold_apps, zonk,
 )
 
@@ -89,14 +91,27 @@ class _Entry:
     reached: int
 
 
+@dataclass(frozen=True)
+class _Candidate:
+    """One way to answer a goal: the ``try`` line's label, binders that
+    become fresh metavariables, the result type over them, and the head
+    the answer applies to them.  A context binder has no binders and a
+    ``FreeVar`` head."""
+
+    label: str
+    binders: Telescope
+    result_type: Term
+    head: Term
+
+
 class AnswerTable:
     """Each class's candidates in search order and the ground-goal entries,
     shared by the goals of one context."""
 
     def __init__(self) -> None:
         self._owner: tuple | None = None
-        self.local: list[tuple[str, object]] = []
-        self.by_class: dict[str | None, list[tuple[str, object]]] = {}
+        self.local: list[_Candidate] = []
+        self.by_class: dict[str | None, list[_Candidate]] = {}
         self.entries: dict[Term, _Entry] = {}
 
     def _bind(self, env: Environment, instances: Sequence[InstanceLike],
@@ -104,8 +119,10 @@ class AnswerTable:
         """Belong to the first search's inputs; refuse any other."""
         if self._owner is None:
             self._owner = (env, tuple(instances), ctx, config, max_depth)
-            self.local = [("local", b) for b in reversed(ctx) if b.instance_implicit]
-            self.by_class = _rank_by_class(self.local, instances)
+            self.local = [_Candidate(f"{b.name} : {pp_term(b.ty)}", (), b.ty,
+                                     FreeVar(b.name))
+                          for b in reversed(ctx) if b.instance_implicit]
+            self.by_class = _rank_by_class(env, self.local, instances)
         elif (env is not self._owner[0]
               or (tuple(instances), ctx, config, max_depth) != self._owner[1:]):
             raise ValueError("an answer table is reused with another environment, "
@@ -158,7 +175,6 @@ def _saturate_goal(state: _State, target: Term) -> Term:
     if not isinstance(head, Const):
         return target
     decl = state.env.get(head.name)
-    from .declarations import StructDecl
     if not isinstance(decl, StructDecl) or len(args) >= len(decl.params):
         return target
     extra = []
@@ -175,15 +191,20 @@ def _goal_class(target: Term) -> str | None:
     return head.name if isinstance(head, Const) else None
 
 
-def _rank_by_class(local: list[tuple[str, object]], instances: Sequence[InstanceLike]
-                   ) -> dict[str | None, list[tuple[str, object]]]:
+def _rank_by_class(env: Environment, local: list[_Candidate],
+                   instances: Sequence[InstanceLike]) -> dict[str | None, list[_Candidate]]:
     """Each class's candidates in search order, and under None those of a
-    goal whose head is not a class: every instance."""
+    goal whose head is not a class: every instance.  An instance whose
+    declaration is not a definition is no candidate."""
     ranked = sorted(enumerate(instances), key=lambda t: (-t[1].priority, -t[0]))
-    by_class: dict[str | None, list[tuple[str, object]]] = {
-        None: local + [("global", inst) for _, inst in ranked]}
+    by_class: dict[str | None, list[_Candidate]] = {None: list(local)}
     for _, inst in ranked:
-        by_class.setdefault(inst.to_class, list(local)).append(("global", inst))
+        decl = env.get(inst.decl_name)
+        if isinstance(decl, DefDecl):
+            cand = _Candidate(f"{inst.decl_name} (priority {inst.priority})",
+                              decl.binders, decl.result_type, Const(decl.name))
+            by_class[None].append(cand)
+            by_class.setdefault(inst.to_class, list(local)).append(cand)
     return by_class
 
 
@@ -231,11 +252,8 @@ def _search(state: _State, target: Term, subst: dict[int, Term], depth: int,
     trace = state.trace
     trace.push()
     try:
-        for kind, cand in state.table.by_class.get(_goal_class(target), state.table.local):
-            if kind == "local":
-                result = _try_local(state, cand, target, subst)
-            else:
-                result = _try_global(state, cand, target, subst, depth, path)
+        for cand in state.table.by_class.get(_goal_class(target), state.table.local):
+            result = _try(state, cand, target, subst, depth, path)
             if result is not None:
                 term, new_subst = result
                 trace.step(f"solved {pp_term(target)} := {pp_term(zonk(term, new_subst))}")
@@ -246,37 +264,22 @@ def _search(state: _State, target: Term, subst: dict[int, Term], depth: int,
         trace.pop()
 
 
-def _try_local(state: _State, binder: Binder, target: Term,
-               subst: dict[int, Term]) -> tuple[Term, dict[int, Term]] | None:
-    state.trace.step(f"try {binder.name} : {pp_term(binder.ty)}")
-    try:
-        new = unify(state.env, state.config, state.ctx, binder.ty, target,
-                    subst=subst, meta_types=state.metas.types)
-    except (Mismatch, OccursCheck):
-        return None
-    return FreeVar(binder.name), new
-
-
-def _try_global(state: _State, inst: InstanceLike, target: Term,
-                subst: dict[int, Term], depth: int,
-                path: tuple[Term, ...]) -> tuple[Term, dict[int, Term]] | None:
-    decl = state.env.get(inst.decl_name)
-    if not isinstance(decl, DefDecl):
-        return None
-    state.trace.step(f"try {inst.decl_name} (priority {inst.priority})")
+def _try(state: _State, cand: _Candidate, target: Term, subst: dict[int, Term],
+         depth: int, path: tuple[Term, ...]) -> tuple[Term, dict[int, Term]] | None:
+    state.trace.step(f"try {cand.label}")
     mapping: dict[str, Term] = {}
     arg_metas: list[Meta] = []
-    for binder in decl.binders:
+    for binder in cand.binders:
         m = state.metas.fresh(subst_frees(binder.ty, mapping))
         mapping[binder.name] = m
         arg_metas.append(m)
-    result_ty = subst_frees(decl.result_type, mapping)
+    result_ty = subst_frees(cand.result_type, mapping)
     try:
         new = unify(state.env, state.config, state.ctx, result_ty, target,
                     subst=subst, meta_types=state.metas.types)
     except (Mismatch, OccursCheck):
         return None
-    for binder, m in zip(decl.binders, arg_metas):
+    for binder, m in zip(cand.binders, arg_metas):
         if not binder.instance_implicit:
             continue
         current = zonk(m, new)
@@ -289,7 +292,7 @@ def _try_global(state: _State, inst: InstanceLike, target: Term,
         sub_term, new = sub_result
         new = dict(new)
         new[current.mid] = zonk(sub_term, new)
-    value = zonk(apps(Const(decl.name), *arg_metas), new)
+    value = zonk(apps(cand.head, *arg_metas), new)
     if metas_in(value):
         state.trace.step("failed: unsolved arguments remain")
         return None

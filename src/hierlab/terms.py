@@ -323,20 +323,11 @@ def fresh_name(hint: str, taken: set[str]) -> str:
 _ATOM, _APP, _ARROW = 0, 1, 2
 
 
-def pp_term(t: Term, env: "object | None" = None) -> str:
-    return _pp(t, env, [], _ARROW)
+def pp_term(t: Term) -> str:
+    return _pp(t, [], _ARROW)
 
 
-def _ctor_name(struct: str, env: object | None) -> str:
-    if env is not None:
-        decl = getattr(env, "get", lambda _n: None)(struct)
-        name = getattr(decl, "ctor_name", None)
-        if name:
-            return name
-    return f"{struct}.mk"
-
-
-def _pp(t: Term, env: object | None, names: list[str], prec: int) -> str:
+def _pp(t: Term, names: list[str], prec: int) -> str:
     if isinstance(t, Sort):
         return "Type"
     if isinstance(t, Const):
@@ -350,10 +341,9 @@ def _pp(t: Term, env: object | None, names: list[str], prec: int) -> str:
             return names[-1 - t.index]
         return f"#{t.index}"
     if isinstance(t, Proj):
-        return f"{_pp(t.target, env, names, _ATOM)}.{t.field}"
+        return f"{_pp(t.target, names, _ATOM)}.{t.field}"
     if isinstance(t, Mk):
-        head = "@" + _ctor_name(t.struct, env)
-        parts = [head] + [_pp(a, env, names, _ATOM) for a in (*t.params, *t.fields)]
+        parts = [f"@{t.struct}.mk"] + [_pp(a, names, _ATOM) for a in (*t.params, *t.fields)]
         s = " ".join(parts)
         return f"({s})" if prec < _APP else s
     if isinstance(t, App):
@@ -361,32 +351,32 @@ def _pp(t: Term, env: object | None, names: list[str], prec: int) -> str:
         if isinstance(head, Const):
             h = "@" + head.name
         else:
-            h = _pp(head, env, names, _ATOM)
-        s = " ".join([h] + [_pp(a, env, names, _ATOM) for a in args])
+            h = _pp(head, names, _ATOM)
+        s = " ".join([h] + [_pp(a, names, _ATOM) for a in args])
         return f"({s})" if prec < _APP else s
     if isinstance(t, Pi):
         if not t.implicit and not _mentions_bound0(t.body):
-            lhs = _pp(t.ty, env, names, _APP)
-            rhs = _pp(instantiate(t.body, FreeVar("_")), env, names, _ARROW)
+            lhs = _pp(t.ty, names, _APP)
+            rhs = _pp(instantiate(t.body, FreeVar("_")), names, _ARROW)
             s = f"{lhs} → {rhs}"
             return f"({s})" if prec < _ARROW else s
         name = fresh_name(t.binder or "x", set(names) | free_names(t.body))
         open_, close = ("[", "]") if t.implicit else ("(", ")")
-        body = _pp(instantiate(t.body, FreeVar(name)), env, names + [name], _ARROW)
-        s = f"Pi {open_}{name} : {_pp(t.ty, env, names, _ARROW)}{close}, {body}"
+        body = _pp(instantiate(t.body, FreeVar(name)), names + [name], _ARROW)
+        s = f"Pi {open_}{name} : {_pp(t.ty, names, _ARROW)}{close}, {body}"
         return f"({s})" if prec < _ARROW else s
     if isinstance(t, Lam):
         name = fresh_name(t.binder or "x", set(names) | free_names(t.body))
-        body = _pp(instantiate(t.body, FreeVar(name)), env, names + [name], _ARROW)
-        s = f"fun ({name} : {_pp(t.ty, env, names, _ARROW)}), {body}"
+        body = _pp(instantiate(t.body, FreeVar(name)), names + [name], _ARROW)
+        s = f"fun ({name} : {_pp(t.ty, names, _ARROW)}), {body}"
         return f"({s})" if prec < _ARROW else s
     raise TypeError(f"unknown term node: {t!r}")
 
 
-def pp_binder(b: Binder, env: object | None = None) -> str:
+def pp_binder(b: Binder) -> str:
     open_, close = ("[", "]") if b.instance_implicit else ("(", ")")
-    return f"{open_}{b.name} : {pp_term(b.ty, env)}{close}"
+    return f"{open_}{b.name} : {pp_term(b.ty)}{close}"
 
 
-def pp_telescope(tele: Iterable[Binder], env: object | None = None) -> str:
-    return " ".join(pp_binder(b, env) for b in tele)
+def pp_telescope(tele: Iterable[Binder]) -> str:
+    return " ".join(pp_binder(b) for b in tele)

@@ -132,7 +132,7 @@ def test_criterion_05_elaboration_goldens(capsys, fig1_nested, fig1_flat):
         ok &= info.kind == "synthesized-constructor" and info.priority == 100
         body = fig1_nested.env.get("ring.to_add_comm_group").body
         ok &= ("i.to_semiring.to_add_comm_monoid.to_add_monoid"
-               in pp_term(body, fig1_nested.env))
+               in pp_term(body))
 
         flat_fields = {name: [b.name for b in cls.layout]
                        for name, cls in fig1_flat.classes.items()}

@@ -13,7 +13,6 @@ from hierlab import analyzer, elaborator
 from hierlab.analyzer import (
     ANALYZER_REPORT_SCHEMA,
     CycleDetected,
-    Edge,
     HierGraph,
     PathLimitExceeded,
     analyze,
@@ -27,7 +26,9 @@ from hierlab.analyzer import (
     report_dict,
     spanning_search,
 )
-from hierlab.elaborator import PREFERRED, EncodingStrategy, InstanceInfo, elaborate
+from hierlab.elaborator import (
+    FLAT, PREFERRED, SYNTHESIZED, EncodingStrategy, InstanceInfo, elaborate,
+)
 from hierlab.kernel import DefEqConfig, FuelExhausted, Trace, check_type, defeq
 from hierlab.surface import parse
 from hierlab.terms import Binder, Const, FreeVar, apps, unfold_apps
@@ -49,9 +50,10 @@ def diamond_key(report):
 def test_graph_has_one_edge_per_forgetful_instance(fig1_nested):
     graph = build_graph(fig1_nested.env, fig1_nested.instances)
     assert len(graph.edges) == 7
+    assert all(isinstance(e, InstanceInfo) for e in graph.edges)
     kinds = [e.kind for e in graph.edges]
-    assert kinds.count("preferred") == 5
-    assert kinds.count("non-preferred") == 2
+    assert kinds.count(PREFERRED) == 5
+    assert kinds.count(SYNTHESIZED) == 2
 
 
 def test_graph_includes_root_classes_as_nodes(fig1_nested):
@@ -62,13 +64,22 @@ def test_graph_includes_root_classes_as_nodes(fig1_nested):
 def test_flat_encoding_edges_are_all_flat_kind(fig1_flat):
     graph = build_graph(fig1_flat.env, fig1_flat.instances)
     assert len(graph.edges) == 7
-    assert {e.kind for e in graph.edges} == {"flat"}
+    assert {e.kind for e in graph.edges} == {FLAT}
 
 
 def test_user_instances_are_not_graph_edges(module_nested):
     graph = build_graph(module_nested.env, module_nested.instances)
     assert all(e.decl_name != "semiring.to_module" for e in graph.edges)
     assert all(e.decl_name != "int.ring" for e in graph.edges)
+
+
+def test_graph_nodes_are_in_topological_order(fig1_nested, fig1_flat):
+    for elab in (fig1_nested, fig1_flat,
+                 elaborate(load("cube.hier"), EncodingStrategy("nested"))):
+        graph = build_graph(elab.env, elab.instances)
+        position = {n: i for i, n in enumerate(graph.nodes)}
+        assert sorted(position) == sorted(elab.classes)
+        assert all(position[e.from_class] < position[e.to_class] for e in graph.edges)
 
 
 def test_cyclic_instance_graphs_are_rejected():
@@ -219,10 +230,10 @@ def test_commutes_under_requires_the_predictor_only_without_eta(fig1_nested):
 
 
 def test_predict_diamond_compares_last_edge_kinds():
-    pref = Edge("b", "c", "b.to_c", "preferred")
-    nonpref = Edge("b", "c", "b.to_c_alt", "non-preferred")
-    lead_a = Edge("a", "b", "a.to_b", "preferred")
-    lead_b = Edge("a", "b", "a.to_b_alt", "non-preferred")
+    pref = InstanceInfo("b.to_c", "b", "c", 1000, PREFERRED)
+    nonpref = InstanceInfo("b.to_c_alt", "b", "c", 100, SYNTHESIZED)
+    lead_a = InstanceInfo("a.to_b", "a", "b", 1000, PREFERRED)
+    lead_b = InstanceInfo("a.to_b_alt", "a", "b", 100, SYNTHESIZED)
 
     from hierlab.analyzer import Diamond
     both_pref = Diamond("a", "c", (lead_a, pref), (lead_b, pref))

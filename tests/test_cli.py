@@ -105,6 +105,15 @@ def test_max_depth_reaches_instance_argument_synthesis(run_cli):
     assert (code, err) == (0, "")
 
 
+def test_elaborate_prints_a_non_dependent_pi_field_as_an_arrow(run_cli, tmp_path):
+    src = tmp_path / "pi.hier"
+    src.write_text("class mag (α : Type) where\n"
+                   "  (op : Pi (x : α), α → α)\n")
+    code, out, err = run_cli("elaborate", str(src))
+    assert (code, err) == (0, "")
+    assert "structure mag (α : Type) where\n  (op : α → α → α)\n" in out
+
+
 # ---------------------------------------------------------------------------
 # defeq
 
@@ -133,6 +142,26 @@ def test_defeq_trace_shows_unfolding_and_the_stuck_pair(run_cli):
     assert code == 1
     assert "delta semiring.to_add_comm_monoid" in out
     assert "stuck:" in out
+
+
+def test_defeq_of_lambdas_reduces_by_beta(run_cli):
+    code, out, err = run_cli("defeq", FIG1, "fun (x : R), (fun (y : R), y) x",
+                             "fun (z : R), z", "--trace")
+    assert (code, out, err) == (0, "defeq: equal\nbeta\n", "")
+    code, out, _ = run_cli("defeq", FIG1, "fun (x : R), (fun (y : R), y) x",
+                           "fun (z : R), z", "--emit", "json")
+    assert code == 0
+    assert [(d["lhs"], d["rhs"]) for d in json.loads(out)["defeqs"]] == \
+        [("fun (x : R), (fun (y : R), y) x", "fun (z : R), z")]
+    # The binder types are compared as Pi against Pi.
+    code, out, _ = run_cli("defeq", FIG1, "fun (f : R → (fun (T : Type), T) R), f",
+                           "fun (g : R → R), g", "--trace")
+    assert (code, out) == (0, "defeq: equal\nbeta\n")
+
+
+def test_defeq_of_lambdas_with_different_bodies_fails(run_cli):
+    code, out, err = run_cli("defeq", FIG1, "fun (x : R), x", "fun (x : R), iR.neg x")
+    assert (code, out, err) == (1, "defeq: not equal\n", "")
 
 
 def test_defeq_unknown_label_is_a_diagnostic(run_cli):
@@ -361,6 +390,60 @@ def test_spanning_search_random_module_is_seed_deterministic(run_cli):
         run_cli("elaborate", "@random", "--seed", "4")
 
 
+SEED_29 = ("spanning-search", "@random", "--seed", "29", "--eta-kernel", "off")
+
+
+def test_spanning_search_marks_order_sensitive_placements(run_cli):
+    code, out, err = run_cli(*SEED_29)
+    assert (code, err) == (0, "")
+    assert out == (
+        "placement 0: c3=c2 c4=c2 | coherent | order-sensitive\n"
+        "placement 1: c3=c2 c4=c3 | incoherent | failing: c4->c2 | order-sensitive\n"
+        "placement 2: c3=c2 c4=c1 | incoherent | failing: c4->c1 | order-sensitive\n"
+        "placement 3: c3=c0 c4=c2 | coherent | order-sensitive\n"
+        "placement 4: c3=c0 c4=c3 | incoherent | failing: c4->c2\n"
+        "placement 5: c3=c0 c4=c1 | incoherent | failing: c4->c1\n"
+        "placement 6: c3=c1 c4=c2 | incoherent | failing: c4->c1 | order-sensitive\n"
+        "placement 7: c3=c1 c4=c3 | incoherent | failing: c4->c1, c4->c2\n"
+        "placement 8: c3=c1 c4=c1 | coherent\n"
+        "3 / 9 coherent\n")
+
+
+def test_spanning_search_json_lists_every_placement(run_cli):
+    code, out, err = run_cli(*SEED_29, "--emit", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert payload["config"] == {"encoding": "nested", "eta_kernel": False,
+                                 "eta_unifier": False}
+    assert payload["summary"] == {"total": 9, "coherent": 3}
+    placements = payload["placements"]
+    assert [p["index"] for p in placements] == list(range(9))
+    assert all(sorted(p) == ["coherent", "diamonds", "first_parents", "index",
+                             "order_invariant"] for p in placements)
+    assert [p["order_invariant"] for p in placements] == \
+        [False, False, False, False, True, True, False, True, True]
+    assert [p["coherent"] for p in placements] == \
+        [True, False, False, True, False, False, False, False, True]
+    diamond_keys = {*ANALYZER_REPORT_SCHEMA["properties"]["diamonds"]["items"]
+                    ["properties"], "commutes"}
+    assert all(set(d) == diamond_keys for p in placements for d in p["diamonds"])
+    assert placements[1] == {
+        "index": 1,
+        "first_parents": {"c3": "c2", "c4": "c3"},
+        "coherent": False,
+        "order_invariant": False,
+        "diamonds": [
+            {"source": "c4", "target": "c1", "pathA": ["c4.to_c1"],
+             "pathB": ["c4.to_c3", "c3.to_c1"], "oracle": True, "predictor": True,
+             "commutes": True},
+            {"source": "c4", "target": "c2", "pathA": ["c4.to_c2"],
+             "pathB": ["c4.to_c3", "c3.to_c2"], "oracle": False, "predictor": False,
+             "commutes": False},
+        ],
+    }
+
+
 def test_spanning_search_honours_max_depth(run_cli):
     """Every re-elaboration completes under-applied instance targets under
     the same depth cap as `elaborate`, so the diagnostic is the same."""
@@ -546,6 +629,24 @@ def test_parent_order_naming_no_parent_of_the_class_is_rejected(run_cli):
     code, out, err = run_cli("diamonds", FIG1, "--parent-order", "ring:add_monoid")
     assert (code, out) == (2, "")
     assert err == f"{FIG1}:20:1: 'ring' has no parent 'add_monoid' to put first\n"
+
+
+def test_repeated_parent_order_entries_form_a_prefix(run_cli):
+    code, out, err = run_cli("elaborate", FIG1, "--parent-order", "ring:add_comm_group",
+                             "--parent-order", "ring:semiring")
+    assert (code, err) == (0, "")
+    assert ("structure ring (α : Type) where\n"
+            "  (to_add_comm_group : @add_comm_group α)\n"
+            "  (one : α)\n"
+            "  (mul : α → α → α)\n") in out
+
+
+def test_parent_order_naming_a_parent_twice_is_rejected(run_cli):
+    code, out, err = run_cli("elaborate", FIG1, "--parent-order", "ring:semiring",
+                             "--parent-order", "ring:semiring")
+    assert (code, out) == (2, "")
+    assert err == (f"{FIG1}:20:1: parent-order override for 'ring' names "
+                   f"'semiring' twice\n")
 
 
 def test_unknown_encoding_is_rejected_by_the_argument_parser(run_cli, capsys):

@@ -21,7 +21,7 @@ from hierlab.elaborator import (
     preferred_edges,
 )
 from hierlab.surface import ScopeError, parse
-from hierlab.terms import SORT, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps
+from hierlab.terms import SORT, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps, pp_term
 from conftest import ETA_OFF
 
 
@@ -216,8 +216,8 @@ def test_preferred_edges_form_at_most_one_path_between_any_two_classes(fig1_nest
 def test_every_class_gets_constructor_and_projections(fig1_nested):
     env = fig1_nested.env
     ring = env.struct("ring")
-    assert ring.ctor_name == "ring.mk"
     assert isinstance(env["ring.mk"], DefDecl)
+    assert pp_term(env["ring.mk"].body) == "@ring.mk α to_semiring neg"
     for field in ring.field_names():
         proj = env[f"ring.{field}"]
         assert isinstance(proj, DefDecl)

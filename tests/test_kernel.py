@@ -45,8 +45,7 @@ def tiny_env():
     env.add(OpaqueDecl("ι", (), Sort()))
     env.add(OpaqueDecl("a", (), Const("ι")))
     env.add(OpaqueDecl("b", (), Const("ι")))
-    env.add(StructDecl("pair", (), (Binder("fst", Const("ι")), Binder("snd", Const("ι"))),
-                       "pair.mk"))
+    env.add(StructDecl("pair", (), (Binder("fst", Const("ι")), Binder("snd", Const("ι")))))
     return env
 
 
@@ -183,7 +182,7 @@ def test_eta_is_not_transitive_on_structures_without_fields():
     analyzer never groups normal forms by an eta-long key (which would put x
     and y together) and asks defeq about every pair of distinct ones."""
     env = Environment()
-    env.add(StructDecl("unit", (), (), "unit.mk"))
+    env.add(StructDecl("unit", (), ()))
     ctx = (Binder("x", Const("unit")), Binder("y", Const("unit")))
     x, y, mk = FreeVar("x"), FreeVar("y"), Mk("unit", (), ())
     assert defeq(env, ETA_ON, ctx, x, mk) is True

@@ -60,7 +60,7 @@ def record_env(field_arities) -> Environment:
         env.add(OpaqueDecl(atom, (), Const("ι")))
     fields = tuple(Binder(f"f{k}", arrow_type(arity))
                    for k, arity in enumerate(field_arities))
-    env.add(StructDecl("s", (), fields, "s.mk"))
+    env.add(StructDecl("s", (), fields))
     env.add(OpaqueDecl("x", (), Const("s")))
     return env
 
@@ -276,9 +276,9 @@ def ancestors_of(graph, cls: str) -> set[str]:
     while frontier:
         node = frontier.pop()
         for e in graph.edges:
-            if e.src == node and e.dst not in out:
-                out.add(e.dst)
-                frontier.append(e.dst)
+            if e.from_class == node and e.to_class not in out:
+                out.add(e.to_class)
+                frontier.append(e.to_class)
     return out
 
 

@@ -165,7 +165,7 @@ def test_low_priority_user_instance_loses_to_synthesized_route():
 
 def test_not_found_on_an_environment_without_instances():
     env = Environment()
-    env.add(StructDecl("cls", (Binder("α", Sort()),), (), "cls.mk"))
+    env.add(StructDecl("cls", (Binder("α", Sort()),), ()))
     goal = apps(Const("cls"), FreeVar("T"))
     with pytest.raises(NotFound) as err:
         resolve(env, [], (Binder("T", Sort()),), goal)
@@ -176,8 +176,8 @@ def test_depth_limit_stops_ever_growing_searches():
     """An instance whose own requirement is strictly larger than its result
     diverges; the search must fail with the depth error, not hang."""
     env = Environment()
-    env.add(StructDecl("wrap", (Binder("α", Sort()),), (), "wrap.mk"))
-    env.add(StructDecl("step", (Binder("α", Sort()),), (), "step.mk"))
+    env.add(StructDecl("wrap", (Binder("α", Sort()),), ()))
+    env.add(StructDecl("step", (Binder("α", Sort()),), ()))
     alpha = FreeVar("α")
     grow = DefDecl(
         "grow",

@@ -211,6 +211,29 @@ def test_print_parse_fixpoint_on_corpus(name):
     assert print_module(parse(printed)) == printed
 
 
+BINDERS = """
+class base (α : Type)
+
+class mag (α : Type) where
+  (op : Pi (x : α), α → α)
+  (pick : Pi [i : base α], α)
+
+variables (R : Type) [iR : mag R]
+
+defeq beta :
+  fun (x : R), (fun (y : R), y) x = fun (z : R), z
+"""
+
+
+def test_print_parse_fixpoint_on_binder_syntax():
+    printed = print_module(parse(BINDERS))
+    assert "  (op : Pi (x : α), α → α)\n" in printed
+    assert "  (pick : Pi [i : base α], α)\n" in printed
+    assert ("defeq beta : (fun (x : R), (fun (y : R), y) x) = (fun (z : R), z)\n"
+            in printed)
+    assert print_module(parse(printed)) == printed
+
+
 def test_printed_module_contains_declared_syntax(fig1_module):
     printed = print_module(fig1_module)
     assert "class ring (α : Type) extends semiring α, add_comm_group α" in printed
