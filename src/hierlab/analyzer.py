@@ -36,7 +36,7 @@ path whose normal form runs out of fuel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .declarations import Environment, StructDecl
@@ -77,6 +77,8 @@ class PathLimitExceeded(Exception):
 class HierGraph:
     nodes: tuple[str, ...]  # in topological order
     edges: tuple[InstanceInfo, ...]
+    # The edges by from-class, in edge order.
+    outgoing: dict[str, list[InstanceInfo]] = field(compare=False)
 
 
 Path = tuple[InstanceInfo, ...]
@@ -104,7 +106,9 @@ def build_graph(env: Environment, instances: list[InstanceInfo]) -> HierGraph:
     order; user instances carry no from-class and are not part of the
     graph.  Raises CycleDetected with the classes that cannot be ordered."""
     edges = tuple(i for i in instances if i.from_class is not None)
-    outgoing = _outgoing(edges)
+    outgoing: dict[str, list[InstanceInfo]] = {}
+    for e in edges:
+        outgoing.setdefault(e.from_class, []).append(e)
     pending = dict.fromkeys((d.name for d in env if isinstance(d, StructDecl)), 0)
     for e in edges:
         pending.setdefault(e.from_class, 0)
@@ -117,14 +121,7 @@ def build_graph(env: Environment, instances: list[InstanceInfo]) -> HierGraph:
                 order.append(e.to_class)
     if len(order) < len(pending):
         raise CycleDetected(tuple(n for n, count in pending.items() if count))
-    return HierGraph(tuple(order), edges)
-
-
-def _outgoing(edges: Iterable[InstanceInfo]) -> dict[str, list[InstanceInfo]]:
-    outgoing: dict[str, list[InstanceInfo]] = {}
-    for e in edges:
-        outgoing.setdefault(e.from_class, []).append(e)
-    return outgoing
+    return HierGraph(tuple(order), edges, outgoing)
 
 
 def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> list[Diamond]:
@@ -132,7 +129,6 @@ def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> li
     ordered lexicographically by source, target, then path decl names."""
     if max_path_len < 2:
         raise ValueError("max_path_len must be at least 2")
-    outgoing = _outgoing(graph.edges)
 
     diamonds: list[Diamond] = []
     for source in sorted(graph.nodes):
@@ -143,7 +139,7 @@ def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> li
                 by_target.setdefault(node, []).append(path)
             if len(path) >= max_path_len:
                 return
-            for e in outgoing.get(node, ()):
+            for e in graph.outgoing.get(node, ()):
                 walk(e.to_class, path + (e,))
 
         walk(source, ())
@@ -164,8 +160,7 @@ def _check_path_limit(graph: HierGraph, max_path_len: int) -> None:
     ``enumerate_diamonds`` leaves that path's diamonds out.  Paths are
     counted per source in topological order, not enumerated: a chain has one
     path per pair however long it is."""
-    order = graph.nodes
-    outgoing = _outgoing(graph.edges)
+    order, outgoing = graph.nodes, graph.outgoing
     indegree = dict.fromkeys(order, 0)
     for e in graph.edges:
         indegree[e.to_class] += 1
@@ -176,11 +171,10 @@ def _check_path_limit(graph: HierGraph, max_path_len: int) -> None:
         if any(indegree[e.to_class] > 1 or e.to_class in joining
                for e in outgoing.get(node, ())):
             joining.add(node)
-    position = {n: i for i, n in enumerate(order)}
     for source in sorted(joining):
         # node -> (number of paths from source, at most 2; longest length)
         paths = {source: (1, 0)}
-        for node in order[position[source]:]:
+        for node in order[order.index(source):]:
             entry = paths.get(node)
             if entry is None:
                 continue
@@ -277,7 +271,6 @@ def _source_reports(elab: Elaboration, config: DefEqConfig, max_path_len: int,
     graph = build_graph(env, elab.instances)
     _check_path_limit(graph, max_path_len)
     diamonds = enumerate_diamonds(graph, max_path_len)
-    position = {e: i for i, e in enumerate(graph.edges)}
     out: list[DiamondReport] = []
     for source, group in itertools.groupby(diamonds, key=lambda d: d.source):
         info = elab.classes[source]
@@ -285,25 +278,24 @@ def _source_reports(elab: Elaboration, config: DefEqConfig, max_path_len: int,
         if entry is not None and entry[0] is info:
             reports = entry[1]
         else:
-            reports = _check_source(env, config, source, group, position)
+            reports = _check_source(env, config, source, group)
             made[source] = (info, reports)
         out.extend(reports)
     return out
 
 
 def _check_source(env: Environment, config: DefEqConfig, source: str,
-                  group: Iterable[Diamond], position: dict[InstanceInfo, int]
-                  ) -> list[DiamondReport]:
+                  group: Iterable[Diamond]) -> list[DiamondReport]:
     """Decide the diamonds of one source from the normal forms of its paths."""
     ctx, args, start = _source_context(env, source)
     # The trie of this source's paths, as lists indexed by node id: each
     # node's composite, the parameters its out-edges take, its normal
     # form (None when out of fuel) and that form's id.  Node 0 is the
     # empty path.  A child is keyed by its parent's id and its edge's
-    # position in the graph.
+    # declaration name, which no other edge has.
     terms, node_args, normals = [start], [args], [start]
     form_of: list[int | None] = [None]
-    children: dict[tuple[int, int], int] = {}
+    children: dict[tuple[int, str], int] = {}
     form_ids: dict[Term, int] = {}
     forms: list[Term] = []
     # A path tuple hashes every edge, so paths are looked up by object
@@ -314,7 +306,7 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
     def add_path(path: Path) -> int:
         node = 0
         for e in path:
-            key = (node, position[e])
+            key = (node, e.decl_name)
             child = children.get(key)
             if child is None:
                 child = children[key] = len(terms)

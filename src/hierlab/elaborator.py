@@ -7,8 +7,9 @@ Three encodings of ``extends`` are implemented:
   whose projection is registered as a preferred instance (priority 1000); an
   overlapping parent contributes only its missing leaf fields, and a
   synthesized constructor instance (priority 100) rebuilds it, filling
-  substructure fields through the shortest preferred-projection path or a
-  recursively built constructor, and leaf fields through their origin paths.
+  substructure fields through the preferred-projection path the class record
+  holds (there is at most one) or a recursively built constructor, and leaf
+  fields through their origin paths.
 - flat: the nested rules with no parent stored as a substructure.  Every
   parent takes the overlapping branch, so a class stores its leaf-field view
   in order, and each direct parent gets a rebuilt instance
@@ -33,7 +34,7 @@ its first item.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .declarations import (
     DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl,
@@ -104,6 +105,13 @@ class InstanceInfo:
     kind: str  # preferred-projection | synthesized-constructor | flat-constructor | user-declared
 
 
+# A chain of projections as a linked list, outermost first:
+# ``((struct, field), rest)``, or ``()`` when empty.  A class's path through
+# a stored parent ends in that parent's path, shared rather than copied, so
+# each entry of a class record adds one link however long its path is.
+ProjPath = tuple[()] | tuple[tuple[str, str], "ProjPath"]
+
+
 @dataclass(frozen=True)
 class LayoutField:
     """One stored field of an elaborated class."""
@@ -126,7 +134,8 @@ class ClassInfo:
     own_fields: tuple[tuple[str, Term], ...]
     layout: tuple[LayoutField, ...]
     leaf_types: dict[str, Term]
-    leaf_origins: dict[str, tuple[tuple[str, str], ...]]
+    leaf_origins: dict[str, ProjPath]
+    ancestors: dict[str, ProjPath]  # path to each class stored at any depth
     all_names: frozenset[str]
 
     @property
@@ -218,7 +227,7 @@ def elaborate_item(elab: Elaboration, item: Item, config: DefEqConfig = DEFAULT_
         elif isinstance(item, InstanceItem):
             _declare_instance(elab, item, config, max_depth)
         elif isinstance(item, VariablesItem):
-            elab.variables = _resolve_binders(item.binders, (), elab.env)
+            elab.variables = _resolve_binders(item.binders, elab.env)
         elif isinstance(item, GoalItem):
             elab.goals.append((item.label, elab.variables,
                                resolve_expr(item.target, elab.variables, elab.env)))
@@ -242,7 +251,7 @@ def preferred_edges(elab: Elaboration) -> frozenset[tuple[str, str]]:
 def _declare_class(elab: Elaboration, item: ClassItem) -> None:
     if item.name in elab.classes:
         raise ElabError(f"duplicate class {item.name!r}", item.pos)
-    params = _resolve_binders(item.binders, (), elab.env)
+    params = _resolve_binders(item.binders, elab.env)
     parents = _resolve_parents(elab, item, params)
     own_scope = params
     own_fields: list[tuple[str, Term]] = []
@@ -261,12 +270,12 @@ def _declare_class(elab: Elaboration, item: ClassItem) -> None:
     _declare_forgetful_instances(elab, info)
 
 
-def _resolve_binders(binders, scope: Telescope, env: Environment) -> Telescope:
-    out = tuple(scope)
+def _resolve_binders(binders, env: Environment) -> Telescope:
+    out: Telescope = ()
     for b in binders:
         ty = resolve_expr(b.ty, out, env)
         out = out + (Binder(b.name, ty, b.instance_implicit),)
-    return out[len(scope):]
+    return out
 
 
 def _resolve_parents(elab: Elaboration, item: ClassItem,
@@ -327,17 +336,22 @@ def _layout(elab: Elaboration, name: str,
             parents: tuple[tuple[str, tuple[Term, ...]], ...],
             own_fields: list[tuple[str, Term]], pos: Pos
             ) -> tuple[tuple[LayoutField, ...], dict[str, Term],
-                       dict[str, tuple[tuple[str, str], ...]], frozenset[str]]:
+                       dict[str, ProjPath], dict[str, ProjPath], frozenset[str]]:
     """Lay out the parents in order, then the own fields.  A parent sharing
     no name with what was already collected becomes a substructure field
     (never under flat); any other parent contributes its missing leaf fields
     and is rebuilt by a forgetful instance.  Returns the layout, the leaf
-    types, the leaf origins and the collected names."""
+    types, the leaf origins, the substructure paths and the collected names.
+
+    A class has at most one substructure path to any class: storing ``A``
+    at any depth collects the name ``to_A``, so no other parent that is
+    ``A`` or stores ``A`` is stored as well."""
     layout: list[LayoutField] = []
     collected: set[str] = set()
     leaf_types: dict[str, Term] = {}
     leaf_sources: dict[str, str] = {}
-    origins: dict[str, tuple[tuple[str, str], ...]] = {}
+    origins: dict[str, ProjPath] = {}
+    ancestors: dict[str, ProjPath] = {}
     substructures = elab.strategy.kind != "flat"
 
     for parent, args in parents:
@@ -349,8 +363,12 @@ def _layout(elab: Elaboration, name: str,
             layout.append(LayoutField(sub_name, apps(Const(parent), *args),
                                       parent=parent, parent_args=args))
             collected |= parent_names
+            step = (name, sub_name)
+            ancestors[parent] = (step, ())
+            for ancestor, path in pinfo.ancestors.items():
+                ancestors[ancestor] = (step, path)
             for leaf, path in pinfo.leaf_origins.items():
-                origins[leaf] = ((name, sub_name),) + path
+                origins[leaf] = (step, path)
                 leaf_types[leaf] = subst_frees(pinfo.leaf_types[leaf], mapping)
                 leaf_sources[leaf] = parent
         else:
@@ -359,7 +377,7 @@ def _layout(elab: Elaboration, name: str,
                 if _add_leaf(leaf_types, leaf_sources, leaf, ty, parent, pos):
                     layout.append(LayoutField(leaf, ty))
                     collected.add(leaf)
-                    origins[leaf] = ((name, leaf),)
+                    origins[leaf] = ((name, leaf), ())
 
     for leaf, ty in own_fields:
         if leaf not in leaf_types and leaf in collected:
@@ -368,8 +386,8 @@ def _layout(elab: Elaboration, name: str,
         if _add_leaf(leaf_types, leaf_sources, leaf, ty, name, pos):
             layout.append(LayoutField(leaf, ty))
             collected.add(leaf)
-            origins[leaf] = ((name, leaf),)
-    return tuple(layout), leaf_types, origins, frozenset(collected)
+            origins[leaf] = ((name, leaf), ())
+    return tuple(layout), leaf_types, origins, ancestors, frozenset(collected)
 
 
 def _declare_constructor(elab: Elaboration, info: ClassInfo) -> None:
@@ -414,7 +432,11 @@ def _synthesize_instance(elab: Elaboration, info: ClassInfo,
     substructure, with the constructor kind and priority of the encoding."""
     binders = info.params + (Binder("i", info.self_type, instance_implicit=True),)
     decl_name = f"{info.name}.to_{parent}"
-    body = _build_parent_value(elab, info, parent, args, FreeVar("i"))
+    self_var = FreeVar("i")
+    body = _pack_value(
+        elab, parent, args, lambda leaf: _project(self_var, info.leaf_origins[leaf]),
+        lambda cls: (_project(self_var, info.ancestors[cls])
+                     if cls in info.ancestors else None))
     elab.env.add(DefDecl(decl_name, binders, apps(Const(parent), *args), body))
     if elab.strategy.kind == "flat":
         kind, priority = FLAT, PRIORITY_PREFERRED
@@ -423,52 +445,11 @@ def _synthesize_instance(elab: Elaboration, info: ClassInfo,
     elab.instances.append(InstanceInfo(decl_name, info.name, parent, priority, kind))
 
 
-def _build_parent_value(elab: Elaboration, info: ClassInfo, target: str,
-                        args: tuple[Term, ...], self_var: Term) -> Term:
-    """Rebuild a value of target from a derived value: substructure fields
-    go through the shortest preferred-projection path when one exists (ties
-    toward the earliest-declared parent) or a recursive constructor
-    otherwise; leaf fields follow their recorded origin paths."""
-    tinfo = elab.classes[target]
-    mapping = _param_map(tinfo, args)
-    fields: list[Term] = []
-    for f in tinfo.layout:
-        if f.parent is not None:
-            sub_args = tuple(subst_frees(a, mapping) for a in f.parent_args)
-            path = _preferred_path(elab, info.name, f.parent)
-            if path is not None:
-                value = self_var
-                for cls, fname in path:
-                    value = Proj(cls, fname, value)
-            else:
-                value = _build_parent_value(elab, info, f.parent, sub_args, self_var)
-            fields.append(value)
-        else:
-            value = self_var
-            for cls, fname in info.leaf_origins[f.name]:
-                value = Proj(cls, fname, value)
-            fields.append(value)
-    return Mk(target, args, tuple(fields))
-
-
-def _preferred_path(elab: Elaboration, source: str,
-                    target: str) -> tuple[tuple[str, str], ...] | None:
-    """Breadth-first search over substructure projections, layout order."""
-    if source == target:
-        return ()
-    queue: list[tuple[str, tuple[tuple[str, str], ...]]] = [(source, ())]
-    seen = {source}
-    while queue:
-        cls, path = queue.pop(0)
-        for f in elab.classes[cls].layout:
-            if f.parent is None or f.parent in seen:
-                continue
-            step = path + ((cls, f.name),)
-            if f.parent == target:
-                return step
-            seen.add(f.parent)
-            queue.append((f.parent, step))
-    return None
+def _project(value: Term, path: ProjPath) -> Term:
+    while path:
+        (cls, fname), path = path
+        value = Proj(cls, fname, value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +457,7 @@ def _preferred_path(elab: Elaboration, source: str,
 
 def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig,
                       max_depth: int) -> None:
-    binders = _resolve_binders(item.binders, (), elab.env)
+    binders = _resolve_binders(item.binders, elab.env)
     target = resolve_expr(item.target, binders, elab.env)
     head, args = unfold_apps(target)
     if not isinstance(head, Const) or head.name not in elab.classes:
@@ -513,7 +494,7 @@ def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig
             values[leaf] = apps(Const(opaque_name),
                                 *(FreeVar(b.name) for b in binders))
 
-    body = _pack_value(elab, cinfo.name, full_args, values)
+    body = _pack_value(elab, cinfo.name, full_args, values.__getitem__, lambda _: None)
     elab.env.add(DefDecl(item.name, binders, target, body))
     priority = item.priority if item.priority is not None else PRIORITY_PREFERRED
     elab.instances.append(InstanceInfo(item.name, None, cinfo.name, priority, USER))
@@ -550,15 +531,20 @@ def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
 
 
 def _pack_value(elab: Elaboration, cls: str, args: tuple[Term, ...],
-                values: dict[str, Term]) -> Term:
-    """Pack leaf values into this encoding's constructor shape."""
+                leaf: Callable[[str], Term], stored: Callable[[str], Term | None]) -> Term:
+    """A value of ``cls`` at ``args`` in this encoding's constructor shape:
+    ``leaf(name)`` gives each leaf field, and ``stored(parent)`` each
+    substructure, or None to pack that substructure the same way."""
     info = elab.classes[cls]
     mapping = _param_map(info, args)
     fields: list[Term] = []
     for f in info.layout:
-        if f.parent is not None:
+        if f.parent is None:
+            fields.append(leaf(f.name))
+            continue
+        value = stored(f.parent)
+        if value is None:
             sub_args = tuple(subst_frees(a, mapping) for a in f.parent_args)
-            fields.append(_pack_value(elab, f.parent, sub_args, values))
-        else:
-            fields.append(values[f.name])
+            value = _pack_value(elab, f.parent, sub_args, leaf, stored)
+        fields.append(value)
     return Mk(cls, args, tuple(fields))

@@ -1,11 +1,12 @@
 """Reduction, typing, definitional equality, and first-order unification.
 
 Reduction is weak-head only: beta (lambda application), delta (unfolding
-definitions, fuel-limited), and iota (projection of a constructor
-field).  Eta for structures is not a reduction; it lives inside the equality
-check as a comparison rule, tried only after both sides are in weak head
-normal form and exactly one of them is a constructor.  Two independent flags
-control it: ``eta_kernel`` for definitional equality and ``eta_unifier`` for
+definitions, fuel-limited), and iota (projection of a constructor field;
+projecting another structure's constructor is IllTyped).  Eta for
+structures is not a reduction; it lives inside the equality check as a
+comparison rule, tried only after both sides are in weak head normal form
+and exactly one of them is a constructor.  Two independent flags control
+it: ``eta_kernel`` for definitional equality and ``eta_unifier`` for
 unification during instance search.
 """
 from __future__ import annotations
@@ -147,8 +148,10 @@ def _whnf(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
         if isinstance(head, Proj):
             target = _whnf(env, head.target, fuel, trace)
             if isinstance(target, Mk):
-                decl = env.struct(head.struct)
-                idx = decl.field_index(head.field)
+                if target.struct != head.struct:
+                    raise IllTyped(f"projection {head.struct}.{head.field} applied to a "
+                                   f"constructor of {target.struct}")
+                idx = env.struct(head.struct).field_index(head.field)
                 if trace is not None:
                     trace.step(f"iota {head.struct}.{head.field}")
                 t = apps(target.fields[idx], *args)
@@ -336,13 +339,7 @@ class _Comparator:
         if self.subst is not None and (isinstance(aw, Meta) or isinstance(bw, Meta)):
             self._solve_meta(aw, bw)
             return
-        if isinstance(aw, Sort) and isinstance(bw, Sort):
-            return
-        if isinstance(aw, Lam) and isinstance(bw, Lam):
-            self.compare(aw.ty, bw.ty)
-            self._compare_open(aw.binder, aw.ty, aw.body, bw.body)
-            return
-        if isinstance(aw, Pi) and isinstance(bw, Pi):
+        if type(aw) is type(bw) and isinstance(aw, (Lam, Pi)):
             self.compare(aw.ty, bw.ty)
             self._compare_open(aw.binder, aw.ty, aw.body, bw.body)
             return
@@ -377,23 +374,11 @@ class _Comparator:
         head_b, args_b = unfold_apps(bw)
         if len(args_a) != len(args_b):
             raise _NotDefEq(aw, bw)
-        if isinstance(head_a, FreeVar) and isinstance(head_b, FreeVar):
-            if head_a.name != head_b.name:
-                raise _NotDefEq(aw, bw)
-        elif isinstance(head_a, Const) and isinstance(head_b, Const):
-            if head_a.name != head_b.name:
-                raise _NotDefEq(aw, bw)
-        elif isinstance(head_a, BoundVar) and isinstance(head_b, BoundVar):
-            if head_a.index != head_b.index:
-                raise _NotDefEq(aw, bw)
-        elif isinstance(head_a, Meta) and isinstance(head_b, Meta):
-            if head_a.mid != head_b.mid:
-                raise _NotDefEq(aw, bw)
-        elif isinstance(head_a, Proj) and isinstance(head_b, Proj):
+        if isinstance(head_a, Proj) and isinstance(head_b, Proj):
             if head_a.struct != head_b.struct or head_a.field != head_b.field:
                 raise _NotDefEq(aw, bw)
             self.compare(head_a.target, head_b.target)
-        else:
+        elif not (isinstance(head_a, (FreeVar, Const, BoundVar, Meta)) and head_a == head_b):
             raise _NotDefEq(aw, bw)
         for x, y in zip(args_a, args_b):
             self.compare(x, y)

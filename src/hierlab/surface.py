@@ -301,23 +301,14 @@ class _Parser:
         return SurfaceModule(tuple(items))
 
     def parse_item(self) -> Item:
-        if self.at("AT"):
-            return self.parse_instance()
         tok = self.peek()
-        if tok.kind == "IDENT":
-            if tok.value == "class":
-                return self.parse_class()
-            if tok.value == "instance":
-                return self.parse_instance()
-            if tok.value == "variables":
-                return self.parse_variables()
-            if tok.value == "goal":
-                return self.parse_goal()
-            if tok.value == "defeq":
-                return self.parse_defeq()
-        raise ParseError(tok.line, tok.col,
-                         ("class", "instance", "variables", "goal", "defeq"),
-                         repr(tok.value or "end of input"))
+        # ``@[priority n]`` starts an instance; every other item starts with
+        # its keyword.
+        parse_item = _ITEM_PARSERS.get("instance" if tok.kind == "AT" else tok.value)
+        if parse_item is None:
+            raise ParseError(tok.line, tok.col, tuple(_ITEM_PARSERS),
+                             repr(tok.value or "end of input"))
+        return parse_item(self)
 
     def parse_name(self, what: str) -> str:
         tok = self.expect("IDENT", what=what)
@@ -455,27 +446,18 @@ class _Parser:
     # Expressions -----------------------------------------------------------
 
     def parse_expr(self) -> SExpr:
-        if self.at_keyword("fun", "λ"):
+        if self.at_keyword("fun", "λ", "Pi", "Π"):
             pos = self.pos()
-            self.advance()
-            self.expect("LPAREN")
-            name = self.parse_name("binder name")
-            self.expect("COLON")
-            ty = self.parse_expr()
-            self.expect("RPAREN")
-            self.expect("COMMA")
-            return SFun(name, ty, self.parse_expr(), pos)
-        if self.at_keyword("Pi", "Π"):
-            pos = self.pos()
-            self.advance()
-            implicit = self.at("LBRACK")
+            is_pi = self.advance().value in ("Pi", "Π")
+            implicit = is_pi and self.at("LBRACK")  # only Pi takes [x : T]
             self.expect("LBRACK" if implicit else "LPAREN")
             name = self.parse_name("binder name")
             self.expect("COLON")
             ty = self.parse_expr()
             self.expect("RBRACK" if implicit else "RPAREN")
             self.expect("COMMA")
-            return SPi(name, implicit, ty, self.parse_expr(), pos)
+            body = self.parse_expr()
+            return SPi(name, implicit, ty, body, pos) if is_pi else SFun(name, ty, body, pos)
         lhs = self.parse_app()
         if self.at("ARROW"):
             self.advance()
@@ -523,6 +505,11 @@ class _Parser:
             for segment in name.value.split("."):
                 expr = SProj(expr, segment, Pos(dot.line, dot.col))
         return expr
+
+
+_ITEM_PARSERS = {"class": _Parser.parse_class, "instance": _Parser.parse_instance,
+                 "variables": _Parser.parse_variables, "goal": _Parser.parse_goal,
+                 "defeq": _Parser.parse_defeq}
 
 
 def parse(text: str) -> SurfaceModule:
@@ -618,13 +605,11 @@ def _print_sexpr(e: SExpr, prec: int) -> str:
     if isinstance(e, SArrow):
         s = f"{_print_sexpr(e.lhs, 1)} → {_print_sexpr(e.rhs, 2)}"
         return f"({s})" if prec < 2 else s
-    if isinstance(e, SPi):
-        open_, close = ("[", "]") if e.implicit else ("(", ")")
-        s = (f"Pi {open_}{e.binder} : {_print_sexpr(e.ty, 2)}{close}, "
+    if isinstance(e, (SPi, SFun)):
+        word = "Pi" if isinstance(e, SPi) else "fun"
+        open_, close = ("[", "]") if word == "Pi" and e.implicit else ("(", ")")
+        s = (f"{word} {open_}{e.binder} : {_print_sexpr(e.ty, 2)}{close}, "
              f"{_print_sexpr(e.body, 2)}")
-        return f"({s})" if prec < 2 else s
-    if isinstance(e, SFun):
-        s = f"fun ({e.binder} : {_print_sexpr(e.ty, 2)}), {_print_sexpr(e.body, 2)}"
         return f"({s})" if prec < 2 else s
     raise TypeError(f"unknown expression {e!r}")
 

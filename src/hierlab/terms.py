@@ -354,21 +354,17 @@ def _pp(t: Term, names: list[str], prec: int) -> str:
             h = _pp(head, names, _ATOM)
         s = " ".join([h] + [_pp(a, names, _ATOM) for a in args])
         return f"({s})" if prec < _APP else s
-    if isinstance(t, Pi):
-        if not t.implicit and not _mentions_bound0(t.body):
-            lhs = _pp(t.ty, names, _APP)
+    if isinstance(t, (Pi, Lam)):
+        implicit = isinstance(t, Pi) and t.implicit
+        if isinstance(t, Pi) and not implicit and not _mentions_bound0(t.body):
             rhs = _pp(instantiate(t.body, FreeVar("_")), names, _ARROW)
-            s = f"{lhs} → {rhs}"
-            return f"({s})" if prec < _ARROW else s
-        name = fresh_name(t.binder or "x", set(names) | free_names(t.body))
-        open_, close = ("[", "]") if t.implicit else ("(", ")")
-        body = _pp(instantiate(t.body, FreeVar(name)), names + [name], _ARROW)
-        s = f"Pi {open_}{name} : {_pp(t.ty, names, _ARROW)}{close}, {body}"
-        return f"({s})" if prec < _ARROW else s
-    if isinstance(t, Lam):
-        name = fresh_name(t.binder or "x", set(names) | free_names(t.body))
-        body = _pp(instantiate(t.body, FreeVar(name)), names + [name], _ARROW)
-        s = f"fun ({name} : {_pp(t.ty, names, _ARROW)}), {body}"
+            s = f"{_pp(t.ty, names, _APP)} → {rhs}"
+        else:
+            name = fresh_name(t.binder or "x", set(names) | free_names(t.body))
+            open_, close = ("[", "]") if implicit else ("(", ")")
+            body = _pp(instantiate(t.body, FreeVar(name)), names + [name], _ARROW)
+            word = "Pi" if isinstance(t, Pi) else "fun"
+            s = f"{word} {open_}{name} : {_pp(t.ty, names, _ARROW)}{close}, {body}"
         return f"({s})" if prec < _ARROW else s
     raise TypeError(f"unknown term node: {t!r}")
 

@@ -7,6 +7,10 @@
 - ``flatten_fields``: the leaf-field view of a class, recomputed by recursion
   through every ancestor path.  The elaborator stores this view once per
   class in ``ClassInfo.leaf_types``.
+- ``preferred_path``: the path of substructure projections from one class
+  to another, by breadth-first search over the class layouts.  The
+  elaborator records these paths once per class in ``ClassInfo.ancestors``
+  while it lays the class out.
 - ``flat_forgetful_body``: the body of a flat class's instance for a direct
   parent, the parent's constructor applied to the class's projections onto
   each parent leaf.  The elaborator derives it from the nested rebuilding
@@ -117,6 +121,25 @@ def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[st
             merged[leaf] = ty
             sources[leaf] = name
     return list(merged.items())
+
+
+def preferred_path(elab, source: str, target: str) -> tuple[tuple[str, str], ...] | None:
+    """Breadth-first search over substructure fields, in layout order: the
+    first ``(struct, field)`` path from ``source`` to a distinct ``target``,
+    or None when no chain of substructures reaches it."""
+    queue: list[tuple[str, tuple[tuple[str, str], ...]]] = [(source, ())]
+    seen = {source}
+    while queue:
+        cls, path = queue.pop(0)
+        for f in elab.classes[cls].layout:
+            if f.parent is None or f.parent in seen:
+                continue
+            step = path + ((cls, f.name),)
+            if f.parent == target:
+                return step
+            seen.add(f.parent)
+            queue.append((f.parent, step))
+    return None
 
 
 def flat_forgetful_body(classes: Mapping[str, ClassInfo], name: str, parent: str,

@@ -164,6 +164,19 @@ def test_defeq_of_lambdas_with_different_bodies_fails(run_cli):
     assert (code, out, err) == (1, "defeq: not equal\n", "")
 
 
+@pytest.mark.parametrize("field", ["mul", "to_add_comm_monoid"])
+@pytest.mark.parametrize("command", ["defeq", "resolve"])
+def test_projecting_another_structures_constructor_is_a_diagnostic(run_cli, command, field):
+    """A semiring projection of a ring constructor is ill-typed.  It takes
+    no field of the ring by position: not one past the end (mul), and not
+    the first (to_add_comm_monoid, which would make the sides equal)."""
+    term = f"@semiring.{field} R (@ring.mk R iR.to_semiring iR.neg)"
+    rest = (term, "iR.to_semiring") if command == "defeq" else (term,)
+    code, out, err = run_cli(command, FIG1, *rest, "--trace")
+    assert (code, out, err) == (
+        2, "", f"{FIG1}: projection semiring.{field} applied to a constructor of ring\n")
+
+
 def test_defeq_unknown_label_is_a_diagnostic(run_cli):
     code, _, err = run_cli("defeq", FIG1, "nosuch_label")
     assert code == 2

@@ -107,6 +107,16 @@ def test_whnf_fuel_exhaustion_raises(fig1_nested):
         whnf(fig1_nested.env, DefEqConfig(unfold_depth=1), ctx, t)
 
 
+def test_whnf_projection_of_another_structures_constructor_is_ill_typed(fig1_nested):
+    """Iota fires only on a constructor of the projected structure: a ring
+    constructor has no semiring fields to take by position."""
+    ctx = fig1_nested.defeqs[0][1]
+    t = parse_term("semiring.mul R (ring.mk R iR.to_semiring iR.neg)", ctx, fig1_nested.env)
+    with pytest.raises(IllTyped, match="^projection semiring.mul applied to a "
+                                       "constructor of ring$"):
+        whnf(fig1_nested.env, DEFAULT_CONFIG, ctx, t)
+
+
 # ---------------------------------------------------------------------------
 # Definitional equality: the inheritance-diamond scenario
 
@@ -299,6 +309,50 @@ def test_forgetful_instance_bodies_typecheck(fig1_nested):
         if isinstance(decl, DefDecl):
             ty = check_type(fig1_nested.env, ETA_OFF, decl.binders, decl.body)
             assert defeq(fig1_nested.env, ETA_OFF, decl.binders, ty, decl.result_type)
+
+
+# ---------------------------------------------------------------------------
+# Definitional equality: neutral heads and binders
+
+ι = Const("ι")
+F, G, P = FreeVar("f"), FreeVar("g"), FreeVar("p")
+HEAD_CTX = (Binder("f", Pi("_", ι, ι)), Binder("g", Pi("_", ι, ι)),
+            Binder("p", Const("pair")))
+# Equal to `a`, but only after a beta step, so the spines differ as given.
+BETA_A = App(Lam("y", ι, BoundVar(0)), Const("a"))
+
+
+@pytest.mark.parametrize("lhs, rhs, equal, unifier", [
+    (App(F, Const("a")), App(F, BETA_A), True, {}),
+    (App(F, Const("a")), App(G, Const("a")), False, None),
+    (Const("a"), FreeVar("a"), False, None),
+    (App(BoundVar(0), Const("a")), App(BoundVar(0), BETA_A), True, {}),
+    (App(BoundVar(0), Const("a")), App(BoundVar(1), Const("a")), False, None),
+    (App(Meta(0), Const("a")), App(Meta(0), BETA_A), True, {}),
+    (Meta(0), Meta(1), False, {0: Meta(1)}),
+    (Proj("pair", "fst", P), Proj("pair", "fst", App(Lam("q", Const("pair"), BoundVar(0)), P)),
+     True, {}),
+    (Proj("pair", "fst", P), Proj("pair", "snd", P), False, None),
+    (App(F, Const("a")), App(App(F, Const("a")), Const("a")), False, None),
+    (Lam("x", ι, App(F, BoundVar(0))),
+     Lam("x", ι, App(F, App(Lam("y", ι, BoundVar(0)), BoundVar(0)))), True, {}),
+    (Pi("x", ι, App(F, BoundVar(0))), Pi("x", ι, App(F, BETA_A)), False, None),
+    (Pi("x", ι, ι), Pi("y", App(Lam("t", Sort(), BoundVar(0)), ι), ι), True, {}),
+    (Lam("x", ι, BoundVar(0)), Pi("x", ι, BoundVar(0)), False, None),
+], ids=["free-same-name", "free-different-names", "const-vs-free-same-name",
+        "bound-same-index", "bound-different-indices", "meta-same-head", "meta-vs-meta",
+        "proj-same-field-compares-targets", "proj-different-fields", "spine-lengths",
+        "lam-vs-lam", "pi-vs-pi-bodies-differ", "pi-vs-pi-types-reduce", "lam-vs-pi"])
+def test_compare_heads_spines_and_binders(tiny_env, lhs, rhs, equal, unifier):
+    """defeq in both directions, and unify, which also assigns a bare meta
+    (``unifier`` is its substitution, None for a mismatch)."""
+    for config in (ETA_OFF, ETA_ON):
+        assert defeq(tiny_env, config, HEAD_CTX, lhs, rhs) is equal
+        assert defeq(tiny_env, config, HEAD_CTX, rhs, lhs) is equal
+        try:
+            assert unify(tiny_env, config, HEAD_CTX, lhs, rhs) == unifier
+        except Mismatch:
+            assert unifier is None
 
 
 # ---------------------------------------------------------------------------

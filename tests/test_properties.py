@@ -141,6 +141,33 @@ def test_stored_leaf_view_matches_recursive_flatten(seed, encoding):
 
 
 @COMMON
+@given(st.data(), st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(ENCODINGS))
+def test_recorded_ancestor_paths_match_breadth_first_search(data, seed, encoding):
+    """The substructure path a class record holds to each class is the one
+    a search over the layouts finds, under any parent order."""
+    module = parse(random_hierarchy(seed))
+    declared = elaborate(module, EncodingStrategy("nested")).classes
+    order = {name: tuple(data.draw(st.permutations([p for p, _ in info.parents]),
+                                   label=f"{name} parent order"))
+             for name, info in declared.items() if len(info.parents) >= 2}
+    elab = elaborate(module, EncodingStrategy(encoding, order))
+
+    def steps(path):
+        """A linked projection path as a flat tuple of its steps."""
+        out = []
+        while path:
+            step, path = path
+            out.append(step)
+        return tuple(out)
+    for source, info in elab.classes.items():
+        for target in elab.classes:
+            if target != source:
+                recorded = info.ancestors.get(target)
+                assert (None if recorded is None else steps(recorded)) == \
+                    reference.preferred_path(elab, source, target)
+
+
+@COMMON
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_flat_layout_is_the_leaf_view_with_rebuilt_parents(seed):
     """Flat is nested with no substructure: every class stores its leaf view
