@@ -10,16 +10,19 @@ The candidate list of each class is built once per answer table, and both
 kinds of candidate take one form: a context binder is a candidate with no
 binders whose answer is the variable itself.
 
-Applying a candidate means allocating a fresh metavariable per
-binder, unifying the candidate's result type against the goal, and then
-solving each still-open instance-implicit argument as a subgoal in binder
-order.  The first candidate whose subgoals all succeed gives the answer;
-a failing subgoal fails its candidate, and the search never re-enters an
-earlier subgoal for a second answer.  A branch is pruned when its goal is
-alpha-equal to a goal already on the path (after substitution), which keeps
-cyclic instance graphs from looping.  The search depth is capped; exceeding
-the cap aborts the whole search rather than backtracking, since a too-deep
-branch usually means a runaway loop the guard cannot see.
+Applying a candidate means allocating a fresh metavariable per binder,
+unifying the candidate's result type against the goal, and then solving
+each still-open instance-implicit argument as a subgoal in binder order.
+The first candidate whose subgoals all succeed gives the answer; a failing
+subgoal fails its candidate, and the search never re-enters an earlier
+subgoal for a second answer.  A candidate whose value keeps a metavariable
+fails, so answers and table entries are ground.  The search is one
+recursive function, one Python frame per level.  A branch is pruned when
+its goal is alpha-equal to a goal already on the path (after
+substitution), which keeps cyclic instance graphs from looping.  The
+search depth is capped; exceeding the cap aborts the whole search rather
+than backtracking, since a too-deep branch usually means a runaway loop
+the guard cannot see.
 
 Answers are tabled, so a class reached along many paths is searched once
 rather than once per path.  An ``AnswerTable`` spans every goal it is passed
@@ -151,44 +154,32 @@ def resolve(env: Environment, instances: Sequence[InstanceLike], ctx: Telescope,
             table: AnswerTable | None = None) -> tuple[Term, Trace]:
     """Find a term of the goal type, or raise NotFound / DepthExceeded.
 
+    An under-applied class goal gets fresh metas for its missing parameters.
     ``table`` carries answers over from earlier goals of the same context;
     without one the search starts from an empty table."""
     trace = trace if trace is not None else Trace()
     table = table if table is not None else AnswerTable()
     table._bind(env, instances, ctx, config, max_depth)
     state = _State(env, ctx, config, max_depth, trace, MetaCtx(), table)
-    target = _saturate_goal(state, target)
+    head, args = unfold_apps(target)
+    decl = env.get(head.name) if isinstance(head, Const) else None
+    if isinstance(decl, StructDecl) and len(args) < len(decl.params):
+        mapping = {b.name: a for b, a in zip(decl.params, args)}
+        target = apps(target, *_open(state, decl.params[len(args):], mapping))
     result = _solve(state, target, {}, 0, ())
     if result is None:
         raise NotFound(target)
-    term, subst = result
-    term = zonk(term, subst)
-    if metas_in(term):
-        raise NotFound(target)
-    return term, trace
+    return result[0], trace
 
 
-def _saturate_goal(state: _State, target: Term) -> Term:
-    """Extend an under-applied class goal with fresh metas for the missing
-    trailing parameters, so `add_monoid` can be asked about directly."""
-    head, args = unfold_apps(target)
-    if not isinstance(head, Const):
-        return target
-    decl = state.env.get(head.name)
-    if not isinstance(decl, StructDecl) or len(args) >= len(decl.params):
-        return target
-    extra = []
-    mapping: dict[str, Term] = {b.name: a for b, a in zip(decl.params, args)}
-    for binder in decl.params[len(args):]:
+def _open(state: _State, binders: Telescope, mapping: dict[str, Term]) -> list[Meta]:
+    """A fresh meta per binder, typed over the binders before it via ``mapping``."""
+    metas = []
+    for binder in binders:
         m = state.metas.fresh(subst_frees(binder.ty, mapping))
         mapping[binder.name] = m
-        extra.append(m)
-    return apps(head, *(tuple(args) + tuple(extra)))
-
-
-def _goal_class(target: Term) -> str | None:
-    head, _ = unfold_apps(target)
-    return head.name if isinstance(head, Const) else None
+        metas.append(m)
+    return metas
 
 
 def _rank_by_class(env: Environment, local: list[_Candidate],
@@ -210,6 +201,7 @@ def _rank_by_class(env: Environment, local: list[_Candidate],
 
 def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
            path: tuple[Term, ...]) -> tuple[Term, dict[int, Term]] | None:
+    """The goal's first answer, which is ground, and its substitution; or None."""
     if depth > state.max_depth:
         raise DepthExceeded(state.max_depth)
     target = zonk(target, subst)
@@ -235,7 +227,46 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
 
     outer_visited, outer_reached, outer_cut = state.visited, state.reached, state.cut
     state.visited, state.reached, state.cut = {target}, depth, False
-    result = _search(state, target, subst, depth, path + (target,))
+    path += (target,)
+    head, _ = unfold_apps(target)
+    result = None
+    trace.push()
+    try:
+        for cand in state.table.by_class.get(head.name if isinstance(head, Const) else None,
+                                             state.table.local):
+            trace.step(f"try {cand.label}")
+            mapping: dict[str, Term] = {}
+            arg_metas = _open(state, cand.binders, mapping)
+            try:
+                new = unify(state.env, state.config, state.ctx,
+                            subst_frees(cand.result_type, mapping), target,
+                            subst=subst, meta_types=state.metas.types)
+            except (Mismatch, OccursCheck):
+                continue
+            # Each ``new`` is held by this candidate alone, so answers go into it in place.
+            for binder, m in zip(cand.binders, arg_metas):
+                if not binder.instance_implicit:
+                    continue
+                current = zonk(m, new)
+                if not isinstance(current, Meta):
+                    continue  # determined by unification with the goal
+                sub_result = _solve(state, state.metas.types[m.mid], new, depth + 1, path)
+                if sub_result is None:
+                    break
+                sub_term, new = sub_result
+                new[current.mid] = sub_term
+            else:
+                value = zonk(apps(cand.head, *arg_metas), new)
+                if metas_in(value):
+                    trace.step("failed: unsolved arguments remain")
+                    continue
+                trace.step(f"solved {pp_term(target)} := {pp_term(value)}")
+                result = value, new
+                break
+        else:
+            trace.step(f"failed: {pp_term(target)}")
+    finally:
+        trace.pop()
     if ground and not state.cut:
         state.table.entries[target] = _Entry(None if result is None else result[0],
                                              frozenset(state.visited),
@@ -245,55 +276,3 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
     state.reached = max(outer_reached, state.reached)
     state.cut = outer_cut or state.cut
     return result
-
-
-def _search(state: _State, target: Term, subst: dict[int, Term], depth: int,
-            path: tuple[Term, ...]) -> tuple[Term, dict[int, Term]] | None:
-    trace = state.trace
-    trace.push()
-    try:
-        for cand in state.table.by_class.get(_goal_class(target), state.table.local):
-            result = _try(state, cand, target, subst, depth, path)
-            if result is not None:
-                term, new_subst = result
-                trace.step(f"solved {pp_term(target)} := {pp_term(zonk(term, new_subst))}")
-                return term, new_subst
-        trace.step(f"failed: {pp_term(target)}")
-        return None
-    finally:
-        trace.pop()
-
-
-def _try(state: _State, cand: _Candidate, target: Term, subst: dict[int, Term],
-         depth: int, path: tuple[Term, ...]) -> tuple[Term, dict[int, Term]] | None:
-    state.trace.step(f"try {cand.label}")
-    mapping: dict[str, Term] = {}
-    arg_metas: list[Meta] = []
-    for binder in cand.binders:
-        m = state.metas.fresh(subst_frees(binder.ty, mapping))
-        mapping[binder.name] = m
-        arg_metas.append(m)
-    result_ty = subst_frees(cand.result_type, mapping)
-    try:
-        new = unify(state.env, state.config, state.ctx, result_ty, target,
-                    subst=subst, meta_types=state.metas.types)
-    except (Mismatch, OccursCheck):
-        return None
-    for binder, m in zip(cand.binders, arg_metas):
-        if not binder.instance_implicit:
-            continue
-        current = zonk(m, new)
-        if not isinstance(current, Meta):
-            continue  # determined by unification with the goal
-        sub_ty = zonk(state.metas.types[m.mid], new)
-        sub_result = _solve(state, sub_ty, new, depth + 1, path)
-        if sub_result is None:
-            return None
-        sub_term, new = sub_result
-        new = dict(new)
-        new[current.mid] = zonk(sub_term, new)
-    value = zonk(apps(cand.head, *arg_metas), new)
-    if metas_in(value):
-        state.trace.step("failed: unsolved arguments remain")
-        return None
-    return value, new

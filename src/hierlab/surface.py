@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from .declarations import Environment, StructDecl
 from .kernel import DEFAULT_CONFIG, DefEqConfig, IllTyped, check_type, infer_type, whnf
 from .terms import (
-    App, Binder, Const, FreeVar, Lam, Meta, Pi, Proj, SORT, Telescope, Term,
+    App, Binder, Const, FreeVar, Lam, Pi, Proj, SORT, Telescope, Term,
     abstract, unfold_apps,
 )
 
@@ -74,12 +74,6 @@ class SName(SExpr):
 
 @dataclass(frozen=True)
 class SSort(SExpr):
-    pos: Pos
-
-
-@dataclass(frozen=True)
-class SMeta(SExpr):
-    mid: int
     pos: Pos
 
 
@@ -216,7 +210,7 @@ class _Token:
 _IDENT_RE = re.compile(r"[^\W\d][\w']*(?:\.[^\W\d][\w']*)*")
 _SYMBOLS = ((":=", "ASSIGN"), ("->", "ARROW"), ("→", "ARROW"), ("(", "LPAREN"),
             (")", "RPAREN"), ("[", "LBRACK"), ("]", "RBRACK"), (",", "COMMA"),
-            (":", "COLON"), ("=", "EQ"), ("@", "AT"), (".", "DOT"), ("?", "QUESTION"))
+            (":", "COLON"), ("=", "EQ"), ("@", "AT"), (".", "DOT"))
 # One alternative per lexeme, tried in this order at each offset; the last
 # one takes any other character, which no token starts with.
 _LEXEME_RE = re.compile("|".join(
@@ -253,7 +247,7 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser
 
-_ATOM_STARTS = {"IDENT", "AT", "LPAREN", "QUESTION"}
+_ATOM_STARTS = {"IDENT", "AT", "LPAREN"}
 
 
 class _Parser:
@@ -479,10 +473,6 @@ class _Parser:
             name = self.expect("IDENT", what="name after @")
             expr: SExpr = SName(name.value, Pos(name.line, name.col), at=True)
             return self.parse_postfix(expr)
-        if tok.kind == "QUESTION":
-            self.advance()
-            num = self.expect("NUM", what="metavariable number")
-            return SMeta(int(num.value), Pos(tok.line, tok.col))
         if tok.kind == "IDENT":
             if tok.value == "Type":
                 self.advance()
@@ -587,8 +577,6 @@ def _print_sexpr(e: SExpr, prec: int) -> str:
         return ("@" if e.at else "") + e.name
     if isinstance(e, SSort):
         return "Type"
-    if isinstance(e, SMeta):
-        return f"?{e.mid}"
     if isinstance(e, SOpaque):
         return "opaque"
     if isinstance(e, SProj):
@@ -632,8 +620,6 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
     def resolve(e: SExpr) -> Term:
         if isinstance(e, SSort):
             return SORT
-        if isinstance(e, SMeta):
-            return Meta(e.mid)
         if isinstance(e, SOpaque):
             raise ParseError(e.pos.line, e.pos.col, ("a term",), "'opaque'")
         if isinstance(e, SName):

@@ -225,6 +225,19 @@ def test_resolve_ad_hoc_goal_term(run_cli):
     assert "found: @semiring.to_add_comm_monoid R (@ring.to_semiring R iR)" in out
 
 
+def test_question_mark_is_no_token(run_cli, tmp_path):
+    """A goal cannot name a metavariable: `?` is a stray character, in an
+    ad-hoc goal and in a file alike."""
+    code, out, err = run_cli("resolve", FIG1, "@add_monoid ?5")
+    assert (code, out) == (2, "")
+    assert err == f"{FIG1}: in '@add_monoid ?5': 1:13: expected a token, found '?'\n"
+    source = tmp_path / "meta.hier"
+    source.write_text("class c (α : Type) where\n  (x : α)\ngoal g : c ?1\n")
+    code, out, err = run_cli("resolve", source)
+    assert (code, out) == (2, "")
+    assert err == f"{source}:3:12: expected a token, found '?'\n"
+
+
 def test_resolve_depth_limit_is_reported(run_cli):
     code, out, _ = run_cli("resolve", MODULE, "module_from_ring",
                            "--max-depth", "1")
@@ -519,14 +532,36 @@ def test_closing_the_output_early_is_a_diagnostic(tmp_path):
     assert err == "hier: output closed before it was fully written\n"
 
 
-def test_search_deeper_than_the_interpreter_allows_is_a_diagnostic(tmp_path):
-    """Instance search recurses three frames per level, so a 400-level
-    chain under a depth cap of 500 exceeds Python's recursion limit."""
+def chain_goal(classes: int) -> str:
+    """A chain k0 <- k1 <- ... of `classes` classes, an instance of the last
+    in context, and a goal for the first: one search level per class."""
+    return ("class k0 (α : Type) where\n  (f0 : α)\n" + "".join(
+        f"class k{k} (α : Type) extends k{k - 1} α\n" for k in range(1, classes))
+        + f"variables (T : Type) [iT : k{classes - 1} T]\ngoal g : k0 T\n")
+
+
+def test_deep_search_is_bounded_by_the_depth_cap_alone(tmp_path):
+    """Search takes one interpreter frame per level, so a 400-level chain is
+    found, and `--max-depth` caps it exactly: the goal is 399 levels above
+    the context's instance."""
     source = tmp_path / "chain.hier"
-    source.write_text("class k0 (α : Type) where\n  (f0 : α)\n" + "".join(
-        f"class k{k} (α : Type) extends k{k - 1} α\n" for k in range(1, 400))
-        + "variables (T : Type) [iT : k399 T]\ngoal g : k0 T\n")
-    proc = hier_process("resolve", str(source), "--max-depth", "500")
+    source.write_text(chain_goal(400))
+    found = ("goal g : @k0 T\n  found: " + "".join(
+        f"@k{k}.to_k{k - 1} T (" for k in range(1, 399)) + "@k399.to_k398 T iT"
+        + ")" * 398 + "\n")
+    for max_depth, code, out in (("500", 0, found), ("399", 0, found),
+                                 ("398", 1, "goal g : @k0 T\n  depth-exceeded\n")):
+        proc = hier_process("resolve", str(source), "--max-depth", max_depth)
+        assert proc.communicate(timeout=120) == (out.encode(), b"")
+        assert proc.returncode == code, max_depth
+
+
+def test_search_deeper_than_the_interpreter_allows_is_a_diagnostic(tmp_path):
+    """Search takes one frame per level and printing the answer more, so a
+    600-level answer exceeds Python's recursion limit when it is printed."""
+    source = tmp_path / "chain.hier"
+    source.write_text(chain_goal(600))
+    proc = hier_process("resolve", str(source), "--max-depth", "700")
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert b"Traceback" not in err

@@ -200,8 +200,13 @@ def test_depth_limit_stops_ever_growing_searches():
 
 def test_max_depth_bounds_legitimate_searches_too(module_nested):
     ctx, goal = goal_by_label(module_nested, "module_from_ring")
+    trace = Trace()
     with pytest.raises(DepthExceeded):
-        resolve(module_nested.env, module_nested.instances, ctx, goal, max_depth=1)
+        resolve(module_nested.env, module_nested.instances, ctx, goal, max_depth=1,
+                trace=trace)
+    # The abort leaves the trace at the depth it started from.
+    trace.step("after")
+    assert trace.lines[-1] == "after"
 
 
 def test_repeated_goal_on_the_search_path_is_cut(fig1_nested):
