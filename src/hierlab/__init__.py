@@ -17,7 +17,6 @@ from .analyzer import (
     enumerate_diamonds,
     predict_diamond,
     random_hierarchy,
-    report_dict,
     spanning_search,
 )
 from .declarations import DefDecl, Environment, OpaqueDecl, StructDecl

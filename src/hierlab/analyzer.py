@@ -492,17 +492,6 @@ ANALYZER_REPORT_SCHEMA = {
 }
 
 
-def report_dict(encoding: str, config: DefEqConfig,
-                reports: list[DiamondReport] | tuple[DiamondReport, ...]) -> dict:
-    """The JSON-ready diamonds report; `commuting` uses the scoring rule of
-    commutes_under and `mismatches` counts oracle/predictor disagreements."""
-    return {
-        "config": config_dict(encoding, config),
-        "diamonds": [diamond_dict(r) for r in reports],
-        "summary": report_summary(config, reports),
-    }
-
-
 def config_dict(encoding: str, config: DefEqConfig) -> dict:
     """The ``config`` record of every JSON report."""
     return {
@@ -513,7 +502,8 @@ def config_dict(encoding: str, config: DefEqConfig) -> dict:
 
 
 def diamond_dict(r: DiamondReport) -> dict:
-    """One diamond's JSON record in the diamonds and spanning-search reports."""
+    """One diamond's JSON record in the spanning-search report.  ``hier
+    diamonds`` writes the same record as text, without building the dict."""
     return {
         "source": r.diamond.source,
         "target": r.diamond.target,
@@ -521,18 +511,6 @@ def diamond_dict(r: DiamondReport) -> dict:
         "pathB": list(_path_key(r.diamond.path_b)),
         "oracle": r.oracle,
         "predictor": r.predictor,
-    }
-
-
-def report_summary(config: DefEqConfig,
-                   reports: list[DiamondReport] | tuple[DiamondReport, ...]
-                   ) -> dict[str, int]:
-    """The diamond count, how many commute under commutes_under, and how
-    many oracle/predictor disagreements there are."""
-    return {
-        "total": len(reports),
-        "commuting": sum(1 for r in reports if commutes_under(r, config)),
-        "mismatches": sum(1 for r in reports if r.oracle != r.predictor),
     }
 
 

@@ -15,6 +15,7 @@ reading a file.  All output is deterministic for a fixed command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,10 +24,10 @@ from pathlib import Path
 
 from .analyzer import (
     PathLimitExceeded, analyze, check_diamond, commutes_under, config_dict, diamond_dict,
-    random_hierarchy, report_dict, report_summary, spanning_search,
+    random_hierarchy, spanning_search,
 )
 from .declarations import DefDecl, OpaqueDecl, StructDecl
-from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
+from .elaborator import ElabError, Elaboration, EncodingStrategy, InstanceInfo, elaborate
 from .kernel import DefEqConfig, KernelError, Trace, defeq
 from .resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from .surface import SurfaceError, SurfaceModule, parse, parse_term
@@ -42,11 +43,29 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which also takes positionals after options
+    (``hier resolve FILE --trace GOAL``).  The top-level parser cannot parse
+    intermixed arguments, since it has subparsers, so the subcommand's
+    parser does; what it leaves over, the top-level parser reports."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # The top-level parser passes no namespace; the intermixed parse
+        # calls back here with the one it builds.
+        if namespace is None:
+            return self.parse_known_intermixed_args(args, argparse.Namespace())
+        return super().parse_known_args(args, namespace)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hier",
         description="Elaborate class hierarchies and probe their instance diamonds.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     def depth(text: str) -> int:
         value = int(text)
@@ -368,32 +387,83 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # diamonds
 
+# Records per write: few enough that the report never sits in memory whole.
+_BATCH = 1024
+
+
 def cmd_diamonds(args: argparse.Namespace) -> int:
+    """Write the report in one pass over the analyzer's list, in batches of
+    records: the JSON layout is ``ANALYZER_REPORT_SCHEMA``'s, as
+    ``_json_text`` writes it.  The paths of one source are shared objects,
+    appearing in many diamonds, so each is rendered once."""
     elab = _elaborated(args)
     config = _config(args)
     reports = analyze(elab, config)
-    if args.emit == "json":
-        payload = report_dict(ENCODINGS[args.encoding], config, reports)
-        _emit_json(payload)
-        summary = payload["summary"]
-    else:
-        for report in reports:
-            d = report.diamond
-            verdict = "commutes" if commutes_under(report, config) else "DOES NOT COMMUTE"
-            print(f"{d.source} -> {d.target}: "
-                  f"[{', '.join(e.decl_name for e in d.path_a)}] vs "
-                  f"[{', '.join(e.decl_name for e in d.path_b)}]: "
-                  f"oracle={'equal' if report.oracle else 'not-equal'} "
-                  f"predictor={'commutes' if report.predictor else 'fails'} "
-                  f"-> {verdict}")
-            if args.trace and not report.oracle:
+    as_json = args.emit == "json"
+    out = sys.stdout
+    config_record = config_dict(ENCODINGS[args.encoding], config)
+
+    def frame(summary: dict[str, int]) -> list[str]:
+        # The generic writer lays out the small records; the diamonds go
+        # in place of its empty list.
+        return _json_text({"config": config_record, "diamonds": [],
+                           "summary": summary}).split('"diamonds": []')
+
+    if as_json:
+        out.write(frame({})[0] + '"diamonds": [')
+    rendered: dict[int, str] = {}
+    chunks: list[str] = []
+    append = chunks.append
+    separator = "\n"
+    commuting = mismatches = 0
+    for report in reports:
+        d = report.diamond
+        oracle, predictor = report.oracle, report.predictor
+        commutes = commutes_under(report, config)
+        commuting += commutes
+        mismatches += oracle != predictor
+        path_a = rendered.get(id(d.path_a))
+        if path_a is None:
+            path_a = rendered[id(d.path_a)] = _render_path(d.path_a, as_json)
+        path_b = rendered.get(id(d.path_b))
+        if path_b is None:
+            path_b = rendered[id(d.path_b)] = _render_path(d.path_b, as_json)
+        if as_json:
+            append(f'{separator}    {{\n      "oracle": {"true" if oracle else "false"},\n'
+                   f'      "pathA": {path_a},\n      "pathB": {path_b},\n'
+                   f'      "predictor": {"true" if predictor else "false"},\n'
+                   f'      "source": {encode_basestring_ascii(d.source)},\n'
+                   f'      "target": {encode_basestring_ascii(d.target)}\n    }}')
+            separator = ",\n"
+        else:
+            append(f"{d.source} -> {d.target}: [{path_a}] vs [{path_b}]: "
+                   f"oracle={'equal' if oracle else 'not-equal'} "
+                   f"predictor={'commutes' if predictor else 'fails'} "
+                   f"-> {'commutes' if commutes else 'DOES NOT COMMUTE'}\n")
+            if args.trace and not oracle:
                 trace = Trace()
                 check_diamond(elab.env, d, config, trace)
-                print("\n".join("  " + line for line in trace.lines))
-        summary = report_summary(config, reports)
-        print(f"{summary['commuting']} / {summary['total']} commuting, "
-              f"{summary['mismatches']} oracle/predictor mismatches")
-    return 0 if summary["commuting"] == summary["total"] else 1
+                append("".join(f"  {line}\n" for line in trace.lines) or "\n")
+        if len(chunks) >= _BATCH:
+            out.write("".join(chunks))
+            chunks.clear()
+    out.write("".join(chunks))
+    total = len(reports)
+    if as_json:
+        summary = {"commuting": commuting, "mismatches": mismatches, "total": total}
+        out.write(("\n  ]" if reports else "]") + frame(summary)[1] + "\n")
+    else:
+        out.write(f"{commuting} / {total} commuting, "
+                  f"{mismatches} oracle/predictor mismatches\n")
+    return 0 if commuting == total else 1
+
+
+def _render_path(path: tuple[InstanceInfo, ...], as_json: bool) -> str:
+    if as_json:
+        return ("[\n        "
+                + ",\n        ".join(encode_basestring_ascii(e.decl_name) for e in path)
+                + "\n      ]")
+    return ", ".join(e.decl_name for e in path)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,9 @@ def pp_term(t: Term) -> str:
 
 
 def _pp(t: Term, names: list[str], prec: int) -> str:
+    # Arguments are printed by plain loops: on Python 3.11 a comprehension
+    # takes a frame of its own, and an answer of instance search, which
+    # takes one frame per level, must print within the same depth.
     if isinstance(t, Sort):
         return "Type"
     if isinstance(t, Const):
@@ -343,7 +346,9 @@ def _pp(t: Term, names: list[str], prec: int) -> str:
     if isinstance(t, Proj):
         return f"{_pp(t.target, names, _ATOM)}.{t.field}"
     if isinstance(t, Mk):
-        parts = [f"@{t.struct}.mk"] + [_pp(a, names, _ATOM) for a in (*t.params, *t.fields)]
+        parts = [f"@{t.struct}.mk"]
+        for a in (*t.params, *t.fields):
+            parts.append(_pp(a, names, _ATOM))
         s = " ".join(parts)
         return f"({s})" if prec < _APP else s
     if isinstance(t, App):
@@ -352,7 +357,10 @@ def _pp(t: Term, names: list[str], prec: int) -> str:
             h = "@" + head.name
         else:
             h = _pp(head, names, _ATOM)
-        s = " ".join([h] + [_pp(a, names, _ATOM) for a in args])
+        parts = [h]
+        for a in args:
+            parts.append(_pp(a, names, _ATOM))
+        s = " ".join(parts)
         return f"({s})" if prec < _APP else s
     if isinstance(t, (Pi, Lam)):
         implicit = isinstance(t, Pi) and t.implicit

@@ -24,6 +24,12 @@
   the elaboration at each class with several parents and reuses the
   reports of sources whose choices did not change; its placement reports
   and errors must equal these.
+- ``report_dict``, ``report_summary``, ``report_lines``: the diamonds
+  report as a JSON-ready dict built from the library's records, and as the
+  text lines without ``--trace``.  ``hier diamonds`` writes both reports in
+  one pass over the analyzer's list and must give the same bytes as
+  ``json.dumps(report_dict(...), indent=2, sort_keys=True)`` and these
+  lines.
 - ``lift``, ``instantiate``, ``abstract1``, ``subst_frees``, ``zonk``: each
   substitution as its own recursive rebuild of every node, and ``abstract``,
   ``pi_type`` and ``lam_closure`` as one ``abstract1`` per name, innermost
@@ -36,7 +42,10 @@ import itertools
 import re
 from typing import Mapping
 
-from hierlab.analyzer import MAX_PATH_LEN, PlacementReport, analyze, commutes_under
+from hierlab.analyzer import (
+    MAX_PATH_LEN, DiamondReport, PlacementReport, analyze, commutes_under, config_dict,
+    diamond_dict,
+)
 from hierlab.declarations import DefDecl, StructDecl
 from hierlab.elaborator import (
     FLAT_HACK_CLASS, ClassInfo, EncodingStrategy, FieldTypeClash, elaborate,
@@ -277,6 +286,44 @@ def spanning_search(module, strategy: EncodingStrategy, config=DEFAULT_CONFIG,
         reports.append(PlacementReport(index, tuple(sorted(zip(names, combo))),
                                        checked, coherent, invariant))
     return reports
+
+
+def report_dict(encoding: str, config, reports: list[DiamondReport]) -> dict:
+    """The JSON-ready diamonds report; `commuting` uses the scoring rule of
+    commutes_under and `mismatches` counts oracle/predictor disagreements."""
+    return {
+        "config": config_dict(encoding, config),
+        "diamonds": [diamond_dict(r) for r in reports],
+        "summary": report_summary(config, reports),
+    }
+
+
+def report_summary(config, reports: list[DiamondReport]) -> dict[str, int]:
+    """The diamond count, how many commute under commutes_under, and how
+    many oracle/predictor disagreements there are."""
+    return {
+        "total": len(reports),
+        "commuting": sum(1 for r in reports if commutes_under(r, config)),
+        "mismatches": sum(1 for r in reports if r.oracle != r.predictor),
+    }
+
+
+def report_lines(config, reports: list[DiamondReport]) -> list[str]:
+    """The text report: one line per diamond, then the summary line."""
+    lines = []
+    for r in reports:
+        d = r.diamond
+        verdict = "commutes" if commutes_under(r, config) else "DOES NOT COMMUTE"
+        lines.append(f"{d.source} -> {d.target}: "
+                     f"[{', '.join(e.decl_name for e in d.path_a)}] vs "
+                     f"[{', '.join(e.decl_name for e in d.path_b)}]: "
+                     f"oracle={'equal' if r.oracle else 'not-equal'} "
+                     f"predictor={'commutes' if r.predictor else 'fails'} "
+                     f"-> {verdict}")
+    summary = report_summary(config, reports)
+    lines.append(f"{summary['commuting']} / {summary['total']} commuting, "
+                 f"{summary['mismatches']} oracle/predictor mismatches")
+    return lines
 
 
 def lift(t: Term, amount: int, cutoff: int = 0) -> Term:

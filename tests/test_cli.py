@@ -11,9 +11,12 @@ import jsonschema
 import pytest
 
 import hierlab
-from hierlab.analyzer import ANALYZER_REPORT_SCHEMA
+import reference
+from hierlab.analyzer import ANALYZER_REPORT_SCHEMA, analyze
 from hierlab.cli import main as cli_main
-from conftest import LONG_DIAMOND, corpus_path, cube_source
+from hierlab.elaborator import EncodingStrategy, elaborate
+from hierlab.surface import parse
+from conftest import CORPUS, ETA_OFF, ETA_ON, LONG_DIAMOND, corpus_path, cube_source
 
 FIG1 = str(corpus_path("fig1.hier"))
 MODULE = str(corpus_path("module.hier"))
@@ -335,6 +338,8 @@ def test_diamonds_json_validates_against_the_schema(run_cli):
     payload = json.loads(out)
     jsonschema.validate(payload, ANALYZER_REPORT_SCHEMA)
     assert payload["summary"] == {"total": 5, "commuting": 4, "mismatches": 0}
+    assert payload["config"] == {"encoding": "nested", "eta_kernel": False,
+                                 "eta_unifier": False}
 
 
 def test_diamonds_trace_shows_the_stuck_pair_under_each_failing_diamond(run_cli):
@@ -364,13 +369,49 @@ def test_diamonds_trace_leaves_json_unchanged(run_cli):
 
 @pytest.mark.parametrize("command", ["diamonds", "spanning-search"])
 def test_diamonds_beyond_the_path_limit_are_a_diagnostic(run_cli, tmp_path, command):
-    """The e7 -> a diamond cannot be checked, so it must not vanish."""
+    """The e7 -> a diamond cannot be checked, so it must not vanish; and
+    since no report is written before every diamond is decided, the
+    diagnostic is all the output."""
     source = tmp_path / "long.hier"
     source.write_text(LONG_DIAMOND)
-    code, out, err = run_cli(command, source)
-    assert (code, out) == (2, "")
-    assert err == (f"{source}: e7 reaches a by several paths, some longer than the "
-                   f"limit of 8 edges; their diamonds cannot all be checked\n")
+    for emit in ("text", "json"):
+        code, out, err = run_cli(command, source, "--emit", emit)
+        assert (code, out) == (2, ""), emit
+        assert err == (f"{source}: e7 reaches a by several paths, some longer than the "
+                       f"limit of 8 edges; their diamonds cannot all be checked\n"), emit
+
+
+# Class names with non-ASCII characters, one outside the basic plane, which
+# JSON escapes as a surrogate pair.
+NON_ASCII = ("class añ (α : Type) where\n  (x : α)\n"
+             "class b (α : Type) extends añ α\nclass c (α : Type) extends añ α\n"
+             "class d𝔸 (α : Type) extends b α, c α\n")
+
+
+@pytest.mark.parametrize("name", [p.name for p in sorted(CORPUS.glob("*.hier"))]
+                         + ["non-ascii"])
+def test_diamonds_report_matches_the_reference(run_cli, tmp_path, name):
+    """The text and JSON reports, written in one pass, against the
+    reference's lines and dict, in every encoding with eta off and on.
+    empty.hier, point.hier and rootonly.hier have no diamonds nested."""
+    if name == "non-ascii":
+        path = tmp_path / "non_ascii.hier"
+        path.write_text(NON_ASCII)
+    else:
+        path = corpus_path(name)
+    module = parse(path.read_text())
+    for encoding in ("nested", "flat", "flat_hack"):
+        elab = elaborate(module, EncodingStrategy(encoding))
+        for config, eta in ((ETA_OFF, "off"), (ETA_ON, "on")):
+            reports = analyze(elab, config)
+            summary = reference.report_summary(config, reports)
+            want_code = 0 if summary["commuting"] == summary["total"] else 1
+            flags = ("--encoding", encoding.replace("_", "-"), "--eta-kernel", eta)
+            text = "\n".join(reference.report_lines(config, reports)) + "\n"
+            assert run_cli("diamonds", path, *flags) == (want_code, text, "")
+            payload = reference.report_dict(encoding, config, reports)
+            assert run_cli("diamonds", path, *flags, "--emit", "json") == (
+                want_code, json.dumps(payload, indent=2, sort_keys=True) + "\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +581,21 @@ def chain_goal(classes: int) -> str:
         + f"variables (T : Type) [iT : k{classes - 1} T]\ngoal g : k0 T\n")
 
 
+def chain_answer(classes: int) -> str:
+    """The output of `hier resolve` on `chain_goal(classes)` when found."""
+    last = classes - 1
+    return ("goal g : @k0 T\n  found: " + "".join(
+        f"@k{k}.to_k{k - 1} T (" for k in range(1, last)) + f"@k{last}.to_k{last - 1} T iT"
+        + ")" * (last - 1) + "\n")
+
+
 def test_deep_search_is_bounded_by_the_depth_cap_alone(tmp_path):
     """Search takes one interpreter frame per level, so a 400-level chain is
     found, and `--max-depth` caps it exactly: the goal is 399 levels above
     the context's instance."""
     source = tmp_path / "chain.hier"
     source.write_text(chain_goal(400))
-    found = ("goal g : @k0 T\n  found: " + "".join(
-        f"@k{k}.to_k{k - 1} T (" for k in range(1, 399)) + "@k399.to_k398 T iT"
-        + ")" * 398 + "\n")
+    found = chain_answer(400)
     for max_depth, code, out in (("500", 0, found), ("399", 0, found),
                                  ("398", 1, "goal g : @k0 T\n  depth-exceeded\n")):
         proc = hier_process("resolve", str(source), "--max-depth", max_depth)
@@ -556,12 +603,22 @@ def test_deep_search_is_bounded_by_the_depth_cap_alone(tmp_path):
         assert proc.returncode == code, max_depth
 
 
-def test_search_deeper_than_the_interpreter_allows_is_a_diagnostic(tmp_path):
-    """Search takes one frame per level and printing the answer more, so a
-    600-level answer exceeds Python's recursion limit when it is printed."""
+def test_a_deep_answer_is_printed(tmp_path):
+    """Printing takes one interpreter frame per level of the answer, as
+    search does, so a 600-level answer is found and printed."""
     source = tmp_path / "chain.hier"
     source.write_text(chain_goal(600))
     proc = hier_process("resolve", str(source), "--max-depth", "700")
+    assert proc.communicate(timeout=120) == (chain_answer(600).encode(), b"")
+    assert proc.returncode == 0
+
+
+def test_search_deeper_than_the_interpreter_allows_is_a_diagnostic(tmp_path):
+    """Search takes one frame per level, so searching 1,099 levels exceeds
+    Python's recursion limit."""
+    source = tmp_path / "chain.hier"
+    source.write_text(chain_goal(1100))
+    proc = hier_process("resolve", str(source), "--max-depth", "1200")
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == 2
     assert b"Traceback" not in err
@@ -695,6 +752,48 @@ def test_parent_order_naming_a_parent_twice_is_rejected(run_cli):
     assert (code, out) == (2, "")
     assert err == (f"{FIG1}:20:1: parent-order override for 'ring' names "
                    f"'semiring' twice\n")
+
+
+def test_in_process_calls_share_no_parser_state(run_cli, capsys):
+    """The argument parser is built once per process; one call's arguments,
+    or its error, must not reach the next."""
+    reordered = run_cli("diamonds", FIG1, "--eta-kernel", "off",
+                        "--parent-order", "add_comm_group:add_comm_monoid")
+    assert reordered[0] == 0
+    assert run_cli("diamonds", FIG1, "--eta-kernel", "off",
+                   "--parent-order", "add_comm_group:add_comm_monoid") == reordered
+    declared = run_cli("diamonds", FIG1, "--eta-kernel", "off")
+    assert declared[0] == 1 and declared != reordered
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["diamonds", FIG1, "--eta-kernel", "sometimes"])
+    assert exc.value.code == 2
+    assert "argument --eta-kernel: invalid choice" in capsys.readouterr().err
+    assert run_cli("diamonds", FIG1, "--eta-kernel", "off") == declared
+
+
+@pytest.mark.parametrize("command, positionals", [
+    ("resolve", ["add_monoid"]),
+    ("defeq", ["@semiring.to_add_comm_monoid R (@ring.to_semiring R iR)",
+               "@add_comm_group.to_add_comm_monoid R (@ring.to_add_comm_group R iR)"]),
+])
+def test_positionals_may_follow_options(run_cli, command, positionals):
+    before = run_cli(command, FIG1, *positionals, "--trace", "--eta-kernel", "off")
+    assert before[0] in (0, 1) and before[2] == ""
+    assert len(before[1].splitlines()) > 2  # a result line and its trace
+    assert run_cli(command, FIG1, "--trace", *positionals, "--eta-kernel", "off") == before
+    assert run_cli(command, "--trace", FIG1, "--eta-kernel", "off", *positionals) == before
+
+
+def test_unknown_options_are_still_reported_by_the_top_level_parser(capsys):
+    for argv in (["resolve", FIG1, "--bogus"], ["resolve", FIG1, "--bogus", "add_monoid"],
+                 ["resolve", FIG1, "add_monoid", "extra"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        unknown = " ".join(argv[2:]) if argv[2] == "--bogus" else "extra"
+        assert capsys.readouterr() == ("", (
+            "usage: hier [-h] {elaborate,defeq,resolve,diamonds,spanning-search} ...\n"
+            f"hier: error: unrecognized arguments: {unknown}\n"))
 
 
 def test_unknown_encoding_is_rejected_by_the_argument_parser(run_cli, capsys):

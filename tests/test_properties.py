@@ -3,7 +3,7 @@
 Each suite runs 200 derandomized examples: reduction and eta behave the same
 on every record shape, the encoding guarantees hold on arbitrary generated
 hierarchies, diamond verdicts from per-path normal forms match the pairwise
-reference, the stored leaf-field view matches its recursive reference,
+reference, the command line's diamonds report matches the reference dict, the stored leaf-field view matches its recursive reference,
 the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
 instances, the incremental spanning search matches the whole-module one,
@@ -129,6 +129,27 @@ def test_analyze_matches_pairwise_check_diamond(seed, encoding, config):
 
 
 ENCODINGS = ("nested", "flat", "flat_hack")
+
+
+@COMMON
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_diamonds_json_matches_the_reference_report(seed):
+    """`hier diamonds --emit json` writes its report in one pass over the
+    analyzer's list; it must give the bytes of the reference dict through
+    ``json.dumps``, in every encoding and with eta off and on."""
+    module = parse(random_hierarchy(seed))
+    for encoding in ENCODINGS:
+        elab = elaborate(module, EncodingStrategy(encoding))
+        for config, eta in ((ETA_OFF, "off"), (ETA_ON, "on")):
+            payload = reference.report_dict(encoding, config, analyze(elab, config))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli_main(["diamonds", "@random", "--seed", str(seed), "--emit", "json",
+                                 "--encoding", encoding.replace("_", "-"),
+                                 "--eta-kernel", eta])
+            assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            summary = payload["summary"]
+            assert code == (0 if summary["commuting"] == summary["total"] else 1)
 
 
 @COMMON
