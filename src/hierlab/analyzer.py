@@ -31,7 +31,7 @@ not grouped by an eta-long form instead, because the eta rule is not
 transitive on structures without fields (``x = unit.mk`` and ``unit.mk = y``
 hold while ``x = y`` does not).  ``check_diamond``, the pairwise comparison
 of the composites, stays as the reference and decides the diamonds of any
-path whose normal form runs out of fuel.
+path whose normal form, or a prefix's, ran out of fuel.
 """
 from __future__ import annotations
 
@@ -95,8 +95,6 @@ class Diamond:
 @dataclass(frozen=True)
 class DiamondReport:
     diamond: Diamond
-    term_a: Term
-    term_b: Term
     oracle: bool
     predictor: bool
 
@@ -229,10 +227,9 @@ def check_diamond(env: Environment, diamond: Diamond,
                   trace: Trace | None = None) -> DiamondReport:
     """Build both composites over a fresh instance variable and compare."""
     ctx, args, start = _source_context(env, diamond.source)
-    term_a = path_composite(env, diamond.path_a, args, start)
-    term_b = path_composite(env, diamond.path_b, args, start)
-    oracle = defeq(env, config, ctx, term_a, term_b, trace)
-    return DiamondReport(diamond, term_a, term_b, oracle, predict_diamond(diamond))
+    oracle = defeq(env, config, ctx, path_composite(env, diamond.path_a, args, start),
+                   path_composite(env, diamond.path_b, args, start), trace)
+    return DiamondReport(diamond, oracle, predict_diamond(diamond))
 
 
 def commutes_under(report: DiamondReport, config: DefEqConfig) -> bool:
@@ -250,10 +247,10 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
     extending the normal form of the path's prefix by its last edge (see
     the module docstring), and equal those of ``check_diamond`` wherever it
     returns.  Fuel is spent per trie node: each ``normalize`` call unfolds
-    one edge under its own ``unfold_depth`` budget, and a node whose prefix
-    ran out of fuel normalises its whole composite instead.  So this can
-    return verdicts where ``check_diamond``, which spends one budget on both
-    whole composites, runs out of fuel.
+    one edge under its own ``unfold_depth`` budget.  The diamonds of a path
+    whose normal form, or a prefix's, ran out of fuel are decided by
+    ``check_diamond``.  So this can return verdicts where ``check_diamond``,
+    which spends one budget on both whole composites, runs out of fuel.
 
     Raises PathLimitExceeded when some diamond has a path longer than
     ``max_path_len``, rather than leave it out of the report."""
@@ -288,62 +285,51 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
                   group: Iterable[Diamond]) -> list[DiamondReport]:
     """Decide the diamonds of one source from the normal forms of its paths."""
     ctx, args, start = _source_context(env, source)
-    # The trie of this source's paths, as lists indexed by node id: each
-    # node's composite, the parameters its out-edges take, its normal
-    # form (None when out of fuel) and that form's id.  Node 0 is the
-    # empty path.  A child is keyed by its parent's id and its edge's
-    # declaration name, which no other edge has.
-    terms, node_args, normals = [start], [args], [start]
-    form_of: list[int | None] = [None]
+    # The trie of this source's paths, indexed by node id: each node's
+    # record holds the parameters its out-edges take, its normal form and
+    # that form's id, or is None when its normalisation or a prefix's ran
+    # out of fuel.  Node 0 is the empty path.  A child is keyed by its
+    # parent's id and its edge's declaration name, which no other edge has.
+    nodes: list[tuple[tuple[Term, ...], Term, int] | None] = [(args, start, -1)]
     children: dict[tuple[int, str], int] = {}
     form_ids: dict[Term, int] = {}
-    forms: list[Term] = []
     # A path tuple hashes every edge, so paths are looked up by object
     # identity, which holds while the caller keeps the diamonds alive.
     path_ids: dict[int, int] = {}
     verdicts: dict[tuple[int, int], bool] = {}
 
-    def add_path(path: Path) -> int:
+    def node_of(path: Path) -> int:
+        node = path_ids.get(id(path))
+        if node is not None:
+            return node
         node = 0
         for e in path:
             key = (node, e.decl_name)
             child = children.get(key)
             if child is None:
-                child = children[key] = len(terms)
-                term, edge_args = _apply_edge(env, e, node_args[node], terms[node])
-                # By extension when the prefix has a normal form, else
-                # from the whole composite.
-                prefix = normals[node]
-                reduced = term if prefix is None else apps(
-                    Const(e.decl_name), *node_args[node], prefix)
-                try:
-                    normal = normalize(env, config, ctx, reduced)
-                except FuelExhausted:
-                    normal = form = None
-                else:
-                    form = form_ids.setdefault(normal, len(forms))
-                    if form == len(forms):
-                        forms.append(normal)
-                terms.append(term)
-                node_args.append(edge_args)
-                normals.append(normal)
-                form_of.append(form)
+                child = children[key] = len(nodes)
+                record = nodes[node]
+                if record is not None:
+                    term, edge_args = _apply_edge(env, e, record[0], record[1])
+                    try:
+                        normal = normalize(env, config, ctx, term)
+                    except FuelExhausted:
+                        record = None
+                    else:
+                        record = (edge_args, normal,
+                                  form_ids.setdefault(normal, len(form_ids)))
+                nodes.append(record)
             node = child
         path_ids[id(path)] = node
         return node
 
     reports: list[DiamondReport] = []
     for d in group:
-        a = path_ids.get(id(d.path_a))
-        if a is None:
-            a = add_path(d.path_a)
-        b = path_ids.get(id(d.path_b))
-        if b is None:
-            b = add_path(d.path_b)
-        id_a, id_b = form_of[a], form_of[b]
-        if id_a is None or id_b is None:
+        record_a, record_b = nodes[node_of(d.path_a)], nodes[node_of(d.path_b)]
+        if record_a is None or record_b is None:
             reports.append(check_diamond(env, d, config))
             continue
+        id_a, id_b = record_a[2], record_b[2]
         if id_a == id_b:
             oracle = True
         elif not config.eta_kernel:
@@ -351,9 +337,9 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
         else:
             oracle = verdicts.get((id_a, id_b))
             if oracle is None:
-                oracle = defeq(env, config, ctx, forms[id_a], forms[id_b])
+                oracle = defeq(env, config, ctx, record_a[1], record_b[1])
                 verdicts[(id_a, id_b)] = oracle
-        reports.append(DiamondReport(d, terms[a], terms[b], oracle, predict_diamond(d)))
+        reports.append(DiamondReport(d, oracle, predict_diamond(d)))
     return reports
 
 

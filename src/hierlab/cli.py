@@ -28,10 +28,10 @@ from .analyzer import (
 )
 from .declarations import DefDecl, OpaqueDecl, StructDecl
 from .elaborator import ElabError, Elaboration, EncodingStrategy, InstanceInfo, elaborate
-from .kernel import DefEqConfig, KernelError, Trace, defeq
+from .kernel import DefEqConfig, KernelError, Trace, check_type, defeq
 from .resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from .surface import SurfaceError, SurfaceModule, parse, parse_term
-from .terms import Telescope, pp_binder, pp_telescope, pp_term
+from .terms import Telescope, Term, pp_binder, pp_telescope, pp_term
 
 ENCODINGS = {"flat": "flat", "nested": "nested", "flat-hack": "flat_hack"}
 
@@ -203,11 +203,22 @@ def _json_text(value: object) -> str:
     return "".join(chunks)
 
 
-def _parse_in_ctx(text: str, elab: Elaboration, path: str):
+def _parse_in_ctx(text: str, elab: Elaboration, path: str, config: DefEqConfig) -> Term:
     try:
-        return parse_term(text, elab.variables, elab.env)
-    except SurfaceError as exc:
+        term = parse_term(text, elab.variables, elab.env)
+        check_type(elab.env, config, elab.variables, term)
+    except (SurfaceError, KernelError) as exc:
         raise CliError(f"{path}: in {text!r}: {exc}") from exc
+    return term
+
+
+def _stored(items: list[tuple], kind: str, path: str) -> dict[str, tuple]:
+    """A module's goal or defeq items by label; a label may appear once."""
+    stored: dict[str, tuple] = {}
+    for item in items:
+        if stored.setdefault(item[0], item) is not item:
+            raise CliError(f"{path}: duplicate {kind} label {item[0]!r}")
+    return stored
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +296,30 @@ def cmd_elaborate(args: argparse.Namespace) -> int:
 def cmd_defeq(args: argparse.Namespace) -> int:
     elab = _elaborated(args)
     config = _config(args)
-    stored = {label: (ctx, lhs, rhs) for label, ctx, lhs, rhs in elab.defeqs}
+    stored = _stored(elab.defeqs, "defeq", args.path)
 
-    checks: list[tuple[str, object, object, object]] = []
     if len(args.terms) == 0:
         if not stored:
             raise CliError(f"{args.path}: no defeq items to check")
-        checks = [(label, ctx, lhs, rhs) for label, (ctx, lhs, rhs) in stored.items()]
+        checks = list(stored.values())
     elif len(args.terms) == 1:
         label = args.terms[0]
         if label not in stored:
             raise CliError(f"{args.path}: no defeq item named {label!r}")
-        ctx, lhs, rhs = stored[label]
-        checks = [(label, ctx, lhs, rhs)]
+        checks = [stored[label]]
     elif len(args.terms) == 2:
-        lhs = _parse_in_ctx(args.terms[0], elab, args.path)
-        rhs = _parse_in_ctx(args.terms[1], elab, args.path)
+        lhs = _parse_in_ctx(args.terms[0], elab, args.path, config)
+        rhs = _parse_in_ctx(args.terms[1], elab, args.path, config)
         checks = [("defeq", elab.variables, lhs, rhs)]
     else:
-        raise CliError("defeq takes a label, two terms, or nothing")
+        raise CliError(f"{args.path}: defeq takes a label, two terms, or nothing")
+    if len(args.terms) < 2:
+        for label, ctx, lhs, rhs in checks:
+            try:
+                check_type(elab.env, config, ctx, lhs)
+                check_type(elab.env, config, ctx, rhs)
+            except KernelError as exc:
+                raise CliError(f"{args.path}: defeq {label}: {exc}") from exc
 
     results = []
     all_equal = True
@@ -334,17 +350,16 @@ def cmd_defeq(args: argparse.Namespace) -> int:
 def cmd_resolve(args: argparse.Namespace) -> int:
     elab = _elaborated(args)
     config = _config(args)
-    stored = {label: (ctx, goal) for label, ctx, goal in elab.goals}
+    stored = _stored(elab.goals, "goal", args.path)
 
     if args.goal is None:
         if not stored:
             raise CliError(f"{args.path}: no goals to resolve")
-        todo = [(label, ctx, goal) for label, (ctx, goal) in stored.items()]
+        todo = list(stored.values())
     elif args.goal in stored:
-        ctx, goal = stored[args.goal]
-        todo = [(args.goal, ctx, goal)]
+        todo = [stored[args.goal]]
     else:
-        todo = [("goal", elab.variables, _parse_in_ctx(args.goal, elab, args.path))]
+        todo = [("goal", elab.variables, _parse_in_ctx(args.goal, elab, args.path, config))]
 
     # Goals of one context share an answer table, so a class an earlier goal
     # settled is not searched again.

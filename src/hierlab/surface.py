@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .declarations import Environment, StructDecl
-from .kernel import DEFAULT_CONFIG, DefEqConfig, IllTyped, check_type, infer_type, whnf
+from .kernel import DEFAULT_CONFIG, IllTyped, infer_type, whnf
 from .terms import (
     App, Binder, Const, FreeVar, Lam, Pi, Proj, SORT, Telescope, Term,
     abstract, unfold_apps,
@@ -679,10 +679,6 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
     return resolve(e)
 
 
-def parse_term(text: str, ctx: Telescope, env: Environment, *,
-               check: bool = False, config: DefEqConfig = DEFAULT_CONFIG) -> Term:
+def parse_term(text: str, ctx: Telescope, env: Environment) -> Term:
     """Parse a standalone term in the given context and environment."""
-    term = resolve_expr(parse_expr_text(text), ctx, env)
-    if check:
-        check_type(env, config, ctx, term)
-    return term
+    return resolve_expr(parse_expr_text(text), ctx, env)

@@ -199,9 +199,10 @@ def test_diamond_composites_typecheck(fig1_nested):
         source = fig1_nested.classes[r.diamond.source]
         ctx = tuple(source.params) + (
             Binder("i", source.self_type, instance_implicit=True),)
-        target = apps(Const(r.diamond.target),
-                      *(FreeVar(b.name) for b in source.params))
-        for term in (r.term_a, r.term_b):
+        args = tuple(FreeVar(b.name) for b in source.params)
+        target = apps(Const(r.diamond.target), *args)
+        for path in (r.diamond.path_a, r.diamond.path_b):
+            term = path_composite(fig1_nested.env, path, args, FreeVar("i"))
             ty = check_type(fig1_nested.env, ETA_ON, ctx, term)
             assert defeq(fig1_nested.env, ETA_ON, ctx, ty, target)
 
@@ -338,9 +339,10 @@ def test_analyze_runs_out_of_fuel_only_where_check_diamond_does(name):
 
 
 def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):
-    """A path whose normal form runs out of fuel has its diamonds decided by
-    the pairwise reference; here that is the semiring route to
-    add_comm_monoid, used by one diamond."""
+    """A path whose normal form, or a prefix's, runs out of fuel has its
+    diamonds decided by the pairwise reference; here that is the semiring
+    route to add_comm_monoid and its two extensions, used by one diamond
+    each, under both configs."""
     normalize = analyzer.normalize
 
     def starved(env, config, ctx, term, trace=None):
@@ -351,7 +353,7 @@ def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):
     calls = count_calls(monkeypatch, "check_diamond")
     for config in (ETA_OFF, ETA_ON):
         assert analyze(fig1_nested, config) == pairwise(fig1_nested, config)
-    assert calls["check_diamond"] == 2
+    assert calls["check_diamond"] == 6
 
 
 # ---------------------------------------------------------------------------

@@ -170,20 +170,70 @@ def test_defeq_of_lambdas_with_different_bodies_fails(run_cli):
 @pytest.mark.parametrize("field", ["mul", "to_add_comm_monoid"])
 @pytest.mark.parametrize("command", ["defeq", "resolve"])
 def test_projecting_another_structures_constructor_is_a_diagnostic(run_cli, command, field):
-    """A semiring projection of a ring constructor is ill-typed.  It takes
-    no field of the ring by position: not one past the end (mul), and not
-    the first (to_add_comm_monoid, which would make the sides equal)."""
+    """A semiring projection of a ring constructor is ill-typed, and the
+    kernel rejects the ad-hoc term before comparing or searching with it, so
+    no field of the ring is taken by position: not one past the end (mul),
+    and not the first (to_add_comm_monoid, which would make the sides
+    equal).  test_kernel covers the same term reaching iota."""
     term = f"@semiring.{field} R (@ring.mk R iR.to_semiring iR.neg)"
     rest = (term, "iR.to_semiring") if command == "defeq" else (term,)
     code, out, err = run_cli(command, FIG1, *rest, "--trace")
     assert (code, out, err) == (
-        2, "", f"{FIG1}: projection semiring.{field} applied to a constructor of ring\n")
+        2, "", f"{FIG1}: in {term!r}: argument type @ring R does not match @semiring R\n")
 
 
 def test_defeq_unknown_label_is_a_diagnostic(run_cli):
     code, _, err = run_cli("defeq", FIG1, "nosuch_label")
     assert code == 2
     assert "no defeq item named 'nosuch_label'" in err
+
+
+def test_defeq_with_three_terms_is_a_diagnostic(run_cli):
+    code, out, err = run_cli("defeq", FIG1, "R", "R", "R")
+    assert (code, out, err) == (
+        2, "", f"{FIG1}: defeq takes a label, two terms, or nothing\n")
+
+
+@pytest.mark.parametrize("command", ["defeq", "resolve"])
+def test_ill_typed_ad_hoc_terms_are_a_diagnostic(run_cli, command):
+    """Ad-hoc terms are checked by the kernel before they are compared or
+    searched: a sort applied to an argument is no term at all."""
+    rest = ("Type R", "Type R") if command == "defeq" else ("Type R",)
+    code, out, err = run_cli(command, FIG1, *rest)
+    assert (code, out, err) == (
+        2, "", f"{FIG1}: in 'Type R': applied non-function of type Type\n")
+
+
+def test_ill_typed_stored_defeq_sides_are_a_diagnostic(run_cli):
+    """Under flat-hack a constructor's first field is the marker
+    substructure, so point.hier's eta item is ill-typed there; it is
+    well-typed under the other encodings."""
+    for label in ((), ("eta",)):
+        code, out, err = run_cli("defeq", POINT, *label, "--encoding", "flat-hack")
+        assert (code, out, err) == (
+            2, "", f"{POINT}: defeq eta: argument type int does not match flat_hack\n")
+    for encoding in ("flat", "nested"):
+        code, out, err = run_cli("defeq", POINT, "--encoding", encoding)
+        assert (code, out, err) == (0, "eta: equal\n", "")
+
+
+@pytest.mark.parametrize("command, kind, label", [("resolve", "goal", "g"),
+                                                  ("defeq", "defeq", "e")])
+def test_duplicate_labels_are_a_diagnostic(run_cli, tmp_path, command, kind, label):
+    """A repeated label would hide the earlier item, so the module is
+    rejected whichever item is asked for."""
+    src = tmp_path / "dup.hier"
+    src.write_text("class c (α : Type) where\n"
+                   "  (x : α)\n"
+                   "class d (α : Type)\n"
+                   "variables (T : Type) [i : c T]\n"
+                   "goal g : c T\n"
+                   "goal g : d T\n"
+                   "defeq e : T = T\n"
+                   "defeq e : i.x = i.x\n")
+    for rest in ((), (label,)):
+        code, out, err = run_cli(command, str(src), *rest)
+        assert (code, out, err) == (2, "", f"{src}: duplicate {kind} label {label!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ printing, and standalone term parsing."""
 import pytest
 
 from hierlab.elaborator import EncodingStrategy, elaborate
-from hierlab.kernel import IllTyped
+from hierlab.kernel import DEFAULT_CONFIG, IllTyped, check_type
 from hierlab.surface import (
     ClassItem,
     DefeqItem,
@@ -258,10 +258,12 @@ def test_parse_term_resolves_field_projection_by_type(fig1_nested):
     assert t == Proj("ring", "neg", FreeVar("iR"))
 
 
-def test_parse_term_check_flag_rejects_ill_typed_terms(fig1_nested):
+def test_check_type_rejects_an_ill_typed_parsed_term(fig1_nested):
+    """The parser resolves names only; the kernel rejects the term."""
     ctx = (Binder("R", Sort()),)
+    term = parse_term("ring.to_semiring R R", ctx, fig1_nested.env)
     with pytest.raises(IllTyped):
-        parse_term("ring.to_semiring R R", ctx, fig1_nested.env, check=True)
+        check_type(fig1_nested.env, DEFAULT_CONFIG, ctx, term)
 
 
 def test_parse_term_unknown_name_is_a_scope_error(fig1_nested):
