@@ -24,14 +24,21 @@ composite to its beta/delta/iota normal form by extension: the normal form
 of a path is that of its last edge applied to the normal form of its
 prefix, since reducing a subterm first does not change the normal form.
 Each ``normalize`` call therefore unfolds one edge, with a fuel budget of
-its own, and only paths that some diamond needs are reduced.  Equal normal
-forms are equal; without eta, different ones are not.  With eta, the kernel
-compares the two normal forms, once per distinct pair.  Normal forms are
-not grouped by an eta-long form instead, because the eta rule is not
-transitive on structures without fields (``x = unit.mk`` and ``unit.mk = y``
-hold while ``x = y`` does not).  ``check_diamond``, the pairwise comparison
-of the composites, stays as the reference and decides the diamonds of any
-path whose normal form, or a prefix's, ran out of fuel.
+its own, and only paths that some diamond needs are reduced.  A node's
+normal form is keyed by content, (edge, prefix normal form, prefix
+parameters), not by its place in the trie, so paths whose prefixes reduce
+alike share one reduction, within a source and across the sources of one
+call.  ``spanning_search`` keeps one such table for all its parent orders,
+with each edge keyed by the fingerprint of its declaration's content, so
+an order reduces again only what its changed declarations unfold to.
+Equal normal forms are equal; without eta, different ones are not.  With
+eta, the kernel compares the two normal forms, once per distinct pair.
+Normal forms are not grouped by an eta-long form instead, because the eta
+rule is not transitive on structures without fields (``x = unit.mk`` and
+``unit.mk = y`` hold while ``x = y`` does not).  ``check_diamond``, the
+pairwise comparison of the composites, stays as the reference and decides
+the diamonds of any path whose normal form, or a prefix's, ran out of
+fuel.
 """
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .declarations import Environment, StructDecl
+from .declarations import Environment, Fingerprints, StructDecl
 # `elaborate` is not called here; it stays importable from this module,
 # where perfbench's tracer wraps it.
 from .elaborator import (
@@ -49,7 +56,9 @@ from .elaborator import (
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
 from .resolution import MAX_DEPTH
 from .surface import ClassItem, SurfaceModule
-from .terms import Binder, Const, FreeVar, Term, apps, fresh_name, subst_frees, unfold_apps
+from .terms import (
+    Binder, Const, FreeVar, Term, apps, consts_in, fresh_name, subst_frees, unfold_apps,
+)
 
 MAX_PATH_LEN = 8
 
@@ -246,24 +255,82 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
     Verdicts are decided from one normal form per path, each computed by
     extending the normal form of the path's prefix by its last edge (see
     the module docstring), and equal those of ``check_diamond`` wherever it
-    returns.  Fuel is spent per trie node: each ``normalize`` call unfolds
-    one edge under its own ``unfold_depth`` budget.  The diamonds of a path
-    whose normal form, or a prefix's, ran out of fuel are decided by
-    ``check_diamond``.  So this can return verdicts where ``check_diamond``,
-    which spends one budget on both whole composites, runs out of fuel.
+    returns.  Normal forms are keyed by content, the edge's declaration
+    name and the prefix's normal form and parameters, so paths of any
+    source whose prefixes reduce alike share one extension.  Fuel is spent
+    per extension: each ``normalize`` call unfolds one edge under its own
+    ``unfold_depth`` budget.  The diamonds of a path whose normal form, or
+    a prefix's, ran out of fuel are decided by ``check_diamond``.  So this
+    can return verdicts where ``check_diamond``, which spends one budget on
+    both whole composites, runs out of fuel.
 
     Raises PathLimitExceeded when some diamond has a path longer than
     ``max_path_len``, rather than leave it out of the report."""
-    return _source_reports(elab, config, max_path_len, {})
+    return _source_reports(elab, config, max_path_len, {}, _NormalForms(config))
+
+
+# A trie node's record: the parameters its out-edges take, its normal form
+# and that form's id.
+_Record = tuple[tuple[Term, ...], Term, int]
+
+
+class _NormalForms:
+    """The normal forms of trie nodes, keyed by content: the edge, the id of
+    the prefix's normal form and the prefix's parameters.  The value is the
+    node's record, or None when that one-edge ``normalize`` ran out of fuel;
+    fuel is spent per call, so the key fixes the outcome.  ``IllTyped``
+    propagates and is not kept.
+
+    Within one environment an edge is keyed by its declaration name, which
+    names one declaration there.  Across the forks of a spanning search it
+    is keyed by ``fingerprints``, together with those of the constants the
+    parameters name, so that forks share a key exactly when the edge
+    unfolds to the same term."""
+
+    def __init__(self, config: DefEqConfig, fingerprints: Fingerprints | None = None) -> None:
+        self.config = config
+        self.fingerprints = fingerprints
+        self.records: dict[tuple, _Record | None] = {}
+        self.form_ids: dict[Term, int] = {}
+
+    def root(self, args: tuple[Term, ...], start: Term) -> _Record:
+        return args, start, self.form_ids.setdefault(start, len(self.form_ids))
+
+    def extend(self, env: Environment, ctx: tuple[Binder, ...], edge: InstanceInfo,
+               record: _Record) -> _Record | None:
+        """The record of ``record``'s node extended by ``edge``.  ``ctx``
+        is no part of the key, since ``normalize`` reads no context."""
+        args, value, form = record
+        fingerprints = self.fingerprints
+        if fingerprints is None:
+            key = (edge.decl_name, form, args)
+        else:
+            key = (fingerprints(env, edge.decl_name), form, args,
+                   tuple([fingerprints(env, n) for n in sorted(consts_in(*args))]))
+        try:
+            return self.records[key]
+        except KeyError:
+            pass
+        term, edge_args = _apply_edge(env, edge, args, value)
+        try:
+            normal = normalize(env, self.config, ctx, term)
+        except FuelExhausted:
+            child = None
+        else:
+            child = (edge_args, normal, self.form_ids.setdefault(normal, len(self.form_ids)))
+        self.records[key] = child
+        return child
 
 
 def _source_reports(elab: Elaboration, config: DefEqConfig, max_path_len: int,
-                    made: dict[str, tuple[ClassInfo, list[DiamondReport]]]
-                    ) -> list[DiamondReport]:
+                    made: dict[str, tuple[ClassInfo, list[DiamondReport]]],
+                    forms: _NormalForms) -> list[DiamondReport]:
     """The reports of every source with diamonds, in source order.  A
     source's diamonds use only the declarations of the classes up to it,
     so its reports in ``made`` are reused while its class record there is
-    the one ``elab`` holds; ``made`` takes the reports checked here."""
+    the one ``elab`` holds; ``made`` takes the reports checked here.  The
+    normal forms of every source's paths are looked up in, and added to,
+    ``forms``."""
     env = elab.env
     graph = build_graph(env, elab.instances)
     _check_path_limit(graph, max_path_len)
@@ -275,24 +342,23 @@ def _source_reports(elab: Elaboration, config: DefEqConfig, max_path_len: int,
         if entry is not None and entry[0] is info:
             reports = entry[1]
         else:
-            reports = _check_source(env, config, source, group)
+            reports = _check_source(env, config, source, group, forms)
             made[source] = (info, reports)
         out.extend(reports)
     return out
 
 
 def _check_source(env: Environment, config: DefEqConfig, source: str,
-                  group: Iterable[Diamond]) -> list[DiamondReport]:
+                  group: Iterable[Diamond], forms: _NormalForms) -> list[DiamondReport]:
     """Decide the diamonds of one source from the normal forms of its paths."""
     ctx, args, start = _source_context(env, source)
-    # The trie of this source's paths, indexed by node id: each node's
-    # record holds the parameters its out-edges take, its normal form and
-    # that form's id, or is None when its normalisation or a prefix's ran
-    # out of fuel.  Node 0 is the empty path.  A child is keyed by its
-    # parent's id and its edge's declaration name, which no other edge has.
-    nodes: list[tuple[tuple[Term, ...], Term, int] | None] = [(args, start, -1)]
+    # The trie of this source's paths, indexed by node id, holds each node's
+    # record (see ``_NormalForms``), or None when its normalisation or a
+    # prefix's ran out of fuel.  Node 0 is the empty path.  A child is keyed
+    # by its parent's id and its edge's declaration name, which no other
+    # edge has.
+    nodes: list[_Record | None] = [forms.root(args, start)]
     children: dict[tuple[int, str], int] = {}
-    form_ids: dict[Term, int] = {}
     # A path tuple hashes every edge, so paths are looked up by object
     # identity, which holds while the caller keeps the diamonds alive.
     path_ids: dict[int, int] = {}
@@ -309,16 +375,7 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
             if child is None:
                 child = children[key] = len(nodes)
                 record = nodes[node]
-                if record is not None:
-                    term, edge_args = _apply_edge(env, e, record[0], record[1])
-                    try:
-                        normal = normalize(env, config, ctx, term)
-                    except FuelExhausted:
-                        record = None
-                    else:
-                        record = (edge_args, normal,
-                                  form_ids.setdefault(normal, len(form_ids)))
-                nodes.append(record)
+                nodes.append(None if record is None else forms.extend(env, ctx, e, record))
             node = child
         path_ids[id(path)] = node
         return node
@@ -375,8 +432,12 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     elaborates from that class on, so a class is elaborated again only when
     a choice at or before it changed.  A fork shares the class records of
     the classes before it, so a source's reports are reused while its
-    record is unchanged (see ``_source_reports``).  The graph is still
-    built, bounded by the path limit and enumerated for every order.
+    record is unchanged (see ``_source_reports``).  A source that is
+    checked again looks its normal forms up in one table kept for the
+    whole search, where edges are keyed by declaration fingerprint (see
+    ``_NormalForms``), so it reduces again only the extensions whose edge
+    or prefix unfolds differently.  The graph is still built, bounded by
+    the path limit and enumerated for every order.
 
     Every order has the same edges, one ``C.to_P`` per class and parent,
     and so lists the same diamonds in the same order; orders are compared
@@ -402,6 +463,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     choices = [[p for p, _ in elab.classes[name].parents[skip:]] for name in names]
     previous = tuple(tuple(parents) for parents in choices)
     made: dict[str, tuple[ClassInfo, list[DiamondReport]]] = {}
+    forms = _NormalForms(config, Fingerprints())
 
     def analyzed(order: tuple[tuple[str, ...], ...]) -> list[DiamondReport]:
         nonlocal elab, previous
@@ -411,7 +473,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
             overrides = EncodingStrategy(strategy.kind, dict(zip(names, order)))
             elab = elaborate_from(forks[d].fork(overrides), positions[d])
             previous = order
-        return _source_reports(elab, config, max_path_len, made)
+        return _source_reports(elab, config, max_path_len, made, forms)
 
     reports: list[PlacementReport] = []
     for index, combo in enumerate(itertools.product(*choices)):

@@ -212,15 +212,6 @@ def _parse_in_ctx(text: str, elab: Elaboration, path: str, config: DefEqConfig) 
     return term
 
 
-def _stored(items: list[tuple], kind: str, path: str) -> dict[str, tuple]:
-    """A module's goal or defeq items by label; a label may appear once."""
-    stored: dict[str, tuple] = {}
-    for item in items:
-        if stored.setdefault(item[0], item) is not item:
-            raise CliError(f"{path}: duplicate {kind} label {item[0]!r}")
-    return stored
-
-
 # ---------------------------------------------------------------------------
 # elaborate
 
@@ -296,7 +287,7 @@ def cmd_elaborate(args: argparse.Namespace) -> int:
 def cmd_defeq(args: argparse.Namespace) -> int:
     elab = _elaborated(args)
     config = _config(args)
-    stored = _stored(elab.defeqs, "defeq", args.path)
+    stored = {item[0]: item for item in elab.defeqs}
 
     if len(args.terms) == 0:
         if not stored:
@@ -350,7 +341,7 @@ def cmd_defeq(args: argparse.Namespace) -> int:
 def cmd_resolve(args: argparse.Namespace) -> int:
     elab = _elaborated(args)
     config = _config(args)
-    stored = _stored(elab.goals, "goal", args.path)
+    stored = {item[0]: item for item in elab.goals}
 
     if args.goal is None:
         if not stored:

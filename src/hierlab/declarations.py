@@ -6,6 +6,7 @@ names to declarations; later declarations may only mention earlier ones.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -135,6 +136,51 @@ class Environment:
         """The lambda-closed value of a definition."""
         decl = self._decls.get(name)
         return decl.closure if isinstance(decl, DefDecl) else None
+
+
+class Fingerprints:
+    """Exact content ids of declarations.  A declaration's fingerprint is
+    the interned id of its content together with the fingerprints of the
+    constants and structures it names, so two declarations, in one
+    environment or in two, get one fingerprint exactly when they unfold to
+    the same terms.  Ids are interned, never hashed, so that no two
+    contents share one.
+
+    The table keeps one declaration per distinct content.  It remembers the
+    fingerprint of each declaration object only while the object lives: an
+    object names the same declarations wherever it is, since environments
+    share the declarations before the point where they were copied."""
+
+    def __init__(self) -> None:
+        self._ids: dict[tuple[Declaration, tuple[int, ...]], int] = {}
+        self._of: dict[int, tuple[int, weakref.ref]] = {}
+
+    def __call__(self, env: Environment, name: str) -> int:
+        entry = self._of.get(id(env[name]))
+        if entry is None:
+            self._add(env, name)
+            entry = self._of[id(env[name])]
+        return entry[0]
+
+    def _add(self, env: Environment, name: str) -> None:
+        # An explicit stack: a declaration's names reach back through every
+        # class it inherits from, which may be deeper than Python recursion.
+        stack = [name]
+        while stack:
+            decl = env[stack[-1]]
+            if id(decl) in self._of:
+                stack.pop()
+                continue
+            names = sorted(consts_in(*_decl_terms(decl)) - {decl.name})
+            pending = [n for n in names if id(env[n]) not in self._of]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            content = (decl, tuple([self._of[id(env[n])][0] for n in names]))
+            key = id(decl)
+            self._of[key] = (self._ids.setdefault(content, len(self._ids)),
+                             weakref.ref(decl, lambda _, key=key: self._of.pop(key, None)))
 
 
 def _decl_terms(decl: Declaration) -> list[Term]:

@@ -150,6 +150,8 @@ class Elaboration:
     ``variables`` holds the telescope after the last ``variables`` block;
     goals and defeqs each capture the telescope in effect where they appear,
     since a later ``variables`` block replaces the ambient context.
+    ``labels`` holds the ``("goal", label)`` and ``("defeq", label)`` pairs
+    taken so far, so that a repeated label is an error at its item.
     """
 
     strategy: EncodingStrategy
@@ -159,6 +161,7 @@ class Elaboration:
     variables: Telescope
     goals: list[tuple[str, Telescope, Term]]
     defeqs: list[tuple[str, Telescope, Term, Term]]
+    labels: set[tuple[str, str]] = dc_field(default_factory=set)
 
     def fork(self, strategy: EncodingStrategy) -> "Elaboration":
         """A copy that later items extend separately, under ``strategy``.
@@ -166,7 +169,7 @@ class Elaboration:
         are shared, since neither changes once made."""
         return Elaboration(strategy, self.env.copy(), list(self.instances),
                            dict(self.classes), self.variables, list(self.goals),
-                           list(self.defeqs))
+                           list(self.defeqs), set(self.labels))
 
     def instance_decl(self, name: str) -> DefDecl:
         decl = self.env[name]
@@ -219,8 +222,8 @@ def elaborate_item(elab: Elaboration, item: Item, config: DefEqConfig = DEFAULT_
                    max_depth: int = MAX_DEPTH) -> None:
     """Elaborate one module item into ``elab``.  What an item adds depends
     only on the items before it and, for a class, on the strategy's order
-    of that class's parents.  A name the item declares twice is an error
-    at the item."""
+    of that class's parents.  A name the item declares twice, or a goal or
+    defeq label that an earlier item took, is an error at the item."""
     try:
         if isinstance(item, ClassItem):
             _declare_class(elab, item)
@@ -229,14 +232,23 @@ def elaborate_item(elab: Elaboration, item: Item, config: DefEqConfig = DEFAULT_
         elif isinstance(item, VariablesItem):
             elab.variables = _resolve_binders(item.binders, elab.env)
         elif isinstance(item, GoalItem):
+            _take_label(elab, "goal", item)
             elab.goals.append((item.label, elab.variables,
                                resolve_expr(item.target, elab.variables, elab.env)))
         elif isinstance(item, DefeqItem):
+            _take_label(elab, "defeq", item)
             elab.defeqs.append((item.label, elab.variables,
                                 resolve_expr(item.lhs, elab.variables, elab.env),
                                 resolve_expr(item.rhs, elab.variables, elab.env)))
     except EnvironmentError_ as exc:
         raise ElabError(str(exc), item.pos) from None
+
+
+def _take_label(elab: Elaboration, kind: str, item: GoalItem | DefeqItem) -> None:
+    key = (kind, item.label)
+    if key in elab.labels:
+        raise ElabError(f"duplicate {kind} label {item.label!r}", item.pos)
+    elab.labels.add(key)
 
 
 def preferred_edges(elab: Elaboration) -> frozenset[tuple[str, str]]:

@@ -1,7 +1,9 @@
 """Diamond-analysis tests: the instance graph, diamond enumeration, the
 commutation oracle and predictor, placement search, and reports."""
 
+import gc
 import itertools
+import weakref
 from collections import Counter
 
 import jsonschema
@@ -25,10 +27,12 @@ from hierlab.analyzer import (
     random_hierarchy,
     spanning_search,
 )
+from hierlab.declarations import Fingerprints
 from hierlab.elaborator import (
-    FLAT, PREFERRED, SYNTHESIZED, EncodingStrategy, InstanceInfo, elaborate,
+    FLAT, PREFERRED, SYNTHESIZED, EncodingStrategy, InstanceInfo, begin_elaboration,
+    elaborate, elaborate_item,
 )
-from hierlab.kernel import DefEqConfig, FuelExhausted, Trace, check_type, defeq
+from hierlab.kernel import DefEqConfig, FuelExhausted, Trace, check_type, defeq, normalize
 from hierlab.surface import parse
 from hierlab.terms import Binder, Const, FreeVar, apps, unfold_apps
 from conftest import CORPUS, ETA_OFF, ETA_ON, LONG_DIAMOND, cube_source, load
@@ -278,7 +282,7 @@ def test_cube_is_decided_by_one_normal_form_per_path(monkeypatch, cube_module, c
     calls = count_calls(monkeypatch, "normalize", "defeq")
     reports = analyze(elab, config)
     assert len(reports) == 21
-    assert calls == {"normalize": 27}
+    assert calls == {"normalize": 24}
 
 
 def test_fig1_nested_with_eta_asks_the_kernel_once(monkeypatch, fig1_nested):
@@ -287,7 +291,7 @@ def test_fig1_nested_with_eta_asks_the_kernel_once(monkeypatch, fig1_nested):
     assert calls == {"normalize": 12, "defeq": 1}
 
 
-@pytest.mark.parametrize("n, nested_calls", [(4, 148), (5, 835)])
+@pytest.mark.parametrize("n, nested_calls", [(4, 104), (5, 400)])
 def test_each_normal_form_unfolds_one_edge(monkeypatch, n, nested_calls):
     """A path's normal form extends its prefix's by one edge, so every
     normalize call takes exactly one delta step, under every encoding."""
@@ -409,14 +413,15 @@ def test_cube_spanning_search_elaborates_each_parent_order_once(monkeypatch,
     top_mag's two remaining parents: 24·2 analysed orders.  Each class is
     declared once per distinct prefix of the choices up to it: the four
     classes with one parent once, the three pair classes 2, 4 and 8 times,
-    top_mag 48 times.  A source's diamonds are likewise checked, and its
-    normal forms computed, once per distinct prefix of the choices up to
-    it."""
+    top_mag 48 times.  A source's diamonds are likewise checked once per
+    distinct prefix of the choices up to it.  A normal form is computed
+    once per distinct content of its edge and prefix, whichever order or
+    source meets it first."""
     calls = count_calls(monkeypatch, "enumerate_diamonds", "normalize", "_check_source")
     declarations = count_declarations(monkeypatch)
     spanning_search(cube_module, EncodingStrategy("nested"), ETA_OFF)
     calls.update(declarations)
-    assert calls == {"_declare_class": 66, "enumerate_diamonds": 48, "normalize": 776,
+    assert calls == {"_declare_class": 66, "enumerate_diamonds": 48, "normalize": 138,
                      "_check_source": 62}
 
 
@@ -425,11 +430,108 @@ def test_cube_flat_hack_spanning_search_declares_each_prefix_once(monkeypatch,
     """As under nested, plus the one flat_hack class every order shares.
     Each of the three classes with one parent reaches that class by two
     paths, so it is a source too, checked once."""
-    calls = count_calls(monkeypatch, "_check_source")
+    calls = count_calls(monkeypatch, "_check_source", "normalize")
     declarations = count_declarations(monkeypatch)
     spanning_search(cube_module, EncodingStrategy("flat_hack"), ETA_OFF)
     calls.update(declarations)
-    assert calls == {"_declare_class": 67, "_check_source": 65}
+    assert calls == {"_declare_class": 67, "_check_source": 65, "normalize": 103}
+
+
+def test_spanning_searches_of_the_benchmark_share_normal_forms(monkeypatch):
+    """The normalize calls of the benchmark's 15 spanning-search settings:
+    cube, fig1, module and rootonly, nested and flat_hack, eta off and on
+    (the flat_hack cube with eta off only).  Each search keeps one table of
+    normal forms for all its orders, so a lost cache hit shows here."""
+    calls = count_calls(monkeypatch, "normalize")
+    for name in ("cube", "fig1", "module", "rootonly"):
+        module = load(f"{name}.hier")
+        for kind in ("nested", "flat_hack"):
+            for config in (ETA_OFF,) if (name, kind) == ("cube", "flat_hack") \
+                    else (ETA_OFF, ETA_ON):
+                spanning_search(module, EncodingStrategy(kind), config)
+    assert calls == {"normalize": 1243}
+
+
+def test_an_edge_of_another_first_parent_has_another_fingerprint():
+    """Under nested, `c01.to_c0` is a projection when c0 is c01's first
+    parent and a rebuilt constructor when c1 is.  The fingerprint of
+    `c012.to_c01` differs too, although that declaration reads the same in
+    both: it names the structure c01, which is laid out differently."""
+    module = parse(cube_source(3))
+    first_c0 = elaborate(module, EncodingStrategy("nested"))
+    first_c1 = elaborate(module, EncodingStrategy("nested", {"c01": ("c1",)}))
+    fingerprint = Fingerprints()
+    assert first_c0.env["c01.to_c0"] != first_c1.env["c01.to_c0"]
+    assert fingerprint(first_c0.env, "c01.to_c0") != fingerprint(first_c1.env, "c01.to_c0")
+    assert first_c0.env["c012.to_c01"] == first_c1.env["c012.to_c01"]
+    assert fingerprint(first_c0.env, "c012.to_c01") != \
+        fingerprint(first_c1.env, "c012.to_c01")
+    assert fingerprint(first_c0.env, "c02.to_c0") == fingerprint(first_c1.env, "c02.to_c0")
+
+
+def test_content_equal_declarations_share_a_fingerprint():
+    """A class elaborated again, in a fork under the same order, makes new
+    declaration objects with the same content, and so the same
+    fingerprints; so does a second elaboration of the whole module."""
+    module = parse(cube_source(3))
+    items = module.items
+    index = next(i for i, item in enumerate(items) if item.name == "c012")
+    elab = elaborate(module, EncodingStrategy("nested"))
+    again = begin_elaboration(EncodingStrategy("nested"))
+    for item in items[:index]:
+        elaborate_item(again, item)
+    fork = again.fork(again.strategy)
+    for item in items[index:]:
+        elaborate_item(fork, item)
+    whole = elaborate(module, EncodingStrategy("nested"))
+    fingerprint = Fingerprints()
+    for decl in elab.env:
+        assert fork.env[decl.name] is not decl
+        assert fingerprint(fork.env, decl.name) == fingerprint(elab.env, decl.name)
+        assert fingerprint(whole.env, decl.name) == fingerprint(elab.env, decl.name)
+
+
+def test_fingerprints_keep_one_declaration_per_content():
+    """A fingerprint table keeps the first declaration of each content, not
+    every object it was asked about, so that a spanning search's memory
+    grows with the distinct contents and not with its orders."""
+    module = parse(cube_source(3))
+    fingerprint = Fingerprints()
+    first = elaborate(module, EncodingStrategy("nested"))
+    again = elaborate(module, EncodingStrategy("nested"))
+    assert fingerprint(first.env, "c012.to_c01") == fingerprint(again.env, "c012.to_c01")
+    seen = weakref.ref(again.env["c012.to_c01"])
+    del again
+    gc.collect()
+    assert seen() is None
+
+
+def test_forms_across_environments_key_the_definitions_their_parameters_name():
+    """Across environments a trie node is keyed by fingerprints, those of
+    the constants its parameters name included.  `baz.to_foo` reads the
+    same in both modules below, but applied to `im` it rebuilds a `foo`
+    holding `im`'s field, which is another opaque constant in each."""
+    text = ("class int\n"
+            "class pt (α : Type) where\n  (z : α)\n"
+            "instance p1 : pt int where\n  (z := opaque)\n"
+            "instance p2 : pt int where\n  (z := opaque)\n"
+            "instance im : pt int where\n  (z := {})\n"
+            "class foo (α : Type) (m : pt α) where\n  (w : α)\n"
+            "class baz (α : Type) (m : pt α) extends foo α m\n")
+    first, second = (elaborate(parse(text.format(z)), EncodingStrategy("flat"))
+                     for z in ("p1.z", "p2.z"))
+    fingerprint = Fingerprints()
+    assert fingerprint(first.env, "baz.to_foo") == fingerprint(second.env, "baz.to_foo")
+    edge = next(e for e in first.instances if e.decl_name == "baz.to_foo")
+    args, start = (Const("int"), Const("im")), FreeVar("i")
+    forms = analyzer._NormalForms(ETA_OFF, fingerprint)
+    normals = []
+    for elab in (first, second):
+        _, normal, _ = forms.extend(elab.env, (), edge, forms.root(args, start))
+        assert normal == normalize(elab.env, ETA_OFF, (),
+                                   path_composite(elab.env, (edge,), args, start))
+        normals.append(normal)
+    assert normals[0] != normals[1]
 
 
 def test_a_parent_named_flat_hack_is_a_choice_under_nested_as_in_the_whole_module_search():

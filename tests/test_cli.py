@@ -217,23 +217,27 @@ def test_ill_typed_stored_defeq_sides_are_a_diagnostic(run_cli):
         assert (code, out, err) == (0, "eta: equal\n", "")
 
 
-@pytest.mark.parametrize("command, kind, label", [("resolve", "goal", "g"),
-                                                  ("defeq", "defeq", "e")])
+@pytest.mark.parametrize("kind, label", [("goal", "g"), ("defeq", "e")])
+@pytest.mark.parametrize("command", ["elaborate", "defeq", "resolve", "diamonds",
+                                     "spanning-search"])
 def test_duplicate_labels_are_a_diagnostic(run_cli, tmp_path, command, kind, label):
-    """A repeated label would hide the earlier item, so the module is
-    rejected whichever item is asked for."""
+    """A repeated label would hide the earlier item, so the elaborator
+    rejects the module at the repeated item, whatever the subcommand and
+    whichever item is asked for."""
     src = tmp_path / "dup.hier"
+    line, second_goal = (6, "g") if kind == "goal" else (8, "h")
     src.write_text("class c (α : Type) where\n"
                    "  (x : α)\n"
                    "class d (α : Type)\n"
                    "variables (T : Type) [i : c T]\n"
                    "goal g : c T\n"
-                   "goal g : d T\n"
+                   f"goal {second_goal} : d T\n"
                    "defeq e : T = T\n"
                    "defeq e : i.x = i.x\n")
-    for rest in ((), (label,)):
+    for rest in ((), (label,)) if command in ("defeq", "resolve") else ((),):
         code, out, err = run_cli(command, str(src), *rest)
-        assert (code, out, err) == (2, "", f"{src}: duplicate {kind} label {label!r}\n")
+        assert (code, out, err) == (
+            2, "", f"{src}:{line}:1: duplicate {kind} label {label!r}\n")
 
 
 # ---------------------------------------------------------------------------
