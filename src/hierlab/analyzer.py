@@ -93,7 +93,7 @@ class HierGraph:
 Path = tuple[InstanceInfo, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diamond:
     source: str
     target: str
@@ -101,7 +101,7 @@ class Diamond:
     path_b: Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiamondReport:
     diamond: Diamond
     oracle: bool
@@ -403,7 +403,7 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
 # ---------------------------------------------------------------------------
 # Spanning search: try every choice of first parent
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementReport:
     index: int
     first_parents: tuple[tuple[str, str], ...]

@@ -251,7 +251,8 @@ def _dump_json(elab: Elaboration, config: DefEqConfig) -> dict:
         info.name: {
             "params": [pp_binder(b) for b in info.params],
             "fields": [
-                {"name": f.name, "type": pp_term(f.ty), "parent": f.parent}
+                {"name": f.name, "type": pp_term(f.ty),
+                 "parent": info.substructures.get(f.name)}
                 for f in info.layout
             ],
         }

@@ -69,11 +69,15 @@ class Environment:
 
     def __init__(self) -> None:
         self._decls: dict[str, Declaration] = {}
+        # The binder telescopes of added declarations, by id: the entry
+        # keeps its telescope alive, so an id cannot stand for another one.
+        self._checked: dict[int, Telescope] = {}
 
     def copy(self) -> "Environment":
         """An environment with the same declarations that grows separately."""
         env = Environment()
         env._decls = dict(self._decls)
+        env._checked = dict(self._checked)
         return env
 
     def __contains__(self, name: str) -> bool:
@@ -104,16 +108,22 @@ class Environment:
         """Add a declaration after one walk over all its terms finds no name
         that is neither declared nor the declaration itself.  Only when one
         is missing are the terms walked one by one, so that the error names
-        the alphabetically first missing name of the first offending term."""
+        the alphabetically first missing name of the first offending term.
+        A binder telescope that an added declaration brought in, the same
+        object, here or in the environment this one was copied from, is not
+        walked again: each projection of a class walks only its result and body."""
         if decl.name in self._decls:
             raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
-        terms = _decl_terms(decl)
+        telescope, terms = _split(decl)
+        if id(telescope) not in self._checked:
+            terms = [b.ty for b in telescope] + terms
         missing = consts_in(*terms).difference(self._decls)
         missing.discard(decl.name)
         if missing:
             for term in terms:
                 self._validate_refs(decl.name, term)
         self._decls[decl.name] = decl
+        self._checked[id(telescope)] = telescope
 
     def _validate_refs(self, owner: str, term: Term) -> None:
         """Raise on the alphabetically first name the term uses, as a
@@ -171,7 +181,8 @@ class Fingerprints:
             if id(decl) in self._of:
                 stack.pop()
                 continue
-            names = sorted(consts_in(*_decl_terms(decl)) - {decl.name})
+            telescope, terms = _split(decl)
+            names = sorted(consts_in(*(b.ty for b in telescope), *terms) - {decl.name})
             pending = [n for n in names if id(env[n]) not in self._of]
             if pending:
                 stack.extend(pending)
@@ -183,11 +194,10 @@ class Fingerprints:
                              weakref.ref(decl, lambda _, key=key: self._of.pop(key, None)))
 
 
-def _decl_terms(decl: Declaration) -> list[Term]:
+def _split(decl: Declaration) -> tuple[Telescope, list[Term]]:
+    """A declaration's binder telescope, and its other terms in order."""
     if isinstance(decl, StructDecl):
-        return [b.ty for b in decl.params + decl.fields]
-    terms = [b.ty for b in decl.binders]
-    terms.append(decl.result_type)
+        return decl.params, [b.ty for b in decl.fields]
     if isinstance(decl, DefDecl):
-        terms.append(decl.body)
-    return terms
+        return decl.binders, [decl.result_type, decl.body]
+    return decl.binders, [decl.result_type]

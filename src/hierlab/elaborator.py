@@ -94,7 +94,7 @@ class EncodingStrategy:
             raise ValueError(f"unknown encoding {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceInfo:
     """One registered instance: a graph edge or a user declaration."""
 
@@ -112,28 +112,21 @@ class InstanceInfo:
 ProjPath = tuple[()] | tuple[tuple[str, str], "ProjPath"]
 
 
-@dataclass(frozen=True)
-class LayoutField:
-    """One stored field of an elaborated class."""
-
-    name: str
-    ty: Term  # over the class parameters (and earlier layout fields)
-    parent: str | None = None  # set for substructure fields
-    parent_args: tuple[Term, ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class ClassInfo:
     """An elaborated class, built once when the class is declared.  A fork
     shares it, so a record that is still in a fork's ``classes`` stands
-    for the same class, laid out the same way."""
+    for the same class, laid out the same way.  A leaf field's ``Binder``
+    is its parent's whenever the parent's arguments leave its type as it
+    was, so a leaf inherited down a chain of classes is one record."""
 
     name: str
     params: Telescope
     parents: tuple[tuple[str, tuple[Term, ...]], ...]
     own_fields: tuple[tuple[str, Term], ...]
-    layout: tuple[LayoutField, ...]
-    leaf_types: dict[str, Term]
+    layout: Telescope  # the structure's fields, over the parameters and earlier fields
+    substructures: dict[str, str]  # substructure field -> the parent it stores
+    leaves: dict[str, Binder]  # each leaf field, in flat order
     leaf_origins: dict[str, ProjPath]
     ancestors: dict[str, ProjPath]  # path to each class stored at any depth
     all_names: frozenset[str]
@@ -162,14 +155,17 @@ class Elaboration:
     goals: list[tuple[str, Telescope, Term]]
     defeqs: list[tuple[str, Telescope, Term, Term]]
     labels: set[tuple[str, str]] = dc_field(default_factory=set)
+    # One variable per field name for the constructor bodies, so that a
+    # field a class inherits is its parent's variable there too.
+    field_vars: dict[str, FreeVar] = dc_field(default_factory=dict)
 
     def fork(self, strategy: EncodingStrategy) -> "Elaboration":
         """A copy that later items extend separately, under ``strategy``.
-        The containers are copied; declarations and ``ClassInfo`` records
-        are shared, since neither changes once made."""
+        The containers are copied; declarations, ``ClassInfo`` records and
+        field variables are shared, since none changes once made."""
         return Elaboration(strategy, self.env.copy(), list(self.instances),
                            dict(self.classes), self.variables, list(self.goals),
-                           list(self.defeqs), set(self.labels))
+                           list(self.defeqs), set(self.labels), self.field_vars)
 
     def instance_decl(self, name: str) -> DefDecl:
         decl = self.env[name]
@@ -180,7 +176,7 @@ class Elaboration:
 def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[str, Term]]:
     """The flat leaf-field view of a class: parents first (duplicates merged
     at first occurrence, alpha-equal types required), then own fields."""
-    return list(classes[name].leaf_types.items())
+    return [(leaf, b.ty) for leaf, b in classes[name].leaves.items()]
 
 
 def _param_map(info: ClassInfo, args: tuple[Term, ...]) -> dict[str, Term]:
@@ -275,8 +271,7 @@ def _declare_class(elab: Elaboration, item: ClassItem) -> None:
     info = ClassInfo(item.name, params, parents, tuple(own_fields),
                      *_layout(elab, item.name, parents, own_fields, item.pos))
     elab.classes[item.name] = info
-    elab.env.add(StructDecl(info.name, info.params,
-                            tuple(Binder(f.name, f.ty) for f in info.layout)))
+    elab.env.add(StructDecl(info.name, info.params, info.layout))
     _declare_constructor(elab, info)
     _declare_projections(elab, info)
     _declare_forgetful_instances(elab, info)
@@ -331,49 +326,59 @@ def _apply_parent_order(strategy: EncodingStrategy, name: str,
             + [pa for pa in declared if pa[0] not in first])
 
 
-def _add_leaf(leaf_types: dict[str, Term], sources: dict[str, str], leaf: str,
-              ty: Term, source: str, pos: Pos) -> bool:
+def _add_leaf(leaves: dict[str, Binder], sources: dict[str, str], record: Binder,
+              source: str, pos: Pos) -> bool:
     """Record an inherited or own leaf field; False when it is already there
     with an alpha-equal type, FieldTypeClash when the types differ."""
-    if leaf in leaf_types:
-        if leaf_types[leaf] != ty:
+    leaf = record.name
+    if leaf in leaves:
+        if leaves[leaf].ty != record.ty:
             raise FieldTypeClash(leaf, sources[leaf], source, pos)
         return False
-    leaf_types[leaf] = ty
+    leaves[leaf] = record
     sources[leaf] = source
     return True
+
+
+def _inherit(record: Binder, mapping: dict[str, Term]) -> Binder:
+    """A parent's leaf field at this class's arguments: the parent's own
+    record when they leave its type unchanged."""
+    ty = subst_frees(record.ty, mapping)
+    return record if ty is record.ty else Binder(record.name, ty)
 
 
 def _layout(elab: Elaboration, name: str,
             parents: tuple[tuple[str, tuple[Term, ...]], ...],
             own_fields: list[tuple[str, Term]], pos: Pos
-            ) -> tuple[tuple[LayoutField, ...], dict[str, Term],
+            ) -> tuple[Telescope, dict[str, str], dict[str, Binder],
                        dict[str, ProjPath], dict[str, ProjPath], frozenset[str]]:
     """Lay out the parents in order, then the own fields.  A parent sharing
     no name with what was already collected becomes a substructure field
     (never under flat); any other parent contributes its missing leaf fields
-    and is rebuilt by a forgetful instance.  Returns the layout, the leaf
-    types, the leaf origins, the substructure paths and the collected names.
+    and is rebuilt by a forgetful instance.  Returns the layout, the
+    substructure fields, the leaf records, the leaf origins, the substructure
+    paths and the collected names.
 
     A class has at most one substructure path to any class: storing ``A``
     at any depth collects the name ``to_A``, so no other parent that is
     ``A`` or stores ``A`` is stored as well."""
-    layout: list[LayoutField] = []
+    layout: list[Binder] = []
+    substructures: dict[str, str] = {}
     collected: set[str] = set()
-    leaf_types: dict[str, Term] = {}
+    leaves: dict[str, Binder] = {}
     leaf_sources: dict[str, str] = {}
     origins: dict[str, ProjPath] = {}
     ancestors: dict[str, ProjPath] = {}
-    substructures = elab.strategy.kind != "flat"
+    nested = elab.strategy.kind != "flat"
 
     for parent, args in parents:
         pinfo = elab.classes[parent]
         mapping = _param_map(pinfo, args)
         sub_name = f"to_{parent}"
         parent_names = pinfo.all_names | {sub_name}
-        if substructures and not (parent_names & collected):
-            layout.append(LayoutField(sub_name, apps(Const(parent), *args),
-                                      parent=parent, parent_args=args))
+        if nested and not (parent_names & collected):
+            layout.append(Binder(sub_name, apps(Const(parent), *args)))
+            substructures[sub_name] = parent
             collected |= parent_names
             step = (name, sub_name)
             ancestors[parent] = (step, ())
@@ -381,32 +386,38 @@ def _layout(elab: Elaboration, name: str,
                 ancestors[ancestor] = (step, path)
             for leaf, path in pinfo.leaf_origins.items():
                 origins[leaf] = (step, path)
-                leaf_types[leaf] = subst_frees(pinfo.leaf_types[leaf], mapping)
+                leaves[leaf] = _inherit(pinfo.leaves[leaf], mapping)
                 leaf_sources[leaf] = parent
         else:
-            for leaf, ty in pinfo.leaf_types.items():
-                ty = subst_frees(ty, mapping)
-                if _add_leaf(leaf_types, leaf_sources, leaf, ty, parent, pos):
-                    layout.append(LayoutField(leaf, ty))
-                    collected.add(leaf)
-                    origins[leaf] = ((name, leaf), ())
+            for record in pinfo.leaves.values():
+                record = _inherit(record, mapping)
+                if _add_leaf(leaves, leaf_sources, record, parent, pos):
+                    layout.append(record)
+                    collected.add(record.name)
+                    origins[record.name] = ((name, record.name), ())
 
     for leaf, ty in own_fields:
-        if leaf not in leaf_types and leaf in collected:
+        if leaf not in leaves and leaf in collected:
             raise ElabError(f"field name {leaf!r} collides with an inherited "
                             f"substructure field", pos)
-        if _add_leaf(leaf_types, leaf_sources, leaf, ty, name, pos):
-            layout.append(LayoutField(leaf, ty))
+        record = Binder(leaf, ty)
+        if _add_leaf(leaves, leaf_sources, record, name, pos):
+            layout.append(record)
             collected.add(leaf)
             origins[leaf] = ((name, leaf), ())
-    return tuple(layout), leaf_types, origins, ancestors, frozenset(collected)
+    return (tuple(layout), substructures, leaves, origins, ancestors,
+            frozenset(collected))
 
 
 def _declare_constructor(elab: Elaboration, info: ClassInfo) -> None:
-    binders = info.params + tuple(Binder(f.name, f.ty) for f in info.layout)
+    field_vars = elab.field_vars
+    for b in info.layout:
+        if b.name not in field_vars:
+            field_vars[b.name] = FreeVar(b.name)
     body = Mk(info.name,
               tuple(FreeVar(b.name) for b in info.params),
-              tuple(FreeVar(f.name) for f in info.layout))
+              tuple([field_vars[b.name] for b in info.layout]))
+    binders = info.params + info.layout
     elab.env.add(DefDecl(f"{info.name}.mk", binders, info.self_type, body))
 
 
@@ -426,13 +437,10 @@ def _declare_projections(elab: Elaboration, info: ClassInfo) -> None:
 def _declare_forgetful_instances(elab: Elaboration, info: ClassInfo) -> None:
     """A preferred instance per substructure field, then a rebuilt instance
     per parent stored without one, in parent order."""
-    stored: set[str] = set()
-    for f in info.layout:
-        if f.parent is not None:
-            stored.add(f.parent)
-            elab.instances.append(InstanceInfo(
-                f"{info.name}.{f.name}", info.name, f.parent,
-                PRIORITY_PREFERRED, PREFERRED))
+    for field, parent in info.substructures.items():
+        elab.instances.append(InstanceInfo(
+            f"{info.name}.{field}", info.name, parent, PRIORITY_PREFERRED, PREFERRED))
+    stored = set(info.substructures.values())
     for parent, args in info.parents:
         if parent not in stored:
             _synthesize_instance(elab, info, parent, args)
@@ -480,7 +488,7 @@ def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig
     target = apps(Const(cinfo.name), *full_args)
 
     mapping = _param_map(cinfo, full_args)
-    leaves = [(leaf, subst_frees(ty, mapping)) for leaf, ty in cinfo.leaf_types.items()]
+    leaves = [(leaf, subst_frees(b.ty, mapping)) for leaf, b in cinfo.leaves.items()]
     expected = {leaf for leaf, _ in leaves}
     assigned: dict[str, Term] = {}
     for a in item.assignments:
@@ -551,12 +559,13 @@ def _pack_value(elab: Elaboration, cls: str, args: tuple[Term, ...],
     mapping = _param_map(info, args)
     fields: list[Term] = []
     for f in info.layout:
-        if f.parent is None:
+        parent = info.substructures.get(f.name)
+        if parent is None:
             fields.append(leaf(f.name))
             continue
-        value = stored(f.parent)
+        value = stored(parent)
         if value is None:
-            sub_args = tuple(subst_frees(a, mapping) for a in f.parent_args)
-            value = _pack_value(elab, f.parent, sub_args, leaf, stored)
+            _, sub_args = unfold_apps(subst_frees(f.ty, mapping))
+            value = _pack_value(elab, parent, tuple(sub_args), leaf, stored)
         fields.append(value)
     return Mk(cls, args, tuple(fields))

@@ -24,7 +24,7 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sort(Term):
     """The single universe, written ``Type``."""
 
@@ -32,48 +32,48 @@ class Sort(Term):
 SORT = Sort()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     """A reference to a global declaration."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeVar(Term):
     """A named context variable."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundVar(Term):
     """A de Bruijn index pointing at an enclosing binder."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Meta(Term):
     """A unification hole.  Metas only ever occur as bare nodes."""
 
     mid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Term):
     binder: str = dc_field(compare=False)
     ty: Term = dc_field()
     body: Term = dc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pi(Term):
     binder: str = dc_field(compare=False)
     ty: Term = dc_field()
@@ -81,7 +81,7 @@ class Pi(Term):
     implicit: bool = dc_field(default=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mk(Term):
     """A fully applied structure constructor."""
 
@@ -94,7 +94,7 @@ class Mk(Term):
         object.__setattr__(self, "fields", tuple(self.fields))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proj(Term):
     """Projection of one named field out of a structure value."""
 
@@ -103,7 +103,7 @@ class Proj(Term):
     target: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binder:
     """One telescope entry: a name, its type, and the binder kind."""
 

@@ -6,7 +6,7 @@
   errors.
 - ``flatten_fields``: the leaf-field view of a class, recomputed by recursion
   through every ancestor path.  The elaborator stores this view once per
-  class in ``ClassInfo.leaf_types``.
+  class in ``ClassInfo.leaves``.
 - ``preferred_path``: the path of substructure projections from one class
   to another, by breadth-first search over the class layouts.  The
   elaborator records these paths once per class in ``ClassInfo.ancestors``
@@ -140,14 +140,16 @@ def preferred_path(elab, source: str, target: str) -> tuple[tuple[str, str], ...
     seen = {source}
     while queue:
         cls, path = queue.pop(0)
-        for f in elab.classes[cls].layout:
-            if f.parent is None or f.parent in seen:
+        info = elab.classes[cls]
+        for f in info.layout:
+            parent = info.substructures.get(f.name)
+            if parent is None or parent in seen:
                 continue
             step = path + ((cls, f.name),)
-            if f.parent == target:
+            if parent == target:
                 return step
-            seen.add(f.parent)
-            queue.append((f.parent, step))
+            seen.add(parent)
+            queue.append((parent, step))
     return None
 
 

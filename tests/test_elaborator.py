@@ -1,6 +1,8 @@
 """Elaborator tests: layouts, synthesized constructors and projections,
 forgetful instances, encodings, and error reporting."""
 
+from operator import is_
+
 import pytest
 
 from hierlab import declarations
@@ -21,7 +23,7 @@ from hierlab.elaborator import (
     preferred_edges,
 )
 from hierlab.surface import ScopeError, parse
-from hierlab.terms import SORT, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps, pp_term
+from hierlab.terms import SORT, App, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps, pp_term
 from conftest import ETA_OFF
 
 
@@ -67,8 +69,8 @@ def test_nested_layout_rebuilds_overlapping_parent_fieldwise(fig1_nested):
     assert layout_names(fig1_nested, "add_comm_group") == ["to_add_group"]
     # ring's second parent shares everything except neg.
     ring = fig1_nested.classes["ring"]
-    assert ring.layout[0].parent == "semiring"
-    assert ring.layout[1].parent is None
+    assert ring.substructures == {"to_semiring": "semiring"}
+    assert ring.layout[0].name == "to_semiring"
     assert ring.layout[1].name == "neg"
 
 
@@ -108,9 +110,44 @@ def test_encodings_agree_on_leaf_fields(fig1_nested, fig1_flat, fig1_hack):
         if cls == FLAT_HACK_CLASS:
             continue
         flat_names = set(layout_names(fig1_flat, cls))
-        nested_leaves = set(fig1_nested.classes[cls].leaf_types)
-        hack_leaves = set(fig1_hack.classes[cls].leaf_types)
+        nested_leaves = set(fig1_nested.classes[cls].leaves)
+        hack_leaves = set(fig1_hack.classes[cls].leaves)
         assert flat_names == nested_leaves == hack_leaves
+
+
+def test_flat_chain_shares_each_inherited_leaf_with_its_parent():
+    """A leaf field is one record from the class that declares it down: the
+    200-class chain lays out 20,100 fields with 200 ``Binder``s, and each
+    constructor takes the very records its structure holds."""
+    text = "".join(
+        f"class k{i} (α : Type){f' extends k{i - 1} α' if i else ''} where\n"
+        f"  (f{i} : α)\n" for i in range(200))
+    elab = elaborate(parse(text), EncodingStrategy("flat"))
+    structs = [d for d in elab.env if isinstance(d, StructDecl)]
+    assert sum(len(d.fields) for d in structs) == 20100
+    assert len({id(b) for d in structs for b in d.fields}) == 200
+    for d in structs:
+        assert elab.classes[d.name].layout is d.fields
+        mk = elab.instance_decl(f"{d.name}.mk")
+        assert len(mk.binders) == len(d.params) + len(d.fields)
+        assert all(map(is_, mk.binders[len(d.params):], d.fields))
+
+
+@pytest.mark.parametrize("kind", ["flat", "nested"])
+def test_a_leaf_whose_type_the_parent_arguments_change_gets_its_own_record(kind):
+    module = parse("""
+class base (α : Type) where
+  (pick : α)
+class derived (β : Type) extends base β where
+  (other : β)
+class again (β : Type) extends derived β
+""")
+    classes = elaborate(module, EncodingStrategy(kind)).classes
+    base, derived, again = (classes[c].leaves["pick"] for c in ("base", "derived", "again"))
+    assert (base.ty, derived.ty) == (FreeVar("α"), FreeVar("β"))
+    assert derived is not base
+    assert again is derived
+    assert classes["again"].leaves["other"] is classes["derived"].leaves["other"]
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +458,62 @@ def test_forward_reference_names_the_first_missing_name_of_the_first_bad_term():
     assert "d" not in env
 
 
+def _term_nodes(t) -> int:
+    children = {App: lambda s: (s.fn, s.arg), Lam: lambda s: (s.ty, s.body),
+                Pi: lambda s: (s.ty, s.body), Proj: lambda s: (s.target,),
+                Mk: lambda s: (*s.params, *s.fields)}
+    step = children.get(type(t))
+    return 1 + (sum(map(_term_nodes, step(t))) if step else 0)
+
+
 def test_environment_walks_each_declaration_once(monkeypatch, cube_module):
-    """One constant walk over all the terms of each added declaration; the
-    per-term walks run only to name a missing constant."""
+    """One constant walk over the terms of each added declaration, leaving
+    out a binder telescope the environment has already checked; the
+    per-term walks run only to name a missing constant.  Walking every
+    telescope again for each projection would walk 452 nodes."""
     walks = []
     walk = declarations.consts_in
     monkeypatch.setattr(declarations, "consts_in",
                         lambda *roots: walks.append(roots) or walk(*roots))
     elab = elaborate(cube_module, EncodingStrategy("nested"))
     assert len(walks) == len(elab.env)
+    assert sum(_term_nodes(t) for roots in walks for t in roots) == 416
+
+
+def test_a_telescope_is_walked_again_where_it_was_not_checked():
+    """A telescope checked in one environment names a constant that another
+    environment lacks: a fresh one, or a copy made before the check.  A
+    declaration that is refused checks nothing."""
+    telescope = (Binder("x", Const("A")),)
+    env = Environment()
+    env.add(OpaqueDecl("ι", (), SORT))
+    for _ in range(2):
+        with pytest.raises(EnvironmentError_, match="references 'A' before"):
+            env.add(OpaqueDecl("c", telescope, Const("ι")))
+    early = env.copy()
+    env.add(OpaqueDecl("A", (), SORT))
+    env.add(OpaqueDecl("c", telescope, Const("ι")))
+    env.copy().add(OpaqueDecl("d", telescope, Const("ι")))
+    for other in (Environment(), early):
+        with pytest.raises(EnvironmentError_,
+                           match="^declaration 'd' references 'A' before its declaration$"):
+            other.add(OpaqueDecl("d", telescope, Const("ι")))
+        assert "d" not in other
+
+
+def test_a_projection_result_is_checked_after_its_telescope():
+    """Projections share one telescope, which is walked once; each result
+    type and body is still walked."""
+    env = Environment()
+    env.add(StructDecl("s", (Binder("α", SORT),), (Binder("a", FreeVar("α")),)))
+    binders = (Binder("α", SORT), Binder("self", apps(Const("s"), FreeVar("α")), True))
+    env.add(DefDecl("s.a", binders, FreeVar("α"), Proj("s", "a", FreeVar("self"))))
+    with pytest.raises(EnvironmentError_,
+                       match="^declaration 's.b' references 'x' before its declaration$"):
+        env.add(DefDecl("s.b", binders, Const("x"), Proj("s", "a", FreeVar("self"))))
+    with pytest.raises(EnvironmentError_, match="references 't' before"):
+        env.add(DefDecl("s.b", binders, FreeVar("α"), Proj("t", "a", FreeVar("self"))))
+    assert "s.b" not in env
 
 
 def test_parent_applied_to_wrong_arity_is_rejected():

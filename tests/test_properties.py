@@ -195,8 +195,9 @@ def test_flat_layout_is_the_leaf_view_with_rebuilt_parents(seed):
     in order, and every parent is rebuilt from the leaf projections."""
     elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy("flat"))
     for name, info in elab.classes.items():
-        assert [(f.name, f.ty, f.parent) for f in info.layout] == \
-            [(leaf, ty, None) for leaf, ty in reference.flatten_fields(elab.classes, name)]
+        assert not info.substructures
+        assert [(f.name, f.ty) for f in info.layout] == \
+            reference.flatten_fields(elab.classes, name)
         edges = [i for i in elab.instances if i.from_class == name]
         assert [(i.decl_name, i.to_class, i.kind, i.priority) for i in edges] == \
             [(f"{name}.to_{p}", p, FLAT, 1000) for p, _ in info.parents]
@@ -236,7 +237,7 @@ def extra_instances(data, elab) -> str:
                                    unique=True), label=f"extra {k} needs")
         priority = data.draw(st.sampled_from((10, 1000, 2000)), label=f"extra {k} priority")
         binders = " ".join(f"[i{j} : {c} α]" for j, c in enumerate(needs))
-        fields = "".join(f"\n  ({leaf} := opaque)" for leaf in elab.classes[target].leaf_types)
+        fields = "".join(f"\n  ({leaf} := opaque)" for leaf in elab.classes[target].leaves)
         out.append(f"@[priority {priority}] instance extra{k} (α : Type) {binders} : "
                    f"{target} α where{fields}\n")
     # Expressions are whitespace-insensitive, so an `@[...]` attribute right

@@ -1,8 +1,14 @@
 """Unit tests for the term representation and its helper operations."""
 
+from dataclasses import fields
+
 import pytest
 
+from hierlab.analyzer import Diamond, DiamondReport, PlacementReport
+from hierlab import terms
+from hierlab.elaborator import InstanceInfo
 from hierlab.terms import (
+    SORT,
     App,
     Binder,
     BoundVar,
@@ -14,6 +20,7 @@ from hierlab.terms import (
     Pi,
     Proj,
     Sort,
+    Term,
     abstract,
     apps,
     consts_in,
@@ -156,3 +163,19 @@ def test_pp_binder_brackets_track_instance_implicit():
 
 def test_bound_variable_outside_context_raises_nothing_but_prints_index():
     assert pp_term(BoundVar(2)) == "#2"
+
+
+def test_term_nodes_and_records_have_no_instance_dict():
+    """Term nodes, binders (a class's layout records) and the instance and
+    diamond records are made by the ten thousand: each keeps its fields in
+    slots, so a record added without slots fails here."""
+    samples = {"str": "x", "int": 0, "bool": False, "Term": SORT}
+    # The module's own classes: ``slots=True`` makes a new class, and the
+    # one it replaced stays among ``Term.__subclasses__()`` until collected.
+    nodes = [v for v in vars(terms).values()
+             if isinstance(v, type) and issubclass(v, Term) and v is not Term]
+    records = [*nodes, Binder, InstanceInfo, Diamond, DiamondReport, PlacementReport]
+    assert {Sort, App, Mk, Proj} <= set(records)
+    for cls in records:
+        record = cls(*(samples.get(f.type, ()) for f in fields(cls)))
+        assert not hasattr(record, "__dict__"), cls.__name__
