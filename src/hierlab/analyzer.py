@@ -296,10 +296,8 @@ class _NormalForms:
     def root(self, args: tuple[Term, ...], start: Term) -> _Record:
         return args, start, self.form_ids.setdefault(start, len(self.form_ids))
 
-    def extend(self, env: Environment, ctx: tuple[Binder, ...], edge: InstanceInfo,
-               record: _Record) -> _Record | None:
-        """The record of ``record``'s node extended by ``edge``.  ``ctx``
-        is no part of the key, since ``normalize`` reads no context."""
+    def extend(self, env: Environment, edge: InstanceInfo, record: _Record) -> _Record | None:
+        """The record of ``record``'s node extended by ``edge``."""
         args, value, form = record
         fingerprints = self.fingerprints
         if fingerprints is None:
@@ -313,7 +311,7 @@ class _NormalForms:
             pass
         term, edge_args = _apply_edge(env, edge, args, value)
         try:
-            normal = normalize(env, self.config, ctx, term)
+            normal = normalize(env, self.config, term)
         except FuelExhausted:
             child = None
         else:
@@ -375,7 +373,7 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
             if child is None:
                 child = children[key] = len(nodes)
                 record = nodes[node]
-                nodes.append(None if record is None else forms.extend(env, ctx, e, record))
+                nodes.append(None if record is None else forms.extend(env, e, record))
             node = child
         path_ids[id(path)] = node
         return node
@@ -568,22 +566,22 @@ def diamond_dict(r: DiamondReport) -> dict:
 _FIELD_TYPES = ("α", "α → α", "α → α → α")
 
 
-def random_hierarchy(seed: int, max_classes: int = 6, max_fields: int = 4,
-                     max_parents: int = 3) -> str:
-    """Generate .hier source for a random single-parameter hierarchy.
+def random_hierarchy(seed: int) -> str:
+    """Generate .hier source for a random single-parameter hierarchy of one
+    to six classes, each with up to three parents and four own fields.
 
     Field names come from a fixed small pool and each name is tied to one
     type, so overlaps between parents are frequent but never clash."""
     import random
 
     rng = random.Random(seed)
-    n = rng.randint(1, max_classes)
+    n = rng.randint(1, 6)
     lines: list[str] = []
     for idx in range(n):
         name = f"c{idx}"
-        n_parents = rng.randint(0, min(max_parents, idx))
+        n_parents = rng.randint(0, min(3, idx))
         parents = rng.sample([f"c{k}" for k in range(idx)], n_parents)
-        n_fields = rng.randint(0 if (parents or idx) else 1, max_fields)
+        n_fields = rng.randint(0 if (parents or idx) else 1, 4)
         fields = rng.sample([f"f{k}" for k in range(6)], n_fields)
         head = f"class {name} (α : Type)"
         if parents:

@@ -21,6 +21,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable
 
 from .analyzer import (
     PathLimitExceeded, analyze, check_diamond, commutes_under, config_dict, diamond_dict,
@@ -31,7 +32,7 @@ from .elaborator import ElabError, Elaboration, EncodingStrategy, InstanceInfo, 
 from .kernel import DefEqConfig, KernelError, Trace, check_type, defeq
 from .resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from .surface import SurfaceError, SurfaceModule, parse, parse_term
-from .terms import Telescope, Term, pp_binder, pp_telescope, pp_term
+from .terms import Binder, Telescope, Term, pp_binder, pp_telescope, pp_term
 
 ENCODINGS = {"flat": "flat", "nested": "nested", "flat-hack": "flat_hack"}
 
@@ -150,10 +151,6 @@ def _elaborated(args: argparse.Namespace) -> Elaboration:
     return elaborate(_load_module(args), _strategy(args), _config(args), args.max_depth)
 
 
-def _emit_json(payload: dict) -> None:
-    print(_json_text(payload))
-
-
 def _json_text(value: object) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for values whose dict
     keys are strings.  CPython's C encoder only runs without ``indent``, so
@@ -215,8 +212,16 @@ def _parse_in_ctx(text: str, elab: Elaboration, path: str, config: DefEqConfig) 
 # ---------------------------------------------------------------------------
 # elaborate
 
+def _field_printer() -> Callable[[Binder], str]:
+    """``pp_term`` of a field record's type, run once per record: a class
+    shares each leaf it inherits unchanged with its parent."""
+    printed: dict[int, str] = {}
+    return lambda b: printed.get(id(b)) or printed.setdefault(id(b), pp_term(b.ty))
+
+
 def _dump_text(elab: Elaboration) -> str:
     instances = {i.decl_name: i for i in elab.instances}
+    field_type = _field_printer()
     lines: list[str] = []
     for decl in elab.env:
         if isinstance(decl, StructDecl):
@@ -224,7 +229,7 @@ def _dump_text(elab: Elaboration) -> str:
             head = f"structure {decl.name}" + (f" {sig}" if sig else "")
             if decl.fields:
                 lines.append(head + " where")
-                lines.extend(f"  ({b.name} : {pp_term(b.ty)})" for b in decl.fields)
+                lines.extend(f"  ({b.name} : {field_type(b)})" for b in decl.fields)
             else:
                 lines.append(head)
         elif isinstance(decl, DefDecl):
@@ -247,11 +252,12 @@ def _dump_text(elab: Elaboration) -> str:
 
 
 def _dump_json(elab: Elaboration, config: DefEqConfig) -> dict:
+    field_type = _field_printer()
     classes = {
         info.name: {
             "params": [pp_binder(b) for b in info.params],
             "fields": [
-                {"name": f.name, "type": pp_term(f.ty),
+                {"name": f.name, "type": field_type(f),
                  "parent": info.substructures.get(f.name)}
                 for f in info.layout
             ],
@@ -274,7 +280,7 @@ def _dump_json(elab: Elaboration, config: DefEqConfig) -> dict:
 def cmd_elaborate(args: argparse.Namespace) -> int:
     elab = _elaborated(args)
     if args.emit == "json":
-        _emit_json(_dump_json(elab, _config(args)))
+        print(_json_text(_dump_json(elab, _config(args))))
     else:
         dump = _dump_text(elab)
         if dump:
@@ -322,17 +328,17 @@ def cmd_defeq(args: argparse.Namespace) -> int:
         results.append((label, lhs, rhs, equal))
         if args.emit == "text":
             print(f"{label}: {'equal' if equal else 'not equal'}")
-            if args.trace and trace is not None and trace.lines:
+            if args.trace and trace.lines:
                 print(trace.render())
     if args.emit == "json":
-        _emit_json({
+        print(_json_text({
             "config": config_dict(ENCODINGS[args.encoding], config),
             "defeqs": [
                 {"label": label, "lhs": pp_term(lhs), "rhs": pp_term(rhs),
                  "equal": equal}
                 for label, lhs, rhs, equal in results
             ],
-        })
+        }))
     return 0 if all_equal else 1
 
 
@@ -380,14 +386,14 @@ def cmd_resolve(args: argparse.Namespace) -> int:
             if args.trace and trace.lines:
                 print(trace.render())
     if args.emit == "json":
-        _emit_json({
+        print(_json_text({
             "config": config_dict(ENCODINGS[args.encoding], config),
             "goals": [
                 {"label": label, "goal": pp_term(goal), "status": status,
                  "term": pp_term(term) if term is not None else None}
                 for label, goal, status, term in results
             ],
-        })
+        }))
     return 0 if all_found else 1
 
 
@@ -484,7 +490,7 @@ def cmd_spanning_search(args: argparse.Namespace) -> int:
     coherent = sum(1 for p in placements if p.coherent)
 
     if args.emit == "json":
-        _emit_json({
+        print(_json_text({
             "config": config_dict(ENCODINGS[args.encoding], config),
             "placements": [
                 {
@@ -498,7 +504,7 @@ def cmd_spanning_search(args: argparse.Namespace) -> int:
                 for p in placements
             ],
             "summary": {"total": len(placements), "coherent": coherent},
-        })
+        }))
     else:
         for p in placements:
             choice = " ".join(f"{cls}={parent}" for cls, parent in p.first_parents)

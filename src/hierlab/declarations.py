@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .terms import Telescope, Term, consts_in, lam_closure, pi_type
+from .terms import SORT, Binder, Telescope, Term, consts_in, lam_closure, pi_type
 
 
 class EnvironmentError_(Exception):
@@ -69,9 +69,9 @@ class Environment:
 
     def __init__(self) -> None:
         self._decls: dict[str, Declaration] = {}
-        # The binder telescopes of added declarations, by id: the entry
-        # keeps its telescope alive, so an id cannot stand for another one.
-        self._checked: dict[int, Telescope] = {}
+        # The binder records of added declarations, by id: the entry keeps
+        # its record alive, so an id cannot stand for another one.
+        self._checked: dict[int, Binder] = {}
 
     def copy(self) -> "Environment":
         """An environment with the same declarations that grows separately."""
@@ -109,21 +109,23 @@ class Environment:
         that is neither declared nor the declaration itself.  Only when one
         is missing are the terms walked one by one, so that the error names
         the alphabetically first missing name of the first offending term.
-        A binder telescope that an added declaration brought in, the same
+        A binder record that an added declaration brought in, the same
         object, here or in the environment this one was copied from, is not
-        walked again: each projection of a class walks only its result and body."""
+        walked again: not in a constructor, nor a leaf a class shares with
+        its parent, nor the telescope of a class's projections."""
         if decl.name in self._decls:
             raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
-        telescope, terms = _split(decl)
-        if id(telescope) not in self._checked:
-            terms = [b.ty for b in telescope] + terms
+        binders, terms = _split(decl)
+        new = [b for b in binders if id(b) not in self._checked]
+        terms = [b.ty for b in new] + terms
         missing = consts_in(*terms).difference(self._decls)
         missing.discard(decl.name)
         if missing:
             for term in terms:
                 self._validate_refs(decl.name, term)
         self._decls[decl.name] = decl
-        self._checked[id(telescope)] = telescope
+        for b in new:
+            self._checked[id(b)] = b
 
     def _validate_refs(self, owner: str, term: Term) -> None:
         """Raise on the alphabetically first name the term uses, as a
@@ -138,7 +140,6 @@ class Environment:
         """The Pi-closed type of a declaration's constant."""
         decl = self[name]
         if isinstance(decl, StructDecl):
-            from .terms import SORT
             return pi_type(decl.params, SORT)
         return pi_type(decl.binders, decl.result_type)
 
@@ -181,8 +182,8 @@ class Fingerprints:
             if id(decl) in self._of:
                 stack.pop()
                 continue
-            telescope, terms = _split(decl)
-            names = sorted(consts_in(*(b.ty for b in telescope), *terms) - {decl.name})
+            binders, terms = _split(decl)
+            names = sorted(consts_in(*(b.ty for b in binders), *terms) - {decl.name})
             pending = [n for n in names if id(env[n]) not in self._of]
             if pending:
                 stack.extend(pending)
@@ -195,9 +196,9 @@ class Fingerprints:
 
 
 def _split(decl: Declaration) -> tuple[Telescope, list[Term]]:
-    """A declaration's binder telescope, and its other terms in order."""
+    """A declaration's binders, a structure's fields too, and its other terms in order."""
     if isinstance(decl, StructDecl):
-        return decl.params, [b.ty for b in decl.fields]
+        return decl.params + decl.fields, []
     if isinstance(decl, DefDecl):
         return decl.binders, [decl.result_type, decl.body]
     return decl.binders, [decl.result_type]

@@ -12,10 +12,11 @@ unification during instance search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .declarations import Environment, StructDecl
 from .terms import (
-    App, Binder, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Sort,
+    App, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Sort,
     SORT, Telescope, Term, abstract, apps, fresh_name, instantiate,
     metas_in, pp_term, subst_frees, unfold_apps, zonk,
 )
@@ -51,11 +52,7 @@ class IllTyped(KernelError):
     """Raised when a term does not typecheck."""
 
 
-class UnifyError(KernelError):
-    pass
-
-
-class OccursCheck(UnifyError):
+class OccursCheck(KernelError):
     """Raised when a meta would be assigned a term containing itself."""
 
     def __init__(self, mid: int, term: Term) -> None:
@@ -64,7 +61,7 @@ class OccursCheck(UnifyError):
         self.term = term
 
 
-class Mismatch(UnifyError):
+class Mismatch(KernelError):
     """Raised when two rigid head-normal terms cannot be unified."""
 
     def __init__(self, lhs: Term, rhs: Term) -> None:
@@ -85,11 +82,18 @@ class Trace:
     """An indented step log shared by whnf, defeq, unify, and resolution."""
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self._steps: list[tuple[str, str | Callable[[], str]]] = []
         self._depth = 0
 
-    def step(self, message: str) -> None:
-        self.lines.append("  " * self._depth + message)
+    def step(self, message: str | Callable[[], str]) -> None:
+        """Log a line, or a function that makes it when ``lines`` is read."""
+        self._steps.append(("  " * self._depth, message))
+
+    @property
+    def lines(self) -> list[str]:
+        """The steps so far, indented; each function is called once."""
+        self._steps = [(indent, m if isinstance(m, str) else m()) for indent, m in self._steps]
+        return [indent + m for indent, m in self._steps]
 
     def push(self) -> None:
         self._depth += 1
@@ -112,17 +116,15 @@ class _Fuel:
 
 
 class MetaCtx:
-    """Allocates metavariables and remembers their types when known."""
+    """Allocates metavariables and remembers their types; the next id is
+    the number of types held."""
 
     def __init__(self) -> None:
-        self._next = 0
         self.types: dict[int, Term] = {}
 
-    def fresh(self, ty: Term | None = None) -> Meta:
-        mid = self._next
-        self._next += 1
-        if ty is not None:
-            self.types[mid] = ty
+    def fresh(self, ty: Term) -> Meta:
+        mid = len(self.types)
+        self.types[mid] = ty
         return Meta(mid)
 
 
@@ -162,14 +164,13 @@ def _whnf(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
         return t
 
 
-def whnf(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
+def whnf(env: Environment, config: DefEqConfig, t: Term,
          trace: Trace | None = None) -> Term:
     """Reduce to weak head normal form by beta, delta, and iota only."""
-    del ctx  # context variables have no definitions to unfold
     return _whnf(env, t, _Fuel(config.unfold_depth), trace)
 
 
-def normalize(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
+def normalize(env: Environment, config: DefEqConfig, t: Term,
               trace: Trace | None = None) -> Term:
     """Reduce to full beta/delta/iota normal form, under binders too.
 
@@ -177,7 +178,6 @@ def normalize(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
     ``defeq``.  Without eta, two terms are definitionally equal exactly when
     their normal forms are equal; raises FuelExhausted like ``whnf``.
     """
-    del ctx  # context variables have no definitions to unfold
     return _normalize(env, t, _Fuel(config.unfold_depth), trace)
 
 
@@ -208,7 +208,7 @@ def infer_type(env: Environment, ctx: Telescope, t: Term,
     Raises IllTyped on structural impossibilities such as applying a
     non-function or projecting a non-structure.
     """
-    return _infer(env, None, {b.name: b.ty for b in ctx}, t,
+    return _infer(env, None, {c.name: c.ty for c in ctx}, t,
                   _Fuel(DEFAULT_UNFOLD_DEPTH), meta_types)
 
 
@@ -218,9 +218,9 @@ def check_type(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
     ``defeq`` under config that every argument, binder type and constructor
     component fits and, when given, that the type is expected.  One fuel
     budget of config.unfold_depth covers the whole term."""
-    ty = _infer(env, config, {b.name: b.ty for b in ctx}, t,
-                _Fuel(config.unfold_depth), None)
-    if expected is not None and not defeq(env, config, ctx, ty, expected):
+    context = {c.name: c.ty for c in ctx}
+    ty = _infer(env, config, context, t, _Fuel(config.unfold_depth), None)
+    if expected is not None and not _defeq(env, config, context, ty, expected, None):
         raise IllTyped(
             f"type mismatch: inferred {pp_term(ty)}, expected {pp_term(expected)}")
     return ty
@@ -254,16 +254,14 @@ def _infer(env: Environment, config: DefEqConfig | None, ctx: dict[str, Term], t
             raise IllTyped(f"applied non-function of type {pp_term(fn_ty)}")
         if config is not None:
             arg_ty = _infer(env, config, ctx, t.arg, fuel, meta_types)
-            if not defeq(env, config, _telescope(ctx), arg_ty, fn_ty.ty):
+            if not _defeq(env, config, ctx, arg_ty, fn_ty.ty, None):
                 raise IllTyped(
                     f"argument type {pp_term(arg_ty)} does not match {pp_term(fn_ty.ty)}")
         return instantiate(fn_ty.body, t.arg)
-    if isinstance(t, Pi) and config is None:
-        return SORT
     if isinstance(t, (Lam, Pi)):
         if config is not None:
             _infer(env, config, ctx, t.ty, fuel, meta_types)
-        name = fresh_name(t.binder or "x", set(ctx))
+        name = fresh_name(t.binder or "x", ctx)
         body_ty = _infer(env, config, {**ctx, name: t.ty}, instantiate(t.body, FreeVar(name)),
                          fuel, meta_types)
         return SORT if isinstance(t, Pi) else Pi(t.binder, t.ty, abstract(body_ty, (name,)))
@@ -276,7 +274,7 @@ def _infer(env: Environment, config: DefEqConfig | None, ctx: dict[str, Term], t
             for binder, value in zip(decl.params + decl.fields, t.params + t.fields):
                 expected = subst_frees(binder.ty, mapping)
                 got = _infer(env, config, ctx, value, fuel, meta_types)
-                if not defeq(env, config, _telescope(ctx), got, expected):
+                if not _defeq(env, config, ctx, got, expected, None):
                     raise IllTyped(
                         f"constructor component {binder.name!r} has type {pp_term(got)}, "
                         f"expected {pp_term(expected)}")
@@ -300,18 +298,13 @@ def _infer(env: Environment, config: DefEqConfig | None, ctx: dict[str, Term], t
     raise IllTyped(f"cannot infer type of {t!r}")
 
 
-def _telescope(ctx: dict[str, Term]) -> Telescope:
-    return tuple(Binder(name, ty) for name, ty in ctx.items())
-
-
 class _Comparator:
     """Shared engine behind defeq (rigid) and unify (meta-solving)."""
 
-    def __init__(self, env: Environment, config: DefEqConfig, ctx: list[Binder],
+    def __init__(self, env: Environment, config: DefEqConfig, ctx: dict[str, Term],
                  eta: bool, subst: dict[int, Term] | None,
                  meta_types: dict[int, Term] | None, trace: Trace | None) -> None:
         self.env = env
-        self.config = config
         self.ctx = ctx
         self.eta = eta
         self.subst = subst
@@ -360,14 +353,13 @@ class _Comparator:
         self._compare_neutral(aw, bw)
 
     def _compare_open(self, hint: str, ty: Term, body_a: Term, body_b: Term) -> None:
-        taken = {b.name for b in self.ctx}
-        name = fresh_name(hint or "x", taken)
-        self.ctx.append(Binder(name, ty))
+        name = fresh_name(hint or "x", self.ctx)
+        self.ctx[name] = ty
         try:
             self.compare(instantiate(body_a, FreeVar(name)),
                          instantiate(body_b, FreeVar(name)))
         finally:
-            self.ctx.pop()
+            del self.ctx[name]
 
     def _compare_neutral(self, aw: Term, bw: Term) -> None:
         head_a, args_a = unfold_apps(aw)
@@ -386,7 +378,8 @@ class _Comparator:
     def _compare_eta(self, mk: Mk, other: Term) -> None:
         """Structural eta: compare a constructor against field projections."""
         try:
-            other_ty = infer_type(self.env, tuple(self.ctx), other, self.meta_types)
+            other_ty = _infer(self.env, None, self.ctx, other, _Fuel(DEFAULT_UNFOLD_DEPTH),
+                              self.meta_types)
         except IllTyped:
             raise _NotDefEq(mk, other) from None
         ty_w = self.whnf(other_ty)
@@ -408,18 +401,12 @@ class _Comparator:
             if self.trace is not None:
                 self.trace.pop()
 
-    def _solve_meta(self, aw: Term, bw: Term) -> None:
+    def _solve_meta(self, a: Term, b: Term) -> None:
+        """Assign the other side to a meta side, a when both are metas;
+        ``compare`` has returned already when they are the same meta."""
         assert self.subst is not None
-        if isinstance(aw, Meta) and isinstance(bw, Meta) and aw.mid == bw.mid:
-            return
-        if isinstance(aw, Meta):
-            self._assign(aw, bw)
-        else:
-            assert isinstance(bw, Meta)
-            self._assign(bw, aw)
-
-    def _assign(self, meta: Meta, value: Term) -> None:
-        assert self.subst is not None
+        meta, value = (a, b) if isinstance(a, Meta) else (b, a)
+        assert isinstance(meta, Meta)
         if meta.mid in metas_in(value):
             raise OccursCheck(meta.mid, value)
         self.subst[meta.mid] = value
@@ -430,7 +417,12 @@ class _Comparator:
 def defeq(env: Environment, config: DefEqConfig, ctx: Telescope, a: Term, b: Term,
           trace: Trace | None = None) -> bool:
     """Definitional equality with structural eta gated by config.eta_kernel."""
-    cmp = _Comparator(env, config, list(ctx), eta=config.eta_kernel,
+    return _defeq(env, config, {c.name: c.ty for c in ctx}, a, b, trace)
+
+
+def _defeq(env: Environment, config: DefEqConfig, ctx: dict[str, Term], a: Term, b: Term,
+           trace: Trace | None) -> bool:
+    cmp = _Comparator(env, config, ctx, eta=config.eta_kernel,
                       subst=None, meta_types=None, trace=trace)
     try:
         cmp.compare(a, b)
@@ -451,7 +443,7 @@ def unify(env: Environment, config: DefEqConfig, ctx: Telescope, a: Term, b: Ter
     Structural eta participates only when config.eta_unifier is set.
     """
     work = dict(subst) if subst else {}
-    cmp = _Comparator(env, config, list(ctx), eta=config.eta_unifier,
+    cmp = _Comparator(env, config, {c.name: c.ty for c in ctx}, eta=config.eta_unifier,
                       subst=work, meta_types=meta_types, trace=trace)
     try:
         cmp.compare(a, b)

@@ -206,7 +206,7 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
         raise DepthExceeded(state.max_depth)
     target = zonk(target, subst)
     trace = state.trace
-    trace.step(f"goal: {pp_term(target)}")
+    trace.step(lambda target=target: f"goal: {pp_term(target)}")
     if target in path:
         trace.step("failed: goal already on path")
         state.cut = True
@@ -217,9 +217,10 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
             and entry.visited.isdisjoint(path)):
         trace.push()
         if entry.answer is None:
-            trace.step(f"cached: failed {pp_term(target)}")
+            trace.step(lambda target=target: f"cached: failed {pp_term(target)}")
         else:
-            trace.step(f"cached: solved {pp_term(target)} := {pp_term(entry.answer)}")
+            trace.step(lambda target=target, answer=entry.answer:
+                       f"cached: solved {pp_term(target)} := {pp_term(answer)}")
         trace.pop()
         state.visited |= entry.visited
         state.reached = max(state.reached, depth + entry.reached)
@@ -260,11 +261,12 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
                 if metas_in(value):
                     trace.step("failed: unsolved arguments remain")
                     continue
-                trace.step(f"solved {pp_term(target)} := {pp_term(value)}")
+                trace.step(lambda target=target, value=value:
+                           f"solved {pp_term(target)} := {pp_term(value)}")
                 result = value, new
                 break
         else:
-            trace.step(f"failed: {pp_term(target)}")
+            trace.step(lambda target=target: f"failed: {pp_term(target)}")
     finally:
         trace.pop()
     if ground and not state.cut:

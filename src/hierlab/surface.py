@@ -663,8 +663,7 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
 
     def project(base: Term, segment: str, pos: Pos) -> Term:
         try:
-            ty = whnf(env, DEFAULT_CONFIG, tuple(scope),
-                      infer_type(env, tuple(scope), base))
+            ty = whnf(env, DEFAULT_CONFIG, infer_type(env, tuple(scope), base))
         except IllTyped as exc:
             raise ParseError(pos.line, pos.col, ("a projectable value",), str(exc)) from None
         head, _args = unfold_apps(ty)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from operator import is_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 
 class Term:
@@ -88,10 +88,6 @@ class Mk(Term):
     struct: str
     params: tuple[Term, ...]
     fields: tuple[Term, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
-        object.__setattr__(self, "fields", tuple(self.fields))
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,7 +302,7 @@ def lam_closure(binders: Iterable[Binder], body: Term) -> Term:
     return t
 
 
-def fresh_name(hint: str, taken: set[str]) -> str:
+def fresh_name(hint: str, taken: Container[str]) -> str:
     """Pick a display name based on hint that avoids taken names."""
     if hint not in taken:
         return hint

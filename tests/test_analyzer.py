@@ -298,10 +298,10 @@ def test_each_normal_form_unfolds_one_edge(monkeypatch, n, nested_calls):
     normalize = analyzer.normalize
     steps: list[int] = []
 
-    def traced(env, config, ctx, term, trace=None):
+    def traced(env, config, term, trace=None):
         log = Trace()
         try:
-            return normalize(env, config, ctx, term, log)
+            return normalize(env, config, term, log)
         finally:
             steps.append(sum(1 for line in log.lines if line.lstrip().startswith("delta ")))
     monkeypatch.setattr(analyzer, "normalize", traced)
@@ -349,10 +349,10 @@ def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):
     each, under both configs."""
     normalize = analyzer.normalize
 
-    def starved(env, config, ctx, term, trace=None):
+    def starved(env, config, term, trace=None):
         if unfold_apps(term)[0] == Const("semiring.to_add_comm_monoid"):
             raise FuelExhausted("starved")
-        return normalize(env, config, ctx, term, trace)
+        return normalize(env, config, term, trace)
     monkeypatch.setattr(analyzer, "normalize", starved)
     calls = count_calls(monkeypatch, "check_diamond")
     for config in (ETA_OFF, ETA_ON):
@@ -527,8 +527,8 @@ def test_forms_across_environments_key_the_definitions_their_parameters_name():
     forms = analyzer._NormalForms(ETA_OFF, fingerprint)
     normals = []
     for elab in (first, second):
-        _, normal, _ = forms.extend(elab.env, (), edge, forms.root(args, start))
-        assert normal == normalize(elab.env, ETA_OFF, (),
+        _, normal, _ = forms.extend(elab.env, edge, forms.root(args, start))
+        assert normal == normalize(elab.env, ETA_OFF,
                                    path_composite(elab.env, (edge,), args, start))
         normals.append(normal)
     assert normals[0] != normals[1]

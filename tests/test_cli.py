@@ -12,6 +12,7 @@ import pytest
 
 import hierlab
 import reference
+from hierlab import cli, elaborator, kernel, resolution, terms
 from hierlab.analyzer import ANALYZER_REPORT_SCHEMA, analyze
 from hierlab.cli import main as cli_main
 from hierlab.elaborator import EncodingStrategy, elaborate
@@ -23,6 +24,21 @@ MODULE = str(corpus_path("module.hier"))
 ROOTONLY = str(corpus_path("rootonly.hier"))
 CUBE = str(corpus_path("cube.hier"))
 POINT = str(corpus_path("point.hier"))
+
+
+@pytest.fixture
+def pp_term_calls(monkeypatch):
+    """A one-item list counting ``pp_term`` calls in every module that
+    looks it up."""
+    calls = [0]
+    original = terms.pp_term
+
+    def counted(t):
+        calls[0] += 1
+        return original(t)
+    for module in (terms, kernel, resolution, elaborator, cli):
+        monkeypatch.setattr(module, "pp_term", counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +65,21 @@ def test_elaborate_flat_dump_lists_every_leaf_field(run_cli):
             "  (one : α)\n"
             "  (mul : α → α → α)\n"
             "  (neg : α → α)\n") in out
+
+
+def test_elaborate_prints_each_shared_field_record_once(run_cli, tmp_path, pp_term_calls):
+    """Under flat, a 200-class chain lays its 20,100 fields out with 200
+    leaf records.  The JSON dump prints each record's type once and each
+    class's parameter once: 400 terms, where printing every field made
+    20,300."""
+    source = tmp_path / "chain.hier"
+    source.write_text("".join(
+        f"class k{i} (α : Type){f' extends k{i - 1} α' if i else ''} where\n"
+        f"  (f{i} : α)\n" for i in range(200)))
+    code, out, _ = run_cli("elaborate", source, "--encoding", "flat", "--emit", "json")
+    assert code == 0
+    assert sum(len(c["fields"]) for c in json.loads(out)["classes"].values()) == 20100
+    assert pp_term_calls[0] == 400
 
 
 def test_elaborate_json_shape(run_cli):
@@ -320,6 +351,19 @@ def test_resolve_json_lists_goal_statuses(run_cli):
                         "module_from_ring": "found",
                         "neg_smul": "not-found",
                         "neg_smul_int": "found"}
+
+
+def test_an_untraced_resolve_formats_no_trace_line(run_cli, tmp_path, pp_term_calls):
+    """Trace lines are formatted only when read.  Without --trace, the
+    nested 6-cube's 64 goals, none of them found, print two terms each:
+    the goal in its record and in the not-found error.  Formatting every
+    trace line printed 640."""
+    source = tmp_path / "cube6.hier"
+    source.write_text(cube_source(6))
+    code, out, _ = run_cli("resolve", source, "--emit", "json")
+    assert code == 1
+    assert [g["status"] for g in json.loads(out)["goals"]] == ["not-found"] * 64
+    assert pp_term_calls[0] == 128
 
 
 def test_resolve_whole_cube_file_tries_each_forgetful_edge_once(run_cli, tmp_path):

@@ -54,25 +54,25 @@ def tiny_env():
 
 def test_whnf_beta_reduces_applied_lambdas(tiny_env):
     t = App(Lam("x", Const("ι"), BoundVar(0)), Const("a"))
-    assert whnf(tiny_env, DEFAULT_CONFIG, (), t) == Const("a")
+    assert whnf(tiny_env, DEFAULT_CONFIG, t) == Const("a")
 
 
 def test_whnf_iota_reduces_projected_constructors(tiny_env):
     t = Proj("pair", "snd", Mk("pair", (), (Const("a"), Const("b"))))
-    assert whnf(tiny_env, DEFAULT_CONFIG, (), t) == Const("b")
+    assert whnf(tiny_env, DEFAULT_CONFIG, t) == Const("b")
 
 
 def test_whnf_delta_unfolds_definitions(fig1_nested):
     ctx = fig1_nested.defeqs[0][1]
     t = parse_term("ring.to_semiring R iR", ctx, fig1_nested.env)
-    assert whnf(fig1_nested.env, DEFAULT_CONFIG, ctx, t) == \
+    assert whnf(fig1_nested.env, DEFAULT_CONFIG, t) == \
         Proj("ring", "to_semiring", FreeVar("iR"))
 
 
 def test_whnf_stops_at_constructors(fig1_nested):
     ctx = fig1_nested.defeqs[0][1]
     t = parse_term("ring.to_add_comm_group R iR", ctx, fig1_nested.env)
-    out = whnf(fig1_nested.env, DEFAULT_CONFIG, ctx, t)
+    out = whnf(fig1_nested.env, DEFAULT_CONFIG, t)
     assert isinstance(out, Mk)
     assert out.struct == "add_comm_group"
 
@@ -83,11 +83,11 @@ def test_whnf_keeps_stuck_projections_in_declared_form(fig1_nested):
     ctx = fig1_nested.defeqs[0][1]
     t = Proj("semiring", "to_add_comm_monoid",
              parse_term("ring.to_semiring R iR", ctx, fig1_nested.env))
-    assert whnf(fig1_nested.env, DEFAULT_CONFIG, ctx, t) == t
+    assert whnf(fig1_nested.env, DEFAULT_CONFIG, t) == t
 
 
 def test_whnf_opaque_constants_do_not_unfold(tiny_env):
-    assert whnf(tiny_env, DEFAULT_CONFIG, (), Const("a")) == Const("a")
+    assert whnf(tiny_env, DEFAULT_CONFIG, Const("a")) == Const("a")
 
 
 def test_normalize_reduces_under_binders_and_inside_constructors(tiny_env):
@@ -95,7 +95,7 @@ def test_normalize_reduces_under_binders_and_inside_constructors(tiny_env):
     t = Lam("z", ι, Mk("pair", (), (
         App(Lam("w", ι, BoundVar(0)), BoundVar(0)),
         Proj("pair", "snd", Mk("pair", (), (a, BoundVar(0)))))))
-    assert normalize(tiny_env, ETA_OFF, (), t) == Lam("z", ι, Mk("pair", (), (
+    assert normalize(tiny_env, ETA_OFF, t) == Lam("z", ι, Mk("pair", (), (
         BoundVar(0), BoundVar(0))))
 
 
@@ -104,7 +104,7 @@ def test_whnf_fuel_exhaustion_raises(fig1_nested):
     t = parse_term("semiring.to_add_comm_monoid R (ring.to_semiring R iR)",
                    ctx, fig1_nested.env)
     with pytest.raises(FuelExhausted):
-        whnf(fig1_nested.env, DefEqConfig(unfold_depth=1), ctx, t)
+        whnf(fig1_nested.env, DefEqConfig(unfold_depth=1), t)
 
 
 def test_whnf_projection_of_another_structures_constructor_is_ill_typed(fig1_nested):
@@ -114,7 +114,7 @@ def test_whnf_projection_of_another_structures_constructor_is_ill_typed(fig1_nes
     t = parse_term("semiring.mul R (ring.mk R iR.to_semiring iR.neg)", ctx, fig1_nested.env)
     with pytest.raises(IllTyped, match="^projection semiring.mul applied to a "
                                        "constructor of ring$"):
-        whnf(fig1_nested.env, DEFAULT_CONFIG, ctx, t)
+        whnf(fig1_nested.env, DEFAULT_CONFIG, t)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,14 @@ def test_compare_heads_spines_and_binders(tiny_env, lhs, rhs, equal, unifier):
 def test_unify_assigns_bare_metas(tiny_env):
     subst = unify(tiny_env, DEFAULT_CONFIG, (), Meta(0), Const("a"))
     assert subst == {0: Const("a")}
+
+
+def test_unify_assigns_a_meta_that_reduction_exposes(tiny_env):
+    """A side that is no meta until weak-head reduction still has its meta
+    assigned: (fun (x : ι), x) ?0 reduces to ?0."""
+    t = App(Lam("x", Const("ι"), BoundVar(0)), Meta(0))
+    assert unify(tiny_env, DEFAULT_CONFIG, (), t, Const("a")) == {0: Const("a")}
+    assert unify(tiny_env, DEFAULT_CONFIG, (), Const("a"), t) == {0: Const("a")}
 
 
 def test_unify_keeps_assignments_in_declared_form(fig1_nested):

@@ -74,7 +74,7 @@ def test_projection_of_constructor_returns_that_field(data):
     k = data.draw(st.integers(min_value=0, max_value=n - 1), label="which")
     env = record_env([0] * n)
     t = Proj("s", f"f{k}", Mk("s", (), values))
-    assert whnf(env, ETA_OFF, (), t) == values[k]
+    assert whnf(env, ETA_OFF, t) == values[k]
     assert defeq(env, ETA_OFF, (), t, values[k])
     assert defeq(env, ETA_ON, (), t, values[k])
 

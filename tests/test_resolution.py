@@ -172,6 +172,27 @@ def test_not_found_on_an_environment_without_instances():
     assert "no instance found" in str(err.value)
 
 
+def test_a_candidate_with_an_argument_no_goal_fixes_fails():
+    """An explicit binder that the instance's result type does not mention
+    is left unsolved by unification, so the candidate fails."""
+    elab = elaborate(parse("""
+class int
+class base (α : Type) where
+  (x : α)
+instance pick (n : int) : base int where
+  (x := n)
+variables (T : Type)
+goal g : base int
+"""), EncodingStrategy("nested"))
+    ctx, goal = goal_by_label(elab, "g")
+    trace = Trace()
+    with pytest.raises(NotFound):
+        resolve(elab.env, elab.instances, ctx, goal, trace=trace)
+    assert [line.lstrip() for line in trace.lines] == [
+        "goal: @base int", "try pick (priority 1000)",
+        "failed: unsolved arguments remain", "failed: @base int"]
+
+
 def test_depth_limit_stops_ever_growing_searches():
     """An instance whose own requirement is strictly larger than its result
     diverges; the search must fail with the depth error, not hang."""

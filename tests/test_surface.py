@@ -21,7 +21,7 @@ from hierlab.surface import (
     parse_term,
     print_module,
 )
-from hierlab.terms import Binder, Const, FreeVar, Proj, Sort, apps
+from hierlab.terms import Binder, Const, FreeVar, Proj, Sort, apps, pp_term
 from conftest import CORPUS, corpus_path, load
 
 
@@ -256,6 +256,20 @@ def test_parse_term_resolves_field_projection_by_type(fig1_nested):
            Binder("iR", apps(Const("ring"), FreeVar("R")), instance_implicit=True))
     t = parse_term("iR.neg", ctx, fig1_nested.env)
     assert t == Proj("ring", "neg", FreeVar("iR"))
+
+
+def test_a_projection_of_an_application_round_trips(fig1_nested, fig1_module):
+    """A projection out of an application prints its target in parentheses
+    and parses back to the same term, alone and inside a printed module."""
+    ctx = fig1_nested.defeqs[0][1]
+    t = Proj("semiring", "to_add_comm_monoid",
+             apps(Const("ring.to_semiring"), FreeVar("R"), FreeVar("iR")))
+    text = pp_term(t)
+    assert text == "(@ring.to_semiring R iR).to_add_comm_monoid"
+    assert parse_term(text, ctx, fig1_nested.env) == t
+    printed = print_module(parse(print_module(fig1_module) + f"\ngoal g : {text}\n"))
+    assert f"goal g : {text}\n" in printed
+    assert print_module(parse(printed)) == printed
 
 
 def test_check_type_rejects_an_ill_typed_parsed_term(fig1_nested):
