@@ -6,16 +6,18 @@ from .analyzer import (
     ANALYZER_REPORT_SCHEMA,
     CycleDetected,
     Diamond,
-    DiamondReport,
+    Diamonds,
+    GroupReport,
     HierGraph,
+    PathGroup,
     PathLimitExceeded,
     PlacementReport,
     analyze,
     build_graph,
     check_diamond,
     commutes_under,
+    diamond_rows,
     enumerate_diamonds,
-    predict_diamond,
     random_hierarchy,
     spanning_search,
 )

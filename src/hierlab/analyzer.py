@@ -18,33 +18,36 @@ placement of preferred projections therefore only counts as coherent when
 every diamond passes the oracle and, in a kernel without structural eta,
 the predictor as well.
 
-``analyze`` decides oracles per path, not per pair.  It numbers each
-source's paths as the nodes of a prefix trie and reduces each path's
-composite to its beta/delta/iota normal form by extension: the normal form
-of a path is that of its last edge applied to the normal form of its
-prefix, since reducing a subterm first does not change the normal form.
-Each ``normalize`` call therefore unfolds one edge, with a fuel budget of
-its own, and only paths that some diamond needs are reduced.  A node's
-normal form is keyed by content, (edge, prefix normal form, prefix
-parameters), not by its place in the trie, so paths whose prefixes reduce
-alike share one reduction, within a source and across the sources of one
-call.  ``spanning_search`` keeps one such table for all its parent orders,
-with each edge keyed by the fingerprint of its declaration's content, so
-an order reduces again only what its changed declarations unfold to.
-Equal normal forms are equal; without eta, different ones are not.  With
-eta, the kernel compares the two normal forms, once per distinct pair.
+``analyze`` decides oracles per path, not per pair.  The paths from one
+class to another form a group, and each pair of them is a diamond.  Each
+source's paths are numbered as the nodes of a prefix trie, and each path's
+composite is reduced to its beta/delta/iota normal form by extension: the
+normal form of a path is that of its last edge applied to the normal form
+of its prefix, since reducing a subterm first does not change the normal
+form.  Each ``normalize`` call therefore unfolds one edge, with a fuel
+budget of its own.  A node's normal form is keyed by content, (edge, prefix
+normal form, prefix parameters), not by its place in the trie, so paths
+whose prefixes reduce alike share one reduction, within a source and across
+the sources of one call.  ``spanning_search`` keeps one such table for all
+its parent orders, with each edge keyed by the fingerprint of its
+declaration's content, so an order reduces again only what its changed
+declarations unfold to.
+
+A group's report holds, per path, its normal form's id and whether its last
+edge is a preferred projection; a pair's verdicts are read from its two
+paths.  Equal normal forms are equal; without eta, different ones are not.
+With eta, the kernel compares the two normal forms, once per distinct pair.
 Normal forms are not grouped by an eta-long form instead, because the eta
 rule is not transitive on structures without fields (``x = unit.mk`` and
 ``unit.mk = y`` hold while ``x = y`` does not).  ``check_diamond``, the
-pairwise comparison of the composites, stays as the reference and decides
-the diamonds of any path whose normal form, or a prefix's, ran out of
-fuel.
+pairwise comparison of the composites, decides the pairs of any path whose
+normal form, or a prefix's, ran out of fuel.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .declarations import Environment, Fingerprints, StructDecl
 # `elaborate` is not called here; it stays importable from this module,
@@ -102,10 +105,69 @@ class Diamond:
 
 
 @dataclass(frozen=True, slots=True)
-class DiamondReport:
-    diamond: Diamond
-    oracle: bool
-    predictor: bool
+class PathGroup:
+    """The paths from one class to another, two or more, in order of their
+    declaration names: each pair of them is a diamond."""
+    source: str
+    target: str
+    paths: tuple[Path, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Diamonds:
+    """The diamonds of a graph, held as its path groups in source and then
+    target order.  Its length is the number of diamonds; iterating it
+    yields them as ``Diamond``s, made on demand, group by group and pair by
+    pair in path order."""
+    groups: tuple[PathGroup, ...]
+
+    def __len__(self) -> int:
+        return sum(len(g.paths) * (len(g.paths) - 1) // 2 for g in self.groups)
+
+    def __iter__(self) -> Iterator[Diamond]:
+        for g in self.groups:
+            for a, b in itertools.combinations(g.paths, 2):
+                yield Diamond(g.source, g.target, a, b)
+
+
+@dataclass(frozen=True, slots=True)
+class GroupReport:
+    """The verdicts of a path group's diamonds, held per path.  ``forms``
+    gives each path's normal-form id, where a path whose normal form ran out
+    of fuel has a negative id of its own; two paths with one id are equal.
+    ``equal`` holds the index pairs ``(i, j)``, ``i < j``, of paths with
+    different ids that the kernel found equal anyway.  ``preferred`` tells
+    whether each path's last edge is a preferred projection."""
+    group: PathGroup
+    forms: tuple[int, ...]
+    preferred: tuple[bool, ...]
+    equal: frozenset[tuple[int, int]]
+
+    def pairs(self) -> Iterator[tuple[int, int, bool, bool]]:
+        """Each diamond as its two path indices, its oracle and its
+        predictor, in report order.  The predictor is the last-segment rule:
+        the paths stay interchangeable when their final edges are both
+        preferred projections or both constructor-built."""
+        forms, preferred, equal = self.forms, self.preferred, self.equal
+        for i, j in itertools.combinations(range(len(forms)), 2):
+            yield (i, j, forms[i] == forms[j] or (i, j) in equal,
+                   preferred[i] == preferred[j])
+
+    def commutes(self, config: DefEqConfig) -> bool:
+        """Whether every diamond of the group commutes under config."""
+        return all(commutes_under(oracle, predictor, config)
+                   for _, _, oracle, predictor in self.pairs())
+
+
+def diamond_rows(reports: Iterable[GroupReport]
+                 ) -> Iterator[tuple[str, str, tuple[str, ...], tuple[str, ...], bool, bool]]:
+    """Each diamond of ``reports`` as ``(source, target, pathA, pathB,
+    oracle, predictor)``, paths by declaration names, in report order."""
+    for report in reports:
+        group = report.group
+        names = [_path_key(p) for p in group.paths]
+        for i, j, oracle, predictor in report.pairs():
+            yield group.source, group.target, names[i], names[j], oracle, predictor
 
 
 def build_graph(env: Environment, instances: list[InstanceInfo]) -> HierGraph:
@@ -131,13 +193,14 @@ def build_graph(env: Environment, instances: list[InstanceInfo]) -> HierGraph:
     return HierGraph(tuple(order), edges, outgoing)
 
 
-def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> list[Diamond]:
-    """All unordered pairs of distinct paths sharing both endpoints,
-    ordered lexicographically by source, target, then path decl names."""
+def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> Diamonds:
+    """All unordered pairs of distinct paths sharing both endpoints, as the
+    groups of two or more paths between two classes, ordered
+    lexicographically by source, target, then path decl names."""
     if max_path_len < 2:
         raise ValueError("max_path_len must be at least 2")
 
-    diamonds: list[Diamond] = []
+    groups: list[PathGroup] = []
     for source in sorted(graph.nodes):
         by_target: dict[str, list[Path]] = {}
 
@@ -151,10 +214,10 @@ def enumerate_diamonds(graph: HierGraph, max_path_len: int = MAX_PATH_LEN) -> li
 
         walk(source, ())
         for target in sorted(by_target):
-            paths = sorted(by_target[target], key=_path_key)
-            for a, b in itertools.combinations(paths, 2):
-                diamonds.append(Diamond(source, target, a, b))
-    return diamonds
+            paths = by_target[target]
+            if len(paths) > 1:
+                groups.append(PathGroup(source, target, tuple(sorted(paths, key=_path_key))))
+    return Diamonds(tuple(groups))
 
 
 def _path_key(path: Path) -> tuple[str, ...]:
@@ -213,12 +276,6 @@ def _apply_edge(env: Environment, edge: InstanceInfo, args: tuple[Term, ...],
             tuple(subst_frees(a, mapping) for a in result_args))
 
 
-def predict_diamond(diamond: Diamond) -> bool:
-    """The last-segment rule: the paths stay interchangeable when their
-    final edges are both preferred projections or both constructor-built."""
-    return (diamond.path_a[-1].kind == PREFERRED) == (diamond.path_b[-1].kind == PREFERRED)
-
-
 def _source_context(env: Environment, source: str
                     ) -> tuple[tuple[Binder, ...], tuple[Term, ...], Term]:
     """The source class's parameters plus a fresh instance of it: the
@@ -233,24 +290,25 @@ def _source_context(env: Environment, source: str
 
 def check_diamond(env: Environment, diamond: Diamond,
                   config: DefEqConfig = DEFAULT_CONFIG,
-                  trace: Trace | None = None) -> DiamondReport:
-    """Build both composites over a fresh instance variable and compare."""
+                  trace: Trace | None = None) -> bool:
+    """The oracle of one diamond: build both composites over a fresh
+    instance variable and compare them."""
     ctx, args, start = _source_context(env, diamond.source)
-    oracle = defeq(env, config, ctx, path_composite(env, diamond.path_a, args, start),
-                   path_composite(env, diamond.path_b, args, start), trace)
-    return DiamondReport(diamond, oracle, predict_diamond(diamond))
+    return defeq(env, config, ctx, path_composite(env, diamond.path_a, args, start),
+                 path_composite(env, diamond.path_b, args, start), trace)
 
 
-def commutes_under(report: DiamondReport, config: DefEqConfig) -> bool:
+def commutes_under(oracle: bool, predictor: bool, config: DefEqConfig) -> bool:
     """Whether a diamond counts as commuting for coherence scoring: the
     oracle must accept, and without kernel eta the predictor must too (see
     the module docstring for why both are consulted)."""
-    return report.oracle and (config.eta_kernel or report.predictor)
+    return oracle and (config.eta_kernel or predictor)
 
 
 def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
-            max_path_len: int = MAX_PATH_LEN) -> list[DiamondReport]:
-    """Enumerate and check every diamond of an elaborated module.
+            max_path_len: int = MAX_PATH_LEN) -> list[GroupReport]:
+    """Enumerate and check every diamond of an elaborated module: one
+    report per path group, in the order of ``enumerate_diamonds``.
 
     Verdicts are decided from one normal form per path, each computed by
     extending the normal form of the path's prefix by its last edge (see
@@ -266,7 +324,19 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
 
     Raises PathLimitExceeded when some diamond has a path longer than
     ``max_path_len``, rather than leave it out of the report."""
-    return _source_reports(elab, config, max_path_len, {}, _NormalForms(config))
+    return _source_reports(elab, config, _groups_by_source(elab, max_path_len), {},
+                           _NormalForms(config))
+
+
+def _groups_by_source(elab: Elaboration, max_path_len: int
+                      ) -> list[tuple[str, list[PathGroup]]]:
+    """The path groups of ``elab``'s graph, bounded by the path limit,
+    collected by source in source order."""
+    graph = build_graph(elab.env, elab.instances)
+    _check_path_limit(graph, max_path_len)
+    groups = enumerate_diamonds(graph, max_path_len).groups
+    return [(source, list(by_source))
+            for source, by_source in itertools.groupby(groups, key=lambda g: g.source)]
 
 
 # A trie node's record: the parameters its out-edges take, its normal form
@@ -285,13 +355,18 @@ class _NormalForms:
     names one declaration there.  Across the forks of a spanning search it
     is keyed by ``fingerprints``, together with those of the constants the
     parameters name, so that forks share a key exactly when the edge
-    unfolds to the same term."""
+    unfolds to the same term.
+
+    ``reports`` keeps one object per distinct group report, keyed by its
+    group's identity and its verdicts, so that the orders of a spanning
+    search that decide a group alike share its report."""
 
     def __init__(self, config: DefEqConfig, fingerprints: Fingerprints | None = None) -> None:
         self.config = config
         self.fingerprints = fingerprints
         self.records: dict[tuple, _Record | None] = {}
         self.form_ids: dict[Term, int] = {}
+        self.reports: dict[tuple, GroupReport] = {}
 
     def root(self, args: tuple[Term, ...], start: Term) -> _Record:
         return args, start, self.form_ids.setdefault(start, len(self.form_ids))
@@ -320,35 +395,38 @@ class _NormalForms:
         return child
 
 
-def _source_reports(elab: Elaboration, config: DefEqConfig, max_path_len: int,
-                    made: dict[str, tuple[ClassInfo, list[DiamondReport]]],
-                    forms: _NormalForms) -> list[DiamondReport]:
-    """The reports of every source with diamonds, in source order.  A
-    source's diamonds use only the declarations of the classes up to it,
-    so its reports in ``made`` are reused while its class record there is
-    the one ``elab`` holds; ``made`` takes the reports checked here.  The
-    normal forms of every source's paths are looked up in, and added to,
-    ``forms``."""
-    env = elab.env
-    graph = build_graph(env, elab.instances)
-    _check_path_limit(graph, max_path_len)
-    diamonds = enumerate_diamonds(graph, max_path_len)
-    out: list[DiamondReport] = []
-    for source, group in itertools.groupby(diamonds, key=lambda d: d.source):
+def _source_reports(elab: Elaboration, config: DefEqConfig,
+                    by_source: list[tuple[str, list[PathGroup]]],
+                    made: dict[str, tuple[ClassInfo, list[GroupReport]]],
+                    forms: _NormalForms) -> list[GroupReport]:
+    """The reports of every source's path groups, in source order.  The
+    groups' paths are read by declaration name: ``elab``'s environment
+    unfolds them and its instances give their kinds.  A source's diamonds
+    use only the declarations of the classes up to it, so its reports in
+    ``made`` are reused while its class record there is the one ``elab``
+    holds; ``made`` takes the reports checked here.  The normal forms of
+    every source's paths are looked up in, and added to, ``forms``."""
+    preferred: set[str] | None = None
+    out: list[GroupReport] = []
+    for source, groups in by_source:
         info = elab.classes[source]
         entry = made.get(source)
         if entry is not None and entry[0] is info:
             reports = entry[1]
         else:
-            reports = _check_source(env, config, source, group, forms)
+            if preferred is None:
+                preferred = {i.decl_name for i in elab.instances if i.kind == PREFERRED}
+            reports = _check_source(elab.env, config, source, groups, forms, preferred)
             made[source] = (info, reports)
         out.extend(reports)
     return out
 
 
 def _check_source(env: Environment, config: DefEqConfig, source: str,
-                  group: Iterable[Diamond], forms: _NormalForms) -> list[DiamondReport]:
-    """Decide the diamonds of one source from the normal forms of its paths."""
+                  groups: Iterable[PathGroup], forms: _NormalForms,
+                  preferred: set[str]) -> list[GroupReport]:
+    """Decide the path groups of one source from the normal forms of its
+    paths; an edge is preferred when ``preferred`` holds its name."""
     ctx, args, start = _source_context(env, source)
     # The trie of this source's paths, indexed by node id, holds each node's
     # record (see ``_NormalForms``), or None when its normalisation or a
@@ -357,15 +435,10 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
     # edge has.
     nodes: list[_Record | None] = [forms.root(args, start)]
     children: dict[tuple[int, str], int] = {}
-    # A path tuple hashes every edge, so paths are looked up by object
-    # identity, which holds while the caller keeps the diamonds alive.
-    path_ids: dict[int, int] = {}
+    # The kernel's verdicts on pairs of distinct form ids, under eta.
     verdicts: dict[tuple[int, int], bool] = {}
 
-    def node_of(path: Path) -> int:
-        node = path_ids.get(id(path))
-        if node is not None:
-            return node
+    def record_of(path: Path) -> _Record | None:
         node = 0
         for e in path:
             key = (node, e.decl_name)
@@ -375,27 +448,56 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
                 record = nodes[node]
                 nodes.append(None if record is None else forms.extend(env, e, record))
             node = child
-        path_ids[id(path)] = node
-        return node
+        return nodes[node]
 
-    reports: list[DiamondReport] = []
-    for d in group:
-        record_a, record_b = nodes[node_of(d.path_a)], nodes[node_of(d.path_b)]
-        if record_a is None or record_b is None:
-            reports.append(check_diamond(env, d, config))
-            continue
-        id_a, id_b = record_a[2], record_b[2]
-        if id_a == id_b:
-            oracle = True
-        elif not config.eta_kernel:
-            oracle = False
-        else:
-            oracle = verdicts.get((id_a, id_b))
-            if oracle is None:
-                oracle = defeq(env, config, ctx, record_a[1], record_b[1])
-                verdicts[(id_a, id_b)] = oracle
-        reports.append(DiamondReport(d, oracle, predict_diamond(d)))
+    reports: list[GroupReport] = []
+    for group in groups:
+        paths = group.paths
+        records = [record_of(p) for p in paths]
+        ids = tuple(-1 - k if r is None else r[2] for k, r in enumerate(records))
+        equal: list[tuple[int, int]] = []
+        # Without eta, different forms are unequal unless a path ran out of
+        # fuel; otherwise the pairs of paths with different forms are asked.
+        if config.eta_kernel and len(set(ids)) > 1 or min(ids) < 0:
+            for i, j in itertools.combinations(range(len(paths)), 2):
+                a, b = ids[i], ids[j]
+                if a == b:
+                    continue
+                if a < 0 or b < 0:
+                    oracle = check_diamond(
+                        env, Diamond(source, group.target, paths[i], paths[j]), config)
+                elif not config.eta_kernel:
+                    continue
+                else:
+                    oracle = verdicts.get((a, b))
+                    if oracle is None:
+                        oracle = verdicts[(a, b)] = defeq(env, config, ctx, records[i][1],
+                                                          records[j][1])
+                if oracle:
+                    equal.append((i, j))
+        kinds = tuple([p[-1].decl_name in preferred for p in paths])
+        key = (id(group), ids, kinds, *equal)
+        report = forms.reports.get(key)
+        if report is None:
+            report = forms.reports[key] = GroupReport(group, ids, kinds, frozenset(equal))
+        reports.append(report)
     return reports
+
+
+def same_verdicts(a: GroupReport, b: GroupReport) -> bool:
+    """Whether two reports on one path group give each diamond the same
+    oracle and predictor.  A predictor compares the kinds of two paths'
+    last edges, so flipping every path's kind keeps every predictor.
+    Without pairs found equal across forms, oracles are "same form", and
+    they agree when the forms partition the paths alike; otherwise they are
+    compared pair by pair."""
+    if a is b:
+        return True
+    if len({x != y for x, y in zip(a.preferred, b.preferred)}) > 1:
+        return False
+    if a.equal or b.equal:
+        return [o for _, _, o, _ in a.pairs()] == [o for _, _, o, _ in b.pairs()]
+    return len(set(zip(a.forms, b.forms))) == len(set(a.forms)) == len(set(b.forms))
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +505,12 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
 
 @dataclass(frozen=True, slots=True)
 class PlacementReport:
+    """One first-parent choice and the reports of its first order.  The
+    groups' paths hold the declared order's instance records, which only
+    name the edges; each report's ``preferred`` gives this order's kinds."""
     index: int
     first_parents: tuple[tuple[str, str], ...]
-    diamonds: tuple[DiamondReport, ...]
+    groups: tuple[GroupReport, ...]
     coherent: bool
     nonfirst_order_invariant: bool
 
@@ -434,12 +539,14 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     checked again looks its normal forms up in one table kept for the
     whole search, where edges are keyed by declaration fingerprint (see
     ``_NormalForms``), so it reduces again only the extensions whose edge
-    or prefix unfolds differently.  The graph is still built, bounded by
-    the path limit and enumerated for every order.
+    or prefix unfolds differently.
 
     Every order has the same edges, one ``C.to_P`` per class and parent,
-    and so lists the same diamonds in the same order; orders are compared
-    verdict by verdict in that order.
+    and so the same path groups.  The graph is therefore built, bounded by
+    the path limit and enumerated once, from the declared order; each order
+    reads the paths by declaration name, taking its edges' kinds from its
+    own instances.  Orders are compared group by group on the verdicts of
+    each pair of paths (see ``same_verdicts``).
     """
     items = module.items
     positions = [index for index, item in enumerate(items)
@@ -460,10 +567,11 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     names = [items[index].name for index in positions]
     choices = [[p for p, _ in elab.classes[name].parents[skip:]] for name in names]
     previous = tuple(tuple(parents) for parents in choices)
-    made: dict[str, tuple[ClassInfo, list[DiamondReport]]] = {}
+    by_source = _groups_by_source(elab, max_path_len)
+    made: dict[str, tuple[ClassInfo, list[GroupReport]]] = {}
     forms = _NormalForms(config, Fingerprints())
 
-    def analyzed(order: tuple[tuple[str, ...], ...]) -> list[DiamondReport]:
+    def analyzed(order: tuple[tuple[str, ...], ...]) -> list[GroupReport]:
         nonlocal elab, previous
         if order != previous:
             d = next(k for k, (new, old) in enumerate(zip(order, previous)) if new != old)
@@ -471,7 +579,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
             overrides = EncodingStrategy(strategy.kind, dict(zip(names, order)))
             elab = elaborate_from(forks[d].fork(overrides), positions[d])
             previous = order
-        return _source_reports(elab, config, max_path_len, made, forms)
+        return _source_reports(elab, config, by_source, made, forms)
 
     reports: list[PlacementReport] = []
     for index, combo in enumerate(itertools.product(*choices)):
@@ -480,10 +588,8 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
                 [p for p in parents if p != first])]
             for parents, first in zip(choices, combo)))
         checked = analyzed(next(orders))
-        reference = [(r.oracle, r.predictor) for r in checked]
-        invariant = all([(r.oracle, r.predictor) for r in analyzed(order)] == reference
-                        for order in orders)
-        coherent = all(commutes_under(r, config) for r in checked)
+        invariant = all(all(map(same_verdicts, analyzed(order), checked)) for order in orders)
+        coherent = all(r.commutes(config) for r in checked)
         reports.append(PlacementReport(index, tuple(sorted(zip(names, combo))),
                                        tuple(checked), coherent, invariant))
     return reports
@@ -544,19 +650,6 @@ def config_dict(encoding: str, config: DefEqConfig) -> dict:
         "encoding": encoding,
         "eta_kernel": config.eta_kernel,
         "eta_unifier": config.eta_unifier,
-    }
-
-
-def diamond_dict(r: DiamondReport) -> dict:
-    """One diamond's JSON record in the spanning-search report.  ``hier
-    diamonds`` writes the same record as text, without building the dict."""
-    return {
-        "source": r.diamond.source,
-        "target": r.diamond.target,
-        "pathA": list(_path_key(r.diamond.path_a)),
-        "pathB": list(_path_key(r.diamond.path_b)),
-        "oracle": r.oracle,
-        "predictor": r.predictor,
     }
 
 

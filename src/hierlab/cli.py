@@ -21,18 +21,18 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, TextIO
 
 from .analyzer import (
-    PathLimitExceeded, analyze, check_diamond, commutes_under, config_dict, diamond_dict,
-    random_hierarchy, spanning_search,
+    Diamond, GroupReport, PathLimitExceeded, analyze, check_diamond, commutes_under,
+    config_dict, random_hierarchy, spanning_search,
 )
 from .declarations import DefDecl, OpaqueDecl, StructDecl
-from .elaborator import ElabError, Elaboration, EncodingStrategy, InstanceInfo, elaborate
+from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
 from .kernel import DefEqConfig, KernelError, Trace, check_type, defeq
 from .resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from .surface import SurfaceError, SurfaceModule, parse, parse_term
-from .terms import Binder, Telescope, Term, pp_binder, pp_telescope, pp_term
+from .terms import Binder, Telescope, Term, pp_binder, pp_term
 
 ENCODINGS = {"flat": "flat", "nested": "nested", "flat-hack": "flat_hack"}
 
@@ -212,29 +212,33 @@ def _parse_in_ctx(text: str, elab: Elaboration, path: str, config: DefEqConfig) 
 # ---------------------------------------------------------------------------
 # elaborate
 
-def _field_printer() -> Callable[[Binder], str]:
-    """``pp_term`` of a field record's type, run once per record: a class
-    shares each leaf it inherits unchanged with its parent."""
+def _per_record(show: Callable[[Binder], str]) -> Callable[[Binder], str]:
+    """``show`` run once per binder record: a class shares each leaf it
+    inherits unchanged with its parent, and its constructor's telescope
+    holds its leaf records."""
     printed: dict[int, str] = {}
-    return lambda b: printed.get(id(b)) or printed.setdefault(id(b), pp_term(b.ty))
+    return lambda b: printed.get(id(b)) or printed.setdefault(id(b), show(b))
 
 
 def _dump_text(elab: Elaboration) -> str:
     instances = {i.decl_name: i for i in elab.instances}
-    field_type = _field_printer()
+    field_type = _per_record(lambda b: pp_term(b.ty))
+    binder = _per_record(pp_binder)
+
+    def signature(tele: Telescope) -> str:
+        return "".join(" " + binder(b) for b in tele)
+
     lines: list[str] = []
     for decl in elab.env:
         if isinstance(decl, StructDecl):
-            sig = pp_telescope(decl.params)
-            head = f"structure {decl.name}" + (f" {sig}" if sig else "")
+            head = f"structure {decl.name}{signature(decl.params)}"
             if decl.fields:
                 lines.append(head + " where")
                 lines.extend(f"  ({b.name} : {field_type(b)})" for b in decl.fields)
             else:
                 lines.append(head)
         elif isinstance(decl, DefDecl):
-            sig = pp_telescope(decl.binders)
-            sig = f" {sig}" if sig else ""
+            sig = signature(decl.binders)
             info = instances.get(decl.name)
             if info is not None:
                 lines.append(f"@[priority {info.priority}] instance {decl.name}{sig} "
@@ -244,15 +248,14 @@ def _dump_text(elab: Elaboration) -> str:
                 lines.append(f"def {decl.name}{sig} : {pp_term(decl.result_type)} := "
                              f"{pp_term(decl.body)}")
         elif isinstance(decl, OpaqueDecl):
-            sig = pp_telescope(decl.binders)
-            sig = f" {sig}" if sig else ""
-            lines.append(f"opaque {decl.name}{sig} : {pp_term(decl.result_type)}")
+            lines.append(f"opaque {decl.name}{signature(decl.binders)} "
+                         f": {pp_term(decl.result_type)}")
         lines.append("")
     return "\n".join(lines).rstrip("\n")
 
 
 def _dump_json(elab: Elaboration, config: DefEqConfig) -> dict:
-    field_type = _field_printer()
+    field_type = _per_record(lambda b: pp_term(b.ty))
     classes = {
         info.name: {
             "params": [pp_binder(b) for b in info.params],
@@ -404,11 +407,78 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 _BATCH = 1024
 
 
+def _framed(value: dict, key: str, indent: str = "") -> tuple[str, str]:
+    """``_json_text(value)`` with ``key`` as an empty list, each line after
+    the first indented by ``indent``, cut where that list's items go: the
+    text up to its ``[`` and the text after its ``]``.  The generic writer
+    lays out the small records; a stream of items goes in between."""
+    text = _json_text({**value, key: []}).replace("\n", "\n" + indent)
+    head, tail = text.split(f'"{key}": []')
+    return head + f'"{key}": [', tail
+
+
+def _close_list(count: int, pad: str) -> str:
+    """The end of a list of ``count`` items at indent ``pad``."""
+    return f"\n{pad[2:]}]" if count else "]"
+
+
+def _write_diamonds(out: TextIO, reports: Iterable[GroupReport], config: DefEqConfig,
+                    as_json: bool, pad: str, commutes_field: bool = False,
+                    explain: Callable[[Diamond], str] | None = None) -> tuple[int, int, int]:
+    """Write each diamond of ``reports`` in batches of records: a text line,
+    with ``explain``'s text after each whose oracle fails, or a JSON record
+    at indent ``pad`` in ``ANALYZER_REPORT_SCHEMA``'s layout, with a
+    ``commutes`` field when asked, after a comma from the second on.  Each
+    path is rendered once.  Returns the number of diamonds, of those that
+    commute and of oracle/predictor mismatches."""
+    chunks: list[str] = []
+    append = chunks.append
+    inner = pad + "  "
+    separator = "\n"
+    total = commuting = mismatches = 0
+    for report in reports:
+        group = report.group
+        if as_json:
+            paths = [f"[\n{inner}  " + f",\n{inner}  ".join(
+                encode_basestring_ascii(e.decl_name) for e in path) + f"\n{inner}]"
+                for path in group.paths]
+            ends = (f'{inner}"source": {encode_basestring_ascii(group.source)},\n'
+                    f'{inner}"target": {encode_basestring_ascii(group.target)}\n{pad}}}')
+        else:
+            paths = [", ".join(e.decl_name for e in path) for path in group.paths]
+            head = f"{group.source} -> {group.target}: "
+        for i, j, oracle, predictor in report.pairs():
+            commutes = commutes_under(oracle, predictor, config)
+            commuting += commutes
+            mismatches += oracle != predictor
+            if as_json:
+                append(f'{separator}{pad}{{\n'
+                       + (f'{inner}"commutes": {"true" if commutes else "false"},\n'
+                          if commutes_field else "")
+                       + f'{inner}"oracle": {"true" if oracle else "false"},\n'
+                       f'{inner}"pathA": {paths[i]},\n{inner}"pathB": {paths[j]},\n'
+                       f'{inner}"predictor": {"true" if predictor else "false"},\n{ends}')
+                separator = ",\n"
+            else:
+                append(f"{head}[{paths[i]}] vs [{paths[j]}]: "
+                       f"oracle={'equal' if oracle else 'not-equal'} "
+                       f"predictor={'commutes' if predictor else 'fails'} "
+                       f"-> {'commutes' if commutes else 'DOES NOT COMMUTE'}\n")
+                if explain is not None and not oracle:
+                    append(explain(Diamond(group.source, group.target,
+                                           group.paths[i], group.paths[j])))
+            total += 1
+            if len(chunks) >= _BATCH:
+                out.write("".join(chunks))
+                chunks.clear()
+    out.write("".join(chunks))
+    return total, commuting, mismatches
+
+
 def cmd_diamonds(args: argparse.Namespace) -> int:
-    """Write the report in one pass over the analyzer's list, in batches of
-    records: the JSON layout is ``ANALYZER_REPORT_SCHEMA``'s, as
-    ``_json_text`` writes it.  The paths of one source are shared objects,
-    appearing in many diamonds, so each is rendered once."""
+    """Write the report in one pass over the analyzer's path groups, every
+    verdict decided before the first byte: the JSON layout is
+    ``ANALYZER_REPORT_SCHEMA``'s, as ``_json_text`` writes it."""
     elab = _elaborated(args)
     config = _config(args)
     reports = analyze(elab, config)
@@ -416,67 +486,24 @@ def cmd_diamonds(args: argparse.Namespace) -> int:
     out = sys.stdout
     config_record = config_dict(ENCODINGS[args.encoding], config)
 
-    def frame(summary: dict[str, int]) -> list[str]:
-        # The generic writer lays out the small records; the diamonds go
-        # in place of its empty list.
-        return _json_text({"config": config_record, "diamonds": [],
-                           "summary": summary}).split('"diamonds": []')
+    def explain(diamond: Diamond) -> str:
+        trace = Trace()
+        check_diamond(elab.env, diamond, config, trace)
+        return "".join(f"  {line}\n" for line in trace.lines) or "\n"
 
     if as_json:
-        out.write(frame({})[0] + '"diamonds": [')
-    rendered: dict[int, str] = {}
-    chunks: list[str] = []
-    append = chunks.append
-    separator = "\n"
-    commuting = mismatches = 0
-    for report in reports:
-        d = report.diamond
-        oracle, predictor = report.oracle, report.predictor
-        commutes = commutes_under(report, config)
-        commuting += commutes
-        mismatches += oracle != predictor
-        path_a = rendered.get(id(d.path_a))
-        if path_a is None:
-            path_a = rendered[id(d.path_a)] = _render_path(d.path_a, as_json)
-        path_b = rendered.get(id(d.path_b))
-        if path_b is None:
-            path_b = rendered[id(d.path_b)] = _render_path(d.path_b, as_json)
-        if as_json:
-            append(f'{separator}    {{\n      "oracle": {"true" if oracle else "false"},\n'
-                   f'      "pathA": {path_a},\n      "pathB": {path_b},\n'
-                   f'      "predictor": {"true" if predictor else "false"},\n'
-                   f'      "source": {encode_basestring_ascii(d.source)},\n'
-                   f'      "target": {encode_basestring_ascii(d.target)}\n    }}')
-            separator = ",\n"
-        else:
-            append(f"{d.source} -> {d.target}: [{path_a}] vs [{path_b}]: "
-                   f"oracle={'equal' if oracle else 'not-equal'} "
-                   f"predictor={'commutes' if predictor else 'fails'} "
-                   f"-> {'commutes' if commutes else 'DOES NOT COMMUTE'}\n")
-            if args.trace and not oracle:
-                trace = Trace()
-                check_diamond(elab.env, d, config, trace)
-                append("".join(f"  {line}\n" for line in trace.lines) or "\n")
-        if len(chunks) >= _BATCH:
-            out.write("".join(chunks))
-            chunks.clear()
-    out.write("".join(chunks))
-    total = len(reports)
+        out.write(_framed({"config": config_record, "summary": {}}, "diamonds")[0])
+    total, commuting, mismatches = _write_diamonds(
+        out, reports, config, as_json, "    ", explain=explain if args.trace else None)
     if as_json:
         summary = {"commuting": commuting, "mismatches": mismatches, "total": total}
-        out.write(("\n  ]" if reports else "]") + frame(summary)[1] + "\n")
+        out.write(_close_list(total, "    ")
+                  + _framed({"config": config_record, "summary": summary}, "diamonds")[1]
+                  + "\n")
     else:
         out.write(f"{commuting} / {total} commuting, "
                   f"{mismatches} oracle/predictor mismatches\n")
     return 0 if commuting == total else 1
-
-
-def _render_path(path: tuple[InstanceInfo, ...], as_json: bool) -> str:
-    if as_json:
-        return ("[\n        "
-                + ",\n        ".join(encode_basestring_ascii(e.decl_name) for e in path)
-                + "\n      ]")
-    return ", ".join(e.decl_name for e in path)
 
 
 # ---------------------------------------------------------------------------
@@ -488,28 +515,29 @@ def cmd_spanning_search(args: argparse.Namespace) -> int:
     placements = spanning_search(module, EncodingStrategy(ENCODINGS[args.encoding]),
                                  config, max_depth=args.max_depth)
     coherent = sum(1 for p in placements if p.coherent)
+    out = sys.stdout
 
     if args.emit == "json":
-        print(_json_text({
-            "config": config_dict(ENCODINGS[args.encoding], config),
-            "placements": [
-                {
-                    "index": p.index,
-                    "first_parents": dict(p.first_parents),
-                    "coherent": p.coherent,
-                    "order_invariant": p.nonfirst_order_invariant,
-                    "diamonds": [{**diamond_dict(r), "commutes": commutes_under(r, config)}
-                                 for r in p.diamonds],
-                }
-                for p in placements
-            ],
-            "summary": {"total": len(placements), "coherent": coherent},
-        }))
+        head, tail = _framed({"config": config_dict(ENCODINGS[args.encoding], config),
+                              "summary": {"total": len(placements), "coherent": coherent}},
+                             "placements")
+        out.write(head)
+        for k, p in enumerate(placements):
+            before, after = _framed({"index": p.index,
+                                     "first_parents": dict(p.first_parents),
+                                     "coherent": p.coherent,
+                                     "order_invariant": p.nonfirst_order_invariant},
+                                    "diamonds", "    ")
+            out.write(("," if k else "") + "\n    " + before)
+            total, _, _ = _write_diamonds(out, p.groups, config, True, "        ",
+                                          commutes_field=True)
+            out.write(_close_list(total, "        ") + after)
+        out.write(_close_list(len(placements), "    ") + tail + "\n")
     else:
         for p in placements:
             choice = " ".join(f"{cls}={parent}" for cls, parent in p.first_parents)
-            failing = sorted({f"{r.diamond.source}->{r.diamond.target}"
-                              for r in p.diamonds if not commutes_under(r, config)})
+            failing = sorted({f"{r.group.source}->{r.group.target}"
+                              for r in p.groups if not r.commutes(config)})
             line = f"placement {p.index}:"
             if choice:
                 line += f" {choice} |"

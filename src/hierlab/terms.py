@@ -376,7 +376,3 @@ def _pp(t: Term, names: list[str], prec: int) -> str:
 def pp_binder(b: Binder) -> str:
     open_, close = ("[", "]") if b.instance_implicit else ("(", ")")
     return f"{open_}{b.name} : {pp_term(b.ty)}{close}"
-
-
-def pp_telescope(tele: Iterable[Binder]) -> str:
-    return " ".join(pp_binder(b) for b in tele)

@@ -19,17 +19,26 @@
   table; every subgoal is searched again on every path that reaches it.
   ``hierlab.resolution.resolve`` tables ground answers and must agree with
   it on every goal.
+- ``enumerate_diamonds``, ``predict_diamond``, ``analyze``: every diamond
+  as a pair of paths, listed one by one, and decided pair by pair: the
+  oracle by ``check_diamond``, the predictor from the two last edges.
+  ``hierlab.analyzer.analyze`` decides each path group from one normal form
+  and one edge kind per path; ``diamond_rows`` of its reports must equal
+  these rows, ``(source, target, pathA, pathB, oracle, predictor)``.
 - ``spanning_search``: every parent order of every placement elaborated and
-  analysed as a whole module.  ``hierlab.analyzer.spanning_search`` forks
-  the elaboration at each class with several parents and reuses the
-  reports of sources whose choices did not change; its placement reports
-  and errors must equal these.
+  analysed pairwise as a whole module, orders compared by their rows'
+  verdicts.  ``hierlab.analyzer.spanning_search`` forks the elaboration at
+  each class with several parents, enumerates the paths once and reuses
+  the reports of sources whose choices did not change; its placements,
+  expanded to rows by ``placement_rows``, and its errors must equal these.
 - ``report_dict``, ``report_summary``, ``report_lines``: the diamonds
-  report as a JSON-ready dict built from the library's records, and as the
-  text lines without ``--trace``.  ``hier diamonds`` writes both reports in
-  one pass over the analyzer's list and must give the same bytes as
-  ``json.dumps(report_dict(...), indent=2, sort_keys=True)`` and these
-  lines.
+  report as a JSON-ready dict built from the rows of the library's reports,
+  and as the text lines without ``--trace``; ``spanning_dict`` and
+  ``spanning_lines``: the spanning-search reports built from placement
+  rows.  ``hier diamonds`` and ``hier spanning-search`` write their reports
+  as a stream over the analyzer's path groups and must give the same bytes
+  as ``json.dumps(..., indent=2, sort_keys=True)`` of these dicts and
+  these lines.
 - ``lift``, ``instantiate``, ``abstract1``, ``subst_frees``, ``zonk``: each
   substitution as its own recursive rebuild of every node, and ``abstract``,
   ``pi_type`` and ``lam_closure`` as one ``abstract1`` per name, innermost
@@ -43,12 +52,12 @@ import re
 from typing import Mapping
 
 from hierlab.analyzer import (
-    MAX_PATH_LEN, DiamondReport, PlacementReport, analyze, commutes_under, config_dict,
-    diamond_dict,
+    MAX_PATH_LEN, Diamond, _check_path_limit, _path_key, build_graph, check_diamond,
+    commutes_under, config_dict, diamond_rows,
 )
 from hierlab.declarations import DefDecl, StructDecl
 from hierlab.elaborator import (
-    FLAT_HACK_CLASS, ClassInfo, EncodingStrategy, FieldTypeClash, elaborate,
+    FLAT_HACK_CLASS, PREFERRED, ClassInfo, EncodingStrategy, FieldTypeClash, elaborate,
 )
 from hierlab.kernel import DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, unify
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
@@ -247,11 +256,54 @@ def _saturate(env, metas: MetaCtx, target: Term) -> Term:
     return apps(head, *args, *extra)
 
 
+def enumerate_diamonds(graph, max_path_len: int = MAX_PATH_LEN) -> list[Diamond]:
+    """All unordered pairs of distinct paths sharing both endpoints,
+    ordered lexicographically by source, target, then path decl names."""
+    diamonds: list[Diamond] = []
+    for source in sorted(graph.nodes):
+        by_target: dict[str, list] = {}
+
+        def walk(node: str, path: tuple) -> None:
+            if path:
+                by_target.setdefault(node, []).append(path)
+            if len(path) >= max_path_len:
+                return
+            for e in graph.outgoing.get(node, ()):
+                walk(e.to_class, path + (e,))
+
+        walk(source, ())
+        for target in sorted(by_target):
+            paths = sorted(by_target[target], key=_path_key)
+            for a, b in itertools.combinations(paths, 2):
+                diamonds.append(Diamond(source, target, a, b))
+    return diamonds
+
+
+def predict_diamond(diamond: Diamond) -> bool:
+    """The last-segment rule: the paths stay interchangeable when their
+    final edges are both preferred projections or both constructor-built."""
+    return (diamond.path_a[-1].kind == PREFERRED) == (diamond.path_b[-1].kind == PREFERRED)
+
+
+Row = tuple[str, str, tuple[str, ...], tuple[str, ...], bool, bool]
+
+
+def analyze(elab, config=DEFAULT_CONFIG, max_path_len: int = MAX_PATH_LEN) -> list[Row]:
+    """Every diamond's row, ``check_diamond`` deciding each oracle; the
+    path limit raises as in the library."""
+    graph = build_graph(elab.env, elab.instances)
+    _check_path_limit(graph, max_path_len)
+    return [(d.source, d.target, _path_key(d.path_a), _path_key(d.path_b),
+             check_diamond(elab.env, d, config), predict_diamond(d))
+            for d in enumerate_diamonds(graph, max_path_len)]
+
+
 def spanning_search(module, strategy: EncodingStrategy, config=DEFAULT_CONFIG,
-                    max_path_len: int = MAX_PATH_LEN,
-                    max_depth: int = MAX_DEPTH) -> list[PlacementReport]:
+                    max_path_len: int = MAX_PATH_LEN, max_depth: int = MAX_DEPTH) -> list:
     """Each order of each placement elaborated from scratch and analysed
-    whole; the declared order is placement 0's first order."""
+    whole; the declared order is placement 0's first order.  One
+    ``(index, first_parents, rows, coherent, order_invariant)`` per
+    placement."""
     base = elaborate(module, EncodingStrategy(strategy.kind), config, max_depth)
     chooseable: list[tuple[str, list[str]]] = []
     hack = strategy.kind == "flat_hack"
@@ -268,13 +320,10 @@ def spanning_search(module, strategy: EncodingStrategy, config=DEFAULT_CONFIG,
             config, max_depth)
         return tuple(analyze(elab, config, max_path_len))
 
-    def verdicts(reports):
-        return {(r.diamond.source, r.diamond.target,
-                 tuple(e.decl_name for e in r.diamond.path_a),
-                 tuple(e.decl_name for e in r.diamond.path_b)): (r.oracle, r.predictor)
-                for r in reports}
+    def verdicts(rows):
+        return {row[:4]: row[4:] for row in rows}
 
-    reports = []
+    placements = []
     combos = itertools.product(*(parents for _, parents in chooseable))
     for index, combo in enumerate(combos):
         orders = itertools.product(*(
@@ -284,47 +333,109 @@ def spanning_search(module, strategy: EncodingStrategy, config=DEFAULT_CONFIG,
         checked = analyzed(next(orders))
         reference = verdicts(checked)
         invariant = all(verdicts(analyzed(order)) == reference for order in orders)
-        coherent = all(commutes_under(r, config) for r in checked)
-        reports.append(PlacementReport(index, tuple(sorted(zip(names, combo))),
-                                       checked, coherent, invariant))
-    return reports
+        coherent = all(commutes_under(oracle, predictor, config)
+                       for *_, oracle, predictor in checked)
+        placements.append((index, tuple(sorted(zip(names, combo))), checked, coherent,
+                           invariant))
+    return placements
 
 
-def report_dict(encoding: str, config, reports: list[DiamondReport]) -> dict:
-    """The JSON-ready diamonds report; `commuting` uses the scoring rule of
-    commutes_under and `mismatches` counts oracle/predictor disagreements."""
+def placement_rows(placements) -> list:
+    """The library's placement reports in the form of ``spanning_search``'s."""
+    return [(p.index, p.first_parents, tuple(diamond_rows(p.groups)), p.coherent,
+             p.nonfirst_order_invariant) for p in placements]
+
+
+def diamond_dict(row: Row) -> dict:
+    """One diamond's JSON record."""
+    source, target, path_a, path_b, oracle, predictor = row
+    return {"source": source, "target": target, "pathA": list(path_a),
+            "pathB": list(path_b), "oracle": oracle, "predictor": predictor}
+
+
+def report_dict(encoding: str, config, reports) -> dict:
+    """The JSON-ready diamonds report of the library's group reports;
+    `commuting` uses the scoring rule of commutes_under and `mismatches`
+    counts oracle/predictor disagreements."""
+    rows = list(diamond_rows(reports))
     return {
         "config": config_dict(encoding, config),
-        "diamonds": [diamond_dict(r) for r in reports],
-        "summary": report_summary(config, reports),
+        "diamonds": [diamond_dict(row) for row in rows],
+        "summary": _summary(config, rows),
     }
 
 
-def report_summary(config, reports: list[DiamondReport]) -> dict[str, int]:
+def report_summary(config, reports) -> dict[str, int]:
     """The diamond count, how many commute under commutes_under, and how
     many oracle/predictor disagreements there are."""
+    return _summary(config, list(diamond_rows(reports)))
+
+
+def _summary(config, rows: list[Row]) -> dict[str, int]:
     return {
-        "total": len(reports),
-        "commuting": sum(1 for r in reports if commutes_under(r, config)),
-        "mismatches": sum(1 for r in reports if r.oracle != r.predictor),
+        "total": len(rows),
+        "commuting": sum(1 for *_, o, p in rows if commutes_under(o, p, config)),
+        "mismatches": sum(1 for *_, o, p in rows if o != p),
     }
 
 
-def report_lines(config, reports: list[DiamondReport]) -> list[str]:
+def report_lines(config, reports) -> list[str]:
     """The text report: one line per diamond, then the summary line."""
+    rows = list(diamond_rows(reports))
     lines = []
-    for r in reports:
-        d = r.diamond
-        verdict = "commutes" if commutes_under(r, config) else "DOES NOT COMMUTE"
-        lines.append(f"{d.source} -> {d.target}: "
-                     f"[{', '.join(e.decl_name for e in d.path_a)}] vs "
-                     f"[{', '.join(e.decl_name for e in d.path_b)}]: "
-                     f"oracle={'equal' if r.oracle else 'not-equal'} "
-                     f"predictor={'commutes' if r.predictor else 'fails'} "
+    for source, target, path_a, path_b, oracle, predictor in rows:
+        verdict = "commutes" if commutes_under(oracle, predictor, config) \
+            else "DOES NOT COMMUTE"
+        lines.append(f"{source} -> {target}: "
+                     f"[{', '.join(path_a)}] vs [{', '.join(path_b)}]: "
+                     f"oracle={'equal' if oracle else 'not-equal'} "
+                     f"predictor={'commutes' if predictor else 'fails'} "
                      f"-> {verdict}")
-    summary = report_summary(config, reports)
+    summary = _summary(config, rows)
     lines.append(f"{summary['commuting']} / {summary['total']} commuting, "
                  f"{summary['mismatches']} oracle/predictor mismatches")
+    return lines
+
+
+def spanning_dict(encoding: str, config, placements) -> dict:
+    """The JSON-ready spanning-search report of ``spanning_search``'s
+    placements."""
+    return {
+        "config": config_dict(encoding, config),
+        "placements": [
+            {
+                "index": index,
+                "first_parents": dict(first_parents),
+                "coherent": coherent,
+                "order_invariant": invariant,
+                "diamonds": [{**diamond_dict(row),
+                              "commutes": commutes_under(row[4], row[5], config)}
+                             for row in rows],
+            }
+            for index, first_parents, rows, coherent, invariant in placements
+        ],
+        "summary": {"total": len(placements),
+                    "coherent": sum(1 for p in placements if p[3])},
+    }
+
+
+def spanning_lines(config, placements) -> list[str]:
+    """The spanning-search text report: one line per placement, then the
+    summary line."""
+    lines = []
+    for index, first_parents, rows, coherent, invariant in placements:
+        line = f"placement {index}:"
+        if first_parents:
+            line += " " + " ".join(f"{cls}={parent}" for cls, parent in first_parents) + " |"
+        line += " coherent" if coherent else " incoherent"
+        failing = sorted({f"{source}->{target}" for source, target, _, _, o, p in rows
+                          if not commutes_under(o, p, config)})
+        if failing:
+            line += " | failing: " + ", ".join(failing)
+        if not invariant:
+            line += " | order-sensitive"
+        lines.append(line)
+    lines.append(f"{sum(1 for p in placements if p[3])} / {len(placements)} coherent")
     return lines
 
 

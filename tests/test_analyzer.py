@@ -17,14 +17,17 @@ from hierlab.analyzer import (
     CycleDetected,
     HierGraph,
     PathLimitExceeded,
+    GroupReport,
+    PathGroup,
     analyze,
     build_graph,
     check_diamond,
     commutes_under,
+    diamond_rows,
     enumerate_diamonds,
     path_composite,
-    predict_diamond,
     random_hierarchy,
+    same_verdicts,
     spanning_search,
 )
 from hierlab.declarations import Fingerprints
@@ -42,9 +45,9 @@ def path_names(path):
     return [e.decl_name for e in path]
 
 
-def diamond_key(report):
-    d = report.diamond
-    return (d.source, d.target, tuple(path_names(d.path_a)), tuple(path_names(d.path_b)))
+def rows(elab, config, **kwargs):
+    """The library's verdicts on ``elab``'s diamonds, one row each."""
+    return list(diamond_rows(analyze(elab, config, **kwargs)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,7 @@ def test_analyze_refuses_diamonds_with_paths_beyond_the_limit():
     with pytest.raises(PathLimitExceeded) as info:
         analyze(elab, ETA_OFF)
     assert (info.value.source, info.value.target, info.value.limit) == ("e7", "a", 8)
-    assert len(analyze(elab, ETA_OFF, max_path_len=9)) == 8
+    assert len(rows(elab, ETA_OFF, max_path_len=9)) == 8
 
 
 def test_long_chains_have_one_path_per_pair_and_no_limit():
@@ -166,8 +169,7 @@ def test_path_composite_applies_edges_outside_in(fig1_nested):
 # Oracle and predictor on the bundled hierarchies
 
 def test_fig1_nested_verdicts_without_eta(fig1_nested):
-    reports = analyze(fig1_nested, ETA_OFF)
-    verdicts = {diamond_key(r): (r.oracle, r.predictor) for r in reports}
+    verdicts = {row[:4]: row[4:] for row in rows(fig1_nested, ETA_OFF)}
     failing = ("ring", "add_comm_monoid",
                ("ring.to_add_comm_group", "add_comm_group.to_add_comm_monoid"),
                ("ring.to_semiring", "semiring.to_add_comm_monoid"))
@@ -179,33 +181,32 @@ def test_fig1_nested_verdicts_without_eta(fig1_nested):
 
 
 def test_fig1_nested_all_commute_with_eta(fig1_nested):
-    reports = analyze(fig1_nested, ETA_ON)
-    assert all(r.oracle for r in reports)
-    assert all(commutes_under(r, ETA_ON) for r in reports)
+    verdicts = [row[4:] for row in rows(fig1_nested, ETA_ON)]
+    assert all(oracle for oracle, _ in verdicts)
+    assert all(commutes_under(oracle, predictor, ETA_ON) for oracle, predictor in verdicts)
 
 
 def test_fig1_flat_all_commute_without_eta(fig1_flat):
-    reports = analyze(fig1_flat, ETA_OFF)
-    assert len(reports) == 5
-    assert all(r.oracle and r.predictor for r in reports)
+    verdicts = [row[4:] for row in rows(fig1_flat, ETA_OFF)]
+    assert len(verdicts) == 5
+    assert all(oracle and predictor for oracle, predictor in verdicts)
 
 
 def test_fig1_flat_hack_all_commute_without_eta(fig1_hack):
-    reports = analyze(fig1_hack, ETA_OFF)
-    assert len(reports) == 56
-    assert all(r.oracle and r.predictor for r in reports)
-    assert all(commutes_under(r, ETA_OFF) for r in reports)
+    verdicts = [row[4:] for row in rows(fig1_hack, ETA_OFF)]
+    assert len(verdicts) == 56
+    assert all(oracle and predictor for oracle, predictor in verdicts)
+    assert all(commutes_under(oracle, predictor, ETA_OFF) for oracle, predictor in verdicts)
 
 
 def test_diamond_composites_typecheck(fig1_nested):
-    reports = analyze(fig1_nested, ETA_OFF)
-    for r in reports:
-        source = fig1_nested.classes[r.diamond.source]
+    for r in analyze(fig1_nested, ETA_OFF):
+        source = fig1_nested.classes[r.group.source]
         ctx = tuple(source.params) + (
             Binder("i", source.self_type, instance_implicit=True),)
         args = tuple(FreeVar(b.name) for b in source.params)
-        target = apps(Const(r.diamond.target), *args)
-        for path in (r.diamond.path_a, r.diamond.path_b):
+        target = apps(Const(r.group.target), *args)
+        for path in r.group.paths:
             term = path_composite(fig1_nested.env, path, args, FreeVar("i"))
             ty = check_type(fig1_nested.env, ETA_ON, ctx, term)
             assert defeq(fig1_nested.env, ETA_ON, ctx, ty, target)
@@ -220,17 +221,17 @@ def test_predictor_agrees_with_oracle_on_fig1_under_all_placements(fig1_module,
     swapped = elaborate(fig1_module, EncodingStrategy(
         "nested", {"add_comm_group": ("add_comm_monoid",)}))
     for elab in (fig1_nested, swapped, fig1_hack):
-        for r in analyze(elab, ETA_OFF):
-            assert r.oracle == r.predictor, diamond_key(r)
+        for *key, oracle, predictor in rows(elab, ETA_OFF):
+            assert oracle == predictor, key
 
 
 def test_commutes_under_requires_the_predictor_only_without_eta(fig1_nested):
-    reports = analyze(fig1_nested, ETA_OFF)
-    failing = [r for r in reports if not r.oracle]
+    verdicts = [row[4:] for row in rows(fig1_nested, ETA_OFF)]
+    failing = [v for v in verdicts if not v[0]]
     assert len(failing) == 1
-    assert not commutes_under(failing[0], ETA_OFF)
-    passing = [r for r in reports if r.oracle]
-    assert all(commutes_under(r, ETA_OFF) for r in passing)
+    assert not commutes_under(*failing[0], ETA_OFF)
+    passing = [v for v in verdicts if v[0]]
+    assert all(commutes_under(*v, ETA_OFF) for v in passing)
 
 
 def test_predict_diamond_compares_last_edge_kinds():
@@ -242,17 +243,37 @@ def test_predict_diamond_compares_last_edge_kinds():
     from hierlab.analyzer import Diamond
     both_pref = Diamond("a", "c", (lead_a, pref), (lead_b, pref))
     mixed = Diamond("a", "c", (lead_a, pref), (lead_b, nonpref))
-    assert predict_diamond(both_pref) is True
-    assert predict_diamond(mixed) is False
+    assert reference.predict_diamond(both_pref) is True
+    assert reference.predict_diamond(mixed) is False
+    group = PathGroup("a", "c", ((lead_a, pref), (lead_b, pref), (lead_b, nonpref)))
+    report = GroupReport(group, (0, 0, 0), (True, True, False), frozenset())
+    assert [(i, j, predictor) for i, j, _, predictor in report.pairs()] == \
+        [(0, 1, True), (0, 2, False), (1, 2, False)]
+
+
+def test_order_comparison_reads_pair_verdicts_not_path_kinds():
+    """Flipping every path's kind keeps every predictor, and renaming the
+    forms keeps every oracle: both orders give each pair the same verdicts.
+    Flipping one path's kind, or splitting one form, changes some pair."""
+    group = PathGroup("a", "d", ((), (), ()))
+    first = GroupReport(group, (4, 4, 7), (True, False, False), frozenset())
+    assert same_verdicts(first, GroupReport(group, (9, 9, 2), (False, True, True),
+                                            frozenset()))
+    assert not same_verdicts(first, GroupReport(group, (4, 4, 7), (True, True, False),
+                                                frozenset()))
+    assert not same_verdicts(first, GroupReport(group, (4, 5, 7), (True, False, False),
+                                                frozenset()))
+    # The kernel found forms 4 and 7 equal: every oracle holds, as when all
+    # three paths have one form.
+    joined = GroupReport(group, (4, 4, 7), (True, False, False),
+                         frozenset({(0, 2), (1, 2)}))
+    assert same_verdicts(joined, GroupReport(group, (3, 3, 3), (False, True, True),
+                                             frozenset()))
+    assert not same_verdicts(joined, first)
 
 
 # ---------------------------------------------------------------------------
 # Oracles decided from per-path normal forms
-
-def pairwise(elab, config):
-    graph = build_graph(elab.env, elab.instances)
-    return [check_diamond(elab.env, d, config) for d in enumerate_diamonds(graph)]
-
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.hier")))
 def test_analyze_matches_pairwise_check_diamond_on_the_corpus(name):
@@ -260,7 +281,7 @@ def test_analyze_matches_pairwise_check_diamond_on_the_corpus(name):
     for kind in ("nested", "flat", "flat_hack"):
         elab = elaborate(module, EncodingStrategy(kind))
         for config in (ETA_OFF, ETA_ON):
-            assert analyze(elab, config) == pairwise(elab, config), (kind, config)
+            assert rows(elab, config) == reference.analyze(elab, config), (kind, config)
 
 
 def count_calls(monkeypatch, *names: str) -> Counter:
@@ -280,14 +301,13 @@ def count_calls(monkeypatch, *names: str) -> Counter:
 def test_cube_is_decided_by_one_normal_form_per_path(monkeypatch, cube_module, config):
     elab = elaborate(cube_module, EncodingStrategy("nested"))
     calls = count_calls(monkeypatch, "normalize", "defeq")
-    reports = analyze(elab, config)
-    assert len(reports) == 21
+    assert len(rows(elab, config)) == 21
     assert calls == {"normalize": 24}
 
 
 def test_fig1_nested_with_eta_asks_the_kernel_once(monkeypatch, fig1_nested):
     calls = count_calls(monkeypatch, "normalize", "defeq")
-    assert all(r.oracle for r in analyze(fig1_nested, ETA_ON))
+    assert all(row[4] for row in rows(fig1_nested, ETA_ON))
     assert calls == {"normalize": 12, "defeq": 1}
 
 
@@ -326,20 +346,22 @@ def test_analyze_runs_out_of_fuel_only_where_check_diamond_does(name):
         for eta in (False, True):
             for depth in range(1, 21):
                 config = DefEqConfig(eta_kernel=eta, eta_unifier=False, unfold_depth=depth)
-                reference = {}
+                pairwise = {}
                 for d in diamonds:
                     try:
-                        reference[d] = check_diamond(elab.env, d, config).oracle
+                        pairwise[(d.source, d.target, tuple(path_names(d.path_a)),
+                                  tuple(path_names(d.path_b)))] = \
+                            check_diamond(elab.env, d, config)
                     except FuelExhausted:
                         pass
                 try:
-                    reports = analyze(elab, config)
+                    verdicts = rows(elab, config)
                 except FuelExhausted:
-                    assert len(reference) < len(diamonds), (kind, eta, depth)
+                    assert len(pairwise) < len(diamonds), (kind, eta, depth)
                     continue
-                for r in reports:
-                    if r.diamond in reference:
-                        assert r.oracle == reference[r.diamond], (kind, eta, depth)
+                for *key, oracle, _ in verdicts:
+                    if tuple(key) in pairwise:
+                        assert oracle == pairwise[tuple(key)], (kind, eta, depth)
 
 
 def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):
@@ -356,7 +378,7 @@ def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):
     monkeypatch.setattr(analyzer, "normalize", starved)
     calls = count_calls(monkeypatch, "check_diamond")
     for config in (ETA_OFF, ETA_ON):
-        assert analyze(fig1_nested, config) == pairwise(fig1_nested, config)
+        assert rows(fig1_nested, config) == reference.analyze(fig1_nested, config)
     assert calls["check_diamond"] == 6
 
 
@@ -379,8 +401,8 @@ def test_fig1_placement_search_finds_the_two_coherent_placements(fig1_module):
 def test_fig1_incoherent_placements_fail_on_the_expected_diamond(fig1_module):
     placements = spanning_search(fig1_module, EncodingStrategy("nested"), ETA_OFF)
     for p in placements:
-        bad = [(r.diamond.source, r.diamond.target)
-               for r in p.diamonds if not commutes_under(r, ETA_OFF)]
+        bad = [(source, target) for source, target, _, _, oracle, predictor
+               in diamond_rows(p.groups) if not commutes_under(oracle, predictor, ETA_OFF)]
         if p.coherent:
             assert bad == []
         else:
@@ -391,7 +413,7 @@ def test_no_cube_placement_is_coherent_without_eta(cube_module):
     placements = spanning_search(cube_module, EncodingStrategy("nested"), ETA_OFF)
     assert len(placements) == 24
     assert sum(p.coherent for p in placements) == 0
-    assert all(len(p.diamonds) == 21 for p in placements)
+    assert all(len(list(diamond_rows(p.groups))) == 21 for p in placements)
     assert all(p.nonfirst_order_invariant for p in placements)
 
 
@@ -416,13 +438,15 @@ def test_cube_spanning_search_elaborates_each_parent_order_once(monkeypatch,
     top_mag 48 times.  A source's diamonds are likewise checked once per
     distinct prefix of the choices up to it.  A normal form is computed
     once per distinct content of its edge and prefix, whichever order or
-    source meets it first."""
-    calls = count_calls(monkeypatch, "enumerate_diamonds", "normalize", "_check_source")
+    source meets it first.  Every order has the same edges, so the graph is
+    built, bounded and enumerated once."""
+    calls = count_calls(monkeypatch, "build_graph", "_check_path_limit",
+                        "enumerate_diamonds", "normalize", "_check_source")
     declarations = count_declarations(monkeypatch)
     spanning_search(cube_module, EncodingStrategy("nested"), ETA_OFF)
     calls.update(declarations)
-    assert calls == {"_declare_class": 66, "enumerate_diamonds": 48, "normalize": 138,
-                     "_check_source": 62}
+    assert calls == {"_declare_class": 66, "build_graph": 1, "_check_path_limit": 1,
+                     "enumerate_diamonds": 1, "normalize": 138, "_check_source": 62}
 
 
 def test_cube_flat_hack_spanning_search_declares_each_prefix_once(monkeypatch,
@@ -547,8 +571,8 @@ def test_a_parent_named_flat_hack_is_a_choice_under_nested_as_in_the_whole_modul
     assert [p.first_parents for p in placements] == [
         (("a", first_a), ("d", first_d))
         for first_a in ("flat_hack", "c") for first_d in ("a", "b", "c")]
-    assert placements == reference.spanning_search(module, EncodingStrategy("nested"),
-                                                   ETA_OFF)
+    assert reference.placement_rows(placements) == reference.spanning_search(
+        module, EncodingStrategy("nested"), ETA_OFF)
 
 
 @pytest.mark.parametrize("name", ["cube.hier", "fig1.hier"])
@@ -562,11 +586,11 @@ def test_every_parent_order_lists_the_same_diamonds_in_the_same_order(name, kind
     skip = 1 if kind == "flat_hack" else 0
     choices = {cls: [p for p, _ in info.parents[skip:]]
                for cls, info in declared.classes.items() if len(info.parents) - skip >= 2}
-    expected = [diamond_key(r) for r in analyze(declared, ETA_OFF)]
+    expected = [row[:4] for row in rows(declared, ETA_OFF)]
     assert expected
     for order in itertools.product(*map(itertools.permutations, choices.values())):
         elab = elaborate(module, EncodingStrategy(kind, dict(zip(choices, order))))
-        assert [diamond_key(r) for r in analyze(elab, ETA_OFF)] == expected, order
+        assert [row[:4] for row in rows(elab, ETA_OFF)] == expected, order
 
 
 def test_every_cube_placement_is_coherent_with_eta(cube_module):
@@ -581,7 +605,7 @@ def test_spanning_search_without_multi_parent_classes_is_vacuous():
     assert len(placements) == 1
     assert placements[0].first_parents == ()
     assert placements[0].coherent
-    assert placements[0].diamonds == ()
+    assert placements[0].groups == ()
 
 
 # ---------------------------------------------------------------------------

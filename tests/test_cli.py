@@ -82,6 +82,22 @@ def test_elaborate_prints_each_shared_field_record_once(run_cli, tmp_path, pp_te
     assert pp_term_calls[0] == 400
 
 
+def test_elaborate_text_prints_each_binder_record_once(run_cli, tmp_path, pp_term_calls):
+    """The text dump of the same chain prints a binder record once, however
+    many telescopes hold it: a constructor's telescope holds its class's
+    leaf records, and a class's projections share one telescope.  Printing
+    every telescope binder by binder made 102,296 terms; 40,200 of those
+    left are the result types and bodies of the 20,100 projections."""
+    source = tmp_path / "chain.hier"
+    source.write_text("".join(
+        f"class k{i} (α : Type){f' extends k{i - 1} α' if i else ''} where\n"
+        f"  (f{i} : α)\n" for i in range(200)))
+    code, out, _ = run_cli("elaborate", source, "--encoding", "flat")
+    assert code == 0
+    assert out.count("\ndef k199.mk (α : Type) (f0 : α) ") == 1
+    assert pp_term_calls[0] == 41997
+
+
 def test_elaborate_json_shape(run_cli):
     code, out, _ = run_cli("elaborate", MODULE, "--emit", "json")
     assert code == 0
@@ -510,6 +526,29 @@ def test_diamonds_report_matches_the_reference(run_cli, tmp_path, name):
             payload = reference.report_dict(encoding, config, reports)
             assert run_cli("diamonds", path, *flags, "--emit", "json") == (
                 want_code, json.dumps(payload, indent=2, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize("name", [p.name for p in sorted(CORPUS.glob("*.hier"))]
+                         + ["non-ascii"])
+def test_spanning_search_report_matches_the_reference(run_cli, tmp_path, name):
+    """The text and JSON reports, streamed from the path groups, against the
+    lines and dict built from the whole-module pairwise search, in every
+    encoding with eta off and on."""
+    if name == "non-ascii":
+        path = tmp_path / "non_ascii.hier"
+        path.write_text(NON_ASCII)
+    else:
+        path = corpus_path(name)
+    module = parse(path.read_text())
+    for encoding in ("nested", "flat", "flat_hack"):
+        for config, eta in ((ETA_OFF, "off"), (ETA_ON, "on")):
+            placements = reference.spanning_search(module, EncodingStrategy(encoding), config)
+            flags = ("--encoding", encoding.replace("_", "-"), "--eta-kernel", eta)
+            text = "\n".join(reference.spanning_lines(config, placements)) + "\n"
+            assert run_cli("spanning-search", path, *flags) == (0, text, "")
+            payload = reference.spanning_dict(encoding, config, placements)
+            assert run_cli("spanning-search", path, *flags, "--emit", "json") == (
+                0, json.dumps(payload, indent=2, sort_keys=True) + "\n", "")
 
 
 # ---------------------------------------------------------------------------

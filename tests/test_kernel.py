@@ -301,6 +301,13 @@ def test_check_type_rejects_an_ill_typed_binder_type(tiny_env, binder):
         check_type(tiny_env, DEFAULT_CONFIG, (), t)
 
 
+def test_infer_type_infers_the_body_of_a_pi(tiny_env):
+    """Without a config the binder type goes unchecked, but the body is
+    still inferred, under the binder."""
+    with pytest.raises(IllTyped, match="^applied non-function of type ι$"):
+        infer_type(tiny_env, (), Pi("x", Const("ι"), App(Const("a"), Const("b"))))
+
+
 def test_forgetful_instance_bodies_typecheck(fig1_nested):
     """Every synthesized definition in the environment checks against its
     declared result type, with eta disabled."""

@@ -24,8 +24,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 
 from hierlab.analyzer import (
-    MAX_PATH_LEN, analyze, build_graph, check_diamond, enumerate_diamonds,
-    random_hierarchy, spanning_search,
+    MAX_PATH_LEN, analyze, build_graph, diamond_rows, random_hierarchy, spanning_search,
 )
 from hierlab.cli import _json_text, main as cli_main
 from hierlab.declarations import Environment, OpaqueDecl, StructDecl
@@ -105,16 +104,16 @@ def test_eta_gates_record_rebuilding(data):
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_flat_encoding_diamonds_always_commute(seed):
     elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy("flat"))
-    for report in analyze(elab, ETA_OFF):
-        assert report.oracle and report.predictor
+    for *_, oracle, predictor in diamond_rows(analyze(elab, ETA_OFF)):
+        assert oracle and predictor
 
 
 @COMMON
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_nested_encoding_diamonds_commute_with_eta(seed):
     elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy("nested"))
-    for report in analyze(elab, ETA_ON):
-        assert report.oracle
+    for *_, oracle, _ in diamond_rows(analyze(elab, ETA_ON)):
+        assert oracle
 
 
 @COMMON
@@ -123,9 +122,7 @@ def test_nested_encoding_diamonds_commute_with_eta(seed):
        st.sampled_from((ETA_OFF, ETA_ON)))
 def test_analyze_matches_pairwise_check_diamond(seed, encoding, config):
     elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy(encoding))
-    graph = build_graph(elab.env, elab.instances)
-    assert analyze(elab, config) == [check_diamond(elab.env, d, config)
-                                     for d in enumerate_diamonds(graph)]
+    assert list(diamond_rows(analyze(elab, config))) == reference.analyze(elab, config)
 
 
 ENCODINGS = ("nested", "flat", "flat_hack")
@@ -305,16 +302,16 @@ def raised_or_returned(search):
        st.sampled_from((2, 3, MAX_PATH_LEN)))
 def test_incremental_spanning_search_matches_whole_module_search(
         data, seed, encoding, config, with_instances, max_path_len):
-    """Forking at each class with several parents and reusing the reports
-    of unchanged sources gives the placements of elaborating and analysing
-    every order whole, or the same error; short path limits make some
-    searches fail."""
+    """Forking at each class with several parents, enumerating the paths
+    once and reusing the reports of unchanged sources gives the placements
+    of elaborating every order whole and deciding it pair by pair, or the
+    same error; short path limits make some searches fail."""
     text = random_hierarchy(seed)
     if with_instances:
         text += extra_instances(data, elaborate(parse(text), EncodingStrategy(encoding)))
     module, strategy = parse(text), EncodingStrategy(encoding)
-    assert raised_or_returned(
-        lambda: spanning_search(module, strategy, config, max_path_len)) == \
+    assert raised_or_returned(lambda: reference.placement_rows(
+        spanning_search(module, strategy, config, max_path_len))) == \
         raised_or_returned(
             lambda: reference.spanning_search(module, strategy, config, max_path_len))
 

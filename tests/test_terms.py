@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from hierlab.analyzer import Diamond, DiamondReport, PlacementReport
+from hierlab.analyzer import Diamond, GroupReport, PathGroup, PlacementReport
 from hierlab import terms
 from hierlab.elaborator import InstanceInfo
 from hierlab.terms import (
@@ -167,14 +167,14 @@ def test_bound_variable_outside_context_raises_nothing_but_prints_index():
 
 def test_term_nodes_and_records_have_no_instance_dict():
     """Term nodes, binders (a class's layout records) and the instance and
-    diamond records are made by the ten thousand: each keeps its fields in
+    analyzer records are made by the ten thousand: each keeps its fields in
     slots, so a record added without slots fails here."""
     samples = {"str": "x", "int": 0, "bool": False, "Term": SORT}
     # The module's own classes: ``slots=True`` makes a new class, and the
     # one it replaced stays among ``Term.__subclasses__()`` until collected.
     nodes = [v for v in vars(terms).values()
              if isinstance(v, type) and issubclass(v, Term) and v is not Term]
-    records = [*nodes, Binder, InstanceInfo, Diamond, DiamondReport, PlacementReport]
+    records = [*nodes, Binder, InstanceInfo, Diamond, PathGroup, GroupReport, PlacementReport]
     assert {Sort, App, Mk, Proj} <= set(records)
     for cls in records:
         record = cls(*(samples.get(f.type, ()) for f in fields(cls)))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hierlab.cli
-from conftest import cube_source
+from conftest import CORPUS, cube_source
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -55,3 +55,19 @@ def test_the_tracer_counts_the_five_cube_diamonds(tmp_path, eta):
     assert tracer.counts["analyzer.diamonds"] == 10580
     assert tracer.counts["analyzer.paths"] == 760
     assert tracer.counts["kernel.defeq_calls"] == 0
+
+
+def test_the_tracer_counts_one_enumeration_per_spanning_search():
+    """Every parent order has the same edges, so the spanning search
+    enumerates cube.hier's 21 diamonds once for its 24 placements."""
+    tracer = load_tracer().Tracer()
+    tracer.install_counters()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = hierlab.cli.main(["spanning-search", str(CORPUS / "cube.hier"),
+                                     "--encoding", "nested"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts["analyzer.diamonds"] == 21
+    assert tracer.counts["analyzer.placements"] == 24
