@@ -20,18 +20,17 @@ the predictor as well.
 
 ``analyze`` decides oracles per path, not per pair.  The paths from one
 class to another form a group, and each pair of them is a diamond.  Each
-source's paths are numbered as the nodes of a prefix trie, and each path's
-composite is reduced to its beta/delta/iota normal form by extension: the
-normal form of a path is that of its last edge applied to the normal form
-of its prefix, since reducing a subterm first does not change the normal
-form.  Each ``normalize`` call therefore unfolds one edge, with a fuel
-budget of its own.  A node's normal form is keyed by content, (edge, prefix
-normal form, prefix parameters), not by its place in the trie, so paths
-whose prefixes reduce alike share one reduction, within a source and across
-the sources of one call.  ``spanning_search`` keeps one such table for all
-its parent orders, with each edge keyed by the fingerprint of its
-declaration's content, so an order reduces again only what its changed
-declarations unfold to.
+path's composite is reduced to its beta/delta/iota normal form by
+extension: the normal form of a path is that of its last edge applied to
+the normal form of its prefix, since reducing a subterm first does not
+change the normal form.  Each ``normalize`` call therefore unfolds one
+edge, with a fuel budget of its own.  A path's record, its normal form and
+parameters, is interned by content, and an extension is keyed by its edge
+and its prefix's record, so paths whose prefixes reduce alike share one
+reduction, within a source and across the sources of one call.
+``spanning_search`` keeps one such table for all its parent orders, with
+each edge keyed by the fingerprint of its declaration's content, so an
+order reduces again only what its changed declarations unfold to.
 
 A group's report holds, per path, its normal form's id and whether its last
 edge is a preferred projection; a pair's verdicts are read from its two
@@ -313,10 +312,10 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
     Verdicts are decided from one normal form per path, each computed by
     extending the normal form of the path's prefix by its last edge (see
     the module docstring), and equal those of ``check_diamond`` wherever it
-    returns.  Normal forms are keyed by content, the edge's declaration
-    name and the prefix's normal form and parameters, so paths of any
-    source whose prefixes reduce alike share one extension.  Fuel is spent
-    per extension: each ``normalize`` call unfolds one edge under its own
+    returns.  An extension is keyed by the edge's declaration name and the
+    prefix's record, interned by content, so paths of any source whose
+    prefixes reduce alike share one extension.  Fuel is spent per
+    extension: each ``normalize`` call unfolds one edge under its own
     ``unfold_depth`` budget.  The diamonds of a path whose normal form, or
     a prefix's, ran out of fuel are decided by ``check_diamond``.  So this
     can return verdicts where ``check_diamond``, which spends one budget on
@@ -324,8 +323,7 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
 
     Raises PathLimitExceeded when some diamond has a path longer than
     ``max_path_len``, rather than leave it out of the report."""
-    return _source_reports(elab, config, _groups_by_source(elab, max_path_len), {},
-                           _NormalForms(config))
+    return _source_reports(elab, _groups_by_source(elab, max_path_len), _Reuse(config))
 
 
 def _groups_by_source(elab: Elaboration, max_path_len: int
@@ -339,73 +337,77 @@ def _groups_by_source(elab: Elaboration, max_path_len: int
             for source, by_source in itertools.groupby(groups, key=lambda g: g.source)]
 
 
-# A trie node's record: the parameters its out-edges take, its normal form
-# and that form's id.
+# A path's record: the parameters its last edge's target class takes, its
+# normal form and that form's id.
 _Record = tuple[tuple[Term, ...], Term, int]
 
 
-class _NormalForms:
-    """The normal forms of trie nodes, keyed by content: the edge, the id of
-    the prefix's normal form and the prefix's parameters.  The value is the
-    node's record, or None when that one-edge ``normalize`` ran out of fuel;
-    fuel is spent per call, so the key fixes the outcome.  ``IllTyped``
-    propagates and is not kept.
+class _Reuse:
+    """What the analyzer reuses, kept for one ``analyze`` call or for every
+    order of one spanning search.  ``record`` interns path records by
+    content, so a record's identity stands for its content while the table
+    lives.  ``extend`` maps an edge and a prefix record to the record of the
+    longer path, or to None when that one-edge ``normalize`` ran out of
+    fuel; fuel is spent per call, so the key fixes the outcome.
+    ``IllTyped`` propagates and is not kept.
 
     Within one environment an edge is keyed by its declaration name, which
     names one declaration there.  Across the forks of a spanning search it
-    is keyed by ``fingerprints``, together with those of the constants the
-    parameters name, so that forks share a key exactly when the edge
-    unfolds to the same term.
+    is keyed by ``fingerprints``, and a record's content also holds those of
+    the constants its parameters name, so that forks share a key exactly
+    when the edge unfolds to the same term.
 
     ``reports`` keeps one object per distinct group report, keyed by its
     group's identity and its verdicts, so that the orders of a spanning
-    search that decide a group alike share its report."""
+    search that decide a group alike share its report.  ``made`` holds each
+    source's class record and reports as last checked (see
+    ``_source_reports``)."""
 
     def __init__(self, config: DefEqConfig, fingerprints: Fingerprints | None = None) -> None:
         self.config = config
         self.fingerprints = fingerprints
-        self.records: dict[tuple, _Record | None] = {}
         self.form_ids: dict[Term, int] = {}
+        self.records: dict[tuple, _Record] = {}
+        self.extensions: dict[tuple, _Record | None] = {}
         self.reports: dict[tuple, GroupReport] = {}
+        self.made: dict[str, tuple[ClassInfo, list[GroupReport]]] = {}
 
-    def root(self, args: tuple[Term, ...], start: Term) -> _Record:
-        return args, start, self.form_ids.setdefault(start, len(self.form_ids))
+    def record(self, env: Environment, args: tuple[Term, ...], value: Term) -> _Record:
+        """The one record of a path whose normal form is ``value`` and whose
+        target class takes ``args``."""
+        form = self.form_ids.setdefault(value, len(self.form_ids))
+        key: tuple = (form, args)
+        if self.fingerprints is not None:
+            key += tuple([self.fingerprints(env, n) for n in sorted(consts_in(*args))])
+        return self.records.setdefault(key, (args, value, form))
 
     def extend(self, env: Environment, edge: InstanceInfo, record: _Record) -> _Record | None:
-        """The record of ``record``'s node extended by ``edge``."""
-        args, value, form = record
+        """The record of ``record``'s path extended by ``edge``."""
         fingerprints = self.fingerprints
-        if fingerprints is None:
-            key = (edge.decl_name, form, args)
-        else:
-            key = (fingerprints(env, edge.decl_name), form, args,
-                   tuple([fingerprints(env, n) for n in sorted(consts_in(*args))]))
+        key = (edge.decl_name if fingerprints is None else fingerprints(env, edge.decl_name),
+               id(record))
         try:
-            return self.records[key]
+            return self.extensions[key]
         except KeyError:
             pass
-        term, edge_args = _apply_edge(env, edge, args, value)
+        term, args = _apply_edge(env, edge, record[0], record[1])
         try:
-            normal = normalize(env, self.config, term)
+            child = self.record(env, args, normalize(env, self.config, term))
         except FuelExhausted:
             child = None
-        else:
-            child = (edge_args, normal, self.form_ids.setdefault(normal, len(self.form_ids)))
-        self.records[key] = child
+        self.extensions[key] = child
         return child
 
 
-def _source_reports(elab: Elaboration, config: DefEqConfig,
-                    by_source: list[tuple[str, list[PathGroup]]],
-                    made: dict[str, tuple[ClassInfo, list[GroupReport]]],
-                    forms: _NormalForms) -> list[GroupReport]:
+def _source_reports(elab: Elaboration, by_source: list[tuple[str, list[PathGroup]]],
+                    reuse: _Reuse) -> list[GroupReport]:
     """The reports of every source's path groups, in source order.  The
     groups' paths are read by declaration name: ``elab``'s environment
     unfolds them and its instances give their kinds.  A source's diamonds
     use only the declarations of the classes up to it, so its reports in
-    ``made`` are reused while its class record there is the one ``elab``
-    holds; ``made`` takes the reports checked here.  The normal forms of
-    every source's paths are looked up in, and added to, ``forms``."""
+    ``reuse.made`` are reused while its class record there is the one
+    ``elab`` holds; ``reuse.made`` takes the reports checked here."""
+    made = reuse.made
     preferred: set[str] | None = None
     out: list[GroupReport] = []
     for source, groups in by_source:
@@ -416,39 +418,32 @@ def _source_reports(elab: Elaboration, config: DefEqConfig,
         else:
             if preferred is None:
                 preferred = {i.decl_name for i in elab.instances if i.kind == PREFERRED}
-            reports = _check_source(elab.env, config, source, groups, forms, preferred)
+            reports = _check_source(elab.env, source, groups, reuse, preferred)
             made[source] = (info, reports)
         out.extend(reports)
     return out
 
 
-def _check_source(env: Environment, config: DefEqConfig, source: str,
-                  groups: Iterable[PathGroup], forms: _NormalForms,
-                  preferred: set[str]) -> list[GroupReport]:
-    """Decide the path groups of one source from the normal forms of its
-    paths; an edge is preferred when ``preferred`` holds its name."""
+def _check_source(env: Environment, source: str, groups: Iterable[PathGroup],
+                  reuse: _Reuse, preferred: set[str]) -> list[GroupReport]:
+    """Decide the path groups of one source from the records of its paths,
+    each extended edge by edge from the record of the empty path; an edge
+    is preferred when ``preferred`` holds its name."""
+    config = reuse.config
     ctx, args, start = _source_context(env, source)
-    # The trie of this source's paths, indexed by node id, holds each node's
-    # record (see ``_NormalForms``), or None when its normalisation or a
-    # prefix's ran out of fuel.  Node 0 is the empty path.  A child is keyed
-    # by its parent's id and its edge's declaration name, which no other
-    # edge has.
-    nodes: list[_Record | None] = [forms.root(args, start)]
-    children: dict[tuple[int, str], int] = {}
+    origin = reuse.record(env, args, start)
     # The kernel's verdicts on pairs of distinct form ids, under eta.
     verdicts: dict[tuple[int, int], bool] = {}
 
     def record_of(path: Path) -> _Record | None:
-        node = 0
+        """The path's record, or None when its normalisation or a prefix's
+        ran out of fuel."""
+        record: _Record | None = origin
         for e in path:
-            key = (node, e.decl_name)
-            child = children.get(key)
-            if child is None:
-                child = children[key] = len(nodes)
-                record = nodes[node]
-                nodes.append(None if record is None else forms.extend(env, e, record))
-            node = child
-        return nodes[node]
+            record = reuse.extend(env, e, record)
+            if record is None:
+                break
+        return record
 
     reports: list[GroupReport] = []
     for group in groups:
@@ -477,9 +472,9 @@ def _check_source(env: Environment, config: DefEqConfig, source: str,
                     equal.append((i, j))
         kinds = tuple([p[-1].decl_name in preferred for p in paths])
         key = (id(group), ids, kinds, *equal)
-        report = forms.reports.get(key)
+        report = reuse.reports.get(key)
         if report is None:
-            report = forms.reports[key] = GroupReport(group, ids, kinds, frozenset(equal))
+            report = reuse.reports[key] = GroupReport(group, ids, kinds, frozenset(equal))
         reports.append(report)
     return reports
 
@@ -536,10 +531,12 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     a choice at or before it changed.  A fork shares the class records of
     the classes before it, so a source's reports are reused while its
     record is unchanged (see ``_source_reports``).  A source that is
-    checked again looks its normal forms up in one table kept for the
+    checked again looks its path records up in one table kept for the
     whole search, where edges are keyed by declaration fingerprint (see
-    ``_NormalForms``), so it reduces again only the extensions whose edge
-    or prefix unfolds differently.
+    ``_Reuse``), so it reduces again only the extensions whose edge or
+    prefix unfolds differently.  The search chooses every parent order
+    itself: a ``strategy`` with ``parent_order`` overrides is a
+    ``ValueError``.
 
     Every order has the same edges, one ``C.to_P`` per class and parent,
     and so the same path groups.  The graph is therefore built, bounded by
@@ -548,6 +545,9 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     own instances.  Orders are compared group by group on the verdicts of
     each pair of paths (see ``same_verdicts``).
     """
+    if strategy.parent_order:
+        raise ValueError("spanning_search chooses every parent order itself; "
+                         "strategy.parent_order must be empty")
     items = module.items
     positions = [index for index, item in enumerate(items)
                  if isinstance(item, ClassItem) and len(item.parents) >= 2]
@@ -560,7 +560,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
             elaborate_item(elab, items[index], config, max_depth)
         return elab
 
-    elab = elaborate_from(begin_elaboration(EncodingStrategy(strategy.kind)), 0)
+    elab = elaborate_from(begin_elaboration(strategy), 0)
     # Under flat_hack the marker class is every class's first parent and is
     # no choice.
     skip = 1 if strategy.kind == "flat_hack" else 0
@@ -568,8 +568,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     choices = [[p for p, _ in elab.classes[name].parents[skip:]] for name in names]
     previous = tuple(tuple(parents) for parents in choices)
     by_source = _groups_by_source(elab, max_path_len)
-    made: dict[str, tuple[ClassInfo, list[GroupReport]]] = {}
-    forms = _NormalForms(config, Fingerprints())
+    reuse = _Reuse(config, Fingerprints())
 
     def analyzed(order: tuple[tuple[str, ...], ...]) -> list[GroupReport]:
         nonlocal elab, previous
@@ -579,7 +578,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
             overrides = EncodingStrategy(strategy.kind, dict(zip(names, order)))
             elab = elaborate_from(forks[d].fork(overrides), positions[d])
             previous = order
-        return _source_reports(elab, config, by_source, made, forms)
+        return _source_reports(elab, by_source, reuse)
 
     reports: list[PlacementReport] = []
     for index, combo in enumerate(itertools.product(*choices)):

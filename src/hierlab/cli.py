@@ -126,10 +126,19 @@ def _load_module(args: argparse.Namespace) -> SurfaceModule:
     if args.path == "@random":
         return parse(random_hierarchy(args.seed))
     try:
-        text = Path(args.path).read_text()
+        data = Path(args.path).read_bytes()
     except OSError as exc:
         raise CliError(f"{args.path}: {exc.strerror or exc}") from exc
-    return parse(text)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, line_start) + 1
+        col = len(data[line_start:exc.start].decode("utf-8")) + 1
+        raise CliError(f"{args.path}:{line}:{col}: byte 0x{data[exc.start]:02x} is not "
+                       f"valid UTF-8") from exc
+    # Newlines as text-mode reading translates them.
+    return parse(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _strategy(args: argparse.Namespace) -> EncodingStrategy:
@@ -585,6 +594,10 @@ def main(argv: list[str] | None = None) -> int:
         # kernel and instance search.
         print(f"{args.path}: nested too deeply for the interpreter's recursion "
               f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:
+        print(f"hier: the output cannot be encoded as {exc.encoding}; run under a "
+              f"UTF-8 locale or set PYTHONIOENCODING=utf-8", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # The unwritten output stays buffered; send it to devnull so that

@@ -37,7 +37,7 @@ from hierlab.elaborator import (
 )
 from hierlab.kernel import DefEqConfig, FuelExhausted, Trace, check_type, defeq, normalize
 from hierlab.surface import parse
-from hierlab.terms import Binder, Const, FreeVar, apps, unfold_apps
+from hierlab.terms import Binder, Const, FreeVar, Mk, apps, unfold_apps
 from conftest import CORPUS, ETA_OFF, ETA_ON, LONG_DIAMOND, cube_source, load
 
 
@@ -336,7 +336,7 @@ def test_each_normal_form_unfolds_one_edge(monkeypatch, n, nested_calls):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.hier")))
 def test_analyze_runs_out_of_fuel_only_where_check_diamond_does(name):
-    """Normal forms by extension spend fuel per trie node, not per path.
+    """Normal forms by extension spend fuel per extension, not per path.
     At every small budget analyze still agrees with the pairwise reference
     wherever that returns, and raises only where it raises."""
     module = load(name)
@@ -380,6 +380,34 @@ def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):
     for config in (ETA_OFF, ETA_ON):
         assert rows(fig1_nested, config) == reference.analyze(fig1_nested, config)
     assert calls["check_diamond"] == 6
+
+
+def test_sources_of_one_analysis_share_a_path_record(monkeypatch):
+    """Under flat, `a.to_x` and `b.to_x` both rebuild the fieldless `x` as
+    `x.mk α`, so sources a and b reach one prefix record, and `x.to_z` (and
+    likewise `y.to_z`) extends it once for both: one record object from one
+    normalize call.  Each source's two first edges are normalized apart."""
+    elab = elaborate(parse("class z (α : Type)\n"
+                           "class x (α : Type) extends z α\n"
+                           "class y (α : Type) extends z α\n"
+                           "class a (α : Type) extends x α, y α\n"
+                           "class b (α : Type) extends x α, y α\n"), EncodingStrategy("flat"))
+    extended = []
+    extend = analyzer._Reuse.extend
+
+    def logged(self, env, edge, record):
+        child = extend(self, env, edge, record)
+        extended.append((edge.decl_name, record, child))
+        return child
+    monkeypatch.setattr(analyzer._Reuse, "extend", logged)
+    calls = count_calls(monkeypatch, "normalize")
+    assert [row[:2] for row in rows(elab, ETA_OFF)] == [("a", "z"), ("b", "z")]
+    assert calls == {"normalize": 6}
+    for name in ("x.to_z", "y.to_z"):
+        (prefix, child), (other_prefix, other_child) = (
+            (record, child) for edge, record, child in extended if edge == name)
+        assert prefix is other_prefix and child is other_child
+        assert child[1] == Mk("z", (FreeVar("α"),), ())
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +559,8 @@ def test_fingerprints_keep_one_declaration_per_content():
 
 
 def test_forms_across_environments_key_the_definitions_their_parameters_name():
-    """Across environments a trie node is keyed by fingerprints, those of
-    the constants its parameters name included.  `baz.to_foo` reads the
+    """Across environments an extension is keyed by fingerprints, and a
+    path record by those of the constants its parameters name.  `baz.to_foo` reads the
     same in both modules below, but applied to `im` it rebuilds a `foo`
     holding `im`'s field, which is another opaque constant in each."""
     text = ("class int\n"
@@ -548,10 +576,10 @@ def test_forms_across_environments_key_the_definitions_their_parameters_name():
     assert fingerprint(first.env, "baz.to_foo") == fingerprint(second.env, "baz.to_foo")
     edge = next(e for e in first.instances if e.decl_name == "baz.to_foo")
     args, start = (Const("int"), Const("im")), FreeVar("i")
-    forms = analyzer._NormalForms(ETA_OFF, fingerprint)
+    reuse = analyzer._Reuse(ETA_OFF, fingerprint)
     normals = []
     for elab in (first, second):
-        _, normal, _ = forms.extend(elab.env, edge, forms.root(args, start))
+        _, normal, _ = reuse.extend(elab.env, edge, reuse.record(elab.env, args, start))
         assert normal == normalize(elab.env, ETA_OFF,
                                    path_composite(elab.env, (edge,), args, start))
         normals.append(normal)
@@ -597,6 +625,14 @@ def test_every_cube_placement_is_coherent_with_eta(cube_module):
     placements = spanning_search(cube_module, EncodingStrategy("nested"), ETA_ON)
     assert len(placements) == 24
     assert sum(p.coherent for p in placements) == 24
+
+
+def test_spanning_search_rejects_parent_order_overrides(fig1_module):
+    """The search chooses every parent order itself, so overrides would be
+    ignored; it refuses them instead."""
+    with pytest.raises(ValueError, match="parent_order"):
+        spanning_search(fig1_module, EncodingStrategy("nested", {"ring": ("semiring",)}),
+                        ETA_OFF)
 
 
 def test_spanning_search_without_multi_parent_classes_is_vacuous():

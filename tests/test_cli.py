@@ -684,13 +684,47 @@ def test_repeated_runs_are_byte_identical(run_cli):
         assert run_cli(*args) == run_cli(*args)
 
 
-def hier_process(*argv: str) -> subprocess.Popen:
-    """Run `hier` in a fresh interpreter, on this checkout's sources."""
+def hier_process(*argv: str, **environ: str) -> subprocess.Popen:
+    """Run `hier` in a fresh interpreter, on this checkout's sources, with
+    ``environ`` added to the environment."""
     src = str(Path(hierlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.Popen([sys.executable, "-m", "hierlab", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+# The C locale, with no locale coercion, UTF-8 mode or encoding override: the
+# standard streams are ASCII.
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+            "PYTHONIOENCODING": ""}
+
+
+def test_input_is_read_as_utf8_in_any_locale():
+    outputs = []
+    for environ in ({}, C_LOCALE):
+        proc = hier_process("diamonds", FIG1, "--emit", "json", **environ)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_output_the_locale_cannot_encode_is_a_diagnostic():
+    proc = hier_process("elaborate", FIG1, **C_LOCALE)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == (b"hier: the output cannot be encoded as ascii; run under a UTF-8 "
+                   b"locale or set PYTHONIOENCODING=utf-8\n")
+
+
+def test_input_that_is_not_utf8_is_a_positioned_diagnostic(run_cli, tmp_path):
+    source = tmp_path / "latin1.hier"
+    # A Latin-1 comment after a UTF-8 one: the column counts characters.
+    source.write_bytes("class a (α : Type)\n  -- α ".encode() + "été\n".encode("latin-1"))
+    code, out, err = run_cli("diamonds", source)
+    assert (code, out) == (2, "")
+    assert err == f"{source}:2:8: byte 0xe9 is not valid UTF-8\n"
 
 
 def test_closing_the_output_early_is_a_diagnostic(tmp_path):

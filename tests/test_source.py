@@ -31,6 +31,56 @@ def unread_parameters(tree: ast.AST) -> list[tuple[int, str, str]]:
 def test_every_parameter_is_read():
     unread = [f"{path.name}:{line}: {name}({param})"
               for path in sorted(SOURCE.glob("*.py"))
-              for line, name, param in unread_parameters(ast.parse(path.read_text()))]
+              for line, name, param in unread_parameters(
+                  ast.parse(path.read_text(encoding="utf-8")))]
     assert unread == []
 
+
+def definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) for each top-level function, class and assigned name
+    of a module, and each method of its top-level classes; dunders are
+    exempt."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(n.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(m.lineno, m.name) for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(line, name) for line, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """The names a module reads, imports or spells as an identifier string
+    (such as the names in a list of functions to patch)."""
+    used = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            used.add(n.value)
+    return used
+
+
+def test_every_definition_is_named_somewhere():
+    repo = Path(__file__).resolve().parent.parent
+    modules = sorted(SOURCE.glob("*.py"))
+    readers = modules + sorted((repo / "tests").glob("*.py")) \
+        + sorted((repo / "perfbench").glob("*.py"))
+    used = set().union(*(names_used(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in readers))
+    unnamed = [f"{path.name}:{line}: {name}"
+               for path in modules
+               for line, name in definitions(ast.parse(path.read_text(encoding="utf-8")))
+               if name not in used]
+    assert unnamed == []
