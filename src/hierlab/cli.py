@@ -28,7 +28,7 @@ from .analyzer import (
     config_dict, random_hierarchy, spanning_search,
 )
 from .declarations import DefDecl, OpaqueDecl, StructDecl
-from .elaborator import ElabError, Elaboration, EncodingStrategy, elaborate
+from .elaborator import ClassInfo, ElabError, Elaboration, EncodingStrategy, elaborate
 from .kernel import DefEqConfig, KernelError, Trace, check_type, defeq
 from .resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from .surface import SurfaceError, SurfaceModule, parse, parse_term
@@ -164,11 +164,16 @@ def _json_text(value: object) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for values whose dict
     keys are strings.  CPython's C encoder only runs without ``indent``, so
     this writer makes one recursive pass instead, encodes each distinct
-    string (and each distinct key) once, and joins the pieces once."""
+    string (and each distinct key) once, renders a dict that comes up again
+    at the same depth once, and joins the pieces once."""
     chunks: list[str] = []
     append = chunks.append
     encoded: dict[str, str] = {}
     keys: dict[str, str] = {}
+    # Each dict rendered so far, by id and indent: the span of ``chunks``
+    # it took, joined into its text when it comes up again.  ``value``
+    # lives for the whole write, so an id stands for one object.
+    rendered: dict[tuple[int, str], tuple[int, int] | str] = {}
 
     def write(v: object, indent: str) -> None:
         if isinstance(v, str):
@@ -190,6 +195,14 @@ def _json_text(value: object) -> str:
                 write(item, inner)
             append("\n" + indent + "]")
         elif isinstance(v, dict) and v:
+            at = (id(v), indent)
+            text = rendered.get(at)
+            if text is not None:
+                if type(text) is tuple:
+                    text = rendered[at] = "".join(chunks[text[0]:text[1]])
+                append(text)
+                return
+            start = len(chunks)
             inner = indent + "  "
             separator = ",\n" + inner
             append("{\n" + inner)
@@ -202,6 +215,7 @@ def _json_text(value: object) -> str:
                 append(prefix)
                 write(item, inner)
             append("\n" + indent + "}")
+            rendered[at] = (start, len(chunks))
         else:  # empty containers and floats; raises TypeError like json.dumps
             append(json.dumps(v))
 
@@ -264,15 +278,23 @@ def _dump_text(elab: Elaboration) -> str:
 
 
 def _dump_json(elab: Elaboration, config: DefEqConfig) -> dict:
-    field_type = _per_record(lambda b: pp_term(b.ty))
+    """The dump as one value, with one field entry per binder record that
+    every class holding the record shares, so that ``_json_text`` renders
+    it once.  An entry's ``parent`` is read in the first class that holds
+    its record: only a leaf record is shared, and a leaf has none."""
+    entries: dict[int, dict] = {}
+
+    def entry(info: ClassInfo, f: Binder) -> dict:
+        made = entries.get(id(f))
+        if made is None:
+            made = entries[id(f)] = {"name": f.name, "type": pp_term(f.ty),
+                                     "parent": info.substructures.get(f.name)}
+        return made
+
     classes = {
         info.name: {
             "params": [pp_binder(b) for b in info.params],
-            "fields": [
-                {"name": f.name, "type": field_type(f),
-                 "parent": info.substructures.get(f.name)}
-                for f in info.layout
-            ],
+            "fields": [entry(info, f) for f in info.layout],
         }
         for info in elab.classes.values()
     }

@@ -104,28 +104,44 @@ class Environment:
             raise EnvironmentError_(f"{name!r} is not a structure")
         return decl
 
-    def add(self, decl: Declaration) -> None:
-        """Add a declaration after one walk over all its terms finds no name
-        that is neither declared nor the declaration itself.  Only when one
-        is missing are the terms walked one by one, so that the error names
-        the alphabetically first missing name of the first offending term.
-        A binder record that an added declaration brought in, the same
-        object, here or in the environment this one was copied from, is not
-        walked again: not in a constructor, nor a leaf a class shares with
-        its parent, nor the telescope of a class's projections."""
-        if decl.name in self._decls:
-            raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
-        binders, terms = _split(decl)
-        new = [b for b in binders if id(b) not in self._checked]
-        terms = [b.ty for b in new] + terms
-        missing = consts_in(*terms).difference(self._decls)
-        missing.discard(decl.name)
-        if missing:
-            for term in terms:
+    def add(self, *decls: Declaration) -> None:
+        """Add declarations in order, as one batch, after one walk over all
+        their terms finds only names declared before the batch, and no
+        duplicate name.  A binder record is walked once: not when a
+        declaration added before brought it in, the same object, here or in
+        the environment this one was copied from (a constructor's binders,
+        a leaf a class shares with its parent), nor again within the batch
+        (the telescope a class's projections share).
+
+        Otherwise, such as for a declaration that names itself or another
+        of the batch, the declarations are added one by one, each checked
+        term by term: the error is a duplicate name or the alphabetically
+        first name of the first offending term that is neither declared nor
+        the declaration itself, and the declarations before it stay added."""
+        batch = {decl.name: decl for decl in decls}
+        new: dict[int, Binder] = {}
+        terms: list[Term] = []
+        for decl in decls:
+            binders, rest = _split(decl)
+            for b in binders:
+                if id(b) not in self._checked and id(b) not in new:
+                    new[id(b)] = b
+                    terms.append(b.ty)
+            terms += rest
+        if (len(batch) == len(decls) and self._decls.keys().isdisjoint(batch)
+                and not consts_in(*terms).difference(self._decls)):
+            self._decls.update(batch)
+            self._checked.update(new)
+            return
+        for decl in decls:
+            if decl.name in self._decls:
+                raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
+            binders, rest = _split(decl)
+            new = {id(b): b for b in binders if id(b) not in self._checked}
+            for term in [b.ty for b in new.values()] + rest:
                 self._validate_refs(decl.name, term)
-        self._decls[decl.name] = decl
-        for b in new:
-            self._checked[id(b)] = b
+            self._decls[decl.name] = decl
+            self._checked.update(new)
 
     def _validate_refs(self, owner: str, term: Term) -> None:
         """Raise on the alphabetically first name the term uses, as a

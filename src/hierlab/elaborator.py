@@ -427,11 +427,13 @@ def _declare_projections(elab: Elaboration, info: ClassInfo) -> None:
     binders = info.params + (Binder("self", info.self_type, instance_implicit=True),)
     self_var = FreeVar("self")
     mapping: dict[str, Term] = {}
+    decls: list[DefDecl] = []
     for f in info.layout:
         proj = Proj(info.name, f.name, self_var)
-        elab.env.add(DefDecl(f"{info.name}.{f.name}", binders,
+        decls.append(DefDecl(f"{info.name}.{f.name}", binders,
                              subst_frees(f.ty, mapping), proj))
         mapping[f.name] = proj
+    elab.env.add(*decls)
 
 
 def _declare_forgetful_instances(elab: Elaboration, info: ClassInfo) -> None:

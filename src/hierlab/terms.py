@@ -258,12 +258,21 @@ def _mentions_bound0(t: Term) -> bool:
 
 def consts_in(*roots: Term) -> set[str]:
     """The names the terms use as constants or as structures.  The walk keeps
-    its own stack: it runs once on every declaration added to an environment."""
+    its own stack: it runs once on every batch of declarations added to an
+    environment."""
     names: set[str] = set()
     stack = list(roots)
     while stack:
         s = stack.pop()
         kind = type(s)
+        # A chain of projections is followed in place, and a free variable,
+        # the commonest leaf, is dropped before the other kinds are tried.
+        while kind is Proj:
+            names.add(s.struct)
+            s = s.target
+            kind = type(s)
+        if kind is FreeVar:
+            continue
         if kind is App:
             stack.append(s.fn)
             stack.append(s.arg)
@@ -272,9 +281,6 @@ def consts_in(*roots: Term) -> set[str]:
         elif kind is Lam or kind is Pi:
             stack.append(s.ty)
             stack.append(s.body)
-        elif kind is Proj:
-            names.add(s.struct)
-            stack.append(s.target)
         elif kind is Mk:
             names.add(s.struct)
             stack.extend(s.params)

@@ -61,6 +61,13 @@ def cube_source(n: int, top_instance: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def chain_source(classes: int) -> str:
+    """A chain k0 <- k1 <- ... of `classes` classes, each adding one field
+    of type α.  Under flat the last class lays out one field per class."""
+    return "".join(f"class k{i} (α : Type){f' extends k{i - 1} α' if i else ''} where\n"
+                   f"  (f{i} : α)\n" for i in range(classes))
+
+
 # d extends b and c, which extend a; the chain e1 … e7 extends d.  So e7
 # reaches a by two 9-edge paths, one edge past the analyzer's path limit.
 LONG_DIAMOND = (

@@ -44,6 +44,9 @@
   ``pi_type`` and ``lam_closure`` as one ``abstract1`` per name, innermost
   binder first.  ``hierlab.terms`` runs them all through one walker that
   shares unchanged subterms, and must give the same terms.
+- ``consts_in``: the names a term uses as constants or structures, by
+  recursion over every node.  ``hierlab.terms.consts_in`` walks its own
+  stack, follows projection chains in place and drops free variables first.
 """
 from __future__ import annotations
 
@@ -569,3 +572,18 @@ def lam_closure(binders: list[Binder], body: Term) -> Term:
     for b in reversed(binders):
         t = Lam(b.name, b.ty, abstract1(t, b.name))
     return t
+
+
+def consts_in(t: Term) -> set[str]:
+    """The names t uses as constants or as structures."""
+    if isinstance(t, Const):
+        return {t.name}
+    if isinstance(t, App):
+        return consts_in(t.fn) | consts_in(t.arg)
+    if isinstance(t, (Lam, Pi)):
+        return consts_in(t.ty) | consts_in(t.body)
+    if isinstance(t, Proj):
+        return {t.struct} | consts_in(t.target)
+    if isinstance(t, Mk):
+        return {t.struct}.union(*map(consts_in, t.params + t.fields))
+    return set()

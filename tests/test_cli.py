@@ -13,11 +13,13 @@ import pytest
 import hierlab
 import reference
 from hierlab import cli, elaborator, kernel, resolution, terms
-from hierlab.analyzer import ANALYZER_REPORT_SCHEMA, analyze
+from hierlab.analyzer import ANALYZER_REPORT_SCHEMA, analyze, random_hierarchy
 from hierlab.cli import main as cli_main
 from hierlab.elaborator import EncodingStrategy, elaborate
 from hierlab.surface import parse
-from conftest import CORPUS, ETA_OFF, ETA_ON, LONG_DIAMOND, corpus_path, cube_source
+from conftest import (
+    CORPUS, ETA_OFF, ETA_ON, LONG_DIAMOND, chain_source, corpus_path, cube_source,
+)
 
 FIG1 = str(corpus_path("fig1.hier"))
 MODULE = str(corpus_path("module.hier"))
@@ -73,13 +75,58 @@ def test_elaborate_prints_each_shared_field_record_once(run_cli, tmp_path, pp_te
     class's parameter once: 400 terms, where printing every field made
     20,300."""
     source = tmp_path / "chain.hier"
-    source.write_text("".join(
-        f"class k{i} (α : Type){f' extends k{i - 1} α' if i else ''} where\n"
-        f"  (f{i} : α)\n" for i in range(200)))
+    source.write_text(chain_source(200))
     code, out, _ = run_cli("elaborate", source, "--encoding", "flat", "--emit", "json")
     assert code == 0
     assert sum(len(c["fields"]) for c in json.loads(out)["classes"].values()) == 20100
     assert pp_term_calls[0] == 400
+
+
+def test_json_writer_renders_each_shared_field_entry_once():
+    """The dump of a flat 60-class chain holds one field entry per leaf
+    record, shared by every class that lays the record out, and the writer
+    renders each entry once: 60 entries for 1,830 fields."""
+    elab = elaborate(parse(chain_source(60)), EncodingStrategy("flat"))
+    dump = cli._dump_json(elab, ETA_ON)
+    entries = [entry for c in dump["classes"].values() for entry in c["fields"]]
+    assert (len(entries), len({id(entry) for entry in entries})) == (1830, 60)
+
+    class Counted(dict):
+        """A dict that counts how often it is read item by item."""
+        reads = 0
+
+        def items(self):
+            Counted.reads += 1
+            return super().items()
+    counted = {id(entry): Counted(entry) for entry in entries}
+    for c in dump["classes"].values():
+        c["fields"] = [counted[id(entry)] for entry in c["fields"]]
+    text = cli._json_text(dump)
+    assert Counted.reads == 60
+    assert text == json.dumps(dump, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("source", [p.name for p in sorted(CORPUS.glob("*.hier"))]
+                         + ["chain60", "@random"])
+def test_elaborate_json_is_the_dump_as_json_dumps_writes_it(run_cli, tmp_path, source):
+    """The writer, which renders a shared field entry once, against
+    ``json.dumps`` of the same dump, in every encoding: each corpus file, a
+    flat 60-class chain and the generator's seeds 0-49."""
+    if source == "@random":
+        inputs = [(["@random", "--seed", str(seed)], random_hierarchy(seed))
+                  for seed in range(50)]
+    else:
+        path = tmp_path / "chain.hier" if source == "chain60" else corpus_path(source)
+        if source == "chain60":
+            path.write_text(chain_source(60))
+        inputs = [([path], path.read_text())]
+    for argv, text in inputs:
+        for encoding, kind in cli.ENCODINGS.items():
+            dump = cli._dump_json(elaborate(parse(text), EncodingStrategy(kind)), ETA_ON)
+            code, out, err = run_cli("elaborate", *argv, "--encoding", encoding,
+                                     "--emit", "json")
+            assert (code, err) == (0, "")
+            assert out == json.dumps(dump, indent=2, sort_keys=True) + "\n", (argv, encoding)
 
 
 def test_elaborate_text_prints_each_binder_record_once(run_cli, tmp_path, pp_term_calls):
@@ -89,9 +136,7 @@ def test_elaborate_text_prints_each_binder_record_once(run_cli, tmp_path, pp_ter
     every telescope binder by binder made 102,296 terms; 40,200 of those
     left are the result types and bodies of the 20,100 projections."""
     source = tmp_path / "chain.hier"
-    source.write_text("".join(
-        f"class k{i} (α : Type){f' extends k{i - 1} α' if i else ''} where\n"
-        f"  (f{i} : α)\n" for i in range(200)))
+    source.write_text(chain_source(200))
     code, out, _ = run_cli("elaborate", source, "--encoding", "flat")
     assert code == 0
     assert out.count("\ndef k199.mk (α : Type) (f0 : α) ") == 1
@@ -851,6 +896,9 @@ def test_parse_errors_carry_file_line_and_column(run_cli, tmp_path):
 
 HAS_ONE = "class int\nclass has_one (α : Type) where\n  (one : α)\n"
 MARKER_PARENT = HAS_ONE + "class a (α : Type)\nclass x (α : Type) extends flat_hack, a α\n"
+OWN_MK = "class s (α : Type) where\n  (mk : α)\n"
+OWN_TO_PARENT = ("class s (α : Type) where\n  (x : α)\n"
+                 "class t (α : Type) extends s α where\n  (to_s : α)\n")
 
 
 @pytest.mark.parametrize("command", ["elaborate", "spanning-search"])
@@ -878,9 +926,19 @@ MARKER_PARENT = HAS_ONE + "class a (α : Type)\nclass x (α : Type) extends flat
     # class's first parent.
     (MARKER_PARENT, "flat-hack", ":5:1: duplicate parent 'flat_hack' in 'x'"),
     (MARKER_PARENT, "nested", ":5:28: name 'flat_hack' is not declared at this point"),
+    # A projection named like the constructor, and one named like the
+    # instance that rebuilds a parent not stored as a substructure.
+    (OWN_MK, "nested", ":1:1: duplicate declaration 's.mk'"),
+    (OWN_MK, "flat", ":1:1: duplicate declaration 's.mk'"),
+    (OWN_TO_PARENT, "flat", ":3:1: duplicate declaration 't.to_s'"),
+    (OWN_TO_PARENT, "flat-hack", ":3:1: duplicate declaration 't.to_s'"),
+    (OWN_TO_PARENT, "nested",
+     ":3:1: field name 'to_s' collides with an inherited substructure field"),
 ], ids=["named-like-a-projection", "declared-twice", "missing-field",
         "earlier-item-first", "non-name-parent", "own-opaque-field",
-        "marker-parent-flat-hack", "marker-parent-nested"])
+        "marker-parent-flat-hack", "marker-parent-nested", "own-mk-nested",
+        "own-mk-flat", "own-to-parent-flat", "own-to-parent-flat-hack",
+        "own-to-parent-nested"])
 def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, command,
                                                        text, encoding, diagnostic):
     src = tmp_path / "bad.hier"

@@ -24,7 +24,7 @@ from hierlab.elaborator import (
 )
 from hierlab.surface import ScopeError, parse
 from hierlab.terms import SORT, App, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps, pp_term
-from conftest import ETA_OFF
+from conftest import ETA_OFF, chain_source
 
 
 def layout_names(elab, cls: str) -> list[str]:
@@ -119,10 +119,7 @@ def test_flat_chain_shares_each_inherited_leaf_with_its_parent():
     """A leaf field is one record from the class that declares it down: the
     200-class chain lays out 20,100 fields with 200 ``Binder``s, and each
     constructor takes the very records its structure holds."""
-    text = "".join(
-        f"class k{i} (α : Type){f' extends k{i - 1} α' if i else ''} where\n"
-        f"  (f{i} : α)\n" for i in range(200))
-    elab = elaborate(parse(text), EncodingStrategy("flat"))
+    elab = elaborate(parse(chain_source(200)), EncodingStrategy("flat"))
     structs = [d for d in elab.env if isinstance(d, StructDecl)]
     assert sum(len(d.fields) for d in structs) == 20100
     assert len({id(b) for d in structs for b in d.fields}) == 200
@@ -466,19 +463,49 @@ def _term_nodes(t) -> int:
     return 1 + (sum(map(_term_nodes, step(t))) if step else 0)
 
 
-def test_environment_walks_each_declaration_once(monkeypatch, cube_module):
-    """One constant walk over the terms of each added declaration, leaving
-    out the binder records the environment has already checked, such as a
-    constructor's; the per-term walks run only to name a missing constant.
-    Leaving out only whole telescopes checked before walks 416 nodes, and
-    walking every telescope again for each projection 452."""
-    walks = []
-    walk = declarations.consts_in
+@pytest.fixture
+def walks(monkeypatch):
+    """The roots of each ``consts_in`` walk the environment makes, and the
+    declarations of each ``Environment.add`` call."""
+    walked, batches = [], []
+    walk, add = declarations.consts_in, Environment.add
     monkeypatch.setattr(declarations, "consts_in",
-                        lambda *roots: walks.append(roots) or walk(*roots))
+                        lambda *roots: walked.append(roots) or walk(*roots))
+    monkeypatch.setattr(Environment, "add",
+                        lambda env, *decls: batches.append(decls) or add(env, *decls))
+    return walked, batches
+
+
+def test_environment_walks_each_declaration_once(walks, cube_module):
+    """One constant walk over the terms of each added batch, leaving out the
+    binder records the environment has already checked, such as a
+    constructor's; the per-term walks run only to name a missing constant.
+    A class's projections are one batch.  Leaving out only whole telescopes
+    checked before walks 416 nodes, and walking every telescope again for
+    each projection 452."""
+    walked, batches = walks
     elab = elaborate(cube_module, EncodingStrategy("nested"))
-    assert len(walks) == len(elab.env)
-    assert sum(_term_nodes(t) for roots in walks for t in roots) == 304
+    assert len(walked) == len(batches) == 29
+    assert sum(map(len, batches)) == len(elab.env) == 38
+    assert sum(_term_nodes(t) for roots in walked for t in roots) == 304
+
+
+@pytest.mark.parametrize("kind", ["flat", "flat_hack"])
+def test_flat_chain_walks_grow_with_classes_not_fields(walks, kind):
+    """A chain of n classes makes four walks per class under flat (the
+    structure, its constructor, its projections and the instance that
+    rebuilds its parent, which the first class lacks), and three more for
+    the marker class under flat-hack, though the last class alone has n
+    projections: under flat, 239 walks for 1,830 fields at n = 60 and 479
+    for 7,260 at n = 120."""
+    walked, batches = walks
+    for n in (60, 120):
+        walked.clear()
+        batches.clear()
+        elab = elaborate(parse(chain_source(n)), EncodingStrategy(kind))
+        fields = n * (n + 1) // 2 + n * (kind == "flat_hack")  # and each to_flat_hack
+        assert sum(len(info.layout) for info in elab.classes.values()) == fields
+        assert len(walked) == len(batches) == 4 * n - 1 + 3 * (kind == "flat_hack")
 
 
 def test_a_telescope_is_walked_again_where_it_was_not_checked():

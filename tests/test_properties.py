@@ -8,7 +8,8 @@ the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
 instances, the incremental spanning search matches the whole-module one,
 definitional equality is symmetric, every substitution of the one term
-walker matches its recursive reference, the command line's JSON writer
+walker matches its recursive reference, adding declarations as one batch
+leaves what adding them one by one leaves, the command line's JSON writer
 matches ``json.dumps``, the lexer matches its character loop, and random
 token streams through every ``hier`` subcommand end in an exit code and at
 most one diagnostic line, never an escaped exception.
@@ -27,7 +28,7 @@ from hierlab.analyzer import (
     MAX_PATH_LEN, analyze, build_graph, diamond_rows, random_hierarchy, spanning_search,
 )
 from hierlab.cli import _json_text, main as cli_main
-from hierlab.declarations import Environment, OpaqueDecl, StructDecl
+from hierlab.declarations import DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl
 from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, flatten_fields
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
 from hierlab.resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
@@ -441,6 +442,7 @@ def test_term_walker_matches_the_recursive_substitutions(data):
         (terms.subst_frees(t, mapping), reference.subst_frees(t, mapping)),
         (terms.zonk(t, subst), reference.zonk(t, subst)),
     ]
+    assert terms.consts_in(t, value) == reference.consts_in(t) | reference.consts_in(value)
     closures = [
         (terms.pi_type(binders, t), reference.pi_type(binders, t)),
         (terms.lam_closure(binders, t), reference.lam_closure(binders, t)),
@@ -458,6 +460,76 @@ def test_term_walker_matches_the_recursive_substitutions(data):
     assert terms.zonk(t, {99: Sort()}) is t
 
 
+# Terms that name only "a" and "b", which the environment of `added` declares.
+SAFE_TERMS = st.recursive(
+    st.sampled_from([Const("a"), Const("b"), FreeVar("x"), Sort()]),
+    lambda kids: st.one_of(
+        st.builds(App, kids, kids), st.builds(Pi, st.just("_"), kids, kids),
+        st.builds(Proj, st.just("b"), st.just("f"), kids),
+        st.builds(Mk, st.just("b"), st.lists(kids, max_size=2).map(tuple), st.just(()))),
+    max_leaves=3)
+SHARED_BINDERS = (Binder("x", Const("a")), Binder("y", Pi("_", Const("a"), Const("b"))),
+                  Binder("z", App(Const("b"), Const("zz"))))
+SHARED_TELESCOPES = ((), SHARED_BINDERS[:1], SHARED_BINDERS[:2], SHARED_BINDERS[1:])
+TELESCOPES = st.sampled_from(SHARED_TELESCOPES) | st.lists(
+    st.sampled_from(SHARED_BINDERS) | st.builds(Binder, st.just("w"), SAFE_TERMS),
+    max_size=3).map(tuple)
+
+
+@st.composite
+def batches(draw):
+    """Declarations for an environment that declares "a" and "b", named "c"
+    to "f" but now and then like a declared name or another of the batch.
+    Two result types in three also name one of "a" to "f" or the undeclared
+    "zz", so that a batch meets self-references, references to its own
+    later or earlier declarations and missing names.  Binder records and
+    telescopes come from a shared pool, as a class's projections share one
+    telescope, or are new; the pool's "z" names "zz"."""
+    names = draw(st.lists(st.sampled_from("cdef"), max_size=4, unique=True))
+    decls = []
+    for name in names:
+        if draw(st.integers(0, 5)) == 0:
+            name = draw(st.sampled_from(["a", *names]))
+        telescope = draw(TELESCOPES)
+        ty = draw(SAFE_TERMS)
+        named = draw(st.none() | st.sampled_from("abcdef") | st.just("zz"))
+        if named is not None:
+            ty = App(ty, Const(named))
+        kind = draw(st.sampled_from((OpaqueDecl, DefDecl, StructDecl)))
+        if kind is OpaqueDecl:
+            decls.append(OpaqueDecl(name, telescope, ty))
+        elif kind is DefDecl:
+            decls.append(DefDecl(name, telescope, ty, draw(SAFE_TERMS)))
+        else:
+            decls.append(StructDecl(name, telescope, draw(TELESCOPES)))
+    return decls
+
+
+def added(decls, one_by_one: bool):
+    """The error message, the names in the environment and the ids of the
+    checked binder records after adding ``decls`` to an environment that
+    declares "a" and "b" and has checked the record of "x"."""
+    env = Environment()
+    env.add(OpaqueDecl("a", (), Sort()))
+    env.add(OpaqueDecl("b", SHARED_BINDERS[:1], Const("a")))
+    error = None
+    try:
+        if one_by_one:
+            for decl in decls:
+                env.add(decl)
+        else:
+            env.add(*decls)
+    except EnvironmentError_ as exc:
+        error = str(exc)
+    return error, [decl.name for decl in env], set(env._checked)
+
+
+@COMMON
+@given(batches())
+def test_a_batch_adds_what_single_adds_do(decls):
+    assert added(decls, one_by_one=False) == added(decls, one_by_one=True)
+
+
 # Quotes, backslashes, control characters and non-ASCII text, including
 # characters outside the basic plane that encode as surrogate pairs.
 JSON_STRINGS = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€𝔸') | st.characters(),
@@ -470,10 +542,37 @@ JSON_VALUES = st.recursive(
     max_leaves=24)
 
 
+# A JSON value with holes, each filled with one shared object.
+HOLE = object()
+JSON_SKELETONS = st.recursive(
+    st.just(HOLE) | st.none() | st.integers() | JSON_STRINGS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=12)
+
+
+def fill(skeleton, shared):
+    if skeleton is HOLE:
+        return shared
+    if isinstance(skeleton, list):
+        return [fill(item, shared) for item in skeleton]
+    if isinstance(skeleton, dict):
+        return {key: fill(item, shared) for key, item in skeleton.items()}
+    return skeleton
+
+
 @COMMON
-@given(JSON_VALUES)
-def test_json_writer_matches_json_dumps(value):
+@given(JSON_VALUES, st.data())
+def test_json_writer_matches_json_dumps(value, data):
+    """Also on values in which one dict or list object comes up several
+    times, at one depth or at several, and holds another such object."""
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    innermost = data.draw(st.dictionaries(JSON_STRINGS, JSON_VALUES, min_size=1, max_size=3)
+                          | st.lists(JSON_VALUES, min_size=1, max_size=3), label="innermost")
+    inner = fill(data.draw(JSON_SKELETONS, label="inner"), innermost)
+    shared = fill(data.draw(JSON_SKELETONS, label="outer"), inner)
+    for aliased in (shared, [inner, shared, {"k": [inner]}, inner]):
+        assert _json_text(aliased) == json.dumps(aliased, indent=2, sort_keys=True)
 
 
 # Names (Unicode and dotted, a digit after a dot), numbers, every symbol, a
