@@ -37,7 +37,6 @@ from .kernel import (
     DefEqConfig,
     IllTyped,
     KernelError,
-    MetaCtx,
     Trace,
     check_type,
     defeq,

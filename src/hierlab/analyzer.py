@@ -53,13 +53,13 @@ from .declarations import Environment, Fingerprints, StructDecl
 # where perfbench's tracer wraps it.
 from .elaborator import (
     PREFERRED, ClassInfo, Elaboration, EncodingStrategy, InstanceInfo,
-    begin_elaboration, elaborate, elaborate_item,
+    begin_elaboration, elaborate, elaborate_item, instance_telescope,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
 from .resolution import MAX_DEPTH
 from .surface import ClassItem, SurfaceModule
 from .terms import (
-    Binder, Const, FreeVar, Term, apps, consts_in, fresh_name, subst_frees, unfold_apps,
+    Binder, Const, FreeVar, Term, apps, consts_in, subst_frees, unfold_apps,
 )
 
 MAX_PATH_LEN = 8
@@ -279,12 +279,8 @@ def _source_context(env: Environment, source: str
                     ) -> tuple[tuple[Binder, ...], tuple[Term, ...], Term]:
     """The source class's parameters plus a fresh instance of it: the
     context, the parameter variables, and the instance variable."""
-    decl = env.struct(source)
-    args = tuple(FreeVar(b.name) for b in decl.params)
-    inst = fresh_name("i", {b.name for b in decl.params})
-    ctx = decl.params + (
-        Binder(inst, apps(Const(source), *args), instance_implicit=True),)
-    return ctx, args, FreeVar(inst)
+    ctx = instance_telescope(source, env.struct(source).params, "i")
+    return ctx, tuple(FreeVar(b.name) for b in ctx[:-1]), FreeVar(ctx[-1].name)
 
 
 def check_diamond(env: Environment, diamond: Diamond,

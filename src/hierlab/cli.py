@@ -163,13 +163,10 @@ def _elaborated(args: argparse.Namespace) -> Elaboration:
 def _json_text(value: object) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for values whose dict
     keys are strings.  CPython's C encoder only runs without ``indent``, so
-    this writer makes one recursive pass instead, encodes each distinct
-    string (and each distinct key) once, renders a dict that comes up again
-    at the same depth once, and joins the pieces once."""
+    this writer makes one recursive pass instead, renders a dict that comes
+    up again at the same depth once, and joins the pieces once."""
     chunks: list[str] = []
     append = chunks.append
-    encoded: dict[str, str] = {}
-    keys: dict[str, str] = {}
     # Each dict rendered so far, by id and indent: the span of ``chunks``
     # it took, joined into its text when it comes up again.  ``value``
     # lives for the whole write, so an id stands for one object.
@@ -177,10 +174,7 @@ def _json_text(value: object) -> str:
 
     def write(v: object, indent: str) -> None:
         if isinstance(v, str):
-            quoted = encoded.get(v)
-            if quoted is None:
-                quoted = encoded[v] = encode_basestring_ascii(v)
-            append(quoted)
+            append(encode_basestring_ascii(v))
         elif v is None or v is True or v is False:
             append("null" if v is None else "true" if v else "false")
         elif isinstance(v, int):
@@ -209,10 +203,7 @@ def _json_text(value: object) -> str:
             for i, (key, item) in enumerate(sorted(v.items())):
                 if i:
                     append(separator)
-                prefix = keys.get(key)
-                if prefix is None:
-                    prefix = keys[key] = encode_basestring_ascii(key) + ": "
-                append(prefix)
+                append(encode_basestring_ascii(key) + ": ")
                 write(item, inner)
             append("\n" + indent + "}")
             rendered[at] = (start, len(chunks))
@@ -235,18 +226,15 @@ def _parse_in_ctx(text: str, elab: Elaboration, path: str, config: DefEqConfig) 
 # ---------------------------------------------------------------------------
 # elaborate
 
-def _per_record(show: Callable[[Binder], str]) -> Callable[[Binder], str]:
-    """``show`` run once per binder record: a class shares each leaf it
-    inherits unchanged with its parent, and its constructor's telescope
-    holds its leaf records."""
-    printed: dict[int, str] = {}
-    return lambda b: printed.get(id(b)) or printed.setdefault(id(b), show(b))
-
-
 def _dump_text(elab: Elaboration) -> str:
     instances = {i.decl_name: i for i in elab.instances}
-    field_type = _per_record(lambda b: pp_term(b.ty))
-    binder = _per_record(pp_binder)
+    # Each binder record printed once: a class shares each leaf it inherits
+    # unchanged with its parent, and its constructor's telescope holds its
+    # field records.  A field is explicit, so its line is its binder's.
+    printed: dict[int, str] = {}
+
+    def binder(b: Binder) -> str:
+        return printed.get(id(b)) or printed.setdefault(id(b), pp_binder(b))
 
     def signature(tele: Telescope) -> str:
         return "".join(" " + binder(b) for b in tele)
@@ -257,7 +245,7 @@ def _dump_text(elab: Elaboration) -> str:
             head = f"structure {decl.name}{signature(decl.params)}"
             if decl.fields:
                 lines.append(head + " where")
-                lines.extend(f"  ({b.name} : {field_type(b)})" for b in decl.fields)
+                lines.extend("  " + binder(b) for b in decl.fields)
             else:
                 lines.append(head)
         elif isinstance(decl, DefDecl):

@@ -27,14 +27,10 @@ class StructDecl:
     params: Telescope
     fields: Telescope
 
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.fields)
-
-    def field_index(self, field: str) -> int:
-        for i, b in enumerate(self.fields):
-            if b.name == field:
-                return i
-        raise KeyError(f"{self.name} has no field {field!r}")
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each field's position in the constructor, by name, in field order."""
+        return {b.name: i for i, b in enumerate(self.fields)}
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ from .surface import (
     VariablesItem, resolve_expr,
 )
 from .terms import (
-    Binder, Const, FreeVar, Mk, Proj, Telescope, Term, apps, pp_term, subst_frees,
-    unfold_apps,
+    Binder, Const, FreeVar, Mk, Proj, Telescope, Term, apps, fresh_name, pp_term,
+    subst_frees, unfold_apps,
 )
 
 FLAT_HACK_CLASS = "flat_hack"
@@ -270,11 +270,26 @@ def _declare_class(elab: Elaboration, item: ClassItem) -> None:
 
     info = ClassInfo(item.name, params, parents, tuple(own_fields),
                      *_layout(elab, item.name, parents, own_fields, item.pos))
+    # A field beside a parameter of its name would capture it in the
+    # constructor's telescope and in the types of later fields.
+    for b in params:
+        if b.name in info.leaves or b.name in info.substructures:
+            pos = next((f.pos for f in item.fields if f.name == b.name), item.pos)
+            raise ElabError(f"field {b.name!r} of {item.name!r} has the name of a "
+                            f"parameter", pos)
     elab.classes[item.name] = info
     elab.env.add(StructDecl(info.name, info.params, info.layout))
     _declare_constructor(elab, info)
     _declare_projections(elab, info)
     _declare_forgetful_instances(elab, info)
+
+
+def instance_telescope(cls: str, params: Telescope, hint: str) -> Telescope:
+    """The class's parameters, then an instance-implicit binder of the class
+    at them, named ``hint`` unless a parameter takes that name."""
+    self_type = apps(Const(cls), *(FreeVar(b.name) for b in params))
+    name = fresh_name(hint, {b.name for b in params})
+    return params + (Binder(name, self_type, instance_implicit=True),)
 
 
 def _resolve_binders(binders, env: Environment) -> Telescope:
@@ -424,8 +439,8 @@ def _declare_constructor(elab: Elaboration, info: ClassInfo) -> None:
 def _declare_projections(elab: Elaboration, info: ClassInfo) -> None:
     # The value argument is instance-implicit so substructure projections
     # can serve directly as forgetful instances during resolution.
-    binders = info.params + (Binder("self", info.self_type, instance_implicit=True),)
-    self_var = FreeVar("self")
+    binders = instance_telescope(info.name, info.params, "self")
+    self_var = FreeVar(binders[-1].name)
     mapping: dict[str, Term] = {}
     decls: list[DefDecl] = []
     for f in info.layout:
@@ -452,9 +467,9 @@ def _synthesize_instance(elab: Elaboration, info: ClassInfo,
                          parent: str, args: tuple[Term, ...]) -> None:
     """The forgetful instance that rebuilds a parent not stored as a
     substructure, with the constructor kind and priority of the encoding."""
-    binders = info.params + (Binder("i", info.self_type, instance_implicit=True),)
+    binders = instance_telescope(info.name, info.params, "i")
     decl_name = f"{info.name}.to_{parent}"
-    self_var = FreeVar("i")
+    self_var = FreeVar(binders[-1].name)
     body = _pack_value(
         elab, parent, args, lambda leaf: _project(self_var, info.leaf_origins[leaf]),
         lambda cls: (_project(self_var, info.ancestors[cls])

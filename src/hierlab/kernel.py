@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .declarations import Environment, StructDecl
+from .declarations import Environment
 from .terms import (
     App, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Sort,
     SORT, Telescope, Term, abstract, apps, fresh_name, instantiate,
@@ -115,19 +115,6 @@ class _Fuel:
             raise FuelExhausted(f"unfold depth exhausted while unfolding {name!r}")
 
 
-class MetaCtx:
-    """Allocates metavariables and remembers their types; the next id is
-    the number of types held."""
-
-    def __init__(self) -> None:
-        self.types: dict[int, Term] = {}
-
-    def fresh(self, ty: Term) -> Meta:
-        mid = len(self.types)
-        self.types[mid] = ty
-        return Meta(mid)
-
-
 def _whnf(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
     while True:
         head, args = unfold_apps(t)
@@ -153,10 +140,9 @@ def _whnf(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
                 if target.struct != head.struct:
                     raise IllTyped(f"projection {head.struct}.{head.field} applied to a "
                                    f"constructor of {target.struct}")
-                idx = env.struct(head.struct).field_index(head.field)
                 if trace is not None:
                     trace.step(f"iota {head.struct}.{head.field}")
-                t = apps(target.fields[idx], *args)
+                t = apps(target.fields[env.struct(head.struct).positions[head.field]], *args)
                 continue
             # Stuck projection: return the original form, not the reduced
             # target, so callers (and meta assignments) keep declared names.
@@ -395,7 +381,7 @@ class _Comparator:
         try:
             for x, y in zip(mk.params, args):
                 self.compare(x, y)
-            for name, value in zip(decl.field_names(), mk.fields):
+            for name, value in zip(decl.positions, mk.fields):
                 self.compare(value, Proj(mk.struct, name, other))
         finally:
             if self.trace is not None:
@@ -410,8 +396,6 @@ class _Comparator:
         if meta.mid in metas_in(value):
             raise OccursCheck(meta.mid, value)
         self.subst[meta.mid] = value
-        if self.trace is not None:
-            self.trace.step(f"assign ?{meta.mid} := {pp_term(value)}")
 
 
 def defeq(env: Environment, config: DefEqConfig, ctx: Telescope, a: Term, b: Term,
@@ -434,8 +418,8 @@ def _defeq(env: Environment, config: DefEqConfig, ctx: dict[str, Term], a: Term,
 
 
 def unify(env: Environment, config: DefEqConfig, ctx: Telescope, a: Term, b: Term,
-          subst: dict[int, Term] | None = None, meta_types: dict[int, Term] | None = None,
-          trace: Trace | None = None) -> dict[int, Term]:
+          subst: dict[int, Term] | None = None,
+          meta_types: dict[int, Term] | None = None) -> dict[int, Term]:
     """First-order unification; metas are holes, free variables are rigid.
 
     Returns the extended substitution on success.  Raises Mismatch or
@@ -444,11 +428,9 @@ def unify(env: Environment, config: DefEqConfig, ctx: Telescope, a: Term, b: Ter
     """
     work = dict(subst) if subst else {}
     cmp = _Comparator(env, config, {c.name: c.ty for c in ctx}, eta=config.eta_unifier,
-                      subst=work, meta_types=meta_types, trace=trace)
+                      subst=work, meta_types=meta_types, trace=None)
     try:
         cmp.compare(a, b)
     except _NotDefEq as e:
-        if trace is not None:
-            trace.step(f"mismatch: {pp_term(e.lhs)} vs {pp_term(e.rhs)}")
         raise Mismatch(e.lhs, e.rhs) from None
     return work

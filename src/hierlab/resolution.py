@@ -50,7 +50,7 @@ from typing import Protocol, Sequence
 
 from .declarations import DefDecl, Environment, StructDecl
 from .kernel import (
-    DefEqConfig, DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, Trace, unify,
+    DefEqConfig, DEFAULT_CONFIG, Mismatch, OccursCheck, Trace, unify,
 )
 from .terms import (
     Const, FreeVar, Meta, Telescope, Term, apps, metas_in, pp_term,
@@ -139,8 +139,9 @@ class _State:
     config: DefEqConfig
     max_depth: int
     trace: Trace
-    metas: MetaCtx
     table: AnswerTable
+    # The type of each meta made so far, by id; the next id is their number.
+    meta_types: dict[int, Term] = field(default_factory=dict)
     # What the innermost open goal's search has done so far: the goals it
     # visited, the deepest level it entered, and whether the guard cut.
     visited: set[Term] = field(default_factory=set)
@@ -160,7 +161,7 @@ def resolve(env: Environment, instances: Sequence[InstanceLike], ctx: Telescope,
     trace = trace if trace is not None else Trace()
     table = table if table is not None else AnswerTable()
     table._bind(env, instances, ctx, config, max_depth)
-    state = _State(env, ctx, config, max_depth, trace, MetaCtx(), table)
+    state = _State(env, ctx, config, max_depth, trace, table)
     head, args = unfold_apps(target)
     decl = env.get(head.name) if isinstance(head, Const) else None
     if isinstance(decl, StructDecl) and len(args) < len(decl.params):
@@ -176,7 +177,8 @@ def _open(state: _State, binders: Telescope, mapping: dict[str, Term]) -> list[M
     """A fresh meta per binder, typed over the binders before it via ``mapping``."""
     metas = []
     for binder in binders:
-        m = state.metas.fresh(subst_frees(binder.ty, mapping))
+        m = Meta(len(state.meta_types))
+        state.meta_types[m.mid] = subst_frees(binder.ty, mapping)
         mapping[binder.name] = m
         metas.append(m)
     return metas
@@ -241,7 +243,7 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
             try:
                 new = unify(state.env, state.config, state.ctx,
                             subst_frees(cand.result_type, mapping), target,
-                            subst=subst, meta_types=state.metas.types)
+                            subst=subst, meta_types=state.meta_types)
             except (Mismatch, OccursCheck):
                 continue
             # Each ``new`` is held by this candidate alone, so answers go into it in place.
@@ -251,7 +253,7 @@ def _solve(state: _State, target: Term, subst: dict[int, Term], depth: int,
                 current = zonk(m, new)
                 if not isinstance(current, Meta):
                     continue  # determined by unification with the goal
-                sub_result = _solve(state, state.metas.types[m.mid], new, depth + 1, path)
+                sub_result = _solve(state, state.meta_types[m.mid], new, depth + 1, path)
                 if sub_result is None:
                     break
                 sub_term, new = sub_result

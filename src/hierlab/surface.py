@@ -128,13 +128,6 @@ class SurfaceBinder:
 
 
 @dataclass(frozen=True)
-class SurfaceField:
-    name: str
-    ty: SExpr
-    pos: Pos
-
-
-@dataclass(frozen=True)
 class SurfaceAssign:
     name: str
     value: SExpr
@@ -146,7 +139,7 @@ class ClassItem:
     name: str
     binders: tuple[SurfaceBinder, ...]
     parents: tuple[SExpr, ...]
-    fields: tuple[SurfaceField, ...]
+    fields: tuple[SurfaceBinder, ...]  # explicit binders
     pos: Pos
 
 
@@ -322,14 +315,14 @@ class _Parser:
             while self.at("COMMA"):
                 self.advance()
                 parents.append(self.parse_app())
-        fields: list[SurfaceField] = []
+        fields: list[SurfaceBinder] = []
         if self.at_keyword("where"):
             self.advance()
             while self.at("LPAREN"):
                 fields.extend(self.parse_field_group())
         return ClassItem(name, binders, tuple(parents), tuple(fields), pos)
 
-    def parse_field_group(self) -> list[SurfaceField]:
+    def parse_field_group(self) -> list[SurfaceBinder]:
         self.expect("LPAREN")
         names: list[tuple[str, Pos]] = []
         while self.at("IDENT") and not self.at("COLON"):
@@ -341,7 +334,7 @@ class _Parser:
         self.expect("COLON")
         ty = self.parse_expr()
         self.expect("RPAREN")
-        return [SurfaceField(n, ty, p) for n, p in names]
+        return [SurfaceBinder(n, ty, False, p) for n, p in names]
 
     def parse_binders(self) -> tuple[SurfaceBinder, ...]:
         binders: list[SurfaceBinder] = []
@@ -669,7 +662,7 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
         head, _args = unfold_apps(ty)
         if isinstance(head, Const):
             decl = env.get(head.name)
-            if isinstance(decl, StructDecl) and segment in decl.field_names():
+            if isinstance(decl, StructDecl) and segment in decl.positions:
                 return Proj(head.name, segment, base)
         raise ParseError(pos.line, pos.col,
                          (f"a field of a structure value (no field {segment!r})",),

@@ -62,7 +62,7 @@ from hierlab.declarations import DefDecl, StructDecl
 from hierlab.elaborator import (
     FLAT_HACK_CLASS, PREFERRED, ClassInfo, EncodingStrategy, FieldTypeClash, elaborate,
 )
-from hierlab.kernel import DEFAULT_CONFIG, MetaCtx, Mismatch, OccursCheck, unify
+from hierlab.kernel import DEFAULT_CONFIG, Mismatch, OccursCheck, unify
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
 from hierlab.surface import _IDENT_RE, _SYMBOLS, ParseError
 from hierlab.terms import (
@@ -176,8 +176,8 @@ def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,
             max_depth: int = MAX_DEPTH) -> Term:
     """Untabled depth-first instance search: the same candidate order, path
     guard and depth cap as the library, without the answer table."""
-    metas = MetaCtx()
-    target = _saturate(env, metas, target)
+    meta_types: dict[int, Term] = {}
+    target = _saturate(env, meta_types, target)
 
     def candidates(goal: Term) -> list[tuple[str, object]]:
         head, _ = unfold_apps(goal)
@@ -200,7 +200,7 @@ def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,
             if kind == "local":
                 try:
                     return FreeVar(cand.name), unify(env, config, ctx, cand.ty, goal,
-                                                     subst=subst, meta_types=metas.types)
+                                                     subst=subst, meta_types=meta_types)
                 except (Mismatch, OccursCheck):
                     continue
             result = try_global(cand, goal, subst, depth, path)
@@ -215,19 +215,19 @@ def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,
         mapping: dict[str, Term] = {}
         arg_metas: list[Meta] = []
         for binder in decl.binders:
-            m = metas.fresh(subst_frees(binder.ty, mapping))
+            m = _fresh(meta_types, subst_frees(binder.ty, mapping))
             mapping[binder.name] = m
             arg_metas.append(m)
         try:
             new = unify(env, config, ctx, subst_frees(decl.result_type, mapping), goal,
-                        subst=subst, meta_types=metas.types)
+                        subst=subst, meta_types=meta_types)
         except (Mismatch, OccursCheck):
             return None
         for binder, m in zip(decl.binders, arg_metas):
             current = zonk(m, new)
             if not binder.instance_implicit or not isinstance(current, Meta):
                 continue
-            sub = solve(zonk(metas.types[m.mid], new), new, depth + 1, path)
+            sub = solve(zonk(meta_types[m.mid], new), new, depth + 1, path)
             if sub is None:
                 return None
             sub_term, new = sub
@@ -245,7 +245,14 @@ def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,
     return term
 
 
-def _saturate(env, metas: MetaCtx, target: Term) -> Term:
+def _fresh(meta_types: dict[int, Term], ty: Term) -> Meta:
+    """A new meta of type ``ty``; its id is the number of metas made before."""
+    m = Meta(len(meta_types))
+    meta_types[m.mid] = ty
+    return m
+
+
+def _saturate(env, meta_types: dict[int, Term], target: Term) -> Term:
     head, args = unfold_apps(target)
     decl = env.get(head.name) if isinstance(head, Const) else None
     if not isinstance(decl, StructDecl) or len(args) >= len(decl.params):
@@ -253,7 +260,7 @@ def _saturate(env, metas: MetaCtx, target: Term) -> Term:
     mapping: dict[str, Term] = {b.name: a for b, a in zip(decl.params, args)}
     extra = []
     for binder in decl.params[len(args):]:
-        m = metas.fresh(subst_frees(binder.ty, mapping))
+        m = _fresh(meta_types, subst_frees(binder.ty, mapping))
         mapping[binder.name] = m
         extra.append(m)
     return apps(head, *args, *extra)

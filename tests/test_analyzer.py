@@ -382,6 +382,33 @@ def test_paths_out_of_fuel_fall_back_to_check_diamond(monkeypatch, fig1_nested):
     assert calls["check_diamond"] == 6
 
 
+def test_a_starved_path_leaves_the_other_distinct_forms_unequal_without_eta(monkeypatch):
+    """Under nested, ``d`` reaches ``a`` by ``d.to_a`` and through ``c``
+    twice.  Starving ``c.to_a`` leaves two paths with distinct normal forms:
+    without eta that pair is unequal unasked, and only the pairs with the
+    starved path go to the pairwise reference, here and in ``c -> a``."""
+    elab = elaborate(parse("class a (α : Type) where\n  (x : α → α → α)\n"
+                           "class b (α : Type) extends a α where\n  (y : α)\n"
+                           "class c (α : Type) extends a α, b α where\n  (z : α)\n"
+                           "class d (α : Type) extends c α, a α\n"), EncodingStrategy("nested"))
+    normalize = analyzer.normalize
+
+    def starved(env, config, term, trace=None):
+        if unfold_apps(term)[0] == Const("c.to_a"):
+            raise FuelExhausted("starved")
+        return normalize(env, config, term, trace)
+    monkeypatch.setattr(analyzer, "normalize", starved)
+    expected = reference.analyze(elab, ETA_OFF)
+    calls = count_calls(monkeypatch, "check_diamond", "defeq")
+    reports = analyze(elab, ETA_OFF)
+    assert calls == {"check_diamond": 3, "defeq": 3}
+    assert list(diamond_rows(reports)) == expected
+    (group,) = [r for r in reports if len(r.group.paths) == 3]
+    assert [path_names(p) for p in group.group.paths] == [
+        ["d.to_a"], ["d.to_c", "c.to_a"], ["d.to_c", "c.to_b", "b.to_a"]]
+    assert group.forms[1] < 0 <= group.forms[0] != group.forms[2]
+
+
 def test_sources_of_one_analysis_share_a_path_record(monkeypatch):
     """Under flat, `a.to_x` and `b.to_x` both rebuild the fieldless `x` as
     `x.mk α`, so sources a and b reach one prefix record, and `x.to_z` (and

@@ -131,8 +131,9 @@ def test_elaborate_json_is_the_dump_as_json_dumps_writes_it(run_cli, tmp_path, s
 
 def test_elaborate_text_prints_each_binder_record_once(run_cli, tmp_path, pp_term_calls):
     """The text dump of the same chain prints a binder record once, however
-    many telescopes hold it: a constructor's telescope holds its class's
-    leaf records, and a class's projections share one telescope.  Printing
+    many telescopes hold it: a constructor's telescope and its structure's
+    field lines hold its class's leaf records, and a class's projections
+    share one telescope.  Printing
     every telescope binder by binder made 102,296 terms; 40,200 of those
     left are the result types and bodies of the 20,100 projections."""
     source = tmp_path / "chain.hier"
@@ -140,7 +141,7 @@ def test_elaborate_text_prints_each_binder_record_once(run_cli, tmp_path, pp_ter
     code, out, _ = run_cli("elaborate", source, "--encoding", "flat")
     assert code == 0
     assert out.count("\ndef k199.mk (α : Type) (f0 : α) ") == 1
-    assert pp_term_calls[0] == 41997
+    assert pp_term_calls[0] == 41797
 
 
 def test_elaborate_json_shape(run_cli):
@@ -899,6 +900,8 @@ MARKER_PARENT = HAS_ONE + "class a (α : Type)\nclass x (α : Type) extends flat
 OWN_MK = "class s (α : Type) where\n  (mk : α)\n"
 OWN_TO_PARENT = ("class s (α : Type) where\n  (x : α)\n"
                  "class t (α : Type) extends s α where\n  (to_s : α)\n")
+INHERITED_PARAM = ("class p (β : Type) where\n  (α : β)\n"
+                   "class c (α : Type) extends p α where\n  (g : α)\n")
 
 
 @pytest.mark.parametrize("command", ["elaborate", "spanning-search"])
@@ -934,17 +937,75 @@ OWN_TO_PARENT = ("class s (α : Type) where\n  (x : α)\n"
     (OWN_TO_PARENT, "flat-hack", ":3:1: duplicate declaration 't.to_s'"),
     (OWN_TO_PARENT, "nested",
      ":3:1: field name 'to_s' collides with an inherited substructure field"),
+    # A field, own, inherited or a substructure, named like a parameter.
+    ("class a (x : Type) where\n  (x : x)\n", "nested",
+     ":2:4: field 'x' of 'a' has the name of a parameter"),
+    (INHERITED_PARAM, "flat", ":3:1: field 'α' of 'c' has the name of a parameter"),
+    (INHERITED_PARAM, "nested", ":3:1: field 'α' of 'c' has the name of a parameter"),
+    ("class p (β : Type) where\n  (x : β)\nclass c (to_p : Type) extends p to_p\n",
+     "nested", ":3:1: field 'to_p' of 'c' has the name of a parameter"),
+    # Instance targets and assignments.
+    (HAS_ONE + "instance foo : Type\n",
+     "nested", ":4:1: instance 'foo' must target a declared class"),
+    (HAS_ONE + "instance foo : has_one int where\n  (one := opaque)\n  (one := opaque)\n",
+     "nested", ":6:4: 'foo' assigns 'one' twice"),
+    (HAS_ONE + "instance foo : has_one int int where\n  (one := opaque)\n",
+     "nested", ":4:1: instance 'foo' applies 'has_one' to too many arguments"),
+    (HAS_ONE + "instance foo : has_one where\n  (one := opaque)\n",
+     "nested", ":4:1: instance 'foo' leaves explicit parameter 'α' of 'has_one' unapplied"),
+    # Parse errors.
+    ("class a (α : Type) where\n  ( : α)\n", "nested", ":2:5: expected field name, found ':'"),
+    (HAS_ONE + "goal g : class\n", "nested", ":4:10: expected a term, found 'class'"),
 ], ids=["named-like-a-projection", "declared-twice", "missing-field",
         "earlier-item-first", "non-name-parent", "own-opaque-field",
         "marker-parent-flat-hack", "marker-parent-nested", "own-mk-nested",
         "own-mk-flat", "own-to-parent-flat", "own-to-parent-flat-hack",
-        "own-to-parent-nested"])
+        "own-to-parent-nested", "own-field-named-like-a-parameter",
+        "inherited-field-named-like-a-parameter-flat",
+        "inherited-field-named-like-a-parameter-nested",
+        "substructure-named-like-a-parameter", "instance-of-a-non-class",
+        "assigned-twice", "too-many-arguments", "explicit-parameter-unapplied",
+        "field-name-missing", "keyword-as-a-term"])
 def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, command,
                                                        text, encoding, diagnostic):
     src = tmp_path / "bad.hier"
     src.write_text(text)
     code, out, err = run_cli(command, str(src), "--encoding", encoding)
     assert (code, out, err) == (2, "", f"{src}{diagnostic}\n")
+
+
+def param_diamond(param: str) -> str:
+    """A flat diamond ``d -> a`` whose classes take one parameter ``param``."""
+    return (f"class a ({param} : Type) where\n  (x : {param})\n"
+            f"class b ({param} : Type) extends a {param} where\n  (y : {param})\n"
+            f"class c ({param} : Type) extends a {param} where\n  (y : {param})\n"
+            f"class d ({param} : Type) extends b {param}, c {param}\n"
+            "variables (T : Type) [iT : d T]\ngoal g : a T\n")
+
+
+@pytest.mark.parametrize("param", ["α", "i", "self"])
+def test_generated_instance_binders_do_not_capture_a_parameter(run_cli, tmp_path, param):
+    """A projection's instance binder is ``self`` and a rebuilt instance's
+    ``i``, unless the class has a parameter of that name: then the binder
+    takes a fresh one, and search and the oracle read the same as with
+    ``α``."""
+    src = tmp_path / "param.hier"
+    src.write_text(param_diamond(param))
+    code, out, err = run_cli("resolve", src, "--encoding", "flat")
+    assert (code, out, err) == (0, "goal g : @a T\n  found: @c.to_a T (@d.to_c T iT)\n", "")
+    code, out, err = run_cli("diamonds", src, "--encoding", "flat", "--eta-kernel", "off")
+    assert (code, err) == (0, "")
+    assert out == ("d -> a: [d.to_b, b.to_a] vs [d.to_c, c.to_a]: oracle=equal "
+                   "predictor=commutes -> commutes\n"
+                   "1 / 1 commuting, 0 oracle/predictor mismatches\n")
+    code, out, err = run_cli("elaborate", src, "--encoding", "flat")
+    assert (code, err) == (0, "")
+    inst = "i_1" if param == "i" else "i"
+    value = "self_1" if param == "self" else "self"
+    assert (f"def a.x ({param} : Type) [{value} : @a {param}] : {param} := {value}.x\n"
+            in out)
+    assert (f"instance b.to_a ({param} : Type) [{inst} : @b {param}] : @a {param} := "
+            f"@a.mk {param} {inst}.x  -- flat-constructor\n") in out
 
 
 def test_malformed_parent_order_flag_is_rejected(run_cli):

@@ -252,7 +252,7 @@ def test_every_class_gets_constructor_and_projections(fig1_nested):
     ring = env.struct("ring")
     assert isinstance(env["ring.mk"], DefDecl)
     assert pp_term(env["ring.mk"].body) == "@ring.mk α to_semiring neg"
-    for field in ring.field_names():
+    for field in ring.positions:
         proj = env[f"ring.{field}"]
         assert isinstance(proj, DefDecl)
         assert proj.binders[-1].instance_implicit

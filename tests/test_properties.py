@@ -6,7 +6,9 @@ hierarchies, diamond verdicts from per-path normal forms match the pairwise
 reference, the command line's diamonds report matches the reference dict, the stored leaf-field view matches its recursive reference,
 the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
-instances, the incremental spanning search matches the whole-module one,
+instances, the generated declarations typecheck and keep their diamond
+verdicts whatever the class parameter is named, the incremental spanning
+search matches the whole-module one,
 definitional equality is symmetric, every substitution of the one term
 walker matches its recursive reference, adding declarations as one batch
 leaves what adding them one by one leaves, the command line's JSON writer
@@ -20,6 +22,7 @@ import io
 import json
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
@@ -37,7 +40,7 @@ from hierlab import terms
 from hierlab.terms import (
     App, Binder, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Sort, apps,
 )
-from conftest import ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path, cube_source
+from conftest import CORPUS, ETA_OFF, ETA_ON, UNIFIER_ON, corpus_path, cube_source, load
 
 COMMON = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -342,6 +345,42 @@ def test_resolved_instances_are_well_typed(seed):
         term, _ = resolve(elab.env, elab.instances, ctx, goal, config=ETA_OFF)
         ty = check_type(elab.env, ETA_OFF, ctx, term)
         assert defeq(elab.env, ETA_OFF, ctx, ty, goal)
+
+
+def check_declarations(env):
+    """Check with the kernel, eta off, each structure's parameters and
+    fields as one telescope, and each definition's type and its closure
+    against that type."""
+    for decl in env:
+        if isinstance(decl, StructDecl):
+            check_type(env, ETA_OFF, (), terms.pi_type(decl.params + decl.fields, Sort()))
+        elif isinstance(decl, DefDecl):
+            ty = env.decl_type(decl.name)
+            check_type(env, ETA_OFF, (), ty)
+            check_type(env, ETA_OFF, (), decl.closure, ty)
+
+
+@COMMON
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_generated_declarations_check_whatever_the_parameter_is_named(seed):
+    """The constructors, projections and rebuilt instances the elaborator
+    generates typecheck, and the diamond verdicts stay the same, when the
+    parameter is named like the instance binder of a projection (``self``)
+    or of a rebuilt instance (``i``)."""
+    source = random_hierarchy(seed)
+    for encoding in ENCODINGS:
+        rows = {}
+        for name in ("α", "i", "self"):
+            elab = elaborate(parse(source.replace("α", name)), EncodingStrategy(encoding))
+            check_declarations(elab.env)
+            rows[name] = list(diamond_rows(analyze(elab, ETA_OFF)))
+        assert rows["i"] == rows["α"] and rows["self"] == rows["α"], encoding
+
+
+@pytest.mark.parametrize("name", [p.name for p in sorted(CORPUS.glob("*.hier"))])
+def test_corpus_declarations_check(name):
+    for encoding in ENCODINGS:
+        check_declarations(elaborate(load(name), EncodingStrategy(encoding)).env)
 
 
 def forgetful_steps(elab):
