@@ -29,7 +29,6 @@ from .elaborator import (
     FieldTypeClash,
     InstanceInfo,
     elaborate,
-    flatten_fields,
     preferred_edges,
 )
 from .kernel import (

@@ -7,9 +7,10 @@ Three encodings of ``extends`` are implemented:
   whose projection is registered as a preferred instance (priority 1000); an
   overlapping parent contributes only its missing leaf fields, and a
   synthesized constructor instance (priority 100) rebuilds it, filling
-  substructure fields through the preferred-projection path the class record
-  holds (there is at most one) or a recursively built constructor, and leaf
-  fields through their origin paths.
+  each substructure field, and each leaf field, by the projection of the
+  instance through the class's layout that holds it (there is at most one),
+  or a substructure the class does not hold by a recursively built
+  constructor.
 - flat: the nested rules with no parent stored as a substructure.  Every
   parent takes the overlapping branch, so a class stores its leaf-field view
   in order, and each direct parent gets a rebuilt instance
@@ -34,19 +35,19 @@ its first item.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .declarations import (
     DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl,
 )
-from .kernel import DefEqConfig, DEFAULT_CONFIG
+from .kernel import DefEqConfig, DEFAULT_CONFIG, KernelError, check_type, whnf
 from .resolution import MAX_DEPTH
 from .surface import (
-    ClassItem, DefeqItem, GoalItem, InstanceItem, Item, Pos, SOpaque, SurfaceModule,
-    VariablesItem, resolve_expr,
+    ClassItem, DefeqItem, GoalItem, InstanceItem, Item, Pos, SOpaque, SurfaceBinder,
+    SurfaceModule, VariablesItem, resolve_expr,
 )
 from .terms import (
-    Binder, Const, FreeVar, Mk, Proj, Telescope, Term, apps, fresh_name, pp_term,
+    Binder, Const, FreeVar, Mk, Proj, Sort, Telescope, Term, apps, fresh_name, pp_term,
     subst_frees, unfold_apps,
 )
 
@@ -105,13 +106,6 @@ class InstanceInfo:
     kind: str  # preferred-projection | synthesized-constructor | flat-constructor | user-declared
 
 
-# A chain of projections as a linked list, outermost first:
-# ``((struct, field), rest)``, or ``()`` when empty.  A class's path through
-# a stored parent ends in that parent's path, shared rather than copied, so
-# each entry of a class record adds one link however long its path is.
-ProjPath = tuple[()] | tuple[tuple[str, str], "ProjPath"]
-
-
 @dataclass(frozen=True, eq=False)
 class ClassInfo:
     """An elaborated class, built once when the class is declared.  A fork
@@ -127,8 +121,6 @@ class ClassInfo:
     layout: Telescope  # the structure's fields, over the parameters and earlier fields
     substructures: dict[str, str]  # substructure field -> the parent it stores
     leaves: dict[str, Binder]  # each leaf field, in flat order
-    leaf_origins: dict[str, ProjPath]
-    ancestors: dict[str, ProjPath]  # path to each class stored at any depth
     all_names: frozenset[str]
 
     @property
@@ -173,12 +165,6 @@ class Elaboration:
         return decl
 
 
-def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[str, Term]]:
-    """The flat leaf-field view of a class: parents first (duplicates merged
-    at first occurrence, alpha-equal types required), then own fields."""
-    return [(leaf, b.ty) for leaf, b in classes[name].leaves.items()]
-
-
 def _param_map(info: ClassInfo, args: tuple[Term, ...]) -> dict[str, Term]:
     """Parameter name -> argument, leaving out a parameter applied to its own
     name, so that ``extends p α`` substitutes nothing and shares its terms."""
@@ -210,7 +196,8 @@ def begin_elaboration(strategy: EncodingStrategy) -> Elaboration:
     elab = Elaboration(strategy=strategy, env=Environment(), instances=[],
                        classes={}, variables=(), goals=[], defeqs=[])
     if strategy.kind == "flat_hack":
-        _declare_class(elab, ClassItem(FLAT_HACK_CLASS, (), (), (), Pos(0, 0)))
+        _declare_class(elab, ClassItem(FLAT_HACK_CLASS, (), (), (), Pos(0, 0)),
+                       DEFAULT_CONFIG)
     return elab
 
 
@@ -222,11 +209,11 @@ def elaborate_item(elab: Elaboration, item: Item, config: DefEqConfig = DEFAULT_
     defeq label that an earlier item took, is an error at the item."""
     try:
         if isinstance(item, ClassItem):
-            _declare_class(elab, item)
+            _declare_class(elab, item, config)
         elif isinstance(item, InstanceItem):
             _declare_instance(elab, item, config, max_depth)
         elif isinstance(item, VariablesItem):
-            elab.variables = _resolve_binders(item.binders, elab.env)
+            elab.variables = _resolve_binders(item.binders, elab.env, config)
         elif isinstance(item, GoalItem):
             _take_label(elab, "goal", item)
             elab.goals.append((item.label, elab.variables,
@@ -256,19 +243,15 @@ def preferred_edges(elab: Elaboration) -> frozenset[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # Classes
 
-def _declare_class(elab: Elaboration, item: ClassItem) -> None:
+def _declare_class(elab: Elaboration, item: ClassItem, config: DefEqConfig) -> None:
     if item.name in elab.classes:
         raise ElabError(f"duplicate class {item.name!r}", item.pos)
-    params = _resolve_binders(item.binders, elab.env)
+    params = _resolve_binders(item.binders, elab.env, config)
     parents = _resolve_parents(elab, item, params)
-    own_scope = params
-    own_fields: list[tuple[str, Term]] = []
-    for f in item.fields:
-        ty = resolve_expr(f.ty, own_scope, elab.env)
-        own_fields.append((f.name, ty))
-        own_scope = own_scope + (Binder(f.name, ty),)
+    own_fields = tuple((b.name, b.ty) for b in _resolve_binders(
+        item.fields, elab.env, config, params)[len(params):])
 
-    info = ClassInfo(item.name, params, parents, tuple(own_fields),
+    info = ClassInfo(item.name, params, parents, own_fields,
                      *_layout(elab, item.name, parents, own_fields, item.pos))
     # A field beside a parameter of its name would capture it in the
     # constructor's telescope and in the types of later fields.
@@ -292,12 +275,23 @@ def instance_telescope(cls: str, params: Telescope, hint: str) -> Telescope:
     return params + (Binder(name, self_type, instance_implicit=True),)
 
 
-def _resolve_binders(binders, env: Environment) -> Telescope:
-    out: Telescope = ()
+def _resolve_binders(binders: tuple[SurfaceBinder, ...], env: Environment,
+                     config: DefEqConfig, scope: Telescope = ()) -> Telescope:
+    """``scope`` extended by the binders.  Each binder's type is checked by
+    the kernel in the scope before it and must be a type, as a ``Pi``'s
+    binder type must."""
     for b in binders:
-        ty = resolve_expr(b.ty, out, env)
-        out = out + (Binder(b.name, ty, b.instance_implicit),)
-    return out
+        ty = resolve_expr(b.ty, scope, env)
+        try:
+            sort = check_type(env, config, scope, ty)
+            is_type = isinstance(whnf(env, config, sort), Sort)
+        except KernelError as exc:
+            raise ElabError(str(exc), b.pos) from None
+        if not is_type:
+            raise ElabError(f"{pp_term(ty)} is not a type: it has type {pp_term(sort)}",
+                            b.pos)
+        scope = scope + (Binder(b.name, ty, b.instance_implicit),)
+    return scope
 
 
 def _resolve_parents(elab: Elaboration, item: ClassItem,
@@ -364,15 +358,13 @@ def _inherit(record: Binder, mapping: dict[str, Term]) -> Binder:
 
 def _layout(elab: Elaboration, name: str,
             parents: tuple[tuple[str, tuple[Term, ...]], ...],
-            own_fields: list[tuple[str, Term]], pos: Pos
-            ) -> tuple[Telescope, dict[str, str], dict[str, Binder],
-                       dict[str, ProjPath], dict[str, ProjPath], frozenset[str]]:
+            own_fields: tuple[tuple[str, Term], ...], pos: Pos
+            ) -> tuple[Telescope, dict[str, str], dict[str, Binder], frozenset[str]]:
     """Lay out the parents in order, then the own fields.  A parent sharing
     no name with what was already collected becomes a substructure field
     (never under flat); any other parent contributes its missing leaf fields
     and is rebuilt by a forgetful instance.  Returns the layout, the
-    substructure fields, the leaf records, the leaf origins, the substructure
-    paths and the collected names.
+    substructure fields, the leaf records and the collected names.
 
     A class has at most one substructure path to any class: storing ``A``
     at any depth collects the name ``to_A``, so no other parent that is
@@ -382,8 +374,6 @@ def _layout(elab: Elaboration, name: str,
     collected: set[str] = set()
     leaves: dict[str, Binder] = {}
     leaf_sources: dict[str, str] = {}
-    origins: dict[str, ProjPath] = {}
-    ancestors: dict[str, ProjPath] = {}
     nested = elab.strategy.kind != "flat"
 
     for parent, args in parents:
@@ -395,13 +385,8 @@ def _layout(elab: Elaboration, name: str,
             layout.append(Binder(sub_name, apps(Const(parent), *args)))
             substructures[sub_name] = parent
             collected |= parent_names
-            step = (name, sub_name)
-            ancestors[parent] = (step, ())
-            for ancestor, path in pinfo.ancestors.items():
-                ancestors[ancestor] = (step, path)
-            for leaf, path in pinfo.leaf_origins.items():
-                origins[leaf] = (step, path)
-                leaves[leaf] = _inherit(pinfo.leaves[leaf], mapping)
+            for leaf, record in pinfo.leaves.items():
+                leaves[leaf] = _inherit(record, mapping)
                 leaf_sources[leaf] = parent
         else:
             for record in pinfo.leaves.values():
@@ -409,7 +394,6 @@ def _layout(elab: Elaboration, name: str,
                 if _add_leaf(leaves, leaf_sources, record, parent, pos):
                     layout.append(record)
                     collected.add(record.name)
-                    origins[record.name] = ((name, record.name), ())
 
     for leaf, ty in own_fields:
         if leaf not in leaves and leaf in collected:
@@ -419,9 +403,7 @@ def _layout(elab: Elaboration, name: str,
         if _add_leaf(leaves, leaf_sources, record, name, pos):
             layout.append(record)
             collected.add(leaf)
-            origins[leaf] = ((name, leaf), ())
-    return (tuple(layout), substructures, leaves, origins, ancestors,
-            frozenset(collected))
+    return tuple(layout), substructures, leaves, frozenset(collected)
 
 
 def _declare_constructor(elab: Elaboration, info: ClassInfo) -> None:
@@ -453,40 +435,50 @@ def _declare_projections(elab: Elaboration, info: ClassInfo) -> None:
 
 def _declare_forgetful_instances(elab: Elaboration, info: ClassInfo) -> None:
     """A preferred instance per substructure field, then a rebuilt instance
-    per parent stored without one, in parent order."""
+    per parent stored without one, in parent order, with the constructor
+    kind and priority of the encoding.  The rebuilt instances share one
+    telescope and pack the projections of its instance variable."""
     for field, parent in info.substructures.items():
         elab.instances.append(InstanceInfo(
             f"{info.name}.{field}", info.name, parent, PRIORITY_PREFERRED, PREFERRED))
-    stored = set(info.substructures.values())
-    for parent, args in info.parents:
-        if parent not in stored:
-            _synthesize_instance(elab, info, parent, args)
-
-
-def _synthesize_instance(elab: Elaboration, info: ClassInfo,
-                         parent: str, args: tuple[Term, ...]) -> None:
-    """The forgetful instance that rebuilds a parent not stored as a
-    substructure, with the constructor kind and priority of the encoding."""
+    direct = set(info.substructures.values())
+    rebuilt = [(parent, args) for parent, args in info.parents if parent not in direct]
+    if not rebuilt:
+        return
     binders = instance_telescope(info.name, info.params, "i")
-    decl_name = f"{info.name}.to_{parent}"
-    self_var = FreeVar(binders[-1].name)
-    body = _pack_value(
-        elab, parent, args, lambda leaf: _project(self_var, info.leaf_origins[leaf]),
-        lambda cls: (_project(self_var, info.ancestors[cls])
-                     if cls in info.ancestors else None))
-    elab.env.add(DefDecl(decl_name, binders, apps(Const(parent), *args), body))
+    leaves, stored = projections(elab.classes, info.name, FreeVar(binders[-1].name))
     if elab.strategy.kind == "flat":
         kind, priority = FLAT, PRIORITY_PREFERRED
     else:
         kind, priority = SYNTHESIZED, PRIORITY_SYNTHESIZED
-    elab.instances.append(InstanceInfo(decl_name, info.name, parent, priority, kind))
+    for parent, args in rebuilt:
+        decl_name = f"{info.name}.to_{parent}"
+        body = _pack_value(elab, parent, args, leaves, stored)
+        elab.env.add(DefDecl(decl_name, binders, apps(Const(parent), *args), body))
+        elab.instances.append(InstanceInfo(decl_name, info.name, parent, priority, kind))
 
 
-def _project(value: Term, path: ProjPath) -> Term:
-    while path:
-        (cls, fname), path = path
-        value = Proj(cls, fname, value)
-    return value
+def projections(classes: Mapping[str, ClassInfo], cls: str, value: Term
+                ) -> tuple[dict[str, Term], dict[str, Term]]:
+    """``value``, of class ``cls``, seen through the class's layout: each
+    leaf field, and each class stored at any depth, as the chain of
+    projections of ``value`` through the substructures that hold it."""
+    leaves: dict[str, Term] = {}
+    stored: dict[str, Term] = {}
+    # An explicit stack: substructures may nest deeper than Python recursion.
+    todo = [(cls, value)]
+    while todo:
+        cls, value = todo.pop()
+        info = classes[cls]
+        for f in info.layout:
+            proj = Proj(cls, f.name, value)
+            parent = info.substructures.get(f.name)
+            if parent is None:
+                leaves[f.name] = proj
+            else:
+                stored[parent] = proj
+                todo.append((parent, proj))
+    return leaves, stored
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +486,7 @@ def _project(value: Term, path: ProjPath) -> Term:
 
 def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig,
                       max_depth: int) -> None:
-    binders = _resolve_binders(item.binders, elab.env)
+    binders = _resolve_binders(item.binders, elab.env, config)
     target = resolve_expr(item.target, binders, elab.env)
     head, args = unfold_apps(target)
     if not isinstance(head, Const) or head.name not in elab.classes:
@@ -531,7 +523,7 @@ def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig
             values[leaf] = apps(Const(opaque_name),
                                 *(FreeVar(b.name) for b in binders))
 
-    body = _pack_value(elab, cinfo.name, full_args, values.__getitem__, lambda _: None)
+    body = _pack_value(elab, cinfo.name, full_args, values, {})
     elab.env.add(DefDecl(item.name, binders, target, body))
     priority = item.priority if item.priority is not None else PRIORITY_PREFERRED
     elab.instances.append(InstanceInfo(item.name, None, cinfo.name, priority, USER))
@@ -568,21 +560,21 @@ def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
 
 
 def _pack_value(elab: Elaboration, cls: str, args: tuple[Term, ...],
-                leaf: Callable[[str], Term], stored: Callable[[str], Term | None]) -> Term:
+                leaves: Mapping[str, Term], stored: Mapping[str, Term]) -> Term:
     """A value of ``cls`` at ``args`` in this encoding's constructor shape:
-    ``leaf(name)`` gives each leaf field, and ``stored(parent)`` each
-    substructure, or None to pack that substructure the same way."""
+    ``leaves[name]`` gives each leaf field, and ``stored[parent]`` each
+    substructure; one that ``stored`` lacks is packed the same way."""
     info = elab.classes[cls]
     mapping = _param_map(info, args)
     fields: list[Term] = []
     for f in info.layout:
         parent = info.substructures.get(f.name)
         if parent is None:
-            fields.append(leaf(f.name))
+            fields.append(leaves[f.name])
             continue
-        value = stored(parent)
+        value = stored.get(parent)
         if value is None:
             _, sub_args = unfold_apps(subst_frees(f.ty, mapping))
-            value = _pack_value(elab, parent, tuple(sub_args), leaf, stored)
+            value = _pack_value(elab, parent, tuple(sub_args), leaves, stored)
         fields.append(value)
     return Mk(cls, args, tuple(fields))

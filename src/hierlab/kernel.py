@@ -201,9 +201,10 @@ def infer_type(env: Environment, ctx: Telescope, t: Term,
 def check_type(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
                expected: Term | None = None) -> Term:
     """Synthesize the type of t as ``infer_type`` does, and check with
-    ``defeq`` under config that every argument, binder type and constructor
-    component fits and, when given, that the type is expected.  One fuel
-    budget of config.unfold_depth covers the whole term."""
+    ``defeq`` under config that every argument and constructor component
+    fits, that every binder type and Pi body is a type and, when given, that
+    the type is expected.  One fuel budget of config.unfold_depth covers the
+    whole term."""
     context = {c.name: c.ty for c in ctx}
     ty = _infer(env, config, context, t, _Fuel(config.unfold_depth), None)
     if expected is not None and not _defeq(env, config, context, ty, expected, None):
@@ -214,8 +215,9 @@ def check_type(env: Environment, config: DefEqConfig, ctx: Telescope, t: Term,
 
 def _infer(env: Environment, config: DefEqConfig | None, ctx: dict[str, Term], t: Term,
            fuel: _Fuel, meta_types: dict[int, Term] | None) -> Term:
-    """The type of t in ctx; with a config, also check every argument,
-    binder type and constructor component against its expected type."""
+    """The type of t in ctx; with a config, also check every argument and
+    constructor component against its expected type, and that every binder
+    type and Pi body is a type."""
     if isinstance(t, Sort):
         return SORT
     if isinstance(t, Const):
@@ -246,11 +248,15 @@ def _infer(env: Environment, config: DefEqConfig | None, ctx: dict[str, Term], t
         return instantiate(fn_ty.body, t.arg)
     if isinstance(t, (Lam, Pi)):
         if config is not None:
-            _infer(env, config, ctx, t.ty, fuel, meta_types)
+            _expect_type(env, t.ty, _infer(env, config, ctx, t.ty, fuel, meta_types), fuel)
         name = fresh_name(t.binder or "x", ctx)
-        body_ty = _infer(env, config, {**ctx, name: t.ty}, instantiate(t.body, FreeVar(name)),
-                         fuel, meta_types)
-        return SORT if isinstance(t, Pi) else Pi(t.binder, t.ty, abstract(body_ty, (name,)))
+        body = instantiate(t.body, FreeVar(name))
+        body_ty = _infer(env, config, {**ctx, name: t.ty}, body, fuel, meta_types)
+        if isinstance(t, Lam):
+            return Pi(t.binder, t.ty, abstract(body_ty, (name,)))
+        if config is not None:
+            _expect_type(env, body, body_ty, fuel)
+        return SORT
     if isinstance(t, Mk):
         decl = env.struct(t.struct)
         if len(t.params) != len(decl.params) or len(t.fields) != len(decl.fields):
@@ -282,6 +288,12 @@ def _infer(env: Environment, config: DefEqConfig | None, ctx: dict[str, Term], t
             mapping[fb.name] = Proj(t.struct, fb.name, t.target)
         raise IllTyped(f"structure {t.struct!r} has no field {t.field!r}")
     raise IllTyped(f"cannot infer type of {t!r}")
+
+
+def _expect_type(env: Environment, t: Term, ty: Term, fuel: _Fuel) -> None:
+    """Raise IllTyped unless ``t``, of type ``ty``, is a type."""
+    if not isinstance(_whnf(env, ty, fuel, None), Sort):
+        raise IllTyped(f"{pp_term(t)} is not a type: it has type {pp_term(ty)}")
 
 
 class _Comparator:

@@ -342,8 +342,6 @@ def _pp(t: Term, names: list[str], prec: int) -> str:
     if isinstance(t, Meta):
         return f"?{t.mid}"
     if isinstance(t, BoundVar):
-        if t.index < len(names):
-            return names[-1 - t.index]
         return f"#{t.index}"
     if isinstance(t, Proj):
         return f"{_pp(t.target, names, _ATOM)}.{t.field}"

@@ -9,8 +9,9 @@
   class in ``ClassInfo.leaves``.
 - ``preferred_path``: the path of substructure projections from one class
   to another, by breadth-first search over the class layouts.  The
-  elaborator records these paths once per class in ``ClassInfo.ancestors``
-  while it lays the class out.
+  elaborator's ``projections`` walks a class's layout once, through its
+  substructures, and must reach each class stored at any depth by the
+  chain of projections along this path.
 - ``flat_forgetful_body``: the body of a flat class's instance for a direct
   parent, the parent's constructor applied to the class's projections onto
   each parent leaf.  The elaborator derives it from the nested rebuilding

@@ -953,6 +953,20 @@ INHERITED_PARAM = ("class p (β : Type) where\n  (α : β)\n"
      "nested", ":4:1: instance 'foo' applies 'has_one' to too many arguments"),
     (HAS_ONE + "instance foo : has_one where\n  (one := opaque)\n",
      "nested", ":4:1: instance 'foo' leaves explicit parameter 'α' of 'has_one' unapplied"),
+    # A binder whose type is not a type, or is ill-typed: a class
+    # parameter, an own field (also under an arrow), an instance binder and
+    # a variable.
+    ("class c (α : Type) (y : α) (z : y)\n", "nested", ":1:29: y is not a type: it has type α"),
+    ("class c (α : Type) (y : α) where\n  (f : y)\n", "flat",
+     ":2:4: y is not a type: it has type α"),
+    ("class c (α : Type) (y : α) where\n  (f : α → y)\n", "nested",
+     ":2:4: y is not a type: it has type α"),
+    (HAS_ONE + "instance foo (T : Type) (t : T) (u : t) : has_one T where\n  (one := opaque)\n",
+     "nested", ":4:34: t is not a type: it has type T"),
+    (HAS_ONE + "variables (T : Type) [h : has_one]\n", "flat-hack",
+     ":4:22: has_one is not a type: it has type Type → Type"),
+    ("class c (α : Type) (x : α) where\n  (f : α)\nclass d (β : Type) where\n  (g : c β β)\n",
+     "nested", ":4:4: argument type Type does not match β"),
     # Parse errors.
     ("class a (α : Type) where\n  ( : α)\n", "nested", ":2:5: expected field name, found ':'"),
     (HAS_ONE + "goal g : class\n", "nested", ":4:10: expected a term, found 'class'"),
@@ -965,6 +979,8 @@ INHERITED_PARAM = ("class p (β : Type) where\n  (α : β)\n"
         "inherited-field-named-like-a-parameter-nested",
         "substructure-named-like-a-parameter", "instance-of-a-non-class",
         "assigned-twice", "too-many-arguments", "explicit-parameter-unapplied",
+        "parameter-not-a-type", "field-not-a-type", "arrow-into-a-value",
+        "instance-binder-not-a-type", "variable-not-a-type", "ill-typed-field-type",
         "field-name-missing", "keyword-as-a-term"])
 def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, command,
                                                        text, encoding, diagnostic):
@@ -972,6 +988,17 @@ def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, comman
     src.write_text(text)
     code, out, err = run_cli(command, str(src), "--encoding", encoding)
     assert (code, out, err) == (2, "", f"{src}{diagnostic}\n")
+
+
+def test_a_field_whose_type_is_a_value_is_no_defeq_question(run_cli, tmp_path):
+    """A class whose field has a value for its type is an error where it is
+    declared, so no later question about the field is answered."""
+    src = tmp_path / "value.hier"
+    src.write_text("class c (α : Type) (y : α) where\n  (f : y)\n"
+                   "variables (T : Type) (t : T) [i : c T t]\n"
+                   "defeq d : @c.f T t i = @c.f T t i\n")
+    code, out, err = run_cli("defeq", src)
+    assert (code, out, err) == (2, "", f"{src}:2:4: y is not a type: it has type α\n")
 
 
 def param_diamond(param: str) -> str:

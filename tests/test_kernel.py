@@ -3,7 +3,7 @@ first-order unification."""
 
 import pytest
 
-from hierlab.declarations import Environment, OpaqueDecl, StructDecl
+from hierlab.declarations import DefDecl, Environment, OpaqueDecl, StructDecl
 from hierlab.kernel import (
     DEFAULT_CONFIG,
     DefEqConfig,
@@ -319,6 +319,57 @@ def test_infer_type_infers_the_body_of_a_pi(tiny_env):
     still inferred, under the binder."""
     with pytest.raises(IllTyped, match="^applied non-function of type ι$"):
         infer_type(tiny_env, (), Pi("x", Const("ι"), App(Const("a"), Const("b"))))
+
+
+@pytest.mark.parametrize("term", [
+    Pi("x", Const("a"), Const("ι")),
+    Lam("x", Const("a"), BoundVar(0)),
+    Pi("x", Const("ι"), Const("a")),
+], ids=["Pi-binder", "fun-binder", "Pi-body"])
+def test_check_type_rejects_a_binder_or_pi_body_that_is_not_a_type(tiny_env, term):
+    """A binder's type, and a Pi's body, must have type Type; inference
+    alone does not ask."""
+    with pytest.raises(IllTyped, match="^a is not a type: it has type ι$"):
+        check_type(tiny_env, DEFAULT_CONFIG, (), term)
+    infer_type(tiny_env, (), term)
+
+
+def test_check_type_takes_a_binder_type_that_unfolds_to_type(tiny_env):
+    """A type's type is Type after weak head reduction: ``k : U`` with
+    ``U := Type`` is a type."""
+    env = tiny_env.copy()
+    env.add(DefDecl("U", (), Sort(), Sort()), OpaqueDecl("k", (), Const("U")))
+    assert check_type(env, DEFAULT_CONFIG, (), Pi("x", Const("k"), Const("k"))) == Sort()
+    assert check_type(env, DEFAULT_CONFIG, (), Pi("x", Sort(), BoundVar(0))) == Sort()
+
+
+@pytest.mark.parametrize("term, message", [
+    (FreeVar("z"), "unknown free variable 'z'"),
+    (Mk("pair", (), (Const("a"),)), "constructor of 'pair' applied to the wrong arity"),
+    (Proj("box", "v", Const("q")), "structure type 'box' not fully applied"),
+    (Proj("pair", "third", Const("p")), "structure 'pair' has no field 'third'"),
+], ids=["free-variable", "constructor-arity", "structure-arity", "no-field"])
+def test_infer_diagnostics(tiny_env, term, message):
+    env = tiny_env.copy()
+    env.add(StructDecl("box", (Binder("T", Sort()),), (Binder("v", FreeVar("T")),)),
+            OpaqueDecl("q", (), Const("box")), OpaqueDecl("p", (), Const("pair")))
+    with pytest.raises(IllTyped, match=f"^{message}$"):
+        infer_type(env, (), term)
+
+
+@pytest.mark.parametrize("fields, other, stuck", [
+    ((Const("a"), Const("b")), FreeVar("z"), "stuck: @pair.mk a b vs z"),
+    ((Const("a"),), Const("p"), "stuck: @pair.mk a vs p"),
+], ids=["uninferable", "arity"])
+def test_eta_gives_up_without_comparing_fields(tiny_env, fields, other, stuck):
+    """Eta compares no field when the other side's type cannot be inferred,
+    or the constructor does not fit the structure's arity: the terms are
+    not equal, and no ``eta`` step is taken."""
+    env = tiny_env.copy()
+    env.add(OpaqueDecl("p", (), Const("pair")))
+    trace = Trace()
+    assert not defeq(env, ETA_ON, (), Mk("pair", (), fields), other, trace)
+    assert trace.lines == [stuck]
 
 
 def test_forgetful_instance_bodies_typecheck(fig1_nested):

@@ -3,8 +3,10 @@
 Each suite runs 200 derandomized examples: reduction and eta behave the same
 on every record shape, the encoding guarantees hold on arbitrary generated
 hierarchies, diamond verdicts from per-path normal forms match the pairwise
-reference, the command line's diamonds report matches the reference dict, the stored leaf-field view matches its recursive reference,
-the flat layout is that view with every parent rebuilt from it,
+reference, the command line's diamonds report matches the reference dict,
+the stored leaf-field view matches its recursive reference, a class's
+projections through its layout follow the substructure paths a search
+finds, the flat layout is that view with every parent rebuilt from it,
 tabled resolution matches the untabled search and only returns well-typed
 instances, the generated declarations typecheck and keep their diamond
 verdicts whatever the class parameter is named, the incremental spanning
@@ -32,7 +34,7 @@ from hierlab.analyzer import (
 )
 from hierlab.cli import _json_text, main as cli_main
 from hierlab.declarations import DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl
-from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, flatten_fields
+from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, projections
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
 from hierlab.resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from hierlab.surface import _SYMBOLS, KEYWORDS, ParseError, _tokenize, parse
@@ -158,35 +160,41 @@ def test_diamonds_json_matches_the_reference_report(seed):
 def test_stored_leaf_view_matches_recursive_flatten(seed, encoding):
     elab = elaborate(parse(random_hierarchy(seed)), EncodingStrategy(encoding))
     for name in elab.classes:
-        assert flatten_fields(elab.classes, name) == \
+        assert [(leaf, b.ty) for leaf, b in elab.classes[name].leaves.items()] == \
             reference.flatten_fields(elab.classes, name)
 
 
 @COMMON
 @given(st.data(), st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(ENCODINGS))
-def test_recorded_ancestor_paths_match_breadth_first_search(data, seed, encoding):
-    """The substructure path a class record holds to each class is the one
-    a search over the layouts finds, under any parent order."""
+def test_layout_projections_match_breadth_first_search(data, seed, encoding):
+    """Seen through a class's layout, each class stored at any depth is the
+    chain of projections along the path a search over the layouts finds,
+    and each leaf is a projection out of the class whose layout holds it,
+    under any parent order."""
     module = parse(random_hierarchy(seed))
     declared = elaborate(module, EncodingStrategy("nested")).classes
     order = {name: tuple(data.draw(st.permutations([p for p, _ in info.parents]),
                                    label=f"{name} parent order"))
              for name, info in declared.items() if len(info.parents) >= 2}
     elab = elaborate(module, EncodingStrategy(encoding, order))
-
-    def steps(path):
-        """A linked projection path as a flat tuple of its steps."""
-        out = []
-        while path:
-            step, path = path
-            out.append(step)
-        return tuple(out)
+    value = FreeVar("v")
     for source, info in elab.classes.items():
-        for target in elab.classes:
-            if target != source:
-                recorded = info.ancestors.get(target)
-                assert (None if recorded is None else steps(recorded)) == \
-                    reference.preferred_path(elab, source, target)
+        leaves, stored = projections(elab.classes, source, value)
+        expected = {}
+        for target in elab.classes.keys() - {source}:
+            path = reference.preferred_path(elab, source, target)
+            if path is not None:
+                term = value
+                for struct, field in path:
+                    term = Proj(struct, field, term)
+                expected[target] = term
+        assert stored == expected
+        assert set(leaves) == set(info.leaves)
+        for leaf, proj in leaves.items():
+            holder = elab.classes[proj.struct]
+            assert proj.field == leaf
+            assert leaf in {f.name for f in holder.layout} - holder.substructures.keys()
+            assert proj.target == (value if proj.struct == source else stored[proj.struct])
 
 
 @COMMON

@@ -38,8 +38,8 @@ def test_every_parameter_is_read():
 
 def definitions(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, name) for each top-level function, class and assigned name
-    of a module, and each method of its top-level classes; dunders are
-    exempt."""
+    of a module, and each method and annotated field of its top-level
+    classes; dunders are exempt."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -51,6 +51,8 @@ def definitions(tree: ast.Module) -> list[tuple[int, str]]:
         if isinstance(node, ast.ClassDef):
             found += [(m.lineno, m.name) for m in node.body
                       if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            found += [(m.lineno, m.target.id) for m in node.body
+                      if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
     return [(line, name) for line, name in found
             if not (name.startswith("__") and name.endswith("__"))]
 

@@ -165,6 +165,14 @@ def test_bound_variable_outside_context_raises_nothing_but_prints_index():
     assert pp_term(BoundVar(2)) == "#2"
 
 
+def test_loose_bound_variable_under_a_binder_prints_its_index():
+    """A binder's body is printed with the binder's variable put in, so a
+    loose index is printed as itself, not as the binder's name: this term
+    is not the identity."""
+    assert pp_term(Lam("x", SORT, BoundVar(1))) == "fun (x : Type), #0"
+    assert pp_term(Pi("_", SORT, BoundVar(1))) == "Type → #0"
+
+
 def test_term_nodes_and_records_have_no_instance_dict():
     """Term nodes, binders (a class's layout records) and the instance and
     analyzer records are made by the ten thousand: each keeps its fields in
