@@ -28,9 +28,10 @@ edge, with a fuel budget of its own.  A path's record, its normal form and
 parameters, is interned by content, and an extension is keyed by its edge
 and its prefix's record, so paths whose prefixes reduce alike share one
 reduction, within a source and across the sources of one call.
-``spanning_search`` keeps one such table for all its parent orders, with
-each edge keyed by the fingerprint of its declaration's content, so an
-order reduces again only what its changed declarations unfold to.
+An edge is keyed by its declaration object.  ``spanning_search`` interns
+declarations, so that an object stands for its content in every parent
+order, and keeps one table for all orders: an order reduces again only
+what its changed declarations unfold to.
 
 A group's report holds, per path, its normal form's id and whether its last
 edge is a preferred projection; a pair's verdicts are read from its two
@@ -48,7 +49,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .declarations import Environment, Fingerprints, StructDecl
+from .declarations import Environment, StructDecl
 # `elaborate` is not called here; it stays importable from this module,
 # where perfbench's tracer wraps it.
 from .elaborator import (
@@ -308,7 +309,7 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
     Verdicts are decided from one normal form per path, each computed by
     extending the normal form of the path's prefix by its last edge (see
     the module docstring), and equal those of ``check_diamond`` wherever it
-    returns.  An extension is keyed by the edge's declaration name and the
+    returns.  An extension is keyed by the edge's declaration and the
     prefix's record, interned by content, so paths of any source whose
     prefixes reduce alike share one extension.  Fuel is spent per
     extension: each ``normalize`` call unfolds one edge under its own
@@ -347,11 +348,12 @@ class _Reuse:
     fuel; fuel is spent per call, so the key fixes the outcome.
     ``IllTyped`` propagates and is not kept.
 
-    Within one environment an edge is keyed by its declaration name, which
-    names one declaration there.  Across the forks of a spanning search it
-    is keyed by ``fingerprints``, and a record's content also holds those of
-    the constants its parameters name, so that forks share a key exactly
-    when the edge unfolds to the same term.
+    An edge is keyed by the id of its declaration, and a record's content
+    also holds the ids of the declarations its parameters name; the
+    environment of ``analyze``, or the interning table of a spanning
+    search (see ``Environment``), keeps them alive.  Interned, an object
+    stands for its content, so forks share a key exactly when the edge
+    unfolds to the same term.
 
     ``reports`` keeps one object per distinct group report, keyed by its
     group's identity and its verdicts, so that the orders of a spanning
@@ -359,9 +361,8 @@ class _Reuse:
     source's class record and reports as last checked (see
     ``_source_reports``)."""
 
-    def __init__(self, config: DefEqConfig, fingerprints: Fingerprints | None = None) -> None:
+    def __init__(self, config: DefEqConfig) -> None:
         self.config = config
-        self.fingerprints = fingerprints
         self.form_ids: dict[Term, int] = {}
         self.records: dict[tuple, _Record] = {}
         self.extensions: dict[tuple, _Record | None] = {}
@@ -372,16 +373,12 @@ class _Reuse:
         """The one record of a path whose normal form is ``value`` and whose
         target class takes ``args``."""
         form = self.form_ids.setdefault(value, len(self.form_ids))
-        key: tuple = (form, args)
-        if self.fingerprints is not None:
-            key += tuple([self.fingerprints(env, n) for n in sorted(consts_in(*args))])
+        key = (form, args, *[id(env[n]) for n in sorted(consts_in(*args))])
         return self.records.setdefault(key, (args, value, form))
 
     def extend(self, env: Environment, edge: InstanceInfo, record: _Record) -> _Record | None:
         """The record of ``record``'s path extended by ``edge``."""
-        fingerprints = self.fingerprints
-        key = (edge.decl_name if fingerprints is None else fingerprints(env, edge.decl_name),
-               id(record))
+        key = (id(env[edge.decl_name]), id(record))
         try:
             return self.extensions[key]
         except KeyError:
@@ -519,7 +516,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     the classes before it, so a source's reports are reused while its
     record is unchanged (see ``_source_reports``).  A source that is
     checked again looks its path records up in one table kept for the
-    whole search, where edges are keyed by declaration fingerprint (see
+    whole search, where edges are keyed by interned declaration (see
     ``_Reuse``), so it reduces again only the extensions whose edge or
     prefix unfolds differently.  The search chooses every parent order
     itself: a ``strategy`` with ``parent_order`` overrides is a
@@ -547,7 +544,9 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
             elaborate_item(elab, items[index], config, max_depth)
         return elab
 
-    elab = elaborate_from(begin_elaboration(strategy), 0)
+    elab = begin_elaboration(strategy)
+    elab.env.intern()
+    elaborate_from(elab, 0)
     # Under flat_hack the marker class is every class's first parent and is
     # no choice.
     skip = 1 if strategy.kind == "flat_hack" else 0
@@ -555,7 +554,7 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     choices = [[p for p, _ in elab.classes[name].parents[skip:]] for name in names]
     previous = tuple(tuple(parents) for parents in choices)
     by_source = _groups_by_source(elab, max_path_len)
-    reuse = _Reuse(config, Fingerprints())
+    reuse = _Reuse(config)
 
     def analyzed(order: tuple[tuple[str, ...], ...]) -> list[GroupReport]:
         nonlocal elab, previous

@@ -223,6 +223,18 @@ def _parse_in_ctx(text: str, elab: Elaboration, path: str, config: DefEqConfig) 
     return term
 
 
+def _check_stored(elab: Elaboration, config: DefEqConfig, path: str, kind: str,
+                  label: str, ctx: Telescope, *terms: Term) -> None:
+    """Type-check a stored goal's target, which may be an under-applied
+    class, or a stored defeq's sides: a diagnostic at the item's position."""
+    try:
+        for term in terms:
+            check_type(elab.env, config, ctx, term)
+    except KernelError as exc:
+        pos = elab.labels[(kind, label)]
+        raise CliError(f"{path}:{pos.line}:{pos.col}: {kind} {label}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # elaborate
 
@@ -335,11 +347,7 @@ def cmd_defeq(args: argparse.Namespace) -> int:
         raise CliError(f"{args.path}: defeq takes a label, two terms, or nothing")
     if len(args.terms) < 2:
         for label, ctx, lhs, rhs in checks:
-            try:
-                check_type(elab.env, config, ctx, lhs)
-                check_type(elab.env, config, ctx, rhs)
-            except KernelError as exc:
-                raise CliError(f"{args.path}: defeq {label}: {exc}") from exc
+            _check_stored(elab, config, args.path, "defeq", label, ctx, lhs, rhs)
 
     results = []
     all_equal = True
@@ -372,14 +380,14 @@ def cmd_resolve(args: argparse.Namespace) -> int:
     config = _config(args)
     stored = {item[0]: item for item in elab.goals}
 
-    if args.goal is None:
+    if args.goal is not None and args.goal not in stored:
+        todo = [("goal", elab.variables, _parse_in_ctx(args.goal, elab, args.path, config))]
+    else:
         if not stored:
             raise CliError(f"{args.path}: no goals to resolve")
-        todo = list(stored.values())
-    elif args.goal in stored:
-        todo = [stored[args.goal]]
-    else:
-        todo = [("goal", elab.variables, _parse_in_ctx(args.goal, elab, args.path, config))]
+        todo = list(stored.values()) if args.goal is None else [stored[args.goal]]
+        for label, ctx, goal in todo:
+            _check_stored(elab, config, args.path, "goal", label, ctx, goal)
 
     # Goals of one context share an answer table, so a class an earlier goal
     # settled is not searched again.

@@ -6,7 +6,6 @@ names to declarations; later declarations may only mention earlier ones.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -61,20 +60,51 @@ Declaration = StructDecl | DefDecl | OpaqueDecl
 
 
 class Environment:
-    """Ordered name -> declaration map with no forward references."""
+    """Ordered name -> declaration map with no forward references.
+
+    An interning environment and its copies share one table in which a
+    declaration object stands for its content: ``add`` replaces each
+    declaration by the first one taken before that has its name, names the
+    same declaration objects and is equal by ``==``."""
 
     def __init__(self) -> None:
         self._decls: dict[str, Declaration] = {}
         # The binder records of added declarations, by id: the entry keeps
         # its record alive, so an id cannot stand for another one.
         self._checked: dict[int, Binder] = {}
+        # The interned declarations, keyed by name and the ids of the
+        # declarations they name, which are interned and kept alive here;
+        # None when this environment does not intern.
+        self._interned: dict[tuple[str, frozenset[int]], list[Declaration]] | None = None
 
     def copy(self) -> "Environment":
-        """An environment with the same declarations that grows separately."""
+        """An environment with the same declarations and interning table
+        that grows separately."""
         env = Environment()
         env._decls = dict(self._decls)
         env._checked = dict(self._checked)
+        env._interned = self._interned
         return env
+
+    def intern(self) -> None:
+        """Intern the declarations here, and every one added from now on."""
+        self._interned = {}
+        for decl in self._decls.values():  # each the first of its name
+            self._twin(decl)
+
+    def _twin(self, decl: Declaration) -> Declaration:
+        """The interned declaration equal to ``decl``, which it becomes when
+        there is none.  The declarations it names are interned already."""
+        binders, terms = _split(decl)
+        names = consts_in(*(b.ty for b in binders), *terms)
+        names.discard(decl.name)
+        twins = self._interned.setdefault(
+            (decl.name, frozenset([id(self._decls[n]) for n in names])), [])
+        for twin in twins:
+            if twin == decl:
+                return twin
+        twins.append(decl)
+        return decl
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls
@@ -113,7 +143,8 @@ class Environment:
         of the batch, the declarations are added one by one, each checked
         term by term: the error is a duplicate name or the alphabetically
         first name of the first offending term that is neither declared nor
-        the declaration itself, and the declarations before it stay added."""
+        the declaration itself, and the declarations before it stay added.
+        An interning environment takes each one's interned twin instead."""
         batch = {decl.name: decl for decl in decls}
         new: dict[int, Binder] = {}
         terms: list[Term] = []
@@ -126,6 +157,8 @@ class Environment:
             terms += rest
         if (len(batch) == len(decls) and self._decls.keys().isdisjoint(batch)
                 and not consts_in(*terms).difference(self._decls)):
+            if self._interned is not None:
+                batch = {name: self._twin(decl) for name, decl in batch.items()}
             self._decls.update(batch)
             self._checked.update(new)
             return
@@ -136,7 +169,7 @@ class Environment:
             new = {id(b): b for b in binders if id(b) not in self._checked}
             for term in [b.ty for b in new.values()] + rest:
                 self._validate_refs(decl.name, term)
-            self._decls[decl.name] = decl
+            self._decls[decl.name] = decl if self._interned is None else self._twin(decl)
             self._checked.update(new)
 
     def _validate_refs(self, owner: str, term: Term) -> None:
@@ -159,52 +192,6 @@ class Environment:
         """The lambda-closed value of a definition."""
         decl = self._decls.get(name)
         return decl.closure if isinstance(decl, DefDecl) else None
-
-
-class Fingerprints:
-    """Exact content ids of declarations.  A declaration's fingerprint is
-    the interned id of its content together with the fingerprints of the
-    constants and structures it names, so two declarations, in one
-    environment or in two, get one fingerprint exactly when they unfold to
-    the same terms.  Ids are interned, never hashed, so that no two
-    contents share one.
-
-    The table keeps one declaration per distinct content.  It remembers the
-    fingerprint of each declaration object only while the object lives: an
-    object names the same declarations wherever it is, since environments
-    share the declarations before the point where they were copied."""
-
-    def __init__(self) -> None:
-        self._ids: dict[tuple[Declaration, tuple[int, ...]], int] = {}
-        self._of: dict[int, tuple[int, weakref.ref]] = {}
-
-    def __call__(self, env: Environment, name: str) -> int:
-        entry = self._of.get(id(env[name]))
-        if entry is None:
-            self._add(env, name)
-            entry = self._of[id(env[name])]
-        return entry[0]
-
-    def _add(self, env: Environment, name: str) -> None:
-        # An explicit stack: a declaration's names reach back through every
-        # class it inherits from, which may be deeper than Python recursion.
-        stack = [name]
-        while stack:
-            decl = env[stack[-1]]
-            if id(decl) in self._of:
-                stack.pop()
-                continue
-            binders, terms = _split(decl)
-            names = sorted(consts_in(*(b.ty for b in binders), *terms) - {decl.name})
-            pending = [n for n in names if id(env[n]) not in self._of]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            content = (decl, tuple([self._of[id(env[n])][0] for n in names]))
-            key = id(decl)
-            self._of[key] = (self._ids.setdefault(content, len(self._ids)),
-                             weakref.ref(decl, lambda _, key=key: self._of.pop(key, None)))
 
 
 def _split(decl: Declaration) -> tuple[Telescope, list[Term]]:

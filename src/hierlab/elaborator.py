@@ -135,8 +135,9 @@ class Elaboration:
     ``variables`` holds the telescope after the last ``variables`` block;
     goals and defeqs each capture the telescope in effect where they appear,
     since a later ``variables`` block replaces the ambient context.
-    ``labels`` holds the ``("goal", label)`` and ``("defeq", label)`` pairs
-    taken so far, so that a repeated label is an error at its item.
+    ``labels`` maps the ``("goal", label)`` and ``("defeq", label)`` pairs
+    taken so far to their items' positions, so that a repeated label is an
+    error at its item and a stored item's diagnostic names its place.
     """
 
     strategy: EncodingStrategy
@@ -146,7 +147,7 @@ class Elaboration:
     variables: Telescope
     goals: list[tuple[str, Telescope, Term]]
     defeqs: list[tuple[str, Telescope, Term, Term]]
-    labels: set[tuple[str, str]] = dc_field(default_factory=set)
+    labels: dict[tuple[str, str], Pos] = dc_field(default_factory=dict)
     # One variable per field name for the constructor bodies, so that a
     # field a class inherits is its parent's variable there too.
     field_vars: dict[str, FreeVar] = dc_field(default_factory=dict)
@@ -157,7 +158,7 @@ class Elaboration:
         field variables are shared, since none changes once made."""
         return Elaboration(strategy, self.env.copy(), list(self.instances),
                            dict(self.classes), self.variables, list(self.goals),
-                           list(self.defeqs), set(self.labels), self.field_vars)
+                           list(self.defeqs), dict(self.labels), self.field_vars)
 
     def instance_decl(self, name: str) -> DefDecl:
         decl = self.env[name]
@@ -231,7 +232,7 @@ def _take_label(elab: Elaboration, kind: str, item: GoalItem | DefeqItem) -> Non
     key = (kind, item.label)
     if key in elab.labels:
         raise ElabError(f"duplicate {kind} label {item.label!r}", item.pos)
-    elab.labels.add(key)
+    elab.labels[key] = item.pos
 
 
 def preferred_edges(elab: Elaboration) -> frozenset[tuple[str, str]]:

@@ -299,15 +299,34 @@ def test_ill_typed_ad_hoc_terms_are_a_diagnostic(run_cli, command):
 
 def test_ill_typed_stored_defeq_sides_are_a_diagnostic(run_cli):
     """Under flat-hack a constructor's first field is the marker
-    substructure, so point.hier's eta item is ill-typed there; it is
-    well-typed under the other encodings."""
+    substructure, so point.hier's eta item is ill-typed there, reported at
+    the item; it is well-typed under the other encodings."""
     for label in ((), ("eta",)):
         code, out, err = run_cli("defeq", POINT, *label, "--encoding", "flat-hack")
         assert (code, out, err) == (
-            2, "", f"{POINT}: defeq eta: argument type int does not match flat_hack\n")
+            2, "", f"{POINT}:13:1: defeq eta: argument type int does not match "
+                   f"flat_hack\n")
     for encoding in ("flat", "nested"):
         code, out, err = run_cli("defeq", POINT, "--encoding", encoding)
         assert (code, out, err) == (0, "eta: equal\n", "")
+
+
+def test_ill_typed_stored_goals_are_a_diagnostic(run_cli, tmp_path):
+    """A stored goal's target is checked by the kernel before any goal is
+    searched, and one it rejects is a diagnostic at the item, asked for by
+    label or not.  A goal that is an under-applied class is a question, not
+    an error (see module.hier's `module R R` goals)."""
+    src = tmp_path / "goal.hier"
+    src.write_text("class a (α : Type) where\n  (x : α)\n"
+                   "variables (T : Type) [iT : a T]\n"
+                   "goal fine : a T\n"
+                   "goal g : a iT\n")
+    for label in ((), ("g",)):
+        code, out, err = run_cli("resolve", str(src), *label)
+        assert (code, out, err) == (
+            2, "", f"{src}:5:1: goal g: argument type @a T does not match Type\n")
+    code, out, err = run_cli("resolve", str(src), "fine")
+    assert (code, out, err) == (0, "goal fine : @a T\n  found: iT\n", "")
 
 
 @pytest.mark.parametrize("kind, label", [("goal", "g"), ("defeq", "e")])
