@@ -49,12 +49,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .declarations import Environment, StructDecl
+from .declarations import Environment, StructDecl, instance_telescope
 # `elaborate` is not called here; it stays importable from this module,
 # where perfbench's tracer wraps it.
 from .elaborator import (
     PREFERRED, ClassInfo, Elaboration, EncodingStrategy, InstanceInfo,
-    begin_elaboration, elaborate, elaborate_item, instance_telescope,
+    begin_elaboration, elaborate, elaborate_item,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
 from .resolution import MAX_DEPTH
@@ -178,7 +178,7 @@ def build_graph(env: Environment, instances: list[InstanceInfo]) -> HierGraph:
     outgoing: dict[str, list[InstanceInfo]] = {}
     for e in edges:
         outgoing.setdefault(e.from_class, []).append(e)
-    pending = dict.fromkeys((d.name for d in env if isinstance(d, StructDecl)), 0)
+    pending = dict.fromkeys((d.name for d in env.stored() if isinstance(d, StructDecl)), 0)
     for e in edges:
         pending.setdefault(e.from_class, 0)
         pending[e.to_class] = pending.get(e.to_class, 0) + 1

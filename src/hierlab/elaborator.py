@@ -23,6 +23,10 @@ Three encodings of ``extends`` are implemented:
 The overlap test uses the parent's complete transitive field-name set
 (substructure names included), which is exactly what makes flat_hack work.
 
+A class adds one structure and its rebuilt instances to the environment.
+The structure's constructor and projections, preferred instances included,
+are derived from it when first read (``declarations.StructDecl.derived``).
+
 ``elaborate`` is ``begin_elaboration``, then ``elaborate_item`` once per
 module item, then a check that every parent-order override names a class
 of the module.  What an item adds depends only on the state the items
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
 from .declarations import (
-    DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl,
+    DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl, instance_telescope,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, KernelError, check_type, whnf
 from .resolution import MAX_DEPTH
@@ -47,7 +51,7 @@ from .surface import (
     SurfaceModule, VariablesItem, resolve_expr,
 )
 from .terms import (
-    Binder, Const, FreeVar, Mk, Proj, Sort, Telescope, Term, apps, fresh_name, pp_term,
+    Binder, Const, FreeVar, Mk, Proj, Sort, Telescope, Term, apps, pp_term,
     subst_frees, unfold_apps,
 )
 
@@ -148,17 +152,14 @@ class Elaboration:
     goals: list[tuple[str, Telescope, Term]]
     defeqs: list[tuple[str, Telescope, Term, Term]]
     labels: dict[tuple[str, str], Pos] = dc_field(default_factory=dict)
-    # One variable per field name for the constructor bodies, so that a
-    # field a class inherits is its parent's variable there too.
-    field_vars: dict[str, FreeVar] = dc_field(default_factory=dict)
 
     def fork(self, strategy: EncodingStrategy) -> "Elaboration":
         """A copy that later items extend separately, under ``strategy``.
-        The containers are copied; declarations, ``ClassInfo`` records and
-        field variables are shared, since none changes once made."""
+        The containers are copied; declarations and ``ClassInfo`` records
+        are shared, since neither changes once made."""
         return Elaboration(strategy, self.env.copy(), list(self.instances),
                            dict(self.classes), self.variables, list(self.goals),
-                           list(self.defeqs), dict(self.labels), self.field_vars)
+                           list(self.defeqs), dict(self.labels))
 
     def instance_decl(self, name: str) -> DefDecl:
         decl = self.env[name]
@@ -263,17 +264,7 @@ def _declare_class(elab: Elaboration, item: ClassItem, config: DefEqConfig) -> N
                             f"parameter", pos)
     elab.classes[item.name] = info
     elab.env.add(StructDecl(info.name, info.params, info.layout))
-    _declare_constructor(elab, info)
-    _declare_projections(elab, info)
     _declare_forgetful_instances(elab, info)
-
-
-def instance_telescope(cls: str, params: Telescope, hint: str) -> Telescope:
-    """The class's parameters, then an instance-implicit binder of the class
-    at them, named ``hint`` unless a parameter takes that name."""
-    self_type = apps(Const(cls), *(FreeVar(b.name) for b in params))
-    name = fresh_name(hint, {b.name for b in params})
-    return params + (Binder(name, self_type, instance_implicit=True),)
 
 
 def _resolve_binders(binders: tuple[SurfaceBinder, ...], env: Environment,
@@ -407,33 +398,6 @@ def _layout(elab: Elaboration, name: str,
     return tuple(layout), substructures, leaves, frozenset(collected)
 
 
-def _declare_constructor(elab: Elaboration, info: ClassInfo) -> None:
-    field_vars = elab.field_vars
-    for b in info.layout:
-        if b.name not in field_vars:
-            field_vars[b.name] = FreeVar(b.name)
-    body = Mk(info.name,
-              tuple(FreeVar(b.name) for b in info.params),
-              tuple([field_vars[b.name] for b in info.layout]))
-    binders = info.params + info.layout
-    elab.env.add(DefDecl(f"{info.name}.mk", binders, info.self_type, body))
-
-
-def _declare_projections(elab: Elaboration, info: ClassInfo) -> None:
-    # The value argument is instance-implicit so substructure projections
-    # can serve directly as forgetful instances during resolution.
-    binders = instance_telescope(info.name, info.params, "self")
-    self_var = FreeVar(binders[-1].name)
-    mapping: dict[str, Term] = {}
-    decls: list[DefDecl] = []
-    for f in info.layout:
-        proj = Proj(info.name, f.name, self_var)
-        decls.append(DefDecl(f"{info.name}.{f.name}", binders,
-                             subst_frees(f.ty, mapping), proj))
-        mapping[f.name] = proj
-    elab.env.add(*decls)
-
-
 def _declare_forgetful_instances(elab: Elaboration, info: ClassInfo) -> None:
     """A preferred instance per substructure field, then a rebuilt instance
     per parent stored without one, in parent order, with the constructor
@@ -534,13 +498,15 @@ def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
                         args: tuple[Term, ...], binders: Telescope,
                         config: DefEqConfig, max_depth: int) -> tuple[Term, ...]:
     """Complete an under-applied class target by resolving the missing
-    instance-implicit parameters in the instance's binder context."""
+    instance-implicit parameters in the instance's binder context, with one
+    answer table for all of them."""
     if len(args) > len(cinfo.params):
         raise ElabError(f"instance {item.name!r} applies {cinfo.name!r} to too "
                         f"many arguments", item.pos)
     if len(args) == len(cinfo.params):
         return args
-    from .resolution import ResolutionError, resolve
+    from .resolution import AnswerTable, ResolutionError, resolve
+    table = AnswerTable()
     full = list(args)
     for param in cinfo.params[len(args):]:
         mapping = _param_map(cinfo, tuple(full))
@@ -551,7 +517,7 @@ def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
         subgoal = subst_frees(param.ty, mapping)
         try:
             term, _trace = resolve(elab.env, elab.instances, binders, subgoal,
-                                   config=config, max_depth=max_depth)
+                                   config=config, max_depth=max_depth, table=table)
         except ResolutionError as exc:
             raise ElabError(
                 f"cannot synthesize argument [{param.name} : "

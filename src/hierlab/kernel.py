@@ -221,9 +221,10 @@ def _infer(env: Environment, config: DefEqConfig | None, ctx: dict[str, Term], t
     if isinstance(t, Sort):
         return SORT
     if isinstance(t, Const):
-        if t.name not in env:
+        decl = env.get(t.name)
+        if decl is None:
             raise IllTyped(f"unknown constant {t.name!r}")
-        return env.decl_type(t.name)
+        return decl.type
     if isinstance(t, FreeVar):
         ty = ctx.get(t.name)
         if ty is None:

@@ -16,6 +16,10 @@
   parent, the parent's constructor applied to the class's projections onto
   each parent leaf.  The elaborator derives it from the nested rebuilding
   rule, since under flat no parent is stored as a substructure.
+- ``class_declarations``: a class's constructor and projections, built
+  eagerly from its ``ClassInfo``, one substitution per projection.  The
+  environment derives them from the stored structure on first read and
+  must give equal declarations.
 - ``resolve``: instance search as a plain depth-first search with no answer
   table; every subgoal is searched again on every path that reaches it.
   ``hierlab.resolution.resolve`` tables ground answers and must agree with
@@ -171,6 +175,28 @@ def flat_forgetful_body(classes: Mapping[str, ClassInfo], name: str, parent: str
     """``Mk(parent, args, Proj(name, leaf, self_var) for each parent leaf)``."""
     return Mk(parent, args, tuple(Proj(name, leaf, self_var)
                                   for leaf, _ in flatten_fields(classes, parent)))
+
+
+def class_declarations(info: ClassInfo) -> list[DefDecl]:
+    """A class's constructor and then its projections, built eagerly from
+    its ``ClassInfo`` as the elaborator once stored them.  The value binder
+    is ``self``, or ``self_<k>`` for the least k no parameter takes, and
+    the k-th projection's result type is its field's type with each
+    earlier field replaced by that field's projection, one substitution
+    per projection."""
+    param_names = {b.name for b in info.params}
+    name = "self" if "self" not in param_names else next(
+        f"self_{k}" for k in itertools.count(1) if f"self_{k}" not in param_names)
+    value = FreeVar(name)
+    binders = info.params + (Binder(name, info.self_type, instance_implicit=True),)
+    mk = Mk(info.name, tuple(FreeVar(b.name) for b in info.params),
+            tuple(FreeVar(f.name) for f in info.layout))
+    decls = [DefDecl(f"{info.name}.mk", info.params + info.layout, info.self_type, mk)]
+    for k, f in enumerate(info.layout):
+        earlier = {g.name: Proj(info.name, g.name, value) for g in info.layout[:k]}
+        decls.append(DefDecl(f"{info.name}.{f.name}", binders, subst_frees(f.ty, earlier),
+                             Proj(info.name, f.name, value)))
+    return decls
 
 
 def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,

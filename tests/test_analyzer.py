@@ -641,6 +641,26 @@ def test_the_interning_table_keeps_one_declaration_per_content():
     assert seen() is None
 
 
+def test_forks_read_the_derived_declarations_of_their_interned_structure():
+    """A structure's constructor and projections are derived once and kept
+    on it, so every fork that interns the structure reads the same objects,
+    as `_Reuse` keys a preferred edge by its projection.  A plain
+    elaboration derives equal, other objects."""
+    module = parse(cube_source(3))
+    items = module.items
+    index = next(i for i, item in enumerate(items) if item.name == "c012")
+    nested = EncodingStrategy("nested")
+    base = interning(nested)
+    elab = elaborate_from(base, nested, items)
+    fork = elaborate_from(elaborate_from(base, nested, items[:index]), nested, items[index:])
+    plain = elaborate(module, nested)
+    derived = [name for info in elab.classes.values()
+               for name in elab.env[info.name].derived_names()]
+    assert "c012.to_c01" in derived
+    for name in derived:
+        assert fork.env[name] is elab.env[name]
+        assert plain.env[name] == elab.env[name] and plain.env[name] is not elab.env[name]
+
 def test_forms_across_environments_key_the_definitions_their_parameters_name():
     """Across environments an extension is keyed by the edge's interned
     declaration, and a path record by those its parameters name.

@@ -989,6 +989,19 @@ INHERITED_PARAM = ("class p (β : Type) where\n  (α : β)\n"
     # Parse errors.
     ("class a (α : Type) where\n  ( : α)\n", "nested", ":2:5: expected field name, found ':'"),
     (HAS_ONE + "goal g : class\n", "nested", ":4:10: expected a term, found 'class'"),
+    # A structure's constructor and projections are derived, not stored, yet
+    # clash with a stored name in either order, and with one another.
+    (HAS_ONE + "instance foo.bar : has_one int where\n  (one := opaque)\n"
+     "class foo where\n  (bar : int)\n", "flat", ":6:1: duplicate declaration 'foo.bar'"),
+    (HAS_ONE + "instance has_one.mk : has_one int where\n  (one := opaque)\n",
+     "flat", ":4:1: duplicate declaration 'has_one.mk'"),
+    (HAS_ONE + "class has_one.one\n", "nested", ":4:1: duplicate declaration 'has_one.one'"),
+    ("class a.b\nclass a where\n  (b : a.b)\n", "nested",
+     ":2:1: duplicate declaration 'a.b'"),
+    ("class a.b where\n  (c : Type)\nclass a where\n  (b.c : Type)\n", "flat",
+     ":3:1: duplicate declaration 'a.b.c'"),
+    ("class a where\n  (b.c : Type)\nclass a.b where\n  (c : Type)\n", "flat",
+     ":3:1: duplicate declaration 'a.b.c'"),
 ], ids=["named-like-a-projection", "declared-twice", "missing-field",
         "earlier-item-first", "non-name-parent", "own-opaque-field",
         "marker-parent-flat-hack", "marker-parent-nested", "own-mk-nested",
@@ -1000,13 +1013,32 @@ INHERITED_PARAM = ("class p (β : Type) where\n  (α : β)\n"
         "assigned-twice", "too-many-arguments", "explicit-parameter-unapplied",
         "parameter-not-a-type", "field-not-a-type", "arrow-into-a-value",
         "instance-binder-not-a-type", "variable-not-a-type", "ill-typed-field-type",
-        "field-name-missing", "keyword-as-a-term"])
+        "field-name-missing", "keyword-as-a-term", "stored-name-then-projection",
+        "instance-named-like-a-constructor", "class-named-like-a-projection",
+        "class-then-projection-named-like-it", "projection-of-a-dotted-class",
+        "dotted-field-then-class"])
 def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, command,
                                                        text, encoding, diagnostic):
     src = tmp_path / "bad.hier"
     src.write_text(text)
     code, out, err = run_cli(command, str(src), "--encoding", encoding)
     assert (code, out, err) == (2, "", f"{src}{diagnostic}\n")
+
+
+def test_the_json_dump_of_the_flat_chain_derives_nothing(run_cli, tmp_path, monkeypatch):
+    """`hier elaborate --emit json` on the flat 200-class chain stores one
+    structure per class and one instance per parent, and reads none of the
+    derived constructors and projections, so none is built."""
+    src = tmp_path / "chain.hier"
+    src.write_text(chain_source(200))
+    made = []
+    monkeypatch.setattr(cli, "elaborate", lambda *args: made.append(elaborate(*args)) or made[-1])
+    code, out, _ = run_cli("elaborate", src, "--encoding", "flat", "--emit", "json")
+    assert code == 0 and out
+    env = made[0].env
+    stored = list(env.stored())
+    assert len(stored) == 399
+    assert env._derived == {} and not any("derived" in vars(decl) for decl in stored)
 
 
 def test_a_field_whose_type_is_a_value_is_no_defeq_question(run_cli, tmp_path):

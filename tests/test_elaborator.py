@@ -5,7 +5,7 @@ from operator import is_
 
 import pytest
 
-from hierlab import declarations
+from hierlab import declarations, resolution
 from hierlab.declarations import (
     DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl,
 )
@@ -475,26 +475,27 @@ def walks(monkeypatch):
 
 def test_environment_walks_each_declaration_once(walks, cube_module):
     """One constant walk over the terms of each added batch, leaving out the
-    binder records the environment has already checked, such as a
-    constructor's; the per-term walks run only to name a missing constant.
-    A class's projections are one batch, and the instances that rebuild its
-    parents share one telescope: ``top_mag`` rebuilds two parents and walks
-    its instance binder once, where a binder per instance walks 304 nodes."""
+    binder records the environment has already checked; the per-term walks
+    run only to name a missing constant.  A class's constructor and
+    projections are derived, so nothing adds or walks them, and the
+    instances that rebuild its parents share one telescope: ``top_mag``
+    rebuilds two parents and walks its instance binder once, where a binder
+    per instance walks 122 nodes."""
     walked, batches = walks
     elab = elaborate(cube_module, EncodingStrategy("nested"))
-    assert len(walked) == len(batches) == 29
-    assert sum(map(len, batches)) == len(elab.env) == 38
-    assert sum(_term_nodes(t) for roots in walked for t in roots) == 301
+    assert len(walked) == len(batches) == 13
+    assert sum(map(len, batches)) == len(list(elab.env.stored())) == 13
+    assert len(elab.env) == len(list(elab.env)) == 38
+    assert sum(_term_nodes(t) for roots in walked for t in roots) == 119
 
 
 @pytest.mark.parametrize("kind", ["flat", "flat_hack"])
 def test_flat_chain_walks_grow_with_classes_not_fields(walks, kind):
-    """A chain of n classes makes four walks per class under flat (the
-    structure, its constructor, its projections and the instance that
-    rebuilds its parent, which the first class lacks), and three more for
-    the marker class under flat-hack, though the last class alone has n
-    projections: under flat, 239 walks for 1,830 fields at n = 60 and 479
-    for 7,260 at n = 120."""
+    """A chain of n classes makes two walks per class under flat (the
+    structure and the instance that rebuilds its parent, which the first
+    class lacks), and one more for the marker class under flat-hack, though
+    the last class alone has n fields: under flat, 119 walks for 1,830
+    fields at n = 60 and 239 for 7,260 at n = 120."""
     walked, batches = walks
     for n in (60, 120):
         walked.clear()
@@ -502,7 +503,7 @@ def test_flat_chain_walks_grow_with_classes_not_fields(walks, kind):
         elab = elaborate(parse(chain_source(n)), EncodingStrategy(kind))
         fields = n * (n + 1) // 2 + n * (kind == "flat_hack")  # and each to_flat_hack
         assert sum(len(info.layout) for info in elab.classes.values()) == fields
-        assert len(walked) == len(batches) == 4 * n - 1 + 3 * (kind == "flat_hack")
+        assert len(walked) == len(batches) == 2 * n - 1 + (kind == "flat_hack")
 
 
 def test_a_telescope_is_walked_again_where_it_was_not_checked():
@@ -526,19 +527,20 @@ def test_a_telescope_is_walked_again_where_it_was_not_checked():
         assert "d" not in other
 
 
-def test_a_projection_result_is_checked_after_its_telescope():
-    """Projections share one telescope, which is walked once; each result
-    type and body is still walked."""
+def test_a_result_is_checked_after_its_shared_telescope():
+    """Definitions that share one telescope, as the instances rebuilding a
+    class's parents do, walk it once; each result type and body is still
+    walked."""
     env = Environment()
     env.add(StructDecl("s", (Binder("α", SORT),), (Binder("a", FreeVar("α")),)))
-    binders = (Binder("α", SORT), Binder("self", apps(Const("s"), FreeVar("α")), True))
-    env.add(DefDecl("s.a", binders, FreeVar("α"), Proj("s", "a", FreeVar("self"))))
+    binders = (Binder("α", SORT), Binder("i", apps(Const("s"), FreeVar("α")), True))
+    env.add(DefDecl("d", binders, FreeVar("α"), Proj("s", "a", FreeVar("i"))))
     with pytest.raises(EnvironmentError_,
-                       match="^declaration 's.b' references 'x' before its declaration$"):
-        env.add(DefDecl("s.b", binders, Const("x"), Proj("s", "a", FreeVar("self"))))
+                       match="^declaration 'e' references 'x' before its declaration$"):
+        env.add(DefDecl("e", binders, Const("x"), Proj("s", "a", FreeVar("i"))))
     with pytest.raises(EnvironmentError_, match="references 't' before"):
-        env.add(DefDecl("s.b", binders, FreeVar("α"), Proj("t", "a", FreeVar("self"))))
-    assert "s.b" not in env
+        env.add(DefDecl("e", binders, FreeVar("α"), Proj("t", "a", FreeVar("i"))))
+    assert "e" not in env
 
 
 def test_parent_applied_to_wrong_arity_is_rejected():
@@ -549,6 +551,33 @@ class derived (α : Type) extends base α
 """)
     with pytest.raises(ElabError):
         elaborate(module, EncodingStrategy("nested"))
+
+
+def test_an_instance_resolves_its_missing_parameters_with_one_table(monkeypatch):
+    """The searches for an instance's missing instance parameters share one
+    answer table, so the instances are ranked once for all of them."""
+    ranked = []
+    rank = resolution._rank_by_class
+    monkeypatch.setattr(resolution, "_rank_by_class",
+                        lambda *args: ranked.append(args) or rank(*args))
+    module = parse("""
+class int
+class has_one (α : Type) where
+  (one : α)
+class has_zero (α : Type) where
+  (zero : α)
+class both (α : Type) [o : has_one α] [z : has_zero α] where
+  (two : α)
+instance int.one : has_one int where
+  (one := opaque)
+instance int.zero : has_zero int where
+  (zero := opaque)
+instance int.both : both int where
+  (two := opaque)
+""")
+    elab = elaborate(module, EncodingStrategy("nested"))
+    assert len(ranked) == 1
+    assert pp_term(elab.instance_decl("int.both").result_type) == "@both int int.one int.zero"
 
 
 def test_instance_missing_fields_is_rejected():

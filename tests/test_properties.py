@@ -391,6 +391,41 @@ def test_corpus_declarations_check(name):
         check_declarations(elaborate(load(name), EncodingStrategy(encoding)).env)
 
 
+# Fields whose types name earlier fields, own and inherited, which the
+# generated hierarchies lack.
+DEPENDENT_FIELDS = ("class dep (α : Type) extends c0 α where\n"
+                    "  (carrier : Type)\n  (pt : carrier)\n  (act : carrier → α)\n"
+                    "class dep2 (α : Type) extends dep α where\n  (w : α)\n")
+
+
+@COMMON
+@given(st.sampled_from([p.name for p in sorted(CORPUS.glob("*.hier"))])
+       | st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["α", "self"]), st.booleans())
+def test_derived_declarations_match_the_eager_reference(source, param, dependent):
+    """Each structure's constructor and projections, derived on first read,
+    equal those built eagerly from its class record, also when the class
+    parameter takes the projections' value binder name or a field's type
+    names an earlier field; the environment lists them right after the
+    structure, as the objects it looks up."""
+    if isinstance(source, str):
+        module = load(source)
+    else:
+        text = random_hierarchy(source) + DEPENDENT_FIELDS * dependent
+        module = parse(text.replace("α", param))
+    for encoding in ENCODINGS:
+        elab = elaborate(module, EncodingStrategy(encoding))
+        env = elab.env
+        listed = list(env)
+        names = [decl.name for decl in listed]
+        assert all(env[decl.name] is decl for decl in listed)
+        for info in elab.classes.values():
+            eager = reference.class_declarations(info)
+            at = names.index(info.name) + 1
+            assert names[at:at + len(eager)] == [decl.name for decl in eager]
+            assert [env[decl.name] for decl in eager] == eager
+
+
 def forgetful_steps(elab):
     steps: dict[str, list[tuple[str, str]]] = {}
     for info in elab.instances:
@@ -526,20 +561,23 @@ TELESCOPES = st.sampled_from(SHARED_TELESCOPES) | st.lists(
 @st.composite
 def batches(draw):
     """Declarations for an environment that declares "a" and "b", named "c"
-    to "f" but now and then like a declared name or another of the batch.
-    Two result types in three also name one of "a" to "f" or the undeclared
-    "zz", so that a batch meets self-references, references to its own
-    later or earlier declarations and missing names.  Binder records and
-    telescopes come from a shared pool, as a class's projections share one
-    telescope, or are new; the pool's "z" names "zz"."""
+    to "f" but now and then like a declared name, another of the batch, or
+    the constructor or a field's projection of a structure of the batch.
+    Two result types in three also name one of "a" to "f", such a derived
+    name or the undeclared "zz", so that a batch meets self-references,
+    references to its own later or earlier declarations and missing names.
+    Binder records and telescopes come from a shared pool, as a class's
+    rebuilt instances share one telescope, or are new; the pool's "z" names
+    "zz"."""
     names = draw(st.lists(st.sampled_from("cdef"), max_size=4, unique=True))
+    derived = [f"{n}.{suffix}" for n in names for suffix in ("mk", "x", "w")]
     decls = []
     for name in names:
         if draw(st.integers(0, 5)) == 0:
-            name = draw(st.sampled_from(["a", *names]))
+            name = draw(st.sampled_from(["a", *names, *derived]))
         telescope = draw(TELESCOPES)
         ty = draw(SAFE_TERMS)
-        named = draw(st.none() | st.sampled_from("abcdef") | st.just("zz"))
+        named = draw(st.none() | st.sampled_from([*"abcdef", "c.mk", "c.x"]) | st.just("zz"))
         if named is not None:
             ty = App(ty, Const(named))
         kind = draw(st.sampled_from((OpaqueDecl, DefDecl, StructDecl)))
