@@ -1,10 +1,11 @@
 """Global declarations and the environment that stores them.
 
 Three declaration kinds exist: single-constructor structures, unfoldable
-definitions, and opaque constants.  The environment is an ordered map from
-names to declarations; later declarations may only mention earlier ones.
-A structure's constructor and projections are derived: the environment
-stores the structure alone and builds them when one is first read.
+definitions, and opaque constants.  The environment is one ordered table
+from names to declarations; later declarations may only mention earlier
+ones.  A structure's constructor and projections are derived: their names
+are keys of the table whose entry is the structure, which builds them when
+one is first read.
 """
 from __future__ import annotations
 
@@ -113,17 +114,18 @@ Declaration = StructDecl | DefDecl | OpaqueDecl
 class Environment:
     """Ordered name -> declaration map with no forward references.  It
     stores structures, instances and opaque constants, and answers the
-    names of each structure's derived constructor and projections too.
+    names of each structure's derived constructor and projections too:
+    every name, stored or derived, is one key of one table, and a derived
+    name's entry is the structure it comes from.
 
     An interning environment and its copies share one table in which a
     declaration object stands for its content: ``add`` replaces each
     declaration by the first one taken before that has its name, names the
-    same declaration objects and is equal by ``==``."""
+    same declarations (a derived name by its structure) and is equal by
+    ``==``."""
 
     def __init__(self) -> None:
-        self._decls: dict[str, Declaration] = {}
-        # The derived declarations read so far, by name.
-        self._derived: dict[str, DefDecl] = {}
+        self._names: dict[str, Declaration] = {}
         # The binder records of added declarations, by id: the entry keeps
         # its record alive, so an id cannot stand for another one.
         self._checked: dict[int, Binder] = {}
@@ -136,73 +138,37 @@ class Environment:
         """An environment with the same declarations and interning table
         that grows separately."""
         env = Environment()
-        env._decls = dict(self._decls)
-        env._derived = dict(self._derived)
+        env._names = dict(self._names)
         env._checked = dict(self._checked)
         env._interned = self._interned
         return env
 
     def intern(self) -> None:
         """Intern the declarations here, and every one added from now on."""
-        self._interned = {}
-        for decl in self._decls.values():  # each the first of its name
-            self._twin(decl)
-
-    def _twin(self, decl: Declaration) -> Declaration:
-        """The interned declaration equal to ``decl``, which it becomes when
-        there is none.  The declarations it names are interned already."""
-        binders, terms = _split(decl)
-        names = consts_in(*(b.ty for b in binders), *terms)
-        names.discard(decl.name)
-        twins = self._interned.setdefault(
-            (decl.name, frozenset([id(self[n]) for n in names])), [])
-        for twin in twins:
-            if twin == decl:
-                return twin
-        twins.append(decl)
-        return decl
-
-    def _owner(self, name: str) -> StructDecl | None:
-        """The stored structure whose constructor or projection ``name`` is."""
-        dot = name.find(".")
-        while dot >= 0:
-            struct = self._decls.get(name[:dot])
-            if type(struct) is StructDecl:
-                rest = name[dot + 1:]
-                if rest == "mk" or rest in struct.positions:
-                    return struct
-            dot = name.find(".", dot + 1)
-        return None
+        decls = list(self.stored())
+        self._names, self._interned = {}, {}
+        for decl in decls:
+            self.add(decl)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._decls or name in self._derived or self._owner(name) is not None
+        return name in self._names
 
     def __iter__(self) -> Iterator[Declaration]:
-        """The stored declarations in order, each structure followed by its
+        """The declarations in order, each structure followed by its
         constructor and projections."""
-        for decl in self._decls.values():
-            yield decl
-            if type(decl) is StructDecl:
-                yield from decl.derived.values()
+        for name, decl in self._names.items():
+            yield decl if decl.name == name else decl.derived[name]
 
     def __len__(self) -> int:
-        return sum(2 + len(d.fields) if type(d) is StructDecl else 1
-                   for d in self._decls.values())
+        return len(self._names)
 
     def stored(self) -> Iterator[Declaration]:
         """The stored declarations in order, without the derived ones."""
-        return iter(self._decls.values())
-
-    def _derive(self, name: str) -> DefDecl | None:
-        """The derived declaration ``name``, kept in the memo, or None."""
-        owner = self._owner(name)
-        if owner is None:
-            return None
-        decl = self._derived[name] = owner.derived[name]
-        return decl
+        return (decl for name, decl in self._names.items() if decl.name == name)
 
     def get(self, name: str) -> Declaration | None:
-        return self._decls.get(name) or self._derived.get(name) or self._derive(name)
+        decl = self._names.get(name)
+        return decl if decl is None or decl.name == name else decl.derived[name]
 
     def __getitem__(self, name: str) -> Declaration:
         decl = self.get(name)
@@ -211,79 +177,62 @@ class Environment:
         return decl
 
     def struct(self, name: str) -> StructDecl:
-        decl = self._decls.get(name)
-        if type(decl) is not StructDecl:
+        decl = self._names.get(name)
+        if type(decl) is not StructDecl or decl.name != name:
             raise EnvironmentError_(f"{name!r} is not a structure" if name in self
                                     else f"unknown declaration {name!r}")
         return decl
 
-    def add(self, *decls: Declaration) -> None:
-        """Add declarations in order, as one batch, after one walk over all
-        their terms finds only names declared before the batch, and no name,
-        derived ones included, declared twice.  A binder record is walked
-        once: not when a declaration added before brought it in, the same
+    def add(self, decl: Declaration) -> None:
+        """Add a declaration after one walk over its terms finds only names
+        declared before it, or its own, and finds that neither its name nor
+        a derived one is declared or taken twice.  A binder record is walked
+        only when no declaration added before brought it in, the same
         object, here or in the environment this one was copied from (a leaf
-        a class shares with its parent), nor again within the batch.
+        a class shares with its parent); an interning environment walks
+        every binder, since the walk keys the declaration's interned twin,
+        which it takes instead.
 
-        Otherwise, such as for a declaration that names itself or another
-        of the batch, the declarations are added one by one, each checked
-        term by term: the error is the first duplicate name, the
-        declaration's own before its derived ones, or the alphabetically
-        first name of the first offending term that is neither declared nor
-        the declaration itself, and the declarations before it stay added.
-        An interning environment takes each one's interned twin instead."""
-        new: dict[int, Binder] = {}
-        terms: list[Term] = []
-        names: list[str] = []
-        derived: list[str] = []
-        for decl in decls:
-            binders, rest = _split(decl)
-            for b in binders:
-                if id(b) not in self._checked and id(b) not in new:
-                    new[id(b)] = b
-                    terms.append(b.ty)
-            terms += rest
-            names.append(decl.name)
-            if type(decl) is StructDecl:
-                derived += decl.derived_names()
-        # A derived name of a new structure is another structure's only
-        # when it has a second dot.
-        every = names + derived
-        if (len(set(every)) == len(every) and not any(map(self.__contains__, names))
-                and self._decls.keys().isdisjoint(derived)
-                and not any(self._owner(n) for n in derived if n.count(".") > 1)
-                and all(map(self.__contains__, consts_in(*terms).difference(self._decls)))):
-            for decl in decls:
-                self._decls[decl.name] = decl if self._interned is None else self._twin(decl)
-            self._checked.update(new)
-            return
-        for decl in decls:
-            if decl.name in self:
-                raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
-            binders, rest = _split(decl)
-            new = {id(b): b for b in binders if id(b) not in self._checked}
-            for term in [b.ty for b in new.values()] + rest:
-                self._validate_refs(decl.name, term)
-            taken = {decl.name}
-            for name in decl.derived_names() if type(decl) is StructDecl else ():
-                if name in taken or name in self:
-                    raise EnvironmentError_(f"duplicate declaration {name!r}")
-                taken.add(name)
-            self._decls[decl.name] = decl if self._interned is None else self._twin(decl)
-            self._checked.update(new)
+        The error is the first of: the declaration's own name declared; the
+        alphabetically first name of the first offending term that is
+        neither declared nor the declaration itself; the first derived name
+        that is declared or repeats an earlier one."""
+        names = self._names
+        if decl.name in names:
+            raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
+        binders, terms = _split(decl)
+        if self._interned is None:
+            binders = [b for b in binders if id(b) not in self._checked]
+        terms = [b.ty for b in binders] + terms
+        refs = consts_in(*terms)
+        refs.discard(decl.name)
+        if refs.difference(names):
+            for term in terms:
+                missing = consts_in(term).difference(names, [decl.name])
+                if missing:
+                    raise EnvironmentError_(f"declaration {decl.name!r} references "
+                                            f"{min(missing)!r} before its declaration")
+        derived = decl.derived_names() if type(decl) is StructDecl else []
+        if len(set(derived)) < len(derived) or not names.keys().isdisjoint(derived):
+            name = next(n for i, n in enumerate(derived) if n in names or n in derived[:i])
+            raise EnvironmentError_(f"duplicate declaration {name!r}")
+        if self._interned is not None:
+            decl = self._twin(decl, refs)
+        names[decl.name] = decl
+        names.update(dict.fromkeys(derived, decl))
+        self._checked.update((id(b), b) for b in binders)
 
-    def _validate_refs(self, owner: str, term: Term) -> None:
-        """Raise on the alphabetically first name the term uses, as a
-        constant or a structure, that is neither declared nor ``owner``."""
-        missing = {n for n in consts_in(term).difference(self._decls) if n not in self}
-        missing.discard(owner)
-        if missing:
-            raise EnvironmentError_(f"declaration {owner!r} references "
-                                    f"{min(missing)!r} before its declaration")
-
-    def decl_type(self, name: str) -> Term:
-        """The Pi-closed type of a declaration's constant."""
-        return self[name].type
+    def _twin(self, decl: Declaration, refs: set[str]) -> Declaration:
+        """The interned declaration equal to ``decl``, which names ``refs``
+        besides itself; ``decl`` becomes it when there is none.  The
+        declarations it names are interned already."""
+        twins = self._interned.setdefault(
+            (decl.name, frozenset([id(self._names[n]) for n in refs])), [])
+        for twin in twins:
+            if twin == decl:
+                return twin
+        twins.append(decl)
+        return decl
 
     def unfolding(self, name: str) -> Term | None:
         """The lambda-closed value of a definition."""

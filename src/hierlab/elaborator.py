@@ -44,14 +44,14 @@ from typing import Mapping
 from .declarations import (
     DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl, instance_telescope,
 )
-from .kernel import DefEqConfig, DEFAULT_CONFIG, KernelError, check_type, whnf
+from .kernel import DefEqConfig, DEFAULT_CONFIG, KernelError, check_type
 from .resolution import MAX_DEPTH
 from .surface import (
     ClassItem, DefeqItem, GoalItem, InstanceItem, Item, Pos, SOpaque, SurfaceBinder,
     SurfaceModule, VariablesItem, resolve_expr,
 )
 from .terms import (
-    Binder, Const, FreeVar, Mk, Proj, Sort, Telescope, Term, apps, pp_term,
+    SORT, Binder, Const, FreeVar, Mk, Pi, Proj, Telescope, Term, apps, pp_term,
     subst_frees, unfold_apps,
 )
 
@@ -161,11 +161,6 @@ class Elaboration:
                            dict(self.classes), self.variables, list(self.goals),
                            list(self.defeqs), dict(self.labels))
 
-    def instance_decl(self, name: str) -> DefDecl:
-        decl = self.env[name]
-        assert isinstance(decl, DefDecl)
-        return decl
-
 
 def _param_map(info: ClassInfo, args: tuple[Term, ...]) -> dict[str, Term]:
     """Parameter name -> argument, leaving out a parameter applied to its own
@@ -270,18 +265,14 @@ def _declare_class(elab: Elaboration, item: ClassItem, config: DefEqConfig) -> N
 def _resolve_binders(binders: tuple[SurfaceBinder, ...], env: Environment,
                      config: DefEqConfig, scope: Telescope = ()) -> Telescope:
     """``scope`` extended by the binders.  Each binder's type is checked by
-    the kernel in the scope before it and must be a type, as a ``Pi``'s
-    binder type must."""
+    the kernel in the scope before it, as the binder type of a ``Pi``, so
+    it must be a type."""
     for b in binders:
         ty = resolve_expr(b.ty, scope, env)
         try:
-            sort = check_type(env, config, scope, ty)
-            is_type = isinstance(whnf(env, config, sort), Sort)
+            check_type(env, config, scope, Pi(b.name, ty, SORT))
         except KernelError as exc:
             raise ElabError(str(exc), b.pos) from None
-        if not is_type:
-            raise ElabError(f"{pp_term(ty)} is not a type: it has type {pp_term(sort)}",
-                            b.pos)
         scope = scope + (Binder(b.name, ty, b.instance_implicit),)
     return scope
 

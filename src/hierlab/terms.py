@@ -258,7 +258,7 @@ def _mentions_bound0(t: Term) -> bool:
 
 def consts_in(*roots: Term) -> set[str]:
     """The names the terms use as constants or as structures.  The walk keeps
-    its own stack: it runs once on every batch of declarations added to an
+    its own stack: it runs once on every declaration added to an
     environment."""
     names: set[str] = set()
     stack = list(roots)

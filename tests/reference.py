@@ -20,6 +20,13 @@
   eagerly from its ``ClassInfo``, one substitution per projection.  The
   environment derives them from the stored structure on first read and
   must give equal declarations.
+- ``Environment``: declarations added one at a time to a map that holds
+  every name, a structure's derived constructor and projection names built
+  as it is added, each term of a declaration, every binder type included,
+  checked on its own.  ``hierlab.declarations.Environment.add`` walks a
+  declaration's terms once, skips binder records checked before and
+  derives nothing; single adds must leave the same names, checked binder
+  records and error.
 - ``resolve``: instance search as a plain depth-first search with no answer
   table; every subgoal is searched again on every path that reaches it.
   ``hierlab.resolution.resolve`` tables ground answers and must agree with
@@ -63,7 +70,7 @@ from hierlab.analyzer import (
     MAX_PATH_LEN, Diamond, _check_path_limit, _path_key, build_graph, check_diamond,
     commutes_under, config_dict, diamond_rows,
 )
-from hierlab.declarations import DefDecl, StructDecl
+from hierlab.declarations import DefDecl, EnvironmentError_, StructDecl
 from hierlab.elaborator import (
     FLAT_HACK_CLASS, PREFERRED, ClassInfo, EncodingStrategy, FieldTypeClash, elaborate,
 )
@@ -197,6 +204,43 @@ def class_declarations(info: ClassInfo) -> list[DefDecl]:
         decls.append(DefDecl(f"{info.name}.{f.name}", binders, subst_frees(f.ty, earlier),
                              Proj(info.name, f.name, value)))
     return decls
+
+
+class Environment:
+    """The names added so far, derived ones included, each to the
+    declaration it comes from, and the ids of the added binder records."""
+
+    def __init__(self) -> None:
+        self.names: dict[str, object] = {}
+        self.checked: set[int] = set()
+
+    def add(self, decl) -> None:
+        """Raise on the declaration's name if it is taken, then on the
+        alphabetically first missing name of its first term that names one
+        (binder types, then result type and body), then on the first
+        derived name that is taken or repeats an earlier one; else add it."""
+        if isinstance(decl, StructDecl):
+            binders, terms = decl.params + decl.fields, []
+            derived = [f"{decl.name}.mk", *[f"{decl.name}.{f.name}" for f in decl.fields]]
+        else:
+            binders, derived = decl.binders, []
+            terms = [decl.result_type, decl.body] if isinstance(decl, DefDecl) \
+                else [decl.result_type]
+        if decl.name in self.names:
+            raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
+        for term in [b.ty for b in binders] + terms:
+            missing = consts_in(term) - set(self.names) - {decl.name}
+            if missing:
+                raise EnvironmentError_(f"declaration {decl.name!r} references "
+                                        f"{min(missing)!r} before its declaration")
+        taken = [decl.name]
+        for name in derived:
+            if name in self.names or name in taken:
+                raise EnvironmentError_(f"duplicate declaration {name!r}")
+            taken.append(name)
+        for name in taken:
+            self.names[name] = decl
+        self.checked |= {id(b) for b in binders}
 
 
 def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,

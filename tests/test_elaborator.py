@@ -6,6 +6,7 @@ from operator import is_
 import pytest
 
 from hierlab import declarations, resolution
+from hierlab.analyzer import spanning_search
 from hierlab.declarations import (
     DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl,
 )
@@ -122,7 +123,7 @@ def test_flat_chain_shares_each_inherited_leaf_with_its_parent():
     assert len({id(b) for d in structs for b in d.fields}) == 200
     for d in structs:
         assert elab.classes[d.name].layout is d.fields
-        mk = elab.instance_decl(f"{d.name}.mk")
+        mk = elab.env[f"{d.name}.mk"]
         assert len(mk.binders) == len(d.params) + len(d.fields)
         assert all(map(is_, mk.binders[len(d.params):], d.fields))
 
@@ -192,7 +193,7 @@ def test_fig1_nested_instance_table(fig1_nested):
 
 
 def test_preferred_instances_project_the_stored_substructure(fig1_nested):
-    decl = fig1_nested.instance_decl("ring.to_semiring")
+    decl = fig1_nested.env["ring.to_semiring"]
     self_name = decl.binders[-1].name
     assert decl.binders[-1].instance_implicit
     assert decl.body == Proj("ring", "to_semiring", FreeVar(self_name))
@@ -201,7 +202,7 @@ def test_preferred_instances_project_the_stored_substructure(fig1_nested):
 def test_synthesized_instances_rebuild_through_preferred_projections(fig1_nested):
     """The non-preferred route reconstructs its target constructor, reaching
     shared leaves through the chain of preferred substructure projections."""
-    decl = fig1_nested.instance_decl("ring.to_add_comm_group")
+    decl = fig1_nested.env["ring.to_add_comm_group"]
     alpha = FreeVar(decl.binders[0].name)
     i = FreeVar(decl.binders[-1].name)
     monoid_part = Proj("add_comm_monoid", "to_add_monoid",
@@ -214,7 +215,7 @@ def test_synthesized_instances_rebuild_through_preferred_projections(fig1_nested
 
 
 def test_synthesized_instance_for_second_parent_of_add_comm_group(fig1_nested):
-    decl = fig1_nested.instance_decl("add_comm_group.to_add_comm_monoid")
+    decl = fig1_nested.env["add_comm_group.to_add_comm_monoid"]
     alpha = FreeVar(decl.binders[0].name)
     i = FreeVar(decl.binders[-1].name)
     expected = Mk("add_comm_monoid", (alpha,),
@@ -278,7 +279,7 @@ def test_user_instance_registration(module_nested):
 def test_under_applied_instance_target_is_completed(module_nested):
     """Writing `instance ... : module R R` lets elaboration resolve the two
     missing instance-implicit arguments itself."""
-    decl = module_nested.instance_decl("semiring.to_module")
+    decl = module_nested.env["semiring.to_module"]
     R = FreeVar("R")
     iS = FreeVar("iS")
     assert decl.result_type == apps(
@@ -290,7 +291,7 @@ def test_opaque_field_assignments_become_opaque_constants(module_nested):
     env = module_nested.env
     assert isinstance(env["int.ring.zero"], OpaqueDecl)
     assert env["int.ring.zero"].result_type == Const("int")
-    body = module_nested.instance_decl("int.ring").body
+    body = module_nested.env["int.ring"].body
     assert isinstance(body, Mk)
 
     def consts(t):
@@ -463,30 +464,39 @@ def _term_nodes(t) -> int:
 @pytest.fixture
 def walks(monkeypatch):
     """The roots of each ``consts_in`` walk the environment makes, and the
-    declarations of each ``Environment.add`` call."""
-    walked, batches = [], []
+    declaration of each ``Environment.add`` call."""
+    walked, adds = [], []
     walk, add = declarations.consts_in, Environment.add
     monkeypatch.setattr(declarations, "consts_in",
                         lambda *roots: walked.append(roots) or walk(*roots))
     monkeypatch.setattr(Environment, "add",
-                        lambda env, *decls: batches.append(decls) or add(env, *decls))
-    return walked, batches
+                        lambda env, decl: adds.append(decl) or add(env, decl))
+    return walked, adds
 
 
 def test_environment_walks_each_declaration_once(walks, cube_module):
-    """One constant walk over the terms of each added batch, leaving out the
-    binder records the environment has already checked; the per-term walks
-    run only to name a missing constant.  A class's constructor and
-    projections are derived, so nothing adds or walks them, and the
-    instances that rebuild its parents share one telescope: ``top_mag``
-    rebuilds two parents and walks its instance binder once, where a binder
-    per instance walks 122 nodes."""
-    walked, batches = walks
+    """One constant walk over the terms of each added declaration, leaving
+    out the binder records the environment has already checked; the
+    per-term walks run only to name a missing constant.  A class's
+    constructor and projections are derived, so nothing adds or walks them,
+    and the instances that rebuild its parents share one telescope:
+    ``top_mag`` rebuilds two parents and walks its instance binder once,
+    where a binder per instance walks 122 nodes."""
+    walked, adds = walks
     elab = elaborate(cube_module, EncodingStrategy("nested"))
-    assert len(walked) == len(batches) == 13
-    assert sum(map(len, batches)) == len(list(elab.env.stored())) == 13
+    assert len(walked) == len(adds) == len(list(elab.env.stored())) == 13
     assert len(elab.env) == len(list(elab.env)) == 38
     assert sum(_term_nodes(t) for roots in walked for t in roots) == 119
+
+
+def test_an_interning_search_walks_each_declaration_once(walks, cube_module):
+    """A spanning search interns its declarations, and the walk that checks
+    a declaration's names also keys its interned twin: one walk per added
+    declaration over cube.hier's nested search, where a second walk for the
+    twin made 352."""
+    walked, adds = walks
+    spanning_search(cube_module, EncodingStrategy("nested"), ETA_OFF)
+    assert len(walked) == len(adds) == 176
 
 
 @pytest.mark.parametrize("kind", ["flat", "flat_hack"])
@@ -496,14 +506,14 @@ def test_flat_chain_walks_grow_with_classes_not_fields(walks, kind):
     class lacks), and one more for the marker class under flat-hack, though
     the last class alone has n fields: under flat, 119 walks for 1,830
     fields at n = 60 and 239 for 7,260 at n = 120."""
-    walked, batches = walks
+    walked, adds = walks
     for n in (60, 120):
         walked.clear()
-        batches.clear()
+        adds.clear()
         elab = elaborate(parse(chain_source(n)), EncodingStrategy(kind))
         fields = n * (n + 1) // 2 + n * (kind == "flat_hack")  # and each to_flat_hack
         assert sum(len(info.layout) for info in elab.classes.values()) == fields
-        assert len(walked) == len(batches) == 2 * n - 1 + (kind == "flat_hack")
+        assert len(walked) == len(adds) == 2 * n - 1 + (kind == "flat_hack")
 
 
 def test_a_telescope_is_walked_again_where_it_was_not_checked():
@@ -525,6 +535,23 @@ def test_a_telescope_is_walked_again_where_it_was_not_checked():
                            match="^declaration 'd' references 'A' before its declaration$"):
             other.add(OpaqueDecl("d", telescope, Const("ι")))
         assert "d" not in other
+
+
+def test_an_interned_declaration_is_keyed_by_its_checked_binders_too():
+    """Two forks of an interning environment each add their own ``A`` and
+    check a shared binder record naming it; a declaration whose other terms
+    name no ``A`` is interned apart in each, since its binder names another
+    ``A``."""
+    binder = Binder("x", Const("A"))
+    base = Environment()
+    base.intern()
+    forks = [base.copy(), base.copy()]
+    for fork, ty in zip(forks, [SORT, Pi("_", SORT, SORT)]):
+        fork.add(OpaqueDecl("A", (), ty))
+        fork.add(OpaqueDecl("c", (binder,), SORT))
+        fork.add(OpaqueDecl("d", (binder,), SORT))
+    assert forks[0]["c"] is not forks[1]["c"] and forks[0]["c"] == forks[1]["c"]
+    assert forks[0]["d"] is not forks[1]["d"]
 
 
 def test_a_result_is_checked_after_its_shared_telescope():
@@ -577,7 +604,7 @@ instance int.both : both int where
 """)
     elab = elaborate(module, EncodingStrategy("nested"))
     assert len(ranked) == 1
-    assert pp_term(elab.instance_decl("int.both").result_type) == "@both int int.one int.zero"
+    assert pp_term(elab.env["int.both"].result_type) == "@both int int.one int.zero"
 
 
 def test_instance_missing_fields_is_rejected():

@@ -338,7 +338,8 @@ def test_check_type_takes_a_binder_type_that_unfolds_to_type(tiny_env):
     """A type's type is Type after weak head reduction: ``k : U`` with
     ``U := Type`` is a type."""
     env = tiny_env.copy()
-    env.add(DefDecl("U", (), Sort(), Sort()), OpaqueDecl("k", (), Const("U")))
+    env.add(DefDecl("U", (), Sort(), Sort()))
+    env.add(OpaqueDecl("k", (), Const("U")))
     assert check_type(env, DEFAULT_CONFIG, (), Pi("x", Const("k"), Const("k"))) == Sort()
     assert check_type(env, DEFAULT_CONFIG, (), Pi("x", Sort(), BoundVar(0))) == Sort()
 
@@ -351,8 +352,9 @@ def test_check_type_takes_a_binder_type_that_unfolds_to_type(tiny_env):
 ], ids=["free-variable", "constructor-arity", "structure-arity", "no-field"])
 def test_infer_diagnostics(tiny_env, term, message):
     env = tiny_env.copy()
-    env.add(StructDecl("box", (Binder("T", Sort()),), (Binder("v", FreeVar("T")),)),
-            OpaqueDecl("q", (), Const("box")), OpaqueDecl("p", (), Const("pair")))
+    env.add(StructDecl("box", (Binder("T", Sort()),), (Binder("v", FreeVar("T")),)))
+    env.add(OpaqueDecl("q", (), Const("box")))
+    env.add(OpaqueDecl("p", (), Const("pair")))
     with pytest.raises(IllTyped, match=f"^{message}$"):
         infer_type(env, (), term)
 
@@ -480,7 +482,7 @@ def test_unify_matches_under_applications(fig1_nested):
 def metaized_instance_target(elab, name: str):
     """The instance's result type with fresh metas for its binders, plus
     the list of those metas in binder order."""
-    decl = elab.instance_decl(name)
+    decl = elab.env[name]
     mapping = {}
     metas = []
     for i, b in enumerate(decl.binders):

@@ -12,11 +12,11 @@ instances, the generated declarations typecheck and keep their diamond
 verdicts whatever the class parameter is named, the incremental spanning
 search matches the whole-module one,
 definitional equality is symmetric, every substitution of the one term
-walker matches its recursive reference, adding declarations as one batch
-leaves what adding them one by one leaves, the command line's JSON writer
-matches ``json.dumps``, the lexer matches its character loop, and random
-token streams through every ``hier`` subcommand end in an exit code and at
-most one diagnostic line, never an escaped exception.
+walker matches its recursive reference, adding declarations one at a
+time leaves what the reference environment leaves, the command line's
+JSON writer matches ``json.dumps``, the lexer matches its character loop,
+and random token streams through every ``hier`` subcommand end in an exit
+code and at most one diagnostic line, never an escaped exception.
 """
 
 import contextlib
@@ -211,7 +211,7 @@ def test_flat_layout_is_the_leaf_view_with_rebuilt_parents(seed):
         assert [(i.decl_name, i.to_class, i.kind, i.priority) for i in edges] == \
             [(f"{name}.to_{p}", p, FLAT, 1000) for p, _ in info.parents]
         for parent, args in info.parents:
-            decl = elab.instance_decl(f"{name}.to_{parent}")
+            decl = elab.env[f"{name}.to_{parent}"]
             assert decl.body == reference.flat_forgetful_body(
                 elab.classes, name, parent, args, FreeVar(decl.binders[-1].name))
 
@@ -363,7 +363,7 @@ def check_declarations(env):
         if isinstance(decl, StructDecl):
             check_type(env, ETA_OFF, (), terms.pi_type(decl.params + decl.fields, Sort()))
         elif isinstance(decl, DefDecl):
-            ty = env.decl_type(decl.name)
+            ty = decl.type
             check_type(env, ETA_OFF, (), ty)
             check_type(env, ETA_OFF, (), decl.closure, ty)
 
@@ -542,7 +542,7 @@ def test_term_walker_matches_the_recursive_substitutions(data):
     assert terms.zonk(t, {99: Sort()}) is t
 
 
-# Terms that name only "a" and "b", which the environment of `added` declares.
+# Terms that name only "a" and "b", which `add_all`'s environments declare.
 SAFE_TERMS = st.recursive(
     st.sampled_from([Const("a"), Const("b"), FreeVar("x"), Sort()]),
     lambda kids: st.one_of(
@@ -559,16 +559,19 @@ TELESCOPES = st.sampled_from(SHARED_TELESCOPES) | st.lists(
 
 
 @st.composite
-def batches(draw):
+def declaration_runs(draw):
     """Declarations for an environment that declares "a" and "b", named "c"
-    to "f" but now and then like a declared name, another of the batch, or
-    the constructor or a field's projection of a structure of the batch.
+    to "f" but now and then like a declared name, another of the run, or
+    the constructor or a field's projection of a structure of the run.
     Two result types in three also name one of "a" to "f", such a derived
-    name or the undeclared "zz", so that a batch meets self-references,
+    name or the undeclared "zz", so that a run meets self-references,
     references to its own later or earlier declarations and missing names.
     Binder records and telescopes come from a shared pool, as a class's
     rebuilt instances share one telescope, or are new; the pool's "z" names
-    "zz"."""
+    "zz".  Half the runs also hold, somewhere, a structure "g" with a field
+    "h.x" or "h.mk" and a structure "g.h" with a field "x" or "mk", in
+    either order: both derive "g.h.x" or "g.h.mk", or "g.h" derives
+    "g.h.mk" twice."""
     names = draw(st.lists(st.sampled_from("cdef"), max_size=4, unique=True))
     derived = [f"{n}.{suffix}" for n in names for suffix in ("mk", "x", "w")]
     decls = []
@@ -587,32 +590,45 @@ def batches(draw):
             decls.append(DefDecl(name, telescope, ty, draw(SAFE_TERMS)))
         else:
             decls.append(StructDecl(name, telescope, draw(TELESCOPES)))
+    if draw(st.booleans()):
+        outer = draw(st.sampled_from(["h.x", "h.mk"]))
+        inner = draw(st.sampled_from(["x", "mk"]))
+        dotted = [StructDecl("g", (), (Binder(outer, Const("a")),)),
+                  StructDecl("g.h", (), (Binder(inner, Const("a")),))]
+        at = draw(st.integers(0, len(decls)))
+        decls[at:at] = dotted if draw(st.booleans()) else dotted[::-1]
     return decls
 
 
-def added(decls, one_by_one: bool):
-    """The error message, the names in the environment and the ids of the
-    checked binder records after adding ``decls`` to an environment that
-    declares "a" and "b" and has checked the record of "x"."""
-    env = Environment()
-    env.add(OpaqueDecl("a", (), Sort()))
-    env.add(OpaqueDecl("b", SHARED_BINDERS[:1], Const("a")))
-    error = None
+def add_all(env, decls):
+    """Add ``decls`` one at a time to ``env``; the error message, or None."""
     try:
-        if one_by_one:
-            for decl in decls:
-                env.add(decl)
-        else:
-            env.add(*decls)
+        for decl in decls:
+            env.add(decl)
     except EnvironmentError_ as exc:
-        error = str(exc)
-    return error, [decl.name for decl in env], set(env._checked)
+        return str(exc)
+    return None
 
 
 @COMMON
-@given(batches())
-def test_a_batch_adds_what_single_adds_do(decls):
-    assert added(decls, one_by_one=False) == added(decls, one_by_one=True)
+@given(declaration_runs(), st.booleans())
+def test_single_adds_match_the_reference_environment(decls, interning):
+    """The same error, names in order, stored names and checked binder
+    records as the reference, whose ``add`` builds every derived name and
+    checks every term on its own, with interning off and on.  Both first
+    declare "a" and "b", which checks the record of "x"."""
+    env, want = Environment(), reference.Environment()
+    base = [OpaqueDecl("a", (), Sort()), OpaqueDecl("b", SHARED_BINDERS[:1], Const("a"))]
+    add_all(env, base)
+    add_all(want, base)
+    if interning:
+        env.intern()
+    assert add_all(env, decls) == add_all(want, decls)
+    assert [decl.name for decl in env] == list(want.names)
+    assert len(env) == len(want.names)
+    assert [decl.name for decl in env.stored()] == [
+        name for name, decl in want.names.items() if decl.name == name]
+    assert set(env._checked) == want.checked
 
 
 # Quotes, backslashes, control characters and non-ASCII text, including
