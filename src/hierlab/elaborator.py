@@ -23,9 +23,12 @@ Three encodings of ``extends`` are implemented:
 The overlap test uses the parent's complete transitive field-name set
 (substructure names included), which is exactly what makes flat_hack work.
 
-A class adds one structure and its rebuilt instances to the environment.
-The structure's constructor and projections, preferred instances included,
-are derived from it when first read (``declarations.StructDecl.derived``).
+A class adds one structure to the environment, which names its stored
+parents (``substructures``) and its rebuilt ones (``rebuilt``).  The
+structure's constructor, its projections, preferred instances included,
+and its rebuilt instances are derived from it when first read
+(``declarations.StructDecl.derive``); the class adds only their
+``InstanceInfo`` records.
 
 ``elaborate`` is ``begin_elaboration``, then ``elaborate_item`` once per
 module item, then a check that every parent-order override names a class
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
 from .declarations import (
-    DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl, instance_telescope,
+    DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl, pack_value, param_map,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, KernelError, check_type
 from .resolution import MAX_DEPTH
@@ -51,8 +54,8 @@ from .surface import (
     SurfaceModule, VariablesItem, resolve_expr,
 )
 from .terms import (
-    SORT, Binder, Const, FreeVar, Mk, Pi, Proj, Telescope, Term, apps, pp_term,
-    subst_frees, unfold_apps,
+    SORT, Binder, Const, FreeVar, Pi, Telescope, Term, apps, pp_term, subst_frees,
+    unfold_apps,
 )
 
 FLAT_HACK_CLASS = "flat_hack"
@@ -116,16 +119,27 @@ class ClassInfo:
     shares it, so a record that is still in a fork's ``classes`` stands
     for the same class, laid out the same way.  A leaf field's ``Binder``
     is its parent's whenever the parent's arguments leave its type as it
-    was, so a leaf inherited down a chain of classes is one record."""
+    was, so a leaf inherited down a chain of classes is one record.
+    ``struct`` is the class's structure as the environment holds it; an
+    interned one may list its rebuilt parents in another order."""
 
     name: str
     params: Telescope
     parents: tuple[tuple[str, tuple[Term, ...]], ...]
     own_fields: tuple[tuple[str, Term], ...]
-    layout: Telescope  # the structure's fields, over the parameters and earlier fields
-    substructures: dict[str, str]  # substructure field -> the parent it stores
+    struct: StructDecl
     leaves: dict[str, Binder]  # each leaf field, in flat order
     all_names: frozenset[str]
+
+    @property
+    def layout(self) -> Telescope:
+        """The structure's fields, over the parameters and earlier fields."""
+        return self.struct.fields
+
+    @property
+    def substructures(self) -> dict[str, str]:
+        """Each substructure field -> the parent it stores."""
+        return self.struct.substructures
 
     @property
     def self_type(self) -> Term:
@@ -160,13 +174,6 @@ class Elaboration:
         return Elaboration(strategy, self.env.copy(), list(self.instances),
                            dict(self.classes), self.variables, list(self.goals),
                            list(self.defeqs), dict(self.labels))
-
-
-def _param_map(info: ClassInfo, args: tuple[Term, ...]) -> dict[str, Term]:
-    """Parameter name -> argument, leaving out a parameter applied to its own
-    name, so that ``extends p α`` substitutes nothing and shares its terms."""
-    return {b.name: a for b, a in zip(info.params, args)
-            if not (type(a) is FreeVar and a.name == b.name)}
 
 
 def elaborate(module: SurfaceModule, strategy: EncodingStrategy,
@@ -248,18 +255,22 @@ def _declare_class(elab: Elaboration, item: ClassItem, config: DefEqConfig) -> N
     own_fields = tuple((b.name, b.ty) for b in _resolve_binders(
         item.fields, elab.env, config, params)[len(params):])
 
-    info = ClassInfo(item.name, params, parents, own_fields,
-                     *_layout(elab, item.name, parents, own_fields, item.pos))
+    layout, substructures, leaves, collected = _layout(elab, item.name, parents,
+                                                       own_fields, item.pos)
     # A field beside a parameter of its name would capture it in the
     # constructor's telescope and in the types of later fields.
     for b in params:
-        if b.name in info.leaves or b.name in info.substructures:
+        if b.name in leaves or b.name in substructures:
             pos = next((f.pos for f in item.fields if f.name == b.name), item.pos)
             raise ElabError(f"field {b.name!r} of {item.name!r} has the name of a "
                             f"parameter", pos)
-    elab.classes[item.name] = info
-    elab.env.add(StructDecl(info.name, info.params, info.layout))
-    _declare_forgetful_instances(elab, info)
+    direct = set(substructures.values())
+    rebuilt = [(parent, args) for parent, args in parents if parent not in direct]
+    elab.env.add(StructDecl(item.name, params, layout, substructures,
+                            tuple(apps(Const(parent), *args) for parent, args in rebuilt)))
+    elab.classes[item.name] = ClassInfo(item.name, params, parents, own_fields,
+                                        elab.env.struct(item.name), leaves, collected)
+    _declare_forgetful_instances(elab, item.name, substructures, [p for p, _ in rebuilt])
 
 
 def _resolve_binders(binders: tuple[SurfaceBinder, ...], env: Environment,
@@ -361,7 +372,7 @@ def _layout(elab: Elaboration, name: str,
 
     for parent, args in parents:
         pinfo = elab.classes[parent]
-        mapping = _param_map(pinfo, args)
+        mapping = param_map(pinfo.params, args)
         sub_name = f"to_{parent}"
         parent_names = pinfo.all_names | {sub_name}
         if nested and not (parent_names & collected):
@@ -371,6 +382,13 @@ def _layout(elab: Elaboration, name: str,
             for leaf, record in pinfo.leaves.items():
                 leaves[leaf] = _inherit(record, mapping)
                 leaf_sources[leaf] = parent
+        elif not mapping and leaves.keys().isdisjoint(pinfo.leaves):
+            # Every record is the parent's and none is there yet, so none
+            # can clash: the per-leaf path below would add each in turn.
+            layout.extend(pinfo.leaves.values())
+            leaves.update(pinfo.leaves)
+            leaf_sources.update(dict.fromkeys(pinfo.leaves, parent))
+            collected.update(pinfo.leaves)
         else:
             for record in pinfo.leaves.values():
                 record = _inherit(record, mapping)
@@ -389,52 +407,21 @@ def _layout(elab: Elaboration, name: str,
     return tuple(layout), substructures, leaves, frozenset(collected)
 
 
-def _declare_forgetful_instances(elab: Elaboration, info: ClassInfo) -> None:
-    """A preferred instance per substructure field, then a rebuilt instance
-    per parent stored without one, in parent order, with the constructor
-    kind and priority of the encoding.  The rebuilt instances share one
-    telescope and pack the projections of its instance variable."""
-    for field, parent in info.substructures.items():
+def _declare_forgetful_instances(elab: Elaboration, name: str, substructures: dict[str, str],
+                                 rebuilt: list[str]) -> None:
+    """The records of a preferred instance per substructure field, then of
+    a rebuilt instance per parent stored without one, in parent order, with
+    the constructor kind and priority of the encoding.  The declarations
+    are derived from the class's structure."""
+    for field, parent in substructures.items():
         elab.instances.append(InstanceInfo(
-            f"{info.name}.{field}", info.name, parent, PRIORITY_PREFERRED, PREFERRED))
-    direct = set(info.substructures.values())
-    rebuilt = [(parent, args) for parent, args in info.parents if parent not in direct]
-    if not rebuilt:
-        return
-    binders = instance_telescope(info.name, info.params, "i")
-    leaves, stored = projections(elab.classes, info.name, FreeVar(binders[-1].name))
+            f"{name}.{field}", name, parent, PRIORITY_PREFERRED, PREFERRED))
     if elab.strategy.kind == "flat":
         kind, priority = FLAT, PRIORITY_PREFERRED
     else:
         kind, priority = SYNTHESIZED, PRIORITY_SYNTHESIZED
-    for parent, args in rebuilt:
-        decl_name = f"{info.name}.to_{parent}"
-        body = _pack_value(elab, parent, args, leaves, stored)
-        elab.env.add(DefDecl(decl_name, binders, apps(Const(parent), *args), body))
-        elab.instances.append(InstanceInfo(decl_name, info.name, parent, priority, kind))
-
-
-def projections(classes: Mapping[str, ClassInfo], cls: str, value: Term
-                ) -> tuple[dict[str, Term], dict[str, Term]]:
-    """``value``, of class ``cls``, seen through the class's layout: each
-    leaf field, and each class stored at any depth, as the chain of
-    projections of ``value`` through the substructures that hold it."""
-    leaves: dict[str, Term] = {}
-    stored: dict[str, Term] = {}
-    # An explicit stack: substructures may nest deeper than Python recursion.
-    todo = [(cls, value)]
-    while todo:
-        cls, value = todo.pop()
-        info = classes[cls]
-        for f in info.layout:
-            proj = Proj(cls, f.name, value)
-            parent = info.substructures.get(f.name)
-            if parent is None:
-                leaves[f.name] = proj
-            else:
-                stored[parent] = proj
-                todo.append((parent, proj))
-    return leaves, stored
+    for parent in rebuilt:
+        elab.instances.append(InstanceInfo(f"{name}.to_{parent}", name, parent, priority, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +439,7 @@ def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig
                                     config, max_depth)
     target = apps(Const(cinfo.name), *full_args)
 
-    mapping = _param_map(cinfo, full_args)
+    mapping = param_map(cinfo.params, full_args)
     leaves = [(leaf, subst_frees(b.ty, mapping)) for leaf, b in cinfo.leaves.items()]
     expected = {leaf for leaf, _ in leaves}
     assigned: dict[str, Term] = {}
@@ -479,7 +466,7 @@ def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig
             values[leaf] = apps(Const(opaque_name),
                                 *(FreeVar(b.name) for b in binders))
 
-    body = _pack_value(elab, cinfo.name, full_args, values, {})
+    body = pack_value(elab.env, cinfo.name, full_args, values, {})
     elab.env.add(DefDecl(item.name, binders, target, body))
     priority = item.priority if item.priority is not None else PRIORITY_PREFERRED
     elab.instances.append(InstanceInfo(item.name, None, cinfo.name, priority, USER))
@@ -500,7 +487,7 @@ def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
     table = AnswerTable()
     full = list(args)
     for param in cinfo.params[len(args):]:
-        mapping = _param_map(cinfo, tuple(full))
+        mapping = param_map(cinfo.params, tuple(full))
         if not param.instance_implicit:
             raise ElabError(
                 f"instance {item.name!r} leaves explicit parameter "
@@ -516,23 +503,3 @@ def _fill_instance_args(elab: Elaboration, item: InstanceItem, cinfo: ClassInfo,
         full.append(term)
     return tuple(full)
 
-
-def _pack_value(elab: Elaboration, cls: str, args: tuple[Term, ...],
-                leaves: Mapping[str, Term], stored: Mapping[str, Term]) -> Term:
-    """A value of ``cls`` at ``args`` in this encoding's constructor shape:
-    ``leaves[name]`` gives each leaf field, and ``stored[parent]`` each
-    substructure; one that ``stored`` lacks is packed the same way."""
-    info = elab.classes[cls]
-    mapping = _param_map(info, args)
-    fields: list[Term] = []
-    for f in info.layout:
-        parent = info.substructures.get(f.name)
-        if parent is None:
-            fields.append(leaves[f.name])
-            continue
-        value = stored.get(parent)
-        if value is None:
-            _, sub_args = unfold_apps(subst_frees(f.ty, mapping))
-            value = _pack_value(elab, parent, tuple(sub_args), leaves, stored)
-        fields.append(value)
-    return Mk(cls, args, tuple(fields))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .declarations import Environment, StructDecl
+from .declarations import Environment, StructDecl, projections
 from .kernel import DEFAULT_CONFIG, IllTyped, infer_type, whnf
 from .terms import (
     App, Binder, Const, FreeVar, Lam, Pi, Proj, SORT, Telescope, Term,
@@ -603,7 +603,10 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
 
     Plain names resolve to context variables or global constants; dotted
     names resolve type-directedly, taking the longest declared prefix and
-    treating the remaining segments as field projections.  A name must be
+    treating the remaining segments as field projections; a segment that
+    names no field of the value's structure names a leaf field, or a
+    stored ``to_<parent>``, of a substructure it stores at any depth,
+    reached through the substructures that hold it.  A name must be
     declared before it is used: when no prefix of it is in ``env`` (and,
     for a plain name, it is no variable of ``ctx``), a ScopeError is raised
     at its position.  This is the only place the rule is checked.
@@ -662,8 +665,16 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
         head, _args = unfold_apps(ty)
         if isinstance(head, Const):
             decl = env.get(head.name)
-            if isinstance(decl, StructDecl) and segment in decl.positions:
-                return Proj(head.name, segment, base)
+            if isinstance(decl, StructDecl):
+                if segment in decl.positions:
+                    return Proj(head.name, segment, base)
+                # A leaf or a stored parent held by a substructure.
+                leaves, stored = projections(env, decl, base)
+                found = leaves.get(segment)
+                if found is None and segment.startswith("to_"):
+                    found = stored.get(segment[3:])
+                if found is not None:
+                    return found
         raise ParseError(pos.line, pos.col,
                          (f"a field of a structure value (no field {segment!r})",),
                          "projection")

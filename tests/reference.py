@@ -20,10 +20,16 @@
   eagerly from its ``ClassInfo``, one substitution per projection.  The
   environment derives them from the stored structure on first read and
   must give equal declarations.
+- ``rebuilt_declarations``: a class's instances for the parents it does not
+  store, under every encoding, built eagerly from the class records: each
+  leaf and each stored class found by ``preferred_path``, each parent that
+  is not stored packed field by field.  The environment derives them from
+  the stored structure on first read, through one ``projections`` walk,
+  and must give equal declarations.
 - ``Environment``: declarations added one at a time to a map that holds
-  every name, a structure's derived constructor and projection names built
-  as it is added, each term of a declaration, every binder type included,
-  checked on its own.  ``hierlab.declarations.Environment.add`` walks a
+  every name, a structure's derived constructor, projection and rebuilt
+  instance names built as it is added, each term of a declaration, every
+  binder type and rebuilt parent included, checked on its own.  ``hierlab.declarations.Environment.add`` walks a
   declaration's terms once, skips binder records checked before and
   derives nothing; single adds must leave the same names, checked binder
   records and error.
@@ -206,6 +212,62 @@ def class_declarations(info: ClassInfo) -> list[DefDecl]:
     return decls
 
 
+def rebuilt_declarations(elab, info: ClassInfo) -> list[DefDecl]:
+    """A class's instances for the parents it does not store as a
+    substructure, in parent order, built eagerly as the elaborator once
+    stored them.  The instance binder is ``i``, or ``i_<k>`` for the least
+    k no parameter takes.  A packed parent's leaf is the projection out of
+    the class that holds it as a leaf field, reached by its
+    ``preferred_path``; a substructure of it is the path's chain of
+    projections when the class stores that parent at any depth, and is
+    packed the same way when it does not.  Under flat every leaf is the
+    class's own, as in ``flat_forgetful_body``."""
+    classes = elab.classes
+    param_names = {b.name for b in info.params}
+    name = "i" if "i" not in param_names else next(
+        f"i_{k}" for k in itertools.count(1) if f"i_{k}" not in param_names)
+    value = FreeVar(name)
+    binders = info.params + (Binder(name, info.self_type, instance_implicit=True),)
+
+    # The instance seen as each class it stores at any depth, and as itself.
+    reached = {info.name: value}
+    for target in classes:
+        path = preferred_path(elab, info.name, target)
+        if path is not None:
+            term = value
+            for struct, field in path:
+                term = Proj(struct, field, term)
+            reached[target] = term
+
+    def leaf(field: str) -> Term:
+        for cls, base in reached.items():
+            holder = classes[cls]
+            if field in {f.name for f in holder.layout} - holder.substructures.keys():
+                return Proj(cls, field, base)
+        raise KeyError(field)
+
+    def pack(cls: str, args: tuple[Term, ...]) -> Term:
+        pinfo = classes[cls]
+        mapping = {b.name: a for b, a in zip(pinfo.params, args)}
+        fields = []
+        for f in pinfo.layout:
+            parent = pinfo.substructures.get(f.name)
+            if parent is None:
+                fields.append(leaf(f.name))
+                continue
+            stored = reached.get(parent)
+            if stored is None:
+                _, sub_args = unfold_apps(subst_frees(f.ty, mapping))
+                stored = pack(parent, tuple(sub_args))
+            fields.append(stored)
+        return Mk(cls, args, tuple(fields))
+
+    direct = set(info.substructures.values())
+    return [DefDecl(f"{info.name}.to_{parent}", binders, apps(Const(parent), *args),
+                    pack(parent, args))
+            for parent, args in info.parents if parent not in direct]
+
+
 class Environment:
     """The names added so far, derived ones included, each to the
     declaration it comes from, and the ids of the added binder records."""
@@ -218,10 +280,12 @@ class Environment:
         """Raise on the declaration's name if it is taken, then on the
         alphabetically first missing name of its first term that names one
         (binder types, then result type and body), then on the first
-        derived name that is taken or repeats an earlier one; else add it."""
+        derived name that is taken or repeats an earlier one; else add it.
+        A structure's terms are its binder types, then its rebuilt parents."""
         if isinstance(decl, StructDecl):
-            binders, terms = decl.params + decl.fields, []
-            derived = [f"{decl.name}.mk", *[f"{decl.name}.{f.name}" for f in decl.fields]]
+            binders, terms = decl.params + decl.fields, list(decl.rebuilt)
+            derived = [f"{decl.name}.mk", *[f"{decl.name}.{f.name}" for f in decl.fields],
+                       *[f"{decl.name}.to_{unfold_apps(p)[0].name}" for p in decl.rebuilt]]
         else:
             binders, derived = decl.binders, []
             terms = [decl.result_type, decl.body] if isinstance(decl, DefDecl) \

@@ -1,6 +1,7 @@
 """Diamond-analysis tests: the instance graph, diamond enumeration, the
 commutation oracle and predictor, placement search, and reports."""
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -30,7 +31,6 @@ from hierlab.analyzer import (
     same_verdicts,
     spanning_search,
 )
-from hierlab.declarations import StructDecl
 from hierlab.elaborator import (
     FLAT, PREFERRED, SYNTHESIZED, EncodingStrategy, InstanceInfo, begin_elaboration,
     elaborate, elaborate_item,
@@ -631,7 +631,7 @@ def test_the_interning_table_keeps_one_declaration_per_content():
     elaborate_from(base, nested, items)
     assert sum(map(len, base.env._interned.values())) == kept
     decl = first.env["c012"]
-    duplicate = StructDecl(decl.name, decl.params, decl.fields)
+    duplicate = dataclasses.replace(decl)
     seen = weakref.ref(duplicate)
     later = elaborate_from(base, nested, items[:index])
     later.env.add(duplicate)
@@ -660,6 +660,34 @@ def test_forks_read_the_derived_declarations_of_their_interned_structure():
     for name in derived:
         assert fork.env[name] is elab.env[name]
         assert plain.env[name] == elab.env[name] and plain.env[name] is not elab.env[name]
+
+
+def test_forks_that_lay_a_rebuilt_parent_out_otherwise_derive_their_own_instance():
+    """`c` stores `q` and rebuilds `p`, whose parents each fork orders its
+    own way.  Both forks hold one interned `c`, laid out alike, yet each
+    derives `c.to_p` into its own layout of `p`, whichever fork reads
+    first, and keeps it; a plain elaboration under either order agrees."""
+    text = ("class a (α : Type) where\n  (x : α)\n"
+            "class b (α : Type) where\n  (y : α)\n"
+            "class q (α : Type) extends a α, b α\n"
+            "class p (α : Type) extends a α, b α\n"
+            "class c (α : Type) extends q α, p α\n")
+    module = parse(text)
+    orders = [EncodingStrategy("nested", {"p": (first,)}) for first in ("a", "b")]
+    for first in (0, 1):
+        base = interning(EncodingStrategy("nested"))
+        forks = [elaborate_from(base, strategy, module.items) for strategy in orders]
+        assert forks[0].env["p"] != forks[1].env["p"]
+        assert forks[0].env["c"] is forks[1].env["c"]
+        reading = forks[first:] + forks[:first]
+        made = [fork.env["c.to_p"] for fork in reading]
+        assert made[0] != made[1]
+        for fork, decl in zip(reading, made):
+            assert fork.env["c.to_p"] is decl
+            assert [decl] == reference.rebuilt_declarations(fork, fork.classes["c"])
+    for strategy, fork in zip(orders, forks):
+        assert elaborate(module, strategy).env["c.to_p"] == fork.env["c.to_p"]
+
 
 def test_forms_across_environments_key_the_definitions_their_parameters_name():
     """Across environments an extension is keyed by the edge's interned

@@ -260,6 +260,26 @@ def test_defeq_of_lambdas_with_different_bodies_fails(run_cli):
     assert (code, out, err) == (1, "defeq: not equal\n", "")
 
 
+@pytest.mark.parametrize("encoding", ["nested", "flat", "flat-hack"])
+def test_a_dotted_name_reaches_a_leaf_through_the_stored_substructures(run_cli, encoding):
+    """`iR.zero` names the leaf wherever the encoding lays it out: under
+    nested, the chain of projections through the substructures that hold
+    it; so does `iR.to_add_comm_monoid`, a parent stored at depth two.  A
+    parent rebuilt by a constructor is no projection, and stays a
+    diagnostic."""
+    code, out, err = run_cli("defeq", FIG1, "iR.zero", "iR.zero", "--encoding", encoding)
+    assert (code, out, err) == (0, "defeq: equal\n", "")
+    term = "semiring.to_add_comm_monoid R (ring.to_semiring R iR)"
+    code, out, err = run_cli("defeq", FIG1, "iR.to_add_comm_monoid", term,
+                             "--encoding", encoding, "--eta-kernel", "off")
+    if encoding == "nested":
+        assert (code, out, err) == (0, "defeq: equal\n", "")
+    else:
+        assert (code, out, err) == (
+            2, "", f"{FIG1}: in 'iR.to_add_comm_monoid': 1:1: expected a field of a "
+            "structure value (no field 'to_add_comm_monoid'), found projection\n")
+
+
 @pytest.mark.parametrize("field", ["mul", "to_add_comm_monoid"])
 @pytest.mark.parametrize("command", ["defeq", "resolve"])
 def test_projecting_another_structures_constructor_is_a_diagnostic(run_cli, command, field):
@@ -1002,6 +1022,14 @@ INHERITED_PARAM = ("class p (β : Type) where\n  (α : β)\n"
      ":3:1: duplicate declaration 'a.b.c'"),
     ("class a where\n  (b.c : Type)\nclass a.b where\n  (c : Type)\n", "flat",
      ":3:1: duplicate declaration 'a.b.c'"),
+    # A rebuilt parent's instance is derived too, and clashes with a stored
+    # name declared before its class or after it.
+    (HAS_ONE + "instance t.to_has_one : has_one int where\n  (one := opaque)\n"
+     "class t (α : Type) extends has_one α where\n  (two : α)\n", "flat",
+     ":6:1: duplicate declaration 't.to_has_one'"),
+    (HAS_ONE + "class t (α : Type) extends has_one α where\n  (two : α)\n"
+     "instance t.to_has_one : has_one int where\n  (one := opaque)\n", "flat",
+     ":6:1: duplicate declaration 't.to_has_one'"),
 ], ids=["named-like-a-projection", "declared-twice", "missing-field",
         "earlier-item-first", "non-name-parent", "own-opaque-field",
         "marker-parent-flat-hack", "marker-parent-nested", "own-mk-nested",
@@ -1016,7 +1044,8 @@ INHERITED_PARAM = ("class p (β : Type) where\n  (α : β)\n"
         "field-name-missing", "keyword-as-a-term", "stored-name-then-projection",
         "instance-named-like-a-constructor", "class-named-like-a-projection",
         "class-then-projection-named-like-it", "projection-of-a-dotted-class",
-        "dotted-field-then-class"])
+        "dotted-field-then-class", "stored-name-then-rebuilt-instance",
+        "rebuilt-instance-then-stored-name"])
 def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, command,
                                                        text, encoding, diagnostic):
     src = tmp_path / "bad.hier"
@@ -1027,8 +1056,8 @@ def test_elaboration_errors_carry_file_line_and_column(run_cli, tmp_path, comman
 
 def test_the_json_dump_of_the_flat_chain_derives_nothing(run_cli, tmp_path, monkeypatch):
     """`hier elaborate --emit json` on the flat 200-class chain stores one
-    structure per class and one instance per parent, and reads none of the
-    derived constructors and projections, so none is built."""
+    structure per class, and reads none of the derived constructors,
+    projections and rebuilt instances, so none is built."""
     src = tmp_path / "chain.hier"
     src.write_text(chain_source(200))
     made = []
@@ -1037,8 +1066,10 @@ def test_the_json_dump_of_the_flat_chain_derives_nothing(run_cli, tmp_path, monk
     assert code == 0 and out
     env = made[0].env
     stored = list(env.stored())
-    assert len(stored) == 399
-    assert not any("derived" in vars(decl) for decl in stored)
+    assert len(stored) == 200 and len(env) == 200 + 20_100 + 200 + 199
+    assert sum(len(decl.rebuilt) for decl in stored) == 199
+    assert not any(made in vars(decl) for decl in stored
+                   for made in ("derived", "rebuilt_view", "rebuilt_instances"))
 
 
 def test_a_field_whose_type_is_a_value_is_no_defeq_question(run_cli, tmp_path):

@@ -478,34 +478,33 @@ def test_environment_walks_each_declaration_once(walks, cube_module):
     """One constant walk over the terms of each added declaration, leaving
     out the binder records the environment has already checked; the
     per-term walks run only to name a missing constant.  A class's
-    constructor and projections are derived, so nothing adds or walks them,
-    and the instances that rebuild its parents share one telescope:
-    ``top_mag`` rebuilds two parents and walks its instance binder once,
-    where a binder per instance walks 122 nodes."""
+    constructor, projections and rebuilt instances are derived, so nothing
+    adds or walks them: the environment stores the eight structures alone,
+    where it also stored five rebuilt instances and walked 119 nodes."""
     walked, adds = walks
     elab = elaborate(cube_module, EncodingStrategy("nested"))
-    assert len(walked) == len(adds) == len(list(elab.env.stored())) == 13
+    assert len(walked) == len(adds) == len(list(elab.env.stored())) == 8
     assert len(elab.env) == len(list(elab.env)) == 38
-    assert sum(_term_nodes(t) for roots in walked for t in roots) == 119
+    assert sum(_term_nodes(t) for roots in walked for t in roots) == 66
 
 
 def test_an_interning_search_walks_each_declaration_once(walks, cube_module):
     """A spanning search interns its declarations, and the walk that checks
     a declaration's names also keys its interned twin: one walk per added
     declaration over cube.hier's nested search, where a second walk for the
-    twin made 352."""
+    twin made 352 and the rebuilt instances, added one by one, 176."""
     walked, adds = walks
     spanning_search(cube_module, EncodingStrategy("nested"), ETA_OFF)
-    assert len(walked) == len(adds) == 176
+    assert len(walked) == len(adds) == 66
 
 
 @pytest.mark.parametrize("kind", ["flat", "flat_hack"])
 def test_flat_chain_walks_grow_with_classes_not_fields(walks, kind):
-    """A chain of n classes makes two walks per class under flat (the
-    structure and the instance that rebuilds its parent, which the first
-    class lacks), and one more for the marker class under flat-hack, though
-    the last class alone has n fields: under flat, 119 walks for 1,830
-    fields at n = 60 and 239 for 7,260 at n = 120."""
+    """A chain of n classes makes one walk per class, its structure, and
+    one more for the marker class under flat-hack, though the last class
+    alone has n fields: 60 walks for 1,830 fields at n = 60 under flat,
+    and 120 for 7,260 at n = 120.  The instances that rebuild the parents
+    are derived, where they were added and walked too (2n - 1 walks)."""
     walked, adds = walks
     for n in (60, 120):
         walked.clear()
@@ -513,7 +512,7 @@ def test_flat_chain_walks_grow_with_classes_not_fields(walks, kind):
         elab = elaborate(parse(chain_source(n)), EncodingStrategy(kind))
         fields = n * (n + 1) // 2 + n * (kind == "flat_hack")  # and each to_flat_hack
         assert sum(len(info.layout) for info in elab.classes.values()) == fields
-        assert len(walked) == len(adds) == 2 * n - 1 + (kind == "flat_hack")
+        assert len(walked) == len(adds) == n + (kind == "flat_hack")
 
 
 def test_a_telescope_is_walked_again_where_it_was_not_checked():

@@ -33,8 +33,10 @@ from hierlab.analyzer import (
     MAX_PATH_LEN, analyze, build_graph, diamond_rows, random_hierarchy, spanning_search,
 )
 from hierlab.cli import _json_text, main as cli_main
-from hierlab.declarations import DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl
-from hierlab.elaborator import FLAT, EncodingStrategy, elaborate, projections
+from hierlab.declarations import (
+    DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl, projections,
+)
+from hierlab.elaborator import FLAT, EncodingStrategy, elaborate
 from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
 from hierlab.resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from hierlab.surface import _SYMBOLS, KEYWORDS, ParseError, _tokenize, parse
@@ -179,7 +181,7 @@ def test_layout_projections_match_breadth_first_search(data, seed, encoding):
     elab = elaborate(module, EncodingStrategy(encoding, order))
     value = FreeVar("v")
     for source, info in elab.classes.items():
-        leaves, stored = projections(elab.classes, source, value)
+        leaves, stored = projections(elab.env, info.struct, value)
         expected = {}
         for target in elab.classes.keys() - {source}:
             path = reference.preferred_path(elab, source, target)
@@ -426,6 +428,34 @@ def test_derived_declarations_match_the_eager_reference(source, param, dependent
             assert [env[decl.name] for decl in eager] == eager
 
 
+@COMMON
+@given(st.sampled_from([p.name for p in sorted(CORPUS.glob("*.hier"))])
+       | st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["α", "i"]))
+def test_rebuilt_instances_match_the_eager_reference(source, param):
+    """Each instance that rebuilds a parent, derived from its class's
+    structure on first read, equals the one built eagerly from the class
+    records under every encoding, also when the class parameter takes the
+    instance binder's name; the environment lists them right after the
+    structure's projections, in parent order."""
+    if isinstance(source, str):
+        module = load(source)
+    else:
+        module = parse(random_hierarchy(source).replace("α", param))
+    for encoding in ENCODINGS:
+        elab = elaborate(module, EncodingStrategy(encoding))
+        env = elab.env
+        names = [decl.name for decl in env]
+        for info in elab.classes.values():
+            eager = reference.rebuilt_declarations(elab, info)
+            derived = [f"{info.name}.mk", *(f"{info.name}.{f.name}" for f in info.layout),
+                       *(decl.name for decl in eager)]
+            at = names.index(info.name) + 1
+            assert names[at:at + len(derived)] == derived
+            assert env.struct(info.name).derived_names() == derived
+            assert [env[decl.name] for decl in eager] == eager
+
+
 def forgetful_steps(elab):
     steps: dict[str, list[tuple[str, str]]] = {}
     for info in elab.instances:
@@ -567,13 +597,15 @@ def declaration_runs(draw):
     name or the undeclared "zz", so that a run meets self-references,
     references to its own later or earlier declarations and missing names.
     Binder records and telescopes come from a shared pool, as a class's
-    rebuilt instances share one telescope, or are new; the pool's "z" names
-    "zz".  Half the runs also hold, somewhere, a structure "g" with a field
-    "h.x" or "h.mk" and a structure "g.h" with a field "x" or "mk", in
-    either order: both derive "g.h.x" or "g.h.mk", or "g.h" derives
-    "g.h.mk" twice."""
+    leaves are its parent's records, or are new; the pool's "z" names "zz".
+    A structure rebuilds, now and then, the structure "u", whose derived
+    instance's name another declaration may take before or after it, or
+    the undeclared "zz".  Half the runs also hold, somewhere, a structure
+    "g" with a field "h.x" or "h.mk" and a structure "g.h" with a field "x"
+    or "mk", in either order: both derive "g.h.x" or "g.h.mk", or "g.h"
+    derives "g.h.mk" twice."""
     names = draw(st.lists(st.sampled_from("cdef"), max_size=4, unique=True))
-    derived = [f"{n}.{suffix}" for n in names for suffix in ("mk", "x", "w")]
+    derived = [f"{n}.{suffix}" for n in names for suffix in ("mk", "x", "w", "to_u")]
     decls = []
     for name in names:
         if draw(st.integers(0, 5)) == 0:
@@ -589,7 +621,8 @@ def declaration_runs(draw):
         elif kind is DefDecl:
             decls.append(DefDecl(name, telescope, ty, draw(SAFE_TERMS)))
         else:
-            decls.append(StructDecl(name, telescope, draw(TELESCOPES)))
+            rebuilt = draw(st.sampled_from([(), (Const("u"),), (Const("u"),), (Const("zz"),)]))
+            decls.append(StructDecl(name, telescope, draw(TELESCOPES), rebuilt=rebuilt))
     if draw(st.booleans()):
         outer = draw(st.sampled_from(["h.x", "h.mk"]))
         inner = draw(st.sampled_from(["x", "mk"]))
@@ -616,9 +649,11 @@ def test_single_adds_match_the_reference_environment(decls, interning):
     """The same error, names in order, stored names and checked binder
     records as the reference, whose ``add`` builds every derived name and
     checks every term on its own, with interning off and on.  Both first
-    declare "a" and "b", which checks the record of "x"."""
+    declare "a" and "b", which checks the record of "x", and the structure
+    "u" with no field."""
     env, want = Environment(), reference.Environment()
-    base = [OpaqueDecl("a", (), Sort()), OpaqueDecl("b", SHARED_BINDERS[:1], Const("a"))]
+    base = [OpaqueDecl("a", (), Sort()), OpaqueDecl("b", SHARED_BINDERS[:1], Const("a")),
+            StructDecl("u", (), ())]
     add_all(env, base)
     add_all(want, base)
     if interning:
