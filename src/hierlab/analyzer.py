@@ -28,10 +28,11 @@ edge, with a fuel budget of its own.  A path's record, its normal form and
 parameters, is interned by content, and an extension is keyed by its edge
 and its prefix's record, so paths whose prefixes reduce alike share one
 reduction, within a source and across the sources of one call.
-An edge is keyed by its declaration object.  ``spanning_search`` interns
-declarations, so that an object stands for its content in every parent
-order, and keeps one table for all orders: an order reduces again only
-what its changed declarations unfold to.
+An edge is keyed by its declaration object.  Every environment interns its
+declarations, and forks share the interning table, so in a
+``spanning_search`` an object stands for its content in every parent
+order; the search keeps one table for all orders: an order reduces again
+only what its changed declarations unfold to.
 
 A group's report holds, per path, its normal form's id and whether its last
 edge is a preferred projection; a pair's verdicts are read from its two
@@ -350,10 +351,10 @@ class _Reuse:
 
     An edge is keyed by the id of its declaration, and a record's content
     also holds the ids of the declarations its parameters name; the
-    environment of ``analyze``, or the interning table of a spanning
-    search (see ``Environment``), keeps them alive.  Interned, an object
-    stands for its content, so forks share a key exactly when the edge
-    unfolds to the same term.
+    interning table of the environment and its forks (see
+    ``Environment``) keeps them alive.  There an object stands for its
+    content, so forks share a key exactly when the edge unfolds to the
+    same term.
 
     ``reports`` keeps one object per distinct group report, keyed by its
     group's identity and its verdicts, so that the orders of a spanning
@@ -545,7 +546,6 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
         return elab
 
     elab = begin_elaboration(strategy)
-    elab.env.intern()
     elaborate_from(elab, 0)
     # Under flat_hack the marker class is every class's first parent and is
     # no choice.

@@ -6,7 +6,8 @@ from names to declarations; later declarations may only mention earlier
 ones.  A structure's constructor, its projections and the instances that
 rebuild the parents it does not store are derived: their names are keys of
 the table whose entry is the structure, which builds them when one is
-first read.
+first read.  Every environment interns what it adds, so that within it
+and its copies one declaration object stands for one content.
 """
 from __future__ import annotations
 
@@ -215,7 +216,7 @@ class Environment:
     every name, stored or derived, is one key of one table, and a derived
     name's entry is the structure it comes from.
 
-    An interning environment and its copies share one table in which a
+    An environment and its copies share one interning table in which a
     declaration object stands for its content: ``add`` replaces each
     declaration by the first one taken before that has its name, names the
     same declarations (a derived name by its structure) and is equal by
@@ -223,29 +224,17 @@ class Environment:
 
     def __init__(self) -> None:
         self._names: dict[str, Declaration] = {}
-        # The binder records of added declarations, by id: the entry keeps
-        # its record alive, so an id cannot stand for another one.
-        self._checked: dict[int, Binder] = {}
         # The interned declarations, keyed by name and the ids of the
-        # declarations they name, which are interned and kept alive here;
-        # None when this environment does not intern.
-        self._interned: dict[tuple[str, frozenset[int]], list[Declaration]] | None = None
+        # declarations they name, which are interned and kept alive here.
+        self._interned: dict[tuple[str, frozenset[int]], list[Declaration]] = {}
 
     def copy(self) -> "Environment":
         """An environment with the same declarations and interning table
         that grows separately."""
         env = Environment()
         env._names = dict(self._names)
-        env._checked = dict(self._checked)
         env._interned = self._interned
         return env
-
-    def intern(self) -> None:
-        """Intern the declarations here, and every one added from now on."""
-        decls = list(self.stored())
-        self._names, self._interned = {}, {}
-        for decl in decls:
-            self.add(decl)
 
     def __contains__(self, name: str) -> bool:
         return name in self._names
@@ -283,12 +272,8 @@ class Environment:
     def add(self, decl: Declaration) -> None:
         """Add a declaration after one walk over its terms finds only names
         declared before it, or its own, and finds that neither its name nor
-        a derived one is declared or taken twice.  A binder record is walked
-        only when no declaration added before brought it in, the same
-        object, here or in the environment this one was copied from (a leaf
-        a class shares with its parent); an interning environment walks
-        every binder, since the walk keys the declaration's interned twin,
-        which it takes instead.
+        a derived one is declared or taken twice.  The same walk keys the
+        declaration's interned twin, which it takes instead.
 
         The error is the first of: the declaration's own name declared; the
         alphabetically first name of the first offending term that is
@@ -297,10 +282,7 @@ class Environment:
         names = self._names
         if decl.name in names:
             raise EnvironmentError_(f"duplicate declaration {decl.name!r}")
-        binders, terms = _split(decl)
-        if self._interned is None:
-            binders = [b for b in binders if id(b) not in self._checked]
-        terms = [b.ty for b in binders] + terms
+        terms = _terms(decl)
         refs = consts_in(*terms)
         refs.discard(decl.name)
         if refs.difference(names):
@@ -313,11 +295,9 @@ class Environment:
         if len(set(derived)) < len(derived) or not names.keys().isdisjoint(derived):
             name = next(n for i, n in enumerate(derived) if n in names or n in derived[:i])
             raise EnvironmentError_(f"duplicate declaration {name!r}")
-        if self._interned is not None:
-            decl = self._twin(decl, refs)
+        decl = self._twin(decl, refs)
         names[decl.name] = decl
         names.update(dict.fromkeys(derived, decl))
-        self._checked.update((id(b), b) for b in binders)
 
     def _twin(self, decl: Declaration, refs: set[str]) -> Declaration:
         """The interned declaration equal to ``decl``, which names ``refs``
@@ -353,11 +333,15 @@ def _alike(a: StructDecl, b: StructDecl) -> bool:
             and set(a.rebuilt) == set(b.rebuilt))
 
 
-def _split(decl: Declaration) -> tuple[Telescope, list[Term]]:
-    """A declaration's binders, a structure's fields too, and its other
-    terms in order, a structure's rebuilt parents being its only others."""
+def _terms(decl: Declaration) -> list[Term]:
+    """A declaration's binder types, a structure's fields included, then its
+    other terms in order, a structure's rebuilt parents being its only
+    others.  A binder type that is a bare variable names no declaration and
+    is left out."""
     if isinstance(decl, StructDecl):
-        return decl.params + decl.fields, list(decl.rebuilt)
-    if isinstance(decl, DefDecl):
-        return decl.binders, [decl.result_type, decl.body]
-    return decl.binders, [decl.result_type]
+        binders, others = decl.params + decl.fields, decl.rebuilt
+    elif isinstance(decl, DefDecl):
+        binders, others = decl.binders, (decl.result_type, decl.body)
+    else:
+        binders, others = decl.binders, (decl.result_type,)
+    return [b.ty for b in binders if type(b.ty) is not FreeVar] + list(others)

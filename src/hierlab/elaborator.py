@@ -46,6 +46,7 @@ from typing import Mapping
 
 from .declarations import (
     DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl, pack_value, param_map,
+    projections,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, KernelError, check_type
 from .resolution import MAX_DEPTH
@@ -54,8 +55,8 @@ from .surface import (
     SurfaceModule, VariablesItem, resolve_expr,
 )
 from .terms import (
-    SORT, Binder, Const, FreeVar, Pi, Telescope, Term, apps, pp_term, subst_frees,
-    unfold_apps,
+    SORT, Binder, Const, FreeVar, Pi, Telescope, Term, apps, free_names, pp_term,
+    subst_frees, unfold_apps,
 )
 
 FLAT_HACK_CLASS = "flat_hack"
@@ -120,16 +121,23 @@ class ClassInfo:
     for the same class, laid out the same way.  A leaf field's ``Binder``
     is its parent's whenever the parent's arguments leave its type as it
     was, so a leaf inherited down a chain of classes is one record.
-    ``struct`` is the class's structure as the environment holds it; an
-    interned one may list its rebuilt parents in another order."""
+    ``struct`` is the class's structure as the environment holds it, which
+    gives its name, parameters and layout; the twin that another fork
+    added first may list its rebuilt parents in another order."""
 
-    name: str
-    params: Telescope
     parents: tuple[tuple[str, tuple[Term, ...]], ...]
     own_fields: tuple[tuple[str, Term], ...]
     struct: StructDecl
     leaves: dict[str, Binder]  # each leaf field, in flat order
     all_names: frozenset[str]
+
+    @property
+    def name(self) -> str:
+        return self.struct.name
+
+    @property
+    def params(self) -> Telescope:
+        return self.struct.params
 
     @property
     def layout(self) -> Telescope:
@@ -140,10 +148,6 @@ class ClassInfo:
     def substructures(self) -> dict[str, str]:
         """Each substructure field -> the parent it stores."""
         return self.struct.substructures
-
-    @property
-    def self_type(self) -> Term:
-        return apps(Const(self.name), *(FreeVar(b.name) for b in self.params))
 
 
 @dataclass
@@ -268,8 +272,8 @@ def _declare_class(elab: Elaboration, item: ClassItem, config: DefEqConfig) -> N
     rebuilt = [(parent, args) for parent, args in parents if parent not in direct]
     elab.env.add(StructDecl(item.name, params, layout, substructures,
                             tuple(apps(Const(parent), *args) for parent, args in rebuilt)))
-    elab.classes[item.name] = ClassInfo(item.name, params, parents, own_fields,
-                                        elab.env.struct(item.name), leaves, collected)
+    elab.classes[item.name] = ClassInfo(parents, own_fields, elab.env.struct(item.name),
+                                        leaves, collected)
     _declare_forgetful_instances(elab, item.name, substructures, [p for p, _ in rebuilt])
 
 
@@ -368,6 +372,7 @@ def _layout(elab: Elaboration, name: str,
     collected: set[str] = set()
     leaves: dict[str, Binder] = {}
     leaf_sources: dict[str, str] = {}
+    held: dict[str, tuple[str, str]] = {}  # a leaf in a substructure -> its field, parent
     nested = elab.strategy.kind != "flat"
 
     for parent, args in parents:
@@ -382,6 +387,7 @@ def _layout(elab: Elaboration, name: str,
             for leaf, record in pinfo.leaves.items():
                 leaves[leaf] = _inherit(record, mapping)
                 leaf_sources[leaf] = parent
+            held.update(dict.fromkeys(pinfo.leaves, (sub_name, parent)))
         elif not mapping and leaves.keys().isdisjoint(pinfo.leaves):
             # Every record is the parent's and none is there yet, so none
             # can clash: the per-leaf path below would add each in turn.
@@ -391,9 +397,18 @@ def _layout(elab: Elaboration, name: str,
             collected.update(pinfo.leaves)
         else:
             for record in pinfo.leaves.values():
-                record = _inherit(record, mapping)
-                if _add_leaf(leaves, leaf_sources, record, parent, pos):
-                    layout.append(record)
+                inherited = _inherit(record, mapping)
+                if _add_leaf(leaves, leaf_sources, inherited, parent, pos):
+                    named = free_names(record.ty).intersection(held, pinfo.leaves) \
+                        if held else ()
+                    if named:
+                        # Each leaf held in a substructure is read out of it,
+                        # in one substitution with the parent's arguments.
+                        views = {leaf: projections(elab.env, elab.env.struct(held[leaf][1]),
+                                                   FreeVar(held[leaf][0]))[0][leaf]
+                                 for leaf in named}
+                        inherited = Binder(record.name, subst_frees(record.ty, mapping | views))
+                    layout.append(inherited)
                     collected.add(record.name)
 
     for leaf, ty in own_fields:
@@ -439,32 +454,31 @@ def _declare_instance(elab: Elaboration, item: InstanceItem, config: DefEqConfig
                                     config, max_depth)
     target = apps(Const(cinfo.name), *full_args)
 
-    mapping = param_map(cinfo.params, full_args)
-    leaves = [(leaf, subst_frees(b.ty, mapping)) for leaf, b in cinfo.leaves.items()]
-    expected = {leaf for leaf, _ in leaves}
     assigned: dict[str, Term] = {}
     for a in item.assignments:
-        if a.name not in expected:
+        if a.name not in cinfo.leaves:
             raise ElabError(
                 f"{item.name!r} assigns {a.name!r}, which is not a leaf field "
                 f"of {cinfo.name!r}", a.pos)
         if a.name in assigned:
             raise ElabError(f"{item.name!r} assigns {a.name!r} twice", a.pos)
         assigned[a.name] = a.value
-    missing = [leaf for leaf, _ in leaves if leaf not in assigned]
+    missing = [leaf for leaf in cinfo.leaves if leaf not in assigned]
     if missing:
         raise ElabError(f"{item.name!r} is missing fields {missing}", item.pos)
 
     # Every value is resolved before the opaque fields are declared, so that
-    # no value can name the instance's own fields.
-    values = {leaf: resolve_expr(assigned[leaf], binders, elab.env)
-              for leaf, _ in leaves if not isinstance(assigned[leaf], SOpaque)}
-    for leaf, leaf_ty in leaves:
+    # no value can name the instance's own fields.  ``values`` also takes
+    # each parameter to its argument, so that an opaque field's type is its
+    # record's under one substitution of the arguments and earlier values.
+    values = param_map(cinfo.params, full_args) | {
+        leaf: resolve_expr(assigned[leaf], binders, elab.env)
+        for leaf in cinfo.leaves if not isinstance(assigned[leaf], SOpaque)}
+    for leaf, record in cinfo.leaves.items():
         if isinstance(assigned[leaf], SOpaque):
             opaque_name = f"{item.name}.{leaf}"
-            elab.env.add(OpaqueDecl(opaque_name, binders, leaf_ty))
-            values[leaf] = apps(Const(opaque_name),
-                                *(FreeVar(b.name) for b in binders))
+            elab.env.add(OpaqueDecl(opaque_name, binders, subst_frees(record.ty, values)))
+            values[leaf] = apps(Const(opaque_name), *(FreeVar(b.name) for b in binders))
 
     body = pack_value(elab.env, cinfo.name, full_args, values, {})
     elab.env.add(DefDecl(item.name, binders, target, body))

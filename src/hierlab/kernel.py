@@ -150,10 +150,9 @@ def _whnf(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
         return t
 
 
-def whnf(env: Environment, config: DefEqConfig, t: Term,
-         trace: Trace | None = None) -> Term:
+def whnf(env: Environment, config: DefEqConfig, t: Term) -> Term:
     """Reduce to weak head normal form by beta, delta, and iota only."""
-    return _whnf(env, t, _Fuel(config.unfold_depth), trace)
+    return _whnf(env, t, _Fuel(config.unfold_depth), None)
 
 
 def normalize(env: Environment, config: DefEqConfig, t: Term,

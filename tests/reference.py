@@ -29,10 +29,10 @@
 - ``Environment``: declarations added one at a time to a map that holds
   every name, a structure's derived constructor, projection and rebuilt
   instance names built as it is added, each term of a declaration, every
-  binder type and rebuilt parent included, checked on its own.  ``hierlab.declarations.Environment.add`` walks a
-  declaration's terms once, skips binder records checked before and
-  derives nothing; single adds must leave the same names, checked binder
-  records and error.
+  binder type and rebuilt parent included, checked on its own.
+  ``hierlab.declarations.Environment.add`` walks a declaration's terms
+  once, leaving out bare-variable binder types, and derives nothing;
+  single adds must leave the same names and error.
 - ``resolve``: instance search as a plain depth-first search with no answer
   table; every subgoal is searched again on every path that reaches it.
   ``hierlab.resolution.resolve`` tables ground answers and must agree with
@@ -201,10 +201,11 @@ def class_declarations(info: ClassInfo) -> list[DefDecl]:
     name = "self" if "self" not in param_names else next(
         f"self_{k}" for k in itertools.count(1) if f"self_{k}" not in param_names)
     value = FreeVar(name)
-    binders = info.params + (Binder(name, info.self_type, instance_implicit=True),)
+    self_type = apps(Const(info.name), *(FreeVar(b.name) for b in info.params))
+    binders = info.params + (Binder(name, self_type, instance_implicit=True),)
     mk = Mk(info.name, tuple(FreeVar(b.name) for b in info.params),
             tuple(FreeVar(f.name) for f in info.layout))
-    decls = [DefDecl(f"{info.name}.mk", info.params + info.layout, info.self_type, mk)]
+    decls = [DefDecl(f"{info.name}.mk", info.params + info.layout, self_type, mk)]
     for k, f in enumerate(info.layout):
         earlier = {g.name: Proj(info.name, g.name, value) for g in info.layout[:k]}
         decls.append(DefDecl(f"{info.name}.{f.name}", binders, subst_frees(f.ty, earlier),
@@ -227,7 +228,8 @@ def rebuilt_declarations(elab, info: ClassInfo) -> list[DefDecl]:
     name = "i" if "i" not in param_names else next(
         f"i_{k}" for k in itertools.count(1) if f"i_{k}" not in param_names)
     value = FreeVar(name)
-    binders = info.params + (Binder(name, info.self_type, instance_implicit=True),)
+    self_type = apps(Const(info.name), *(FreeVar(b.name) for b in info.params))
+    binders = info.params + (Binder(name, self_type, instance_implicit=True),)
 
     # The instance seen as each class it stores at any depth, and as itself.
     reached = {info.name: value}
@@ -270,11 +272,10 @@ def rebuilt_declarations(elab, info: ClassInfo) -> list[DefDecl]:
 
 class Environment:
     """The names added so far, derived ones included, each to the
-    declaration it comes from, and the ids of the added binder records."""
+    declaration it comes from."""
 
     def __init__(self) -> None:
         self.names: dict[str, object] = {}
-        self.checked: set[int] = set()
 
     def add(self, decl) -> None:
         """Raise on the declaration's name if it is taken, then on the
@@ -304,7 +305,6 @@ class Environment:
             taken.append(name)
         for name in taken:
             self.names[name] = decl
-        self.checked |= {id(b) for b in binders}
 
 
 def resolve(env, instances, ctx, target: Term, *, config=DEFAULT_CONFIG,

@@ -31,13 +31,14 @@ from hierlab.analyzer import (
     same_verdicts,
     spanning_search,
 )
+from hierlab.declarations import instance_telescope
 from hierlab.elaborator import (
     FLAT, PREFERRED, SYNTHESIZED, EncodingStrategy, InstanceInfo, begin_elaboration,
     elaborate, elaborate_item,
 )
 from hierlab.kernel import DefEqConfig, FuelExhausted, Trace, check_type, defeq, normalize
 from hierlab.surface import parse
-from hierlab.terms import Binder, Const, FreeVar, Mk, apps, unfold_apps
+from hierlab.terms import Const, FreeVar, Mk, apps, unfold_apps
 from conftest import CORPUS, ETA_OFF, ETA_ON, LONG_DIAMOND, cube_source, load
 
 
@@ -202,8 +203,7 @@ def test_fig1_flat_hack_all_commute_without_eta(fig1_hack):
 def test_diamond_composites_typecheck(fig1_nested):
     for r in analyze(fig1_nested, ETA_OFF):
         source = fig1_nested.classes[r.group.source]
-        ctx = tuple(source.params) + (
-            Binder("i", source.self_type, instance_implicit=True),)
+        ctx = instance_telescope(source.name, source.params, "i")
         args = tuple(FreeVar(b.name) for b in source.params)
         target = apps(Const(r.group.target), *args)
         for path in r.group.paths:
@@ -563,14 +563,6 @@ def test_four_cube_spanning_search_counts_over_its_first_orders(monkeypatch, kin
     assert calls == expected
 
 
-def interning(strategy):
-    """The state before a module's first item, interning its declarations,
-    as a spanning search begins."""
-    base = begin_elaboration(strategy)
-    base.env.intern()
-    return base
-
-
 def elaborate_from(base, strategy, items):
     """A fork of ``base`` under ``strategy`` that elaborates ``items``."""
     elab = base.fork(strategy)
@@ -585,7 +577,7 @@ def test_an_edge_of_another_first_parent_is_another_interned_declaration():
     object too, although it reads the same in both: it names the structure
     c01, which is laid out differently.  `c02.to_c0` is one object."""
     module = parse(cube_source(3))
-    base = interning(EncodingStrategy("nested"))
+    base = begin_elaboration(EncodingStrategy("nested"))
     first_c0, first_c1 = (
         elaborate_from(base, strategy, module.items)
         for strategy in (EncodingStrategy("nested"),
@@ -600,12 +592,13 @@ def test_a_fork_or_a_second_elaboration_takes_the_first_declarations():
     """A class elaborated again, in a fork under the same order, makes new
     declaration objects with the same content, and the environment takes
     the first ones in their place; so does a second elaboration of the
-    whole module.  An environment that does not intern keeps its own."""
+    whole module.  A separate elaboration, with a table of its own, keeps
+    its own."""
     module = parse(cube_source(3))
     items = module.items
     index = next(i for i, item in enumerate(items) if item.name == "c012")
     nested = EncodingStrategy("nested")
-    base = interning(nested)
+    base = begin_elaboration(nested)
     elab = elaborate_from(base, nested, items)
     fork = elaborate_from(elaborate_from(base, nested, items[:index]), nested, items[index:])
     whole = elaborate_from(base, nested, items)
@@ -625,7 +618,7 @@ def test_the_interning_table_keeps_one_declaration_per_content():
     items = module.items
     index = next(i for i, item in enumerate(items) if item.name == "c012")
     nested = EncodingStrategy("nested")
-    base = interning(nested)
+    base = begin_elaboration(nested)
     first = elaborate_from(base, nested, items)
     kept = sum(map(len, base.env._interned.values()))
     elaborate_from(base, nested, items)
@@ -650,7 +643,7 @@ def test_forks_read_the_derived_declarations_of_their_interned_structure():
     items = module.items
     index = next(i for i, item in enumerate(items) if item.name == "c012")
     nested = EncodingStrategy("nested")
-    base = interning(nested)
+    base = begin_elaboration(nested)
     elab = elaborate_from(base, nested, items)
     fork = elaborate_from(elaborate_from(base, nested, items[:index]), nested, items[index:])
     plain = elaborate(module, nested)
@@ -675,7 +668,7 @@ def test_forks_that_lay_a_rebuilt_parent_out_otherwise_derive_their_own_instance
     module = parse(text)
     orders = [EncodingStrategy("nested", {"p": (first,)}) for first in ("a", "b")]
     for first in (0, 1):
-        base = interning(EncodingStrategy("nested"))
+        base = begin_elaboration(EncodingStrategy("nested"))
         forks = [elaborate_from(base, strategy, module.items) for strategy in orders]
         assert forks[0].env["p"] != forks[1].env["p"]
         assert forks[0].env["c"] is forks[1].env["c"]
@@ -703,7 +696,7 @@ def test_forms_across_environments_key_the_definitions_their_parameters_name():
             "class foo (α : Type) (m : pt α) where\n  (w : α)\n"
             "class baz (α : Type) (m : pt α) extends foo α m\n")
     flat = EncodingStrategy("flat")
-    base = interning(flat)
+    base = begin_elaboration(flat)
     first, second = (elaborate_from(base, flat, parse(text.format(z)).items)
                      for z in ("p1.z", "p2.z"))
     assert first.env["baz.to_foo"] is second.env["baz.to_foo"]

@@ -210,6 +210,60 @@ def test_elaborate_prints_a_non_dependent_pi_field_as_an_arrow(run_cli, tmp_path
     assert "structure mag (α : Type) where\n  (op : α → α → α)\n" in out
 
 
+EQV = "class eqv (α : Type) (a : α) where\n  (refl : α)\n"
+# `q`'s leaf `hq` names `x`, which nested `c` holds only inside `to_p`.
+HELD_LEAF = EQV + ("class p (α : Type) where\n  (x : α)\n  (hp : eqv α x)\n"
+                   "class q (α : Type) where\n  (x : α)\n  (hq : eqv α x)\n"
+                   "class c (α : Type) extends p α, q α\n")
+# The opaque field's type names the earlier field `x`.
+OPAQUE_NAMES_A_FIELD = EQV + ("class c (α : Type) where\n  (x : α)\n  (p : eqv α x)\n"
+                              "class int\n"
+                              "instance i0 (z : int) : c int where\n  (x := z)\n"
+                              "  (p := opaque)\n")
+# The opaque field's type names the parameter `a`, whose argument is the
+# binder `x`, named like a field.
+OPAQUE_NAMES_A_PARAMETER = EQV + ("class d (α : Type) (a : α) where\n  (x : α)\n"
+                                  "  (y : eqv α a)\n"
+                                  "class int\n"
+                                  "instance i (x : int) (z : int) : d int x where\n"
+                                  "  (x := z)\n  (y := opaque)\n")
+FLAT_C = ("(x : α)\n  (hp : @eqv α x)\n  (hq : @eqv α x)\n",
+          "def c.hq (α : Type) [self : @c α] : @eqv α self.x := self.hq\n")
+
+
+@pytest.mark.parametrize("source, encoding, expected", [
+    pytest.param(HELD_LEAF, "nested", (
+        "structure c (α : Type) where\n  (to_p : @p α)\n  (hq : @eqv α to_p.x)\n",
+        "def c.hq (α : Type) [self : @c α] : @eqv α self.to_p.x := self.hq\n",
+        "instance c.to_q (α : Type) [i : @c α] : @q α := @q.mk α i.to_p.x i.hq "),
+        id="held-leaf-nested"),
+    pytest.param(HELD_LEAF, "flat", ("structure c (α : Type) where\n  " + FLAT_C[0], FLAT_C[1]),
+                 id="held-leaf-flat"),
+    pytest.param(HELD_LEAF, "flat-hack", (
+        "structure c (α : Type) where\n  (to_flat_hack : flat_hack)\n  " + FLAT_C[0],
+        FLAT_C[1]), id="held-leaf-flat-hack"),
+    *(pytest.param(OPAQUE_NAMES_A_FIELD, encoding,
+                   ("opaque i0.p (z : int) : @eqv int z\n",), id=f"opaque-field-{encoding}")
+      for encoding in ("nested", "flat", "flat-hack")),
+    *(pytest.param(OPAQUE_NAMES_A_PARAMETER, encoding,
+                   ("opaque i.y (x : int) (z : int) : @eqv int x\n",),
+                   id=f"opaque-parameter-{encoding}")
+      for encoding in ("nested", "flat", "flat-hack")),
+])
+def test_elaborate_reads_a_dependent_leaf_type_through_what_holds_each_name(
+        run_cli, tmp_path, source, encoding, expected):
+    """A leaf type laid out beside a substructure reads a leaf held there
+    as its projection, and an opaque field's type reads the arguments and
+    the earlier fields' values in one substitution, so every declaration
+    names only what is in scope."""
+    src = tmp_path / "dependent.hier"
+    src.write_text(source)
+    code, out, err = run_cli("elaborate", src, "--encoding", encoding)
+    assert (code, err) == (0, "")
+    for text in expected:
+        assert text in out
+
+
 # ---------------------------------------------------------------------------
 # defeq
 

@@ -20,11 +20,12 @@ from hierlab.elaborator import (
     EncodingStrategy,
     FieldTypeClash,
     elaborate,
+    elaborate_item,
     preferred_edges,
 )
-from hierlab.surface import ScopeError, parse
+from hierlab.surface import ScopeError, SurfaceModule, parse
 from hierlab.terms import SORT, App, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps, pp_term
-from conftest import ETA_OFF, chain_source
+from conftest import ETA_OFF, chain_source, cube_source
 
 
 def layout_names(elab, cls: str) -> list[str]:
@@ -476,16 +477,21 @@ def walks(monkeypatch):
 
 def test_environment_walks_each_declaration_once(walks, cube_module):
     """One constant walk over the terms of each added declaration, leaving
-    out the binder records the environment has already checked; the
-    per-term walks run only to name a missing constant.  A class's
-    constructor, projections and rebuilt instances are derived, so nothing
-    adds or walks them: the environment stores the eight structures alone,
-    where it also stored five rebuilt instances and walked 119 nodes."""
+    out each binder type that is a bare variable; the per-term walks run
+    only to name a missing constant.  A class's constructor, projections
+    and rebuilt instances are derived, so nothing adds or walks them: the
+    environment stores the eight structures alone, where it also stored
+    five rebuilt instances and walked 119 nodes.  The walk keys each
+    declaration's interned twin, so it takes in the leaf records a class
+    shares with an overlapping parent, `neg` once and `assoc` three times
+    (24 nodes), which an environment that skipped the records it had
+    checked left out (66 nodes); `zero : α` and `one : α` are no longer
+    walked (2 nodes)."""
     walked, adds = walks
     elab = elaborate(cube_module, EncodingStrategy("nested"))
     assert len(walked) == len(adds) == len(list(elab.env.stored())) == 8
     assert len(elab.env) == len(list(elab.env)) == 38
-    assert sum(_term_nodes(t) for roots in walked for t in roots) == 66
+    assert sum(_term_nodes(t) for roots in walked for t in roots) == 88
 
 
 def test_an_interning_search_walks_each_declaration_once(walks, cube_module):
@@ -537,13 +543,12 @@ def test_a_telescope_is_walked_again_where_it_was_not_checked():
 
 
 def test_an_interned_declaration_is_keyed_by_its_checked_binders_too():
-    """Two forks of an interning environment each add their own ``A`` and
-    check a shared binder record naming it; a declaration whose other terms
-    name no ``A`` is interned apart in each, since its binder names another
-    ``A``."""
+    """Two forks of a plain environment each add their own ``A`` and check
+    a shared binder record naming it; a declaration whose other terms name
+    no ``A`` is interned apart in each, since its binder names another
+    ``A``, although the fork checked that record before."""
     binder = Binder("x", Const("A"))
     base = Environment()
-    base.intern()
     forks = [base.copy(), base.copy()]
     for fork, ty in zip(forks, [SORT, Pi("_", SORT, SORT)]):
         fork.add(OpaqueDecl("A", (), ty))
@@ -551,6 +556,26 @@ def test_an_interned_declaration_is_keyed_by_its_checked_binders_too():
         fork.add(OpaqueDecl("d", (binder,), SORT))
     assert forks[0]["c"] is not forks[1]["c"] and forks[0]["c"] == forks[1]["c"]
     assert forks[0]["d"] is not forks[1]["d"]
+
+
+def test_forks_of_an_elaboration_share_each_declaration():
+    """Every elaboration interns: two forks of a plain one that elaborate
+    the same rest of the module hold one object for each declaration,
+    while a separate elaboration holds its own."""
+    module = parse(cube_source(3))
+    items = module.items
+    index = next(i for i, item in enumerate(items) if item.name == "c012")
+    nested = EncodingStrategy("nested")
+    elab = elaborate(SurfaceModule(items[:index]), nested)
+    forks = [elab.fork(nested) for _ in range(2)]
+    for fork in forks:
+        for item in items[index:]:
+            elaborate_item(fork, item)
+    alone = elaborate(module, nested)
+    assert "c012" in forks[0].env
+    for decl in forks[0].env:
+        assert forks[1].env[decl.name] is decl
+        assert alone.env[decl.name] == decl and alone.env[decl.name] is not decl
 
 
 def test_a_result_is_checked_after_its_shared_telescope():
