@@ -52,7 +52,6 @@ from .surface import (
     SurfaceModule,
     parse,
     parse_term,
-    print_module,
 )
 from .terms import (
     App,

@@ -116,6 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("spanning-search",
                               help="score every first-parent placement"),
                parent_order=False, trace=False)
+    # The intermixed parse formats a subcommand's usage on every call unless
+    # it is set; set it once, to the text that parse would format.
+    for p in sub.choices.values():
+        p.usage = p.format_usage()[len("usage: "):]
     return parser
 
 

@@ -1,4 +1,4 @@
-"""The .hier surface language: lexer, parser, printer, and name resolution.
+"""The .hier surface language: lexer, parser and name resolution.
 
 A module is an ordered list of items: class declarations (with ``extends``
 lists and ``where`` field blocks), instance declarations (field assignments,
@@ -8,11 +8,15 @@ is fully explicit: ``@name arg ...`` application, ``→`` (or ``->``) arrows,
 ``Pi``/``fun`` binders, and dotted projections resolved against the
 environment.  ``--`` starts a line comment.
 
-The lexer matches one compiled alternation at each offset: a newline, a
-run of other blanks, a comment, a name, a number or a symbol, in that
-order.  A token's column is its offset from the start of its line, plus
-one.  A comment does not move the column, so the end-of-input position
-after a trailing comment is where the comment began.
+The lexer splits the text into lines and runs one compiled pattern's
+``finditer`` over each line: a match is a name, a number, a symbol, a
+comment or any other character, and the search skips the blanks between
+them.  A token's line is its line's number and its column is its match's
+offset plus one; a comment does not move the column, so the end-of-input
+position after a trailing comment is where the comment began.  A lexeme's
+kind comes from the symbol table or its first character.  The tokens are
+four parallel arrays (kinds, values, lines, columns), which the parser
+indexes; no object is built per token.
 
 Parsing is total: any input yields a SurfaceModule or a positioned
 ParseError, never a crash.  Names are resolved later, item by item, by
@@ -21,7 +25,8 @@ ParseError, never a crash.  Names are resolved later, item by item, by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from typing import Iterator
 
 from .declarations import Environment, StructDecl, projections
 from .kernel import DEFAULT_CONFIG, IllTyped, infer_type, whnf
@@ -54,9 +59,18 @@ class ScopeError(SurfaceError):
 
 # ---------------------------------------------------------------------------
 # Surface syntax trees
+#
+# The parser builds one node or more per token, so the nodes are slotted
+# dataclasses built by plain attribute stores, where a frozen dataclass pays
+# one ``object.__setattr__`` per field.  They compare and hash by their
+# fields, as frozen ones would; nothing mutates a node once it is built.
 
-@dataclass(frozen=True)
+_node = dataclass(slots=True, unsafe_hash=True)
+
+
+@_node
 class Pos:
+    """A 1-based line and column.  Never mutated once built."""
     line: int
     col: int
 
@@ -65,37 +79,45 @@ class SExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class SName(SExpr):
+    """A name, dotted or not, written ``@name`` when ``at``.  Never mutated
+    once built."""
     name: str
     pos: Pos
     at: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class SSort(SExpr):
+    """``Type``.  Never mutated once built."""
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class SOpaque(SExpr):
+    """The ``opaque`` value of an instance field.  Never mutated once built."""
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class SApp(SExpr):
+    """``fn arg``.  Never mutated once built."""
     fn: SExpr
     arg: SExpr
 
 
-@dataclass(frozen=True)
+@_node
 class SArrow(SExpr):
+    """``lhs → rhs``.  Never mutated once built."""
     lhs: SExpr
     rhs: SExpr
 
 
-@dataclass(frozen=True)
+@_node
 class SPi(SExpr):
+    """``Pi (x : ty), body``, or ``Pi [x : ty], body`` when ``implicit``.
+    Never mutated once built."""
     binder: str
     implicit: bool
     ty: SExpr
@@ -103,39 +125,46 @@ class SPi(SExpr):
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class SFun(SExpr):
+    """``fun (x : ty), body``.  Never mutated once built."""
     binder: str
     ty: SExpr
     body: SExpr
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class SProj(SExpr):
+    """``target.field``, one node per dotted segment.  Never mutated once
+    built."""
     target: SExpr
     field: str
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class SurfaceBinder:
+    """``(name : ty)``, or ``[name : ty]`` when ``instance_implicit``; the
+    k-th ``[ty]`` of a telescope is named ``_inst_k``.  Never mutated once
+    built."""
     name: str
     ty: SExpr
     instance_implicit: bool
     pos: Pos
-    anonymous: bool = dc_field(default=False, compare=False)
 
 
-@dataclass(frozen=True)
+@_node
 class SurfaceAssign:
+    """``(name := value)`` in an instance.  Never mutated once built."""
     name: str
     value: SExpr
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class ClassItem:
+    """A class declaration.  Never mutated once built."""
     name: str
     binders: tuple[SurfaceBinder, ...]
     parents: tuple[SExpr, ...]
@@ -143,8 +172,9 @@ class ClassItem:
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class InstanceItem:
+    """An instance declaration.  Never mutated once built."""
     name: str
     binders: tuple[SurfaceBinder, ...]
     target: SExpr
@@ -153,21 +183,24 @@ class InstanceItem:
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class VariablesItem:
+    """A ``variables`` block.  Never mutated once built."""
     binders: tuple[SurfaceBinder, ...]
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class GoalItem:
+    """A labeled instance-search goal.  Never mutated once built."""
     label: str
     target: SExpr
     pos: Pos
 
 
-@dataclass(frozen=True)
+@_node
 class DefeqItem:
+    """A labeled definitional-equality probe.  Never mutated once built."""
     label: str
     lhs: SExpr
     rhs: SExpr
@@ -184,183 +217,215 @@ class SurfaceModule:
 
 KEYWORDS = {"class", "extends", "where", "instance", "variables", "goal",
             "defeq", "opaque", "Type", "fun", "λ", "Pi", "Π"}
-_STOP_KEYWORDS = KEYWORDS - {"Type"}
+_BINDER_WORDS = {"fun", "λ", "Pi", "Π"}
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int) -> None:
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-
-_IDENT_RE = re.compile(r"[^\W\d][\w']*(?:\.[^\W\d][\w']*)*")
+_IDENT_RE = re.compile(r"[^\W\d][\w']*+(?:\.[^\W\d][\w']*+)*+")
 _SYMBOLS = ((":=", "ASSIGN"), ("->", "ARROW"), ("→", "ARROW"), ("(", "LPAREN"),
             (")", "RPAREN"), ("[", "LBRACK"), ("]", "RBRACK"), (",", "COMMA"),
             (":", "COLON"), ("=", "EQ"), ("@", "AT"), (".", "DOT"))
-# One alternative per lexeme, tried in this order at each offset; the last
-# one takes any other character, which no token starts with.
-_LEXEME_RE = re.compile("|".join(
-    ["(\n)", r"([^\S\n]+)", "(--[^\n]*)", f"({_IDENT_RE.pattern})", r"(\d+)"]
-    + [f"({re.escape(sym)})" for sym, _ in _SYMBOLS] + ["(.)"]), re.DOTALL)
-_NEWLINE, _BLANKS, _COMMENT = 1, 2, 3
-_GROUP_KINDS = (None, None, None, None, "IDENT", "NUM") + tuple(k for _, k in _SYMBOLS)
-_STRAY = len(_GROUP_KINDS)
+# One match per lexeme, and none in a run of blanks, which the search skips
+# (its lookahead fails at once on a blank): a name, a number, a
+# two-character symbol, a comment, or any other single character, which is
+# a one-character symbol or starts no token.  No repeat gives back what it
+# matched, since no lexeme needs it to.
+_LEXEME_RE = re.compile(r"(?=\S)(?:%s)" % "|".join(
+    [_IDENT_RE.pattern, r"\d++", *(re.escape(sym) for sym, _ in _SYMBOLS if len(sym) > 1),
+     r"--[^\n]*+", r"\S"]))
+_COMMENT, _STRAY = "COMMENT", "STRAY"
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, line_start, end = 1, 0, 0
-    for m in _LEXEME_RE.finditer(text):
-        group = m.lastindex
-        if group == _BLANKS:
-            end = m.end()
-        elif group == _NEWLINE:
-            line += 1
-            line_start = end = m.end()
-        elif group == _COMMENT:
-            pass  # a comment leaves the column where it began
-        elif group == _STRAY:
-            raise ParseError(line, m.start() - line_start + 1, ("a token",),
-                             repr(m.group()))
+class _Kinds(dict):
+    """Each lexeme's kind: a symbol's from the symbol table, any other's
+    from its first character, found once per text and kept."""
+
+    def __missing__(self, lexeme: str) -> str:
+        first = lexeme[0]
+        if first.isdecimal():  # what ``\d`` matches
+            kind = "NUM"
+        elif first.isalnum() or first == "_":  # the rest of ``\w``
+            kind = "IDENT"
         else:
-            start = m.start()
-            toks.append(_Token(_GROUP_KINDS[group], m.group(), line, start - line_start + 1))
-            end = m.end()
-    toks.append(_Token("EOF", "", line, end - line_start + 1))
-    return toks
+            kind = _COMMENT if lexeme.startswith("--") else _STRAY
+        self[lexeme] = kind
+        return kind
+
+
+_SYMBOL_KINDS = dict(_SYMBOLS)
+
+
+class _Tokens:
+    """The tokens of a text as four arrays, of kinds, values, lines and
+    columns, each ending with an EOF token; iterated, the tokens as
+    ``(kind, value, line, col)``."""
+
+    __slots__ = ("kinds", "values", "lines", "cols")
+
+    def __init__(self, kinds: list[str], values: list[str], lines: list[int],
+                 cols: list[int]) -> None:
+        self.kinds, self.values, self.lines, self.cols = kinds, values, lines, cols
+
+    def __iter__(self) -> Iterator[tuple[str, str, int, int]]:
+        return zip(self.kinds, self.values, self.lines, self.cols)
+
+
+def _tokenize(text: str) -> _Tokens:
+    """The tokens of ``text``; a character that starts no token is a
+    ParseError."""
+    values: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    add_value, add_line, add_col = values.append, lines.append, cols.append
+    for line_no, line in enumerate(text.split("\n"), 1):
+        for m in _LEXEME_RE.finditer(line):
+            add_value(m.group())
+            add_line(line_no)
+            add_col(m.start() + 1)
+    table = _Kinds(_SYMBOL_KINDS)
+    kinds = list(map(table.__getitem__, values))
+    seen = set(table.values())  # the kinds of the distinct lexemes
+    if _STRAY in seen:
+        k = kinds.index(_STRAY)
+        raise ParseError(lines[k], cols[k], ("a token",), repr(values[k]))
+    eof_col = len(line) + 1
+    if _COMMENT in seen:
+        # A comment leaves the column where it began.
+        if kinds[-1] == _COMMENT and lines[-1] == line_no:
+            eof_col = cols[-1]
+        keep = [k for k, kind in enumerate(kinds) if kind != _COMMENT]
+        kinds, values = [kinds[k] for k in keep], [values[k] for k in keep]
+        lines, cols = [lines[k] for k in keep], [cols[k] for k in keep]
+    kinds.append("EOF")
+    values.append("")
+    lines.append(line_no)
+    cols.append(eof_col)
+    return _Tokens(kinds, values, lines, cols)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_ATOM_STARTS = {"IDENT", "AT", "LPAREN"}
-
-
 class _Parser:
-    def __init__(self, toks: list[_Token]) -> None:
-        self.toks = toks
+    """Recursive descent over the token arrays.  ``i`` is the next token's
+    index; it never moves past the EOF token at the end, and the hot loops
+    index the arrays themselves."""
+
+    def __init__(self, toks: _Tokens) -> None:
+        self.kinds, self.values = toks.kinds, toks.values
+        self.lines, self.cols = toks.lines, toks.cols
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        if ahead:
-            return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-        return self.toks[self.i]  # never past EOF: advance stops there
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.i] == kind
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
+    def at_keyword(self, word: str) -> bool:
+        return self.values[self.i] == word  # only a name is spelled like a keyword
 
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.value in words
+    def pos(self, i: int | None = None) -> Pos:
+        if i is None:
+            i = self.i
+        return Pos(self.lines[i], self.cols[i])
 
-    def advance(self) -> _Token:
-        tok = self.toks[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
+    def error(self, i: int, expected: tuple[str, ...], found: str) -> ParseError:
+        return ParseError(self.lines[i], self.cols[i], expected, repr(found))
 
-    def expect(self, kind: str, value: str | None = None, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind == kind and (value is None or tok.value == value):
-            return self.advance()
-        expected = what or value or kind.lower()
-        found = tok.value or "end of input"
-        raise ParseError(tok.line, tok.col, (expected,), repr(found))
-
-    def pos(self) -> Pos:
-        tok = self.peek()
-        return Pos(tok.line, tok.col)
+    def expect(self, kind: str, value: str | None = None, what: str | None = None) -> int:
+        """Take the next token if it has this kind (and value), and return
+        its index."""
+        i = self.i
+        if self.kinds[i] == kind and (value is None or self.values[i] == value):
+            if kind != "EOF":
+                self.i = i + 1
+            return i
+        raise self.error(i, (what or value or kind.lower(),), self.values[i] or "end of input")
 
     # Items -----------------------------------------------------------------
 
     def parse_module(self) -> SurfaceModule:
         items: list[Item] = []
-        while not self.at("EOF"):
+        kinds = self.kinds
+        while kinds[self.i] != "EOF":
             items.append(self.parse_item())
         return SurfaceModule(tuple(items))
 
     def parse_item(self) -> Item:
-        tok = self.peek()
+        i = self.i
         # ``@[priority n]`` starts an instance; every other item starts with
         # its keyword.
-        parse_item = _ITEM_PARSERS.get("instance" if tok.kind == "AT" else tok.value)
+        parse_item = _ITEM_PARSERS.get("instance" if self.kinds[i] == "AT" else self.values[i])
         if parse_item is None:
-            raise ParseError(tok.line, tok.col, tuple(_ITEM_PARSERS),
-                             repr(tok.value or "end of input"))
+            raise self.error(i, tuple(_ITEM_PARSERS), self.values[i] or "end of input")
         return parse_item(self)
 
     def parse_name(self, what: str) -> str:
-        tok = self.expect("IDENT", what=what)
-        if tok.value in KEYWORDS:
-            raise ParseError(tok.line, tok.col, (what,), repr(tok.value))
-        return tok.value
+        i = self.expect("IDENT", what=what)
+        value = self.values[i]
+        if value in KEYWORDS:
+            raise self.error(i, (what,), value)
+        return value
 
     def parse_class(self) -> ClassItem:
         pos = self.pos()
-        self.expect("IDENT", "class")
+        self.i += 1  # ``class``, which chose this parser
         name = self.parse_name("class name")
         binders = self.parse_binders()
         parents: list[SExpr] = []
         if self.at_keyword("extends"):
-            self.advance()
+            self.i += 1
             parents.append(self.parse_app())
             while self.at("COMMA"):
-                self.advance()
+                self.i += 1
                 parents.append(self.parse_app())
         fields: list[SurfaceBinder] = []
         if self.at_keyword("where"):
-            self.advance()
+            self.i += 1
             while self.at("LPAREN"):
                 fields.extend(self.parse_field_group())
         return ClassItem(name, binders, tuple(parents), tuple(fields), pos)
 
     def parse_field_group(self) -> list[SurfaceBinder]:
+        kinds, values = self.kinds, self.values
         self.expect("LPAREN")
-        names: list[tuple[str, Pos]] = []
-        while self.at("IDENT") and not self.at("COLON"):
-            p = self.pos()
-            names.append((self.parse_name("field name"), p))
-        if not names:
-            tok = self.peek()
-            raise ParseError(tok.line, tok.col, ("field name",), repr(tok.value))
+        start = j = self.i
+        while kinds[j] == "IDENT":
+            if values[j] in KEYWORDS:
+                raise self.error(j, ("field name",), values[j])
+            j += 1
+        if j == start:
+            raise self.error(j, ("field name",), values[j])
+        self.i = j
         self.expect("COLON")
         ty = self.parse_expr()
         self.expect("RPAREN")
-        return [SurfaceBinder(n, ty, False, p) for n, p in names]
+        return [SurfaceBinder(values[k], ty, False, self.pos(k)) for k in range(start, j)]
 
     def parse_binders(self) -> tuple[SurfaceBinder, ...]:
+        kinds, values, lines, cols = self.kinds, self.values, self.lines, self.cols
         binders: list[SurfaceBinder] = []
         anon = 0
         while True:
-            if self.at("LPAREN"):
-                start = self.i
-                self.advance()
-                names: list[tuple[str, Pos]] = []
-                while self.at("IDENT") and self.peek().value not in KEYWORDS:
-                    p = self.pos()
-                    names.append((self.advance().value, p))
-                if not names or not self.at("COLON"):
-                    # not a binder group (for instance a parenthesized type)
-                    self.i = start
-                    break
-                self.advance()
+            i = self.i
+            kind = kinds[i]
+            if kind == "LPAREN":
+                j = i + 1
+                while kinds[j] == "IDENT" and values[j] not in KEYWORDS:
+                    j += 1
+                if j == i + 1 or kinds[j] != "COLON":
+                    break  # not a binder group (for instance a parenthesized type)
+                self.i = j + 1
                 ty = self.parse_expr()
                 self.expect("RPAREN")
-                binders.extend(SurfaceBinder(n, ty, False, p) for n, p in names)
-            elif self.at("LBRACK"):
-                pos = self.pos()
-                self.advance()
-                if self.at("IDENT") and self.peek(1).kind == "COLON":
+                binders.extend(SurfaceBinder(values[k], ty, False, Pos(lines[k], cols[k]))
+                               for k in range(i + 1, j))
+            elif kind == "LBRACK":
+                pos = Pos(lines[i], cols[i])
+                self.i = i + 1
+                if kinds[i + 1] == "IDENT" and kinds[i + 2] == "COLON":
                     name = self.parse_name("binder name")
-                    self.expect("COLON")
+                    self.i += 1
                     ty = self.parse_expr()
                     self.expect("RBRACK")
                     binders.append(SurfaceBinder(name, ty, True, pos))
@@ -368,7 +433,7 @@ class _Parser:
                     ty = self.parse_expr()
                     self.expect("RBRACK")
                     anon += 1
-                    binders.append(SurfaceBinder(f"_inst_{anon}", ty, True, pos, anonymous=True))
+                    binders.append(SurfaceBinder(f"_inst_{anon}", ty, True, pos))
             else:
                 break
         return tuple(binders)
@@ -377,10 +442,10 @@ class _Parser:
         pos = self.pos()
         priority: int | None = None
         if self.at("AT"):
-            self.advance()
+            self.i += 1
             self.expect("LBRACK")
             self.expect("IDENT", "priority")
-            priority = int(self.expect("NUM").value)
+            priority = int(self.values[self.expect("NUM")])
             self.expect("RBRACK")
         self.expect("IDENT", "instance")
         name = self.parse_name("instance name")
@@ -389,15 +454,15 @@ class _Parser:
         target = self.parse_expr()
         assignments: list[SurfaceAssign] = []
         if self.at_keyword("where"):
-            self.advance()
+            self.i += 1
             while self.at("LPAREN"):
-                self.advance()
+                self.i += 1
                 p = self.pos()
                 fname = self.parse_name("field name")
                 self.expect("ASSIGN")
                 if self.at_keyword("opaque"):
-                    tok = self.advance()
-                    value: SExpr = SOpaque(Pos(tok.line, tok.col))
+                    value: SExpr = SOpaque(self.pos())
+                    self.i += 1
                 else:
                     value = self.parse_expr()
                 self.expect("RPAREN")
@@ -406,23 +471,22 @@ class _Parser:
 
     def parse_variables(self) -> VariablesItem:
         pos = self.pos()
-        self.expect("IDENT", "variables")
+        self.i += 1  # ``variables``, which chose this parser
         binders = self.parse_binders()
         if not binders:
-            tok = self.peek()
-            raise ParseError(tok.line, tok.col, ("binder",), repr(tok.value))
+            raise self.error(self.i, ("binder",), self.values[self.i])
         return VariablesItem(binders, pos)
 
     def parse_goal(self) -> GoalItem:
         pos = self.pos()
-        self.expect("IDENT", "goal")
+        self.i += 1  # ``goal``, which chose this parser
         label = self.parse_name("goal label")
         self.expect("COLON")
         return GoalItem(label, self.parse_expr(), pos)
 
     def parse_defeq(self) -> DefeqItem:
         pos = self.pos()
-        self.expect("IDENT", "defeq")
+        self.i += 1  # ``defeq``, which chose this parser
         label = self.parse_name("defeq label")
         self.expect("COLON")
         lhs = self.parse_expr()
@@ -433,9 +497,12 @@ class _Parser:
     # Expressions -----------------------------------------------------------
 
     def parse_expr(self) -> SExpr:
-        if self.at_keyword("fun", "λ", "Pi", "Π"):
+        i = self.i
+        word = self.values[i]
+        if word in _BINDER_WORDS:
             pos = self.pos()
-            is_pi = self.advance().value in ("Pi", "Π")
+            self.i = i + 1
+            is_pi = word in ("Pi", "Π")
             implicit = is_pi and self.at("LBRACK")  # only Pi takes [x : T]
             self.expect("LBRACK" if implicit else "LPAREN")
             name = self.parse_name("binder name")
@@ -447,47 +514,47 @@ class _Parser:
             return SPi(name, implicit, ty, body, pos) if is_pi else SFun(name, ty, body, pos)
         lhs = self.parse_app()
         if self.at("ARROW"):
-            self.advance()
+            self.i += 1
             return SArrow(lhs, self.parse_expr())
         return lhs
 
     def parse_app(self) -> SExpr:
-        expr = self.parse_atom()
-        while (self.peek().kind in _ATOM_STARTS and not self.at_keyword(*_STOP_KEYWORDS)
-               and not (self.at("AT") and self.peek(1).kind == "LBRACK")):
-            # ``@[`` opens the attribute of the next item, not an argument.
-            expr = SApp(expr, self.parse_atom())
-        return expr
-
-    def parse_atom(self) -> SExpr:
-        tok = self.peek()
-        if tok.kind == "AT":
-            self.advance()
-            name = self.expect("IDENT", what="name after @")
-            expr: SExpr = SName(name.value, Pos(name.line, name.col), at=True)
-            return self.parse_postfix(expr)
-        if tok.kind == "IDENT":
-            if tok.value == "Type":
-                self.advance()
-                return SSort(Pos(tok.line, tok.col))
-            if tok.value in KEYWORDS:
-                raise ParseError(tok.line, tok.col, ("a term",), repr(tok.value))
-            self.advance()
-            return self.parse_postfix(SName(tok.value, Pos(tok.line, tok.col)))
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return self.parse_postfix(inner)
-        raise ParseError(tok.line, tok.col, ("a term",), repr(tok.value or "end of input"))
-
-    def parse_postfix(self, expr: SExpr) -> SExpr:
-        while self.at("DOT"):
-            dot = self.advance()
-            name = self.expect("IDENT", what="field name")
-            for segment in name.value.split("."):
-                expr = SProj(expr, segment, Pos(dot.line, dot.col))
-        return expr
+        """An atom applied to the atoms after it.  An atom is ``Type``, or a
+        name, ``@name`` or a parenthesized expression with any projections
+        after it."""
+        kinds, values, lines, cols = self.kinds, self.values, self.lines, self.cols
+        expr: SExpr | None = None
+        while True:
+            i = self.i
+            kind, value = kinds[i], values[i]
+            if kind == "IDENT" and value not in KEYWORDS:
+                self.i = i + 1
+                atom: SExpr = SName(value, Pos(lines[i], cols[i]))
+            elif kind == "LPAREN":
+                self.i = i + 1
+                atom = self.parse_expr()
+                self.expect("RPAREN")
+            elif kind == "AT" and (expr is None or kinds[i + 1] != "LBRACK"):
+                # After a term, ``@[`` opens the attribute of the next item.
+                self.i = i + 1
+                j = self.expect("IDENT", what="name after @")
+                atom = SName(values[j], Pos(lines[j], cols[j]), True)
+            elif value == "Type":
+                self.i = i + 1
+                atom = SSort(Pos(lines[i], cols[i]))
+                expr = atom if expr is None else SApp(expr, atom)
+                continue  # a sort has no projections
+            elif expr is None:
+                raise self.error(i, ("a term",), value or "end of input")
+            else:
+                return expr
+            while kinds[self.i] == "DOT":
+                dot = self.pos()
+                self.i += 1
+                name = values[self.expect("IDENT", what="field name")]
+                for segment in name.split("."):
+                    atom = SProj(atom, segment, dot)
+            expr = atom if expr is None else SApp(expr, atom)
 
 
 _ITEM_PARSERS = {"class": _Parser.parse_class, "instance": _Parser.parse_instance,
@@ -509,93 +576,6 @@ def parse_expr_text(text: str) -> SExpr:
 
 
 # ---------------------------------------------------------------------------
-# Printing (canonical form; parse . print is a fixpoint)
-
-def print_module(module: SurfaceModule) -> str:
-    out: list[str] = []
-    for item in module.items:
-        out.append(_print_item(item))
-    return "\n".join(out) + ("\n" if out else "")
-
-
-def _print_item(item: Item) -> str:
-    if isinstance(item, ClassItem):
-        head = f"class {item.name}"
-        if item.binders:
-            head += " " + _print_binders(item.binders)
-        if item.parents:
-            head += " extends " + ", ".join(_print_sexpr(p, 1) for p in item.parents)
-        if item.fields:
-            head += " where\n" + "\n".join(
-                f"  ({f.name} : {_print_sexpr(f.ty, 2)})" for f in item.fields)
-        return head
-    if isinstance(item, InstanceItem):
-        head = ""
-        if item.priority is not None:
-            head += f"@[priority {item.priority}] "
-        head += f"instance {item.name}"
-        if item.binders:
-            head += " " + _print_binders(item.binders)
-        head += f" : {_print_sexpr(item.target, 2)}"
-        if item.assignments:
-            head += " where\n" + "\n".join(
-                f"  ({a.name} := {_print_sexpr(a.value, 2)})" for a in item.assignments)
-        return head
-    if isinstance(item, VariablesItem):
-        return "variables " + _print_binders(item.binders)
-    if isinstance(item, GoalItem):
-        return f"goal {item.label} : {_print_sexpr(item.target, 2)}"
-    if isinstance(item, DefeqItem):
-        return (f"defeq {item.label} : {_print_sexpr(item.lhs, 1)}"
-                f" = {_print_sexpr(item.rhs, 1)}")
-    raise TypeError(f"unknown item {item!r}")
-
-
-def _print_binders(binders: tuple[SurfaceBinder, ...]) -> str:
-    parts = []
-    for b in binders:
-        if b.instance_implicit:
-            if b.anonymous:
-                parts.append(f"[{_print_sexpr(b.ty, 2)}]")
-            else:
-                parts.append(f"[{b.name} : {_print_sexpr(b.ty, 2)}]")
-        else:
-            parts.append(f"({b.name} : {_print_sexpr(b.ty, 2)})")
-    return " ".join(parts)
-
-
-def _print_sexpr(e: SExpr, prec: int) -> str:
-    # prec: 0 atom, 1 application, 2 arrow
-    if isinstance(e, SName):
-        return ("@" if e.at else "") + e.name
-    if isinstance(e, SSort):
-        return "Type"
-    if isinstance(e, SOpaque):
-        return "opaque"
-    if isinstance(e, SProj):
-        return f"{_print_sexpr(e.target, 0)}.{e.field}"
-    if isinstance(e, SApp):
-        parts = []
-        cur: SExpr = e
-        while isinstance(cur, SApp):
-            parts.append(_print_sexpr(cur.arg, 0))
-            cur = cur.fn
-        parts.append(_print_sexpr(cur, 0))
-        s = " ".join(reversed(parts))
-        return f"({s})" if prec < 1 else s
-    if isinstance(e, SArrow):
-        s = f"{_print_sexpr(e.lhs, 1)} → {_print_sexpr(e.rhs, 2)}"
-        return f"({s})" if prec < 2 else s
-    if isinstance(e, (SPi, SFun)):
-        word = "Pi" if isinstance(e, SPi) else "fun"
-        open_, close = ("[", "]") if word == "Pi" and e.implicit else ("(", ")")
-        s = (f"{word} {open_}{e.binder} : {_print_sexpr(e.ty, 2)}{close}, "
-             f"{_print_sexpr(e.body, 2)}")
-        return f"({s})" if prec < 2 else s
-    raise TypeError(f"unknown expression {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # Resolving surface expressions against an environment and context
 
 def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
@@ -612,6 +592,8 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
     at its position.  This is the only place the rule is checked.
     """
     scope = list(ctx)
+    # The names of ``scope``, kept as binders are pushed and popped.
+    local_names = {b.name for b in scope}
 
     def resolve(e: SExpr) -> Term:
         if isinstance(e, SSort):
@@ -631,10 +613,14 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
         if isinstance(e, (SPi, SFun)):
             ty = resolve(e.ty)
             scope.append(Binder(e.binder, ty, isinstance(e, SPi) and e.implicit))
+            shadowing = e.binder in local_names
+            local_names.add(e.binder)
             try:
                 body = resolve(e.body)
             finally:
                 scope.pop()
+                if not shadowing:
+                    local_names.discard(e.binder)
             body = abstract(body, (e.binder,))
             if isinstance(e, SPi):
                 return Pi(e.binder, ty, body, implicit=e.implicit)
@@ -643,7 +629,6 @@ def resolve_expr(e: SExpr, ctx: Telescope, env: Environment) -> Term:
 
     def resolve_name(e: SName) -> Term:
         parts = e.name.split(".")
-        local_names = {b.name for b in scope}
         for k in range(len(parts), 0, -1):
             prefix = ".".join(parts[:k])
             base: Term | None = None

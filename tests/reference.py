@@ -1,9 +1,17 @@
 """Slow, obviously-correct versions of fast paths, kept as test oracles.
 
 - ``tokenize``: the lexer as a loop over characters, one column per
-  character and none for a comment.  ``hierlab.surface._tokenize`` matches
-  one compiled alternation per lexeme and must give the same tokens and
-  errors.
+  character and none for a comment.  ``hierlab.surface`` runs one compiled
+  pattern's ``finditer`` over each line, letting the search skip blanks and
+  taking each lexeme's kind from the symbol table or its first character,
+  into four token arrays; ``hierlab.surface._tokenize`` zips them into
+  tokens, which must equal these, errors included.
+- ``parse``: the parser as recursive descent over one token object per
+  token, read through ``peek``/``at``/``advance``.  ``hierlab.surface.parse``
+  indexes the token arrays in its loops and must give an equal module, or
+  a ParseError with the same text.
+- ``print_module``: a module printed in canonical form, which parses back
+  to an equal module.  Only tests print surface syntax.
 - ``flatten_fields``: the leaf-field view of a class, recomputed by recursion
   through every ancestor path.  The elaborator stores this view once per
   class in ``ClassInfo.leaves``.
@@ -70,7 +78,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from hierlab.analyzer import (
     MAX_PATH_LEN, Diamond, _check_path_limit, _path_key, build_graph, check_diamond,
@@ -82,7 +90,11 @@ from hierlab.elaborator import (
 )
 from hierlab.kernel import DEFAULT_CONFIG, Mismatch, OccursCheck, unify
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
-from hierlab.surface import _IDENT_RE, _SYMBOLS, ParseError
+from hierlab.surface import (
+    _IDENT_RE, _SYMBOLS, KEYWORDS, ClassItem, DefeqItem, GoalItem, InstanceItem, Item,
+    ParseError, Pos, SApp, SArrow, SExpr, SFun, SName, SOpaque, SPi, SProj, SSort,
+    SurfaceAssign, SurfaceBinder, SurfaceModule, VariablesItem,
+)
 from hierlab.terms import (
     App, Binder, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Term, apps, metas_in,
     unfold_apps,
@@ -134,6 +146,363 @@ def tokenize(text: str) -> list[tuple[str, str, int, int]]:
             raise ParseError(line, col, ("a token",), repr(ch))
     toks.append(("EOF", "", line, col))
     return toks
+
+
+class _Token(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+_ATOM_STARTS = {"IDENT", "AT", "LPAREN"}
+_STOP_KEYWORDS = KEYWORDS - {"Type"}
+
+
+def parse(text: str) -> SurfaceModule:
+    """A .hier module parsed by recursive descent over ``tokenize``'s
+    tokens, one token object each, read through ``peek``/``at``/``advance``."""
+    return _Parser([_Token(*tok) for tok in tokenize(text)]).parse_module()
+
+
+class _Parser:
+    def __init__(self, toks: list[_Token]) -> None:
+        self.toks = toks
+        self.i = 0
+
+    def peek(self, ahead: int = 0) -> _Token:
+        if ahead:
+            return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i]  # never past EOF: advance stops there
+
+    def at(self, kind: str, value: str | None = None) -> bool:
+        tok = self.peek()
+        return tok.kind == kind and (value is None or tok.value == value)
+
+    def at_keyword(self, *words: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "IDENT" and tok.value in words
+
+    def advance(self) -> _Token:
+        tok = self.toks[self.i]
+        if tok.kind != "EOF":
+            self.i += 1
+        return tok
+
+    def expect(self, kind: str, value: str | None = None, what: str | None = None) -> _Token:
+        tok = self.peek()
+        if tok.kind == kind and (value is None or tok.value == value):
+            return self.advance()
+        expected = what or value or kind.lower()
+        found = tok.value or "end of input"
+        raise ParseError(tok.line, tok.col, (expected,), repr(found))
+
+    def pos(self) -> Pos:
+        tok = self.peek()
+        return Pos(tok.line, tok.col)
+
+    # Items -----------------------------------------------------------------
+
+    def parse_module(self) -> SurfaceModule:
+        items: list[Item] = []
+        while not self.at("EOF"):
+            items.append(self.parse_item())
+        return SurfaceModule(tuple(items))
+
+    def parse_item(self) -> Item:
+        tok = self.peek()
+        # ``@[priority n]`` starts an instance; every other item starts with
+        # its keyword.
+        parse_item = _ITEM_PARSERS.get("instance" if tok.kind == "AT" else tok.value)
+        if parse_item is None:
+            raise ParseError(tok.line, tok.col, tuple(_ITEM_PARSERS),
+                             repr(tok.value or "end of input"))
+        return parse_item(self)
+
+    def parse_name(self, what: str) -> str:
+        tok = self.expect("IDENT", what=what)
+        if tok.value in KEYWORDS:
+            raise ParseError(tok.line, tok.col, (what,), repr(tok.value))
+        return tok.value
+
+    def parse_class(self) -> ClassItem:
+        pos = self.pos()
+        self.expect("IDENT", "class")
+        name = self.parse_name("class name")
+        binders = self.parse_binders()
+        parents: list[SExpr] = []
+        if self.at_keyword("extends"):
+            self.advance()
+            parents.append(self.parse_app())
+            while self.at("COMMA"):
+                self.advance()
+                parents.append(self.parse_app())
+        fields: list[SurfaceBinder] = []
+        if self.at_keyword("where"):
+            self.advance()
+            while self.at("LPAREN"):
+                fields.extend(self.parse_field_group())
+        return ClassItem(name, binders, tuple(parents), tuple(fields), pos)
+
+    def parse_field_group(self) -> list[SurfaceBinder]:
+        self.expect("LPAREN")
+        names: list[tuple[str, Pos]] = []
+        while self.at("IDENT") and not self.at("COLON"):
+            p = self.pos()
+            names.append((self.parse_name("field name"), p))
+        if not names:
+            tok = self.peek()
+            raise ParseError(tok.line, tok.col, ("field name",), repr(tok.value))
+        self.expect("COLON")
+        ty = self.parse_expr()
+        self.expect("RPAREN")
+        return [SurfaceBinder(n, ty, False, p) for n, p in names]
+
+    def parse_binders(self) -> tuple[SurfaceBinder, ...]:
+        binders: list[SurfaceBinder] = []
+        anon = 0
+        while True:
+            if self.at("LPAREN"):
+                start = self.i
+                self.advance()
+                names: list[tuple[str, Pos]] = []
+                while self.at("IDENT") and self.peek().value not in KEYWORDS:
+                    p = self.pos()
+                    names.append((self.advance().value, p))
+                if not names or not self.at("COLON"):
+                    # not a binder group (for instance a parenthesized type)
+                    self.i = start
+                    break
+                self.advance()
+                ty = self.parse_expr()
+                self.expect("RPAREN")
+                binders.extend(SurfaceBinder(n, ty, False, p) for n, p in names)
+            elif self.at("LBRACK"):
+                pos = self.pos()
+                self.advance()
+                if self.at("IDENT") and self.peek(1).kind == "COLON":
+                    name = self.parse_name("binder name")
+                    self.expect("COLON")
+                    ty = self.parse_expr()
+                    self.expect("RBRACK")
+                    binders.append(SurfaceBinder(name, ty, True, pos))
+                else:
+                    ty = self.parse_expr()
+                    self.expect("RBRACK")
+                    anon += 1
+                    binders.append(SurfaceBinder(f"_inst_{anon}", ty, True, pos))
+            else:
+                break
+        return tuple(binders)
+
+    def parse_instance(self) -> InstanceItem:
+        pos = self.pos()
+        priority: int | None = None
+        if self.at("AT"):
+            self.advance()
+            self.expect("LBRACK")
+            self.expect("IDENT", "priority")
+            priority = int(self.expect("NUM").value)
+            self.expect("RBRACK")
+        self.expect("IDENT", "instance")
+        name = self.parse_name("instance name")
+        binders = self.parse_binders()
+        self.expect("COLON")
+        target = self.parse_expr()
+        assignments: list[SurfaceAssign] = []
+        if self.at_keyword("where"):
+            self.advance()
+            while self.at("LPAREN"):
+                self.advance()
+                p = self.pos()
+                fname = self.parse_name("field name")
+                self.expect("ASSIGN")
+                if self.at_keyword("opaque"):
+                    tok = self.advance()
+                    value: SExpr = SOpaque(Pos(tok.line, tok.col))
+                else:
+                    value = self.parse_expr()
+                self.expect("RPAREN")
+                assignments.append(SurfaceAssign(fname, value, p))
+        return InstanceItem(name, binders, target, priority, tuple(assignments), pos)
+
+    def parse_variables(self) -> VariablesItem:
+        pos = self.pos()
+        self.expect("IDENT", "variables")
+        binders = self.parse_binders()
+        if not binders:
+            tok = self.peek()
+            raise ParseError(tok.line, tok.col, ("binder",), repr(tok.value))
+        return VariablesItem(binders, pos)
+
+    def parse_goal(self) -> GoalItem:
+        pos = self.pos()
+        self.expect("IDENT", "goal")
+        label = self.parse_name("goal label")
+        self.expect("COLON")
+        return GoalItem(label, self.parse_expr(), pos)
+
+    def parse_defeq(self) -> DefeqItem:
+        pos = self.pos()
+        self.expect("IDENT", "defeq")
+        label = self.parse_name("defeq label")
+        self.expect("COLON")
+        lhs = self.parse_expr()
+        self.expect("EQ")
+        rhs = self.parse_expr()
+        return DefeqItem(label, lhs, rhs, pos)
+
+    # Expressions -----------------------------------------------------------
+
+    def parse_expr(self) -> SExpr:
+        if self.at_keyword("fun", "λ", "Pi", "Π"):
+            pos = self.pos()
+            is_pi = self.advance().value in ("Pi", "Π")
+            implicit = is_pi and self.at("LBRACK")  # only Pi takes [x : T]
+            self.expect("LBRACK" if implicit else "LPAREN")
+            name = self.parse_name("binder name")
+            self.expect("COLON")
+            ty = self.parse_expr()
+            self.expect("RBRACK" if implicit else "RPAREN")
+            self.expect("COMMA")
+            body = self.parse_expr()
+            return SPi(name, implicit, ty, body, pos) if is_pi else SFun(name, ty, body, pos)
+        lhs = self.parse_app()
+        if self.at("ARROW"):
+            self.advance()
+            return SArrow(lhs, self.parse_expr())
+        return lhs
+
+    def parse_app(self) -> SExpr:
+        expr = self.parse_atom()
+        while (self.peek().kind in _ATOM_STARTS and not self.at_keyword(*_STOP_KEYWORDS)
+               and not (self.at("AT") and self.peek(1).kind == "LBRACK")):
+            # ``@[`` opens the attribute of the next item, not an argument.
+            expr = SApp(expr, self.parse_atom())
+        return expr
+
+    def parse_atom(self) -> SExpr:
+        tok = self.peek()
+        if tok.kind == "AT":
+            self.advance()
+            name = self.expect("IDENT", what="name after @")
+            expr: SExpr = SName(name.value, Pos(name.line, name.col), at=True)
+            return self.parse_postfix(expr)
+        if tok.kind == "IDENT":
+            if tok.value == "Type":
+                self.advance()
+                return SSort(Pos(tok.line, tok.col))
+            if tok.value in KEYWORDS:
+                raise ParseError(tok.line, tok.col, ("a term",), repr(tok.value))
+            self.advance()
+            return self.parse_postfix(SName(tok.value, Pos(tok.line, tok.col)))
+        if tok.kind == "LPAREN":
+            self.advance()
+            inner = self.parse_expr()
+            self.expect("RPAREN")
+            return self.parse_postfix(inner)
+        raise ParseError(tok.line, tok.col, ("a term",), repr(tok.value or "end of input"))
+
+    def parse_postfix(self, expr: SExpr) -> SExpr:
+        while self.at("DOT"):
+            dot = self.advance()
+            name = self.expect("IDENT", what="field name")
+            for segment in name.value.split("."):
+                expr = SProj(expr, segment, Pos(dot.line, dot.col))
+        return expr
+
+
+_ITEM_PARSERS = {"class": _Parser.parse_class, "instance": _Parser.parse_instance,
+                 "variables": _Parser.parse_variables, "goal": _Parser.parse_goal,
+                 "defeq": _Parser.parse_defeq}
+
+
+# The name the parser gives the k-th ``[ty]`` binder of a telescope.
+_ANONYMOUS = re.compile(r"_inst_\d+")
+
+
+def print_module(module: SurfaceModule) -> str:
+    out: list[str] = []
+    for item in module.items:
+        out.append(_print_item(item))
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def _print_item(item: Item) -> str:
+    if isinstance(item, ClassItem):
+        head = f"class {item.name}"
+        if item.binders:
+            head += " " + _print_binders(item.binders)
+        if item.parents:
+            head += " extends " + ", ".join(_print_sexpr(p, 1) for p in item.parents)
+        if item.fields:
+            head += " where\n" + "\n".join(
+                f"  ({f.name} : {_print_sexpr(f.ty, 2)})" for f in item.fields)
+        return head
+    if isinstance(item, InstanceItem):
+        head = ""
+        if item.priority is not None:
+            head += f"@[priority {item.priority}] "
+        head += f"instance {item.name}"
+        if item.binders:
+            head += " " + _print_binders(item.binders)
+        head += f" : {_print_sexpr(item.target, 2)}"
+        if item.assignments:
+            head += " where\n" + "\n".join(
+                f"  ({a.name} := {_print_sexpr(a.value, 2)})" for a in item.assignments)
+        return head
+    if isinstance(item, VariablesItem):
+        return "variables " + _print_binders(item.binders)
+    if isinstance(item, GoalItem):
+        return f"goal {item.label} : {_print_sexpr(item.target, 2)}"
+    if isinstance(item, DefeqItem):
+        return (f"defeq {item.label} : {_print_sexpr(item.lhs, 1)}"
+                f" = {_print_sexpr(item.rhs, 1)}")
+    raise TypeError(f"unknown item {item!r}")
+
+
+def _print_binders(binders: tuple[SurfaceBinder, ...]) -> str:
+    parts = []
+    for b in binders:
+        if b.instance_implicit:
+            if _ANONYMOUS.fullmatch(b.name):
+                parts.append(f"[{_print_sexpr(b.ty, 2)}]")
+            else:
+                parts.append(f"[{b.name} : {_print_sexpr(b.ty, 2)}]")
+        else:
+            parts.append(f"({b.name} : {_print_sexpr(b.ty, 2)})")
+    return " ".join(parts)
+
+
+def _print_sexpr(e: SExpr, prec: int) -> str:
+    # prec: 0 atom, 1 application, 2 arrow
+    if isinstance(e, SName):
+        return ("@" if e.at else "") + e.name
+    if isinstance(e, SSort):
+        return "Type"
+    if isinstance(e, SOpaque):
+        return "opaque"
+    if isinstance(e, SProj):
+        return f"{_print_sexpr(e.target, 0)}.{e.field}"
+    if isinstance(e, SApp):
+        parts = []
+        cur: SExpr = e
+        while isinstance(cur, SApp):
+            parts.append(_print_sexpr(cur.arg, 0))
+            cur = cur.fn
+        parts.append(_print_sexpr(cur, 0))
+        s = " ".join(reversed(parts))
+        return f"({s})" if prec < 1 else s
+    if isinstance(e, SArrow):
+        s = f"{_print_sexpr(e.lhs, 1)} → {_print_sexpr(e.rhs, 2)}"
+        return f"({s})" if prec < 2 else s
+    if isinstance(e, (SPi, SFun)):
+        word = "Pi" if isinstance(e, SPi) else "fun"
+        open_, close = ("[", "]") if word == "Pi" and e.implicit else ("(", ")")
+        s = (f"{word} {open_}{e.binder} : {_print_sexpr(e.ty, 2)}{close}, "
+             f"{_print_sexpr(e.body, 2)}")
+        return f"({s})" if prec < 2 else s
+    raise TypeError(f"unknown expression {e!r}")
 
 
 def flatten_fields(classes: Mapping[str, ClassInfo], name: str) -> list[tuple[str, Term]]:

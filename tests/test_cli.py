@@ -1249,6 +1249,22 @@ def test_unknown_options_are_still_reported_by_the_top_level_parser(capsys):
             f"hier: error: unrecognized arguments: {unknown}\n"))
 
 
+def test_a_subcommand_error_prints_its_full_usage(capsys):
+    """The usage that argparse formats for the subcommand, set once when the
+    parser is built rather than formatted on every parse."""
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["resolve"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", (
+            "usage: hier resolve [-h] [--encoding {flat,flat-hack,nested}]\n"
+            "                    [--eta-kernel {on,off}] [--eta-unifier {on,off}]\n"
+            "                    [--emit {text,json}] [--seed SEED] [--max-depth MAX_DEPTH]\n"
+            "                    [--trace] [--parent-order CLASS:PARENT]\n"
+            "                    path [goal]\n"
+            "hier resolve: error: the following arguments are required: path\n"))
+
+
 def test_unknown_encoding_is_rejected_by_the_argument_parser(run_cli, capsys):
     with pytest.raises(SystemExit):
         cli_main(["elaborate", FIG1, "--encoding", "packed"])

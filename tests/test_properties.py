@@ -15,8 +15,9 @@ definitional equality is symmetric, every substitution of the one term
 walker matches its recursive reference, adding declarations one at a
 time leaves what the reference environment leaves, the command line's
 JSON writer matches ``json.dumps``, the lexer matches its character loop,
-and random token streams through every ``hier`` subcommand end in an exit
-code and at most one diagnostic line, never an escaped exception.
+the parser over token arrays matches the one over token objects, and
+random token streams through every ``hier`` subcommand end in an exit code
+and at most one diagnostic line, never an escaped exception.
 """
 
 import contextlib
@@ -763,6 +764,73 @@ FUZZ_TOKENS = (*sorted(KEYWORDS), "a", "b", "T", "α", "iT", "mag.z", "x.y", "0"
 FUZZ_CORPUS = ("cube.hier", "fig1.hier", "module.hier", "point.hier")
 
 
+def replace_words(data, text: str) -> str:
+    """``text`` with one to three of its words replaced by fuzz tokens."""
+    words = re.split(r"(\s+)", text)
+    for _ in range(data.draw(st.integers(1, 3), label="replacements")):
+        # Even pieces are the words, odd ones the blanks between them.
+        k = data.draw(st.integers(0, len(words) // 2), label="word") * 2
+        words[k] = data.draw(st.sampled_from(FUZZ_TOKENS), label="token")
+    return "".join(words)
+
+
+def fuzz_text(data) -> str:
+    """Keywords, names and symbols at random, or a corpus file with a few
+    words replaced."""
+    if data.draw(st.booleans(), label="from corpus"):
+        name = data.draw(st.sampled_from(FUZZ_CORPUS), label="file")
+        return replace_words(data, corpus_path(name).read_text())
+    return " ".join(data.draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40),
+                              label="tokens"))
+
+
+# Every production of the surface syntax, which the corpus files leave
+# out in part: binders, priorities, opaque values, projections of
+# parenthesized and ``@`` terms, by one segment and by a dotted name, and
+# a comment that ends the input.
+ALL_SYNTAX = """-- a module that parses, though its names do not resolve
+class base (α : Type)
+class mag (α β : Type) [base α] [i : base β] extends base α, base β where
+  (op : Pi (x : α), α → α)
+  (pick : Pi [j : base α], (α → β) → Type)
+@[priority 3] instance mag.self (γ : Type) [m : mag γ γ] : mag γ (base γ) where
+  (op := fun (x : γ), λ (y : γ), (@mag.op γ m).to_base x)
+  (pick := opaque)
+variables (R : Type) [iR : mag R R]
+goal g : (@mag.op R iR) .pick.to_base R
+defeq d : Π (x : R), @mag .op R = (fun (z : R), z).val.fst  -- no newline after it"""
+
+
+def parsed(parse, text: str):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@COMMON
+@given(st.data())
+def test_parser_matches_the_token_object_parser(data):
+    """Lexemes run together, random token streams, mutated corpus files and
+    a mutated module of every production, whole or cut short, parse to
+    equal modules under the parser over token arrays and the one over token
+    objects, or fail with the same ParseError text."""
+    source = data.draw(st.sampled_from(("lexemes", "fuzz", "all syntax")), label="source")
+    if source == "lexemes":
+        text = "".join(data.draw(st.lists(st.sampled_from(LEXER_PIECES), max_size=30),
+                                 label="pieces"))
+    elif source == "fuzz":
+        text = fuzz_text(data)
+    else:
+        text = replace_words(data, ALL_SYNTAX)
+        if data.draw(st.booleans(), label="cut short"):
+            # After a piece at random, and ended by a comment.
+            pieces = re.split(r"(\s+)", text)
+            text = "".join(pieces[:data.draw(st.integers(1, len(pieces)), label="cut")])
+            text += "-- cut"
+    assert parsed(parse, text) == parsed(reference.parse, text)
+
+
 @COMMON
 @given(st.data())
 def test_random_token_streams_end_in_an_exit_code(tmp_path_factory, data):
@@ -770,17 +838,7 @@ def test_random_token_streams_end_in_an_exit_code(tmp_path_factory, data):
     words replaced: every subcommand exits with 0 or 1 and writes nothing to
     stderr, or exits with 2 and writes one ``path:line:col: `` or ``path: ``
     diagnostic line, and lets no exception escape."""
-    if data.draw(st.booleans(), label="from corpus"):
-        name = data.draw(st.sampled_from(FUZZ_CORPUS), label="file")
-        words = re.split(r"(\s+)", corpus_path(name).read_text())
-        for _ in range(data.draw(st.integers(1, 3), label="replacements")):
-            # Even pieces are the words, odd ones the blanks between them.
-            k = data.draw(st.integers(0, len(words) // 2), label="word") * 2
-            words[k] = data.draw(st.sampled_from(FUZZ_TOKENS), label="token")
-        text = "".join(words)
-    else:
-        text = " ".join(data.draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40),
-                                  label="tokens"))
+    text = fuzz_text(data)
     path = tmp_path_factory.getbasetemp() / "fuzz.hier"
     path.write_text(text)
     diagnostic = re.compile(re.escape(str(path)) + r"(:\d+:\d+)?: [^\n]*\n")

@@ -19,10 +19,10 @@ from hierlab.surface import (
     parse,
     parse_expr_text,
     parse_term,
-    print_module,
 )
 from hierlab.terms import Binder, Const, FreeVar, Proj, Sort, apps, pp_term
 from conftest import CORPUS, corpus_path, load
+from reference import print_module
 
 
 FIG1 = """
