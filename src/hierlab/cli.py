@@ -117,9 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="score every first-parent placement"),
                parent_order=False, trace=False)
     # The intermixed parse formats a subcommand's usage on every call unless
-    # it is set; set it once, to the text that parse would format.
+    # it is set; set it once, to the text that parse would format, wrapped at
+    # the terminal width of this first build.  argparse applies ``%`` to a
+    # set usage, so a ``%`` in the text is doubled.
     for p in sub.choices.values():
-        p.usage = p.format_usage()[len("usage: "):]
+        p.usage = p.format_usage()[len("usage: "):].replace("%", "%%")
     return parser
 
 

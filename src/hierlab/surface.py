@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from .declarations import Environment, StructDecl, projections
 from .kernel import DEFAULT_CONFIG, IllTyped, infer_type, whnf
@@ -223,18 +222,17 @@ _BINDER_WORDS = {"fun", "λ", "Pi", "Π"}
 # ---------------------------------------------------------------------------
 # Lexer
 
-_IDENT_RE = re.compile(r"[^\W\d][\w']*+(?:\.[^\W\d][\w']*+)*+")
+_IDENT_RE = re.compile(r"[^\W\d][\w']*(?:\.[^\W\d][\w']*)*")
 _SYMBOLS = ((":=", "ASSIGN"), ("->", "ARROW"), ("→", "ARROW"), ("(", "LPAREN"),
             (")", "RPAREN"), ("[", "LBRACK"), ("]", "RBRACK"), (",", "COMMA"),
             (":", "COLON"), ("=", "EQ"), ("@", "AT"), (".", "DOT"))
 # One match per lexeme, and none in a run of blanks, which the search skips
 # (its lookahead fails at once on a blank): a name, a number, a
 # two-character symbol, a comment, or any other single character, which is
-# a one-character symbol or starts no token.  No repeat gives back what it
-# matched, since no lexeme needs it to.
+# a one-character symbol or starts no token.
 _LEXEME_RE = re.compile(r"(?=\S)(?:%s)" % "|".join(
-    [_IDENT_RE.pattern, r"\d++", *(re.escape(sym) for sym, _ in _SYMBOLS if len(sym) > 1),
-     r"--[^\n]*+", r"\S"]))
+    [_IDENT_RE.pattern, r"\d+", *(re.escape(sym) for sym, _ in _SYMBOLS if len(sym) > 1),
+     r"--[^\n]*", r"\S"]))
 _COMMENT, _STRAY = "COMMENT", "STRAY"
 
 
@@ -257,24 +255,13 @@ class _Kinds(dict):
 _SYMBOL_KINDS = dict(_SYMBOLS)
 
 
-class _Tokens:
-    """The tokens of a text as four arrays, of kinds, values, lines and
-    columns, each ending with an EOF token; iterated, the tokens as
-    ``(kind, value, line, col)``."""
-
-    __slots__ = ("kinds", "values", "lines", "cols")
-
-    def __init__(self, kinds: list[str], values: list[str], lines: list[int],
-                 cols: list[int]) -> None:
-        self.kinds, self.values, self.lines, self.cols = kinds, values, lines, cols
-
-    def __iter__(self) -> Iterator[tuple[str, str, int, int]]:
-        return zip(self.kinds, self.values, self.lines, self.cols)
+_TokenArrays = tuple[list[str], list[str], list[int], list[int]]
 
 
-def _tokenize(text: str) -> _Tokens:
-    """The tokens of ``text``; a character that starts no token is a
-    ParseError."""
+def _tokenize(text: str) -> _TokenArrays:
+    """The tokens of ``text`` as four arrays, of kinds, values, lines and
+    columns, each ending with an EOF token; a character that starts no
+    token is a ParseError."""
     values: list[str] = []
     lines: list[int] = []
     cols: list[int] = []
@@ -302,7 +289,7 @@ def _tokenize(text: str) -> _Tokens:
     values.append("")
     lines.append(line_no)
     cols.append(eof_col)
-    return _Tokens(kinds, values, lines, cols)
+    return kinds, values, lines, cols
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +300,8 @@ class _Parser:
     index; it never moves past the EOF token at the end, and the hot loops
     index the arrays themselves."""
 
-    def __init__(self, toks: _Tokens) -> None:
-        self.kinds, self.values = toks.kinds, toks.values
-        self.lines, self.cols = toks.lines, toks.cols
+    def __init__(self, toks: _TokenArrays) -> None:
+        self.kinds, self.values, self.lines, self.cols = toks
         self.i = 0
 
     def at(self, kind: str) -> bool:

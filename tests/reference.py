@@ -4,8 +4,8 @@
   character and none for a comment.  ``hierlab.surface`` runs one compiled
   pattern's ``finditer`` over each line, letting the search skip blanks and
   taking each lexeme's kind from the symbol table or its first character,
-  into four token arrays; ``hierlab.surface._tokenize`` zips them into
-  tokens, which must equal these, errors included.
+  into four token arrays, which zipped must equal these tokens, errors
+  included.
 - ``parse``: the parser as recursive descent over one token object per
   token, read through ``peek``/``at``/``advance``.  ``hierlab.surface.parse``
   indexes the token arrays in its loops and must give an equal module, or
@@ -417,10 +417,6 @@ _ITEM_PARSERS = {"class": _Parser.parse_class, "instance": _Parser.parse_instanc
                  "defeq": _Parser.parse_defeq}
 
 
-# The name the parser gives the k-th ``[ty]`` binder of a telescope.
-_ANONYMOUS = re.compile(r"_inst_\d+")
-
-
 def print_module(module: SurfaceModule) -> str:
     out: list[str] = []
     for item in module.items:
@@ -462,10 +458,15 @@ def _print_item(item: Item) -> str:
 
 
 def _print_binders(binders: tuple[SurfaceBinder, ...]) -> str:
+    # A binder prints as ``[ty]`` when its name is the one the parser would
+    # give it there: ``_inst_k`` for the k-th ``[ty]`` of the telescope.  So
+    # a user's ``[_inst_2 : T]`` before any ``[ty]`` keeps its name.
     parts = []
+    anon = 0
     for b in binders:
         if b.instance_implicit:
-            if _ANONYMOUS.fullmatch(b.name):
+            if b.name == f"_inst_{anon + 1}":
+                anon += 1
                 parts.append(f"[{_print_sexpr(b.ty, 2)}]")
             else:
                 parts.append(f"[{b.name} : {_print_sexpr(b.ty, 2)}]")

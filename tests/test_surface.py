@@ -234,6 +234,14 @@ def test_print_parse_fixpoint_on_binder_syntax():
     assert print_module(parse(printed)) == printed
 
 
+
+def test_printer_keeps_a_user_binder_named_like_an_anonymous_one():
+    printed = print_module(parse("class base (α : Type)\n"
+                                 "variables (R : Type) [_inst_2 : base R] [base R]\n"))
+    assert "variables (R : Type) [_inst_2 : base R] [base R]\n" in printed
+    names = [b.name for b in parse(printed).items[-1].binders]
+    assert names == ["R", "_inst_2", "_inst_1"]
+
 def test_printed_module_contains_declared_syntax(fig1_module):
     printed = print_module(fig1_module)
     assert "class ring (α : Type) extends semiring α, add_comm_group α" in printed
