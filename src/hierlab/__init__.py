@@ -29,7 +29,6 @@ from .elaborator import (
     FieldTypeClash,
     InstanceInfo,
     elaborate,
-    preferred_edges,
 )
 from .kernel import (
     DEFAULT_CONFIG,

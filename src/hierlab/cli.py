@@ -15,6 +15,7 @@ reading a file.  All output is deterministic for a fixed command line.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import os
@@ -135,6 +136,8 @@ def _load_module(args: argparse.Namespace) -> SurfaceModule:
         data = Path(args.path).read_bytes()
     except OSError as exc:
         raise CliError(f"{args.path}: {exc.strerror or exc}") from exc
+    # A leading byte-order mark is not text: columns count from after it.
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

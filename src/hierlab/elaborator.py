@@ -242,12 +242,6 @@ def _take_label(elab: Elaboration, kind: str, item: GoalItem | DefeqItem) -> Non
     elab.labels[key] = item.pos
 
 
-def preferred_edges(elab: Elaboration) -> frozenset[tuple[str, str]]:
-    """The (from, to) pairs of all preferred-projection instances."""
-    return frozenset((i.from_class, i.to_class) for i in elab.instances
-                     if i.kind == PREFERRED and i.from_class is not None)
-
-
 # ---------------------------------------------------------------------------
 # Classes
 

@@ -18,7 +18,7 @@ from .declarations import Environment
 from .terms import (
     App, BoundVar, Const, FreeVar, Lam, Meta, Mk, Pi, Proj, Sort,
     SORT, Telescope, Term, abstract, apps, fresh_name, instantiate,
-    metas_in, pp_term, subst_frees, unfold_apps, zonk,
+    instantiate_many, metas_in, pp_term, subst_frees, unfold_apps, zonk,
 )
 
 DEFAULT_UNFOLD_DEPTH = 256
@@ -115,39 +115,65 @@ class _Fuel:
             raise FuelExhausted(f"unfold depth exhausted while unfolding {name!r}")
 
 
-def _whnf(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
+def _reduce(env: Environment, head: Term, args: list[Term], fuel: _Fuel,
+            trace: Trace | None) -> tuple[Term, list[Term], tuple | None]:
+    """Weak-head reduce the spine ``head args`` by beta, delta and iota.
+
+    Returns the head and arguments it stops at and, for a stuck projection
+    head, what reducing its target returned: ``_normalize`` goes on from
+    there, so a chain of k projections costs k reductions.  The head keeps
+    its declared target, which meta assignments and traces rely on."""
     while True:
-        head, args = unfold_apps(t)
-        if isinstance(head, Lam) and args:
-            while isinstance(head, Lam) and args:
-                head = instantiate(head.body, args.pop(0))
+        kind = type(head)
+        if kind is App:
+            head, spine = unfold_apps(head)
+            args = spine + args
+        elif kind is Lam:
+            if not args:
+                return head, args, None
+            # One beta step: the lambdas at the head take the arguments in
+            # order, the binders of nested lambdas instantiated in one walk.
+            taken = 0
+            while type(head) is Lam and taken < len(args):
+                first = taken
+                while type(head) is Lam and taken < len(args):
+                    head = head.body
+                    taken += 1
+                head = instantiate_many(head, args[first:taken])
+            args = args[taken:]
             if trace is not None:
                 trace.step("beta")
-            t = apps(head, *args)
-            continue
-        if isinstance(head, Const):
+        elif kind is Const:
             value = env.unfolding(head.name)
             if value is None:
-                return t
+                return head, args, None
             fuel.spend(head.name)
             if trace is not None:
                 trace.step(f"delta {head.name}")
-            t = apps(value, *args)
-            continue
-        if isinstance(head, Proj):
-            target = _whnf(env, head.target, fuel, trace)
-            if isinstance(target, Mk):
-                if target.struct != head.struct:
-                    raise IllTyped(f"projection {head.struct}.{head.field} applied to a "
-                                   f"constructor of {target.struct}")
-                if trace is not None:
-                    trace.step(f"iota {head.struct}.{head.field}")
-                t = apps(target.fields[env.struct(head.struct).positions[head.field]], *args)
-                continue
-            # Stuck projection: return the original form, not the reduced
-            # target, so callers (and meta assignments) keep declared names.
-            return t
+            head = value
+        elif kind is Proj:
+            target = _reduce(env, head.target, [], fuel, trace)
+            value, value_args, _ = target
+            if type(value) is not Mk or value_args:
+                return head, args, target
+            if value.struct != head.struct:
+                raise IllTyped(f"projection {head.struct}.{head.field} applied to a "
+                               f"constructor of {value.struct}")
+            if trace is not None:
+                trace.step(f"iota {head.struct}.{head.field}")
+            head = value.fields[env.struct(head.struct).positions[head.field]]
+        else:
+            return head, args, None
+
+
+def _whnf(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
+    head, args = unfold_apps(t)
+    reduced, rest, _ = _reduce(env, head, args, fuel, trace)
+    # A head reduces to itself only as a lambda that took arguments, as
+    # `I I` reduces to `I`; otherwise the same head means t was stuck.
+    if reduced is head and len(rest) == len(args):
         return t
+    return apps(reduced, *rest)
 
 
 def whnf(env: Environment, config: DefEqConfig, t: Term) -> Term:
@@ -167,21 +193,33 @@ def normalize(env: Environment, config: DefEqConfig, t: Term,
 
 
 def _normalize(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
-    head, args = unfold_apps(_whnf(env, t, fuel, trace))
+    return _normal(env, *_reduce(env, t, [], fuel, trace), fuel, trace)
+
+
+def _normal(env: Environment, head: Term, args: list[Term], target: tuple | None,
+            fuel: _Fuel, trace: Trace | None) -> Term:
+    """The normal form of a spine that ``_reduce`` returned."""
     # Bound variables stay loose below binders: instantiate shifts indices,
     # so reducing an open body needs no fresh names.
-    if isinstance(head, Lam):
+    kind = type(head)
+    if kind is Lam:
         head = Lam(head.binder, _normalize(env, head.ty, fuel, trace),
                    _normalize(env, head.body, fuel, trace))
-    elif isinstance(head, Pi):
+    elif kind is Pi:
         head = Pi(head.binder, _normalize(env, head.ty, fuel, trace),
                   _normalize(env, head.body, fuel, trace), head.implicit)
-    elif isinstance(head, Mk):
-        head = Mk(head.struct, tuple(_normalize(env, p, fuel, trace) for p in head.params),
-                  tuple(_normalize(env, f, fuel, trace) for f in head.fields))
-    elif isinstance(head, Proj):
-        head = Proj(head.struct, head.field, _normalize(env, head.target, fuel, trace))
-    return apps(head, *(_normalize(env, a, fuel, trace) for a in args))
+    elif kind is Mk:
+        head = Mk(head.struct, tuple([_normalize(env, p, fuel, trace) for p in head.params]),
+                  tuple([_normalize(env, f, fuel, trace) for f in head.fields]))
+    elif target is not None:
+        value = _normal(env, *target, fuel, trace)
+        # A normal chain comes back as itself: a path's normal form shares
+        # its prefix's nodes.
+        if value is not head.target:
+            head = Proj(head.struct, head.field, value)
+    for a in args:
+        head = App(head, _normalize(env, a, fuel, trace))
+    return head
 
 
 def infer_type(env: Environment, ctx: Telescope, t: Term,

@@ -31,7 +31,7 @@ from .declarations import Environment, StructDecl, projections
 from .kernel import DEFAULT_CONFIG, IllTyped, infer_type, whnf
 from .terms import (
     App, Binder, Const, FreeVar, Lam, Pi, Proj, SORT, Telescope, Term,
-    abstract, unfold_apps,
+    abstract, node, unfold_apps,
 )
 
 
@@ -59,15 +59,10 @@ class ScopeError(SurfaceError):
 # ---------------------------------------------------------------------------
 # Surface syntax trees
 #
-# The parser builds one node or more per token, so the nodes are slotted
-# dataclasses built by plain attribute stores, where a frozen dataclass pays
-# one ``object.__setattr__`` per field.  They compare and hash by their
-# fields, as frozen ones would; nothing mutates a node once it is built.
+# The parser builds one node or more per token, so the nodes follow the term
+# nodes' recipe, ``terms.node``.
 
-_node = dataclass(slots=True, unsafe_hash=True)
-
-
-@_node
+@node
 class Pos:
     """A 1-based line and column.  Never mutated once built."""
     line: int
@@ -78,7 +73,7 @@ class SExpr:
     __slots__ = ()
 
 
-@_node
+@node
 class SName(SExpr):
     """A name, dotted or not, written ``@name`` when ``at``.  Never mutated
     once built."""
@@ -87,33 +82,33 @@ class SName(SExpr):
     at: bool = False
 
 
-@_node
+@node
 class SSort(SExpr):
     """``Type``.  Never mutated once built."""
     pos: Pos
 
 
-@_node
+@node
 class SOpaque(SExpr):
     """The ``opaque`` value of an instance field.  Never mutated once built."""
     pos: Pos
 
 
-@_node
+@node
 class SApp(SExpr):
     """``fn arg``.  Never mutated once built."""
     fn: SExpr
     arg: SExpr
 
 
-@_node
+@node
 class SArrow(SExpr):
     """``lhs → rhs``.  Never mutated once built."""
     lhs: SExpr
     rhs: SExpr
 
 
-@_node
+@node
 class SPi(SExpr):
     """``Pi (x : ty), body``, or ``Pi [x : ty], body`` when ``implicit``.
     Never mutated once built."""
@@ -124,7 +119,7 @@ class SPi(SExpr):
     pos: Pos
 
 
-@_node
+@node
 class SFun(SExpr):
     """``fun (x : ty), body``.  Never mutated once built."""
     binder: str
@@ -133,7 +128,7 @@ class SFun(SExpr):
     pos: Pos
 
 
-@_node
+@node
 class SProj(SExpr):
     """``target.field``, one node per dotted segment.  Never mutated once
     built."""
@@ -142,7 +137,7 @@ class SProj(SExpr):
     pos: Pos
 
 
-@_node
+@node
 class SurfaceBinder:
     """``(name : ty)``, or ``[name : ty]`` when ``instance_implicit``; the
     k-th ``[ty]`` of a telescope is named ``_inst_k``.  Never mutated once
@@ -153,7 +148,7 @@ class SurfaceBinder:
     pos: Pos
 
 
-@_node
+@node
 class SurfaceAssign:
     """``(name := value)`` in an instance.  Never mutated once built."""
     name: str
@@ -161,7 +156,7 @@ class SurfaceAssign:
     pos: Pos
 
 
-@_node
+@node
 class ClassItem:
     """A class declaration.  Never mutated once built."""
     name: str
@@ -171,7 +166,7 @@ class ClassItem:
     pos: Pos
 
 
-@_node
+@node
 class InstanceItem:
     """An instance declaration.  Never mutated once built."""
     name: str
@@ -182,14 +177,14 @@ class InstanceItem:
     pos: Pos
 
 
-@_node
+@node
 class VariablesItem:
     """A ``variables`` block.  Never mutated once built."""
     binders: tuple[SurfaceBinder, ...]
     pos: Pos
 
 
-@_node
+@node
 class GoalItem:
     """A labeled instance-search goal.  Never mutated once built."""
     label: str
@@ -197,7 +192,7 @@ class GoalItem:
     pos: Pos
 
 
-@_node
+@node
 class DefeqItem:
     """A labeled definitional-equality probe.  Never mutated once built."""
     label: str

@@ -1,5 +1,9 @@
 """Core term language: a lambda-Pi calculus with single-constructor structures.
 
+Term nodes, binders and the surface syntax nodes share one recipe,
+``node``: slotted dataclasses built by plain attribute stores, compared
+and hashed by their fields.  Nothing mutates a node once it is built.
+
 Binding is locally nameless: bound variables are de Bruijn indices
 (``BoundVar``), binders keep a display name that is ignored by equality, and
 open terms refer to context variables through ``FreeVar``.  Alpha-equivalence
@@ -18,13 +22,18 @@ from operator import is_
 from typing import Callable, Container, Iterable, Sequence
 
 
+# Substitution, reduction and the resolver build term nodes in bulk, where a
+# frozen dataclass pays one ``object.__setattr__`` per field.
+node = dataclass(slots=True, unsafe_hash=True)
+
+
 class Term:
-    """Base class of every term node.  Instances are immutable."""
+    """Base class of every term node.  Instances are never mutated."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Sort(Term):
     """The single universe, written ``Type``."""
 
@@ -32,48 +41,48 @@ class Sort(Term):
 SORT = Sort()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Const(Term):
     """A reference to a global declaration."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FreeVar(Term):
     """A named context variable."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class BoundVar(Term):
     """A de Bruijn index pointing at an enclosing binder."""
 
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Meta(Term):
     """A unification hole.  Metas only ever occur as bare nodes."""
 
     mid: int
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Lam(Term):
     binder: str = dc_field(compare=False)
     ty: Term = dc_field()
     body: Term = dc_field()
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Pi(Term):
     binder: str = dc_field(compare=False)
     ty: Term = dc_field()
@@ -81,7 +90,7 @@ class Pi(Term):
     implicit: bool = dc_field(default=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Mk(Term):
     """A fully applied structure constructor."""
 
@@ -90,7 +99,7 @@ class Mk(Term):
     fields: tuple[Term, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Proj(Term):
     """Projection of one named field out of a structure value."""
 
@@ -99,7 +108,7 @@ class Proj(Term):
     target: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Binder:
     """One telescope entry: a name, its type, and the binder kind."""
 
@@ -171,12 +180,23 @@ def lift(t: Term, amount: int, cutoff: int = 0) -> Term:
 
 def instantiate(body: Term, value: Term, depth: int = 0) -> Term:
     """Replace BoundVar(depth) in body with value (entering one binder)."""
+    return instantiate_many(body, (value,), depth)
+
+
+def instantiate_many(body: Term, values: Sequence[Term], depth: int = 0) -> Term:
+    """Instantiate the len(values) binders that body sits under, outermost
+    first, with values in one walk; equal to instantiating one binder at a
+    time."""
+    count = len(values)
+    by_index = values[::-1]  # the innermost binder is BoundVar(depth)
+
     def leaf(v: Term, d: int) -> Term:
         if type(v) is BoundVar:
-            if v.index == d:
-                return lift(value, d)
-            if v.index > d:
-                return BoundVar(v.index - 1)
+            i = v.index - d
+            if i >= count:
+                return BoundVar(v.index - count)
+            if i >= 0:
+                return lift(by_index[i], d)
         return v
     return _map_vars(body, leaf, depth)
 

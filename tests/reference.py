@@ -73,6 +73,15 @@
 - ``consts_in``: the names a term uses as constants or structures, by
   recursion over every node.  ``hierlab.terms.consts_in`` walks its own
   stack, follows projection chains in place and drops free variables first.
+- ``normalize``: full normal forms by a weak-head reducer on terms that
+  instantiates one binder at a time and returns a stuck projection with
+  its target unreduced, so a chain of k projections costs about k²/2
+  reductions.  ``hierlab.kernel.normalize`` reduces spines, instantiates
+  every binder a beta step takes in one walk, and goes on from the target
+  it already reduced; it must give the same normal forms, and never run
+  out of fuel where this returns.
+- ``preferred_edges``: the (from, to) pairs of the preferred-projection
+  instances, which form at most one path between any two classes.
 """
 from __future__ import annotations
 
@@ -88,7 +97,7 @@ from hierlab.declarations import DefDecl, EnvironmentError_, StructDecl
 from hierlab.elaborator import (
     FLAT_HACK_CLASS, PREFERRED, ClassInfo, EncodingStrategy, FieldTypeClash, elaborate,
 )
-from hierlab.kernel import DEFAULT_CONFIG, Mismatch, OccursCheck, unify
+from hierlab.kernel import DEFAULT_CONFIG, IllTyped, Mismatch, OccursCheck, Trace, _Fuel, unify
 from hierlab.resolution import MAX_DEPTH, DepthExceeded, NotFound
 from hierlab.surface import (
     _IDENT_RE, _SYMBOLS, KEYWORDS, ClassItem, DefeqItem, GoalItem, InstanceItem, Item,
@@ -1099,3 +1108,69 @@ def consts_in(t: Term) -> set[str]:
     if isinstance(t, Mk):
         return {t.struct}.union(*map(consts_in, t.params + t.fields))
     return set()
+
+
+def normalize(env, config, t: Term) -> Term:
+    """Full beta/delta/iota normal form under one fuel budget of
+    config.unfold_depth, as the kernel computed it before it reduced
+    spines."""
+    return _normalize(env, t, _Fuel(config.unfold_depth), None)
+
+
+def _whnf(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
+    while True:
+        head, args = unfold_apps(t)
+        if isinstance(head, Lam) and args:
+            while isinstance(head, Lam) and args:
+                head = instantiate(head.body, args.pop(0))
+            if trace is not None:
+                trace.step("beta")
+            t = apps(head, *args)
+            continue
+        if isinstance(head, Const):
+            value = env.unfolding(head.name)
+            if value is None:
+                return t
+            fuel.spend(head.name)
+            if trace is not None:
+                trace.step(f"delta {head.name}")
+            t = apps(value, *args)
+            continue
+        if isinstance(head, Proj):
+            target = _whnf(env, head.target, fuel, trace)
+            if isinstance(target, Mk):
+                if target.struct != head.struct:
+                    raise IllTyped(f"projection {head.struct}.{head.field} applied to a "
+                                   f"constructor of {target.struct}")
+                if trace is not None:
+                    trace.step(f"iota {head.struct}.{head.field}")
+                t = apps(target.fields[env.struct(head.struct).positions[head.field]], *args)
+                continue
+            # Stuck projection: return the original form, not the reduced
+            # target, so callers (and meta assignments) keep declared names.
+            return t
+        return t
+
+
+def _normalize(env: Environment, t: Term, fuel: _Fuel, trace: Trace | None) -> Term:
+    head, args = unfold_apps(_whnf(env, t, fuel, trace))
+    # Bound variables stay loose below binders: instantiate shifts indices,
+    # so reducing an open body needs no fresh names.
+    if isinstance(head, Lam):
+        head = Lam(head.binder, _normalize(env, head.ty, fuel, trace),
+                   _normalize(env, head.body, fuel, trace))
+    elif isinstance(head, Pi):
+        head = Pi(head.binder, _normalize(env, head.ty, fuel, trace),
+                  _normalize(env, head.body, fuel, trace), head.implicit)
+    elif isinstance(head, Mk):
+        head = Mk(head.struct, tuple(_normalize(env, p, fuel, trace) for p in head.params),
+                  tuple(_normalize(env, f, fuel, trace) for f in head.fields))
+    elif isinstance(head, Proj):
+        head = Proj(head.struct, head.field, _normalize(env, head.target, fuel, trace))
+    return apps(head, *(_normalize(env, a, fuel, trace) for a in args))
+
+
+def preferred_edges(elab) -> frozenset[tuple[str, str]]:
+    """The (from, to) pairs of all preferred-projection instances."""
+    return frozenset((i.from_class, i.to_class) for i in elab.instances
+                     if i.kind == PREFERRED and i.from_class is not None)

@@ -866,6 +866,29 @@ def test_input_that_is_not_utf8_is_a_positioned_diagnostic(run_cli, tmp_path):
     assert err == f"{source}:2:8: byte 0xe9 is not valid UTF-8\n"
 
 
+def test_a_leading_byte_order_mark_is_skipped(run_cli, tmp_path):
+    plain, marked = tmp_path / "plain.hier", tmp_path / "marked.hier"
+    text = Path(FIG1).read_bytes()
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    for args in [("elaborate",), ("diamonds", "--emit", "json")]:
+        code, out, err = run_cli(args[0], marked, *args[1:])
+        assert (code, out, err) == run_cli(args[0], plain, *args[1:])
+        assert code == 0 and out
+
+
+def test_columns_after_a_byte_order_mark_count_from_after_it(run_cli, tmp_path):
+    source = tmp_path / "marked.hier"
+    source.write_bytes(b"\xef\xbb\xbfclass a\xe9\n")
+    code, out, err = run_cli("elaborate", source)
+    assert (code, out) == (2, "")
+    assert err == f"{source}:1:8: byte 0xe9 is not valid UTF-8\n"
+    source.write_bytes(b"\xef\xbb\xbfclass a $\n")
+    code, out, err = run_cli("elaborate", source)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{source}:1:9: ")
+
+
 def test_closing_the_output_early_is_a_diagnostic(tmp_path):
     # Far more output than a pipe buffers, so the command is still writing
     # when the reader goes away.

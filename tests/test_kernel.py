@@ -112,6 +112,32 @@ def test_normalize_reduces_both_sides_of_a_pi_and_keeps_its_form(tiny_env):
     assert normalize(tiny_env, ETA_OFF, dependent) == Pi("x", ι, BoundVar(0))
 
 
+def test_normalizing_a_projection_chain_reduces_each_link_once():
+    """``g1 (g2 (... (g64 x)))``, where ``gi y`` unfolds to ``y.down``, is a
+    chain of 64 stuck projections.  Its normal form takes one delta and one
+    beta step per link, and fits an unfold depth of 64.  Reducing each
+    link's target again, once per projection above it, would take 2,080
+    delta steps."""
+    k = 64
+    env = Environment()
+    env.add(OpaqueDecl("ι", (), Sort()))
+    env.add(StructDecl("s0", (), (Binder("v", Const("ι")),)))
+    for i in range(1, k + 1):
+        env.add(StructDecl(f"s{i}", (), (Binder("down", Const(f"s{i - 1}")),)))
+        env.add(DefDecl(f"g{i}", (Binder("y", Const(f"s{i}")),), Const(f"s{i - 1}"),
+                        Proj(f"s{i}", "down", FreeVar("y"))))
+    chain = expected = FreeVar("x")
+    for i in range(k, 0, -1):
+        chain = App(Const(f"g{i}"), chain)
+        expected = Proj(f"s{i}", "down", expected)
+    trace = Trace()
+    assert normalize(env, DefEqConfig(unfold_depth=k), chain, trace) == expected
+    steps = [line.split()[0] for line in trace.lines]
+    assert {"delta": steps.count("delta"), "beta": steps.count("beta")} == \
+        {"delta": k, "beta": k}
+    assert len(steps) == 2 * k
+
+
 def test_whnf_fuel_exhaustion_raises(fig1_nested):
     ctx = fig1_nested.defeqs[0][1]
     t = parse_term("semiring.to_add_comm_monoid R (ring.to_semiring R iR)",

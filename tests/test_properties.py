@@ -12,7 +12,8 @@ instances, the generated declarations typecheck and keep their diamond
 verdicts whatever the class parameter is named, the incremental spanning
 search matches the whole-module one,
 definitional equality is symmetric, every substitution of the one term
-walker matches its recursive reference, adding declarations one at a
+walker matches its recursive reference, the spine reducer's normal forms
+match the one-binder-at-a-time reducer's, adding declarations one at a
 time leaves what the reference environment leaves, the command line's
 JSON writer matches ``json.dumps``, the lexer matches its character loop,
 the parser over token arrays matches the one over token objects, and
@@ -21,8 +22,10 @@ and at most one diagnostic line, never an escaped exception.
 """
 
 import contextlib
+import functools
 import io
 import json
+import random
 import re
 
 import pytest
@@ -38,7 +41,9 @@ from hierlab.declarations import (
     DefDecl, Environment, EnvironmentError_, OpaqueDecl, StructDecl, projections,
 )
 from hierlab.elaborator import FLAT, EncodingStrategy, elaborate
-from hierlab.kernel import FuelExhausted, check_type, defeq, whnf
+from hierlab.kernel import (
+    DefEqConfig, FuelExhausted, check_type, defeq, normalize, whnf,
+)
 from hierlab.resolution import MAX_DEPTH, AnswerTable, DepthExceeded, NotFound, resolve
 from hierlab.surface import _SYMBOLS, KEYWORDS, ParseError, _tokenize, parse
 from hierlab import terms
@@ -599,6 +604,101 @@ def test_term_walker_matches_the_recursive_substitutions(data):
     assert terms.instantiate(t, value, beyond) is t
     assert terms.subst_frees(t, {"w": Sort()}) is t
     assert terms.zonk(t, {99: Sort()}) is t
+
+
+REDUCTION_SOURCES = sorted(p.name for p in CORPUS.glob("*.hier")) + [
+    f"@random {seed}" for seed in range(8)]
+
+
+@functools.cache
+def reduction_elaboration(source: str, encoding: str):
+    text = (random_hierarchy(int(source.split()[1])) if source.startswith("@random")
+            else corpus_path(source).read_text())
+    return elaborate(parse(text), EncodingStrategy(encoding))
+
+
+def reduction_terms(rng: random.Random, elab):
+    """A term over an elaboration's classes: an instance variable taken
+    through forgetful instances, substructure projections (stuck
+    projection chains), rebuilt constructors and beta redexes of one to
+    three binders, whose body is one argument or a constructor rebuilt
+    from it, given as many arguments as binders, one fewer, or one more
+    when the selected argument is itself a lambda; then now and then
+    projected onto a leaf field."""
+    if not elab.classes:
+        return FreeVar("i")
+    steps = forgetful_steps(elab)
+    # Walks start at a class with parents when there is one.
+    cls = rng.choice(sorted(steps) or sorted(elab.classes))
+    term = FreeVar("i")
+    for _ in range(rng.randint(1, 8)):
+        struct = elab.classes[cls].struct
+        params = [FreeVar(b.name) for b in struct.params]
+        moves = (["hop"] * 3 if cls in steps else []) + (
+            ["project"] * 2 if struct.substructures else []) + ["beta", "beta", "rebuild"]
+        move = rng.choice(moves)
+        if move == "hop":
+            decl, cls = rng.choice(sorted(steps[cls]))
+            term = apps(Const(decl), *params, term)
+        elif move == "project":
+            field = rng.choice(sorted(struct.substructures))
+            term, cls = Proj(cls, field, term), struct.substructures[field]
+        elif move == "rebuild":
+            term = Mk(cls, tuple(params), tuple(Proj(cls, b.name, term) for b in struct.fields))
+        else:
+            binders = rng.randint(1, 3)
+            selected = rng.randrange(binders)
+            # The selected argument is BoundVar(binders - 1 - selected) in the body.
+            body = BoundVar(binders - 1 - selected)
+            shape = rng.choice(["exact", "partial", "extra", "rebuilt"])
+            if shape == "rebuilt":
+                body = Mk(cls, tuple(params), tuple(Proj(cls, b.name, body)
+                                                    for b in struct.fields))
+            redex = body
+            for _ in range(binders):
+                redex = Lam("x", Sort(), redex)
+            args = [FreeVar("a")] * binders
+            args[selected] = term
+            if shape == "extra":
+                args[selected] = Lam("y", Sort(), term)
+                args.append(FreeVar("b"))
+            elif shape == "partial" and selected < binders - 1:
+                args.pop()
+            term = apps(redex, *args)
+    fields = [b.name for b in elab.classes[cls].struct.fields]
+    if fields and rng.random() < 0.5:
+        term = Proj(cls, rng.choice(fields), term)
+    return term
+
+
+@COMMON
+@given(st.data(), st.sampled_from(REDUCTION_SOURCES), st.sampled_from(ENCODINGS),
+       st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3, 5, 8, 13, 21, 34, 256]))
+def test_spine_reducer_matches_the_term_reducer(data, source, encoding, seed, depth):
+    """The kernel's normal forms equal the reference's one-binder-at-a-time
+    reducer's wherever that returns, and the kernel never runs out of fuel
+    where it does not.  One walk instantiating several binders equals
+    instantiating them one at a time."""
+    elab = reduction_elaboration(source, encoding)
+    t = reduction_terms(random.Random(seed), elab)
+    config = DefEqConfig(eta_kernel=False, eta_unifier=False, unfold_depth=depth)
+    try:
+        want = reference.normalize(elab.env, config, t)
+    except FuelExhausted:
+        pass
+    else:
+        # repr also compares binder names, which == ignores.
+        assert repr(normalize(elab.env, config, t)) == repr(want)
+
+    body = data.draw(WALKER_TERMS[0], label="body")
+    values = data.draw(st.lists(WALKER_TERMS[0], min_size=1, max_size=3), label="values")
+    under = data.draw(st.integers(0, 2), label="depth")
+    folded = body
+    for _ in values:
+        folded = Lam("x", Sort(), folded)
+    for value in values:
+        folded = reference.instantiate(folded.body, value, under)
+    assert repr(terms.instantiate_many(body, values, under)) == repr(folded)
 
 
 # Terms that name only "a" and "b", which `add_all`'s environments declare.
