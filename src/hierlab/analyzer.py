@@ -32,7 +32,8 @@ An edge is keyed by its declaration object.  Every environment interns its
 declarations, and forks share the interning table, so in a
 ``spanning_search`` an object stands for its content in every parent
 order; the search keeps one table for all orders: an order reduces again
-only what its changed declarations unfold to.
+only what its changed declarations unfold to, and checks again only the
+sources that reach a changed structure.
 
 A group's report holds, per path, its normal form's id and whether its last
 edge is a preferred projection; a pair's verdicts are read from its two
@@ -54,12 +55,12 @@ from .declarations import Environment, StructDecl, instance_telescope
 # `elaborate` is not called here; it stays importable from this module,
 # where perfbench's tracer wraps it.
 from .elaborator import (
-    PREFERRED, ClassInfo, Elaboration, EncodingStrategy, InstanceInfo,
+    PREFERRED, Elaboration, EncodingStrategy, InstanceInfo,
     begin_elaboration, elaborate, elaborate_item,
 )
 from .kernel import DefEqConfig, DEFAULT_CONFIG, FuelExhausted, Trace, defeq, normalize
 from .resolution import MAX_DEPTH
-from .surface import ClassItem, SurfaceModule
+from .surface import ClassItem, InstanceItem, SurfaceModule
 from .terms import (
     Binder, Const, FreeVar, Term, apps, consts_in, subst_frees, unfold_apps,
 )
@@ -324,20 +325,29 @@ def analyze(elab: Elaboration, config: DefEqConfig = DEFAULT_CONFIG,
     return _source_reports(elab, _groups_by_source(elab, max_path_len), _Reuse(config))
 
 
-def _groups_by_source(elab: Elaboration, max_path_len: int
-                      ) -> list[tuple[str, list[PathGroup]]]:
+def _groups_by_source(elab: Elaboration, max_path_len: int) -> _Sources:
     """The path groups of ``elab``'s graph, bounded by the path limit,
     collected by source in source order."""
     graph = build_graph(elab.env, elab.instances)
     _check_path_limit(graph, max_path_len)
     groups = enumerate_diamonds(graph, max_path_len).groups
-    return [(source, list(by_source))
-            for source, by_source in itertools.groupby(groups, key=lambda g: g.source)]
+    out: _Sources = []
+    for source, by_source in itertools.groupby(groups, key=lambda g: g.source):
+        reach, seen = [source], {source}
+        for node in reach:
+            for e in graph.outgoing.get(node, ()):
+                if e.to_class not in seen:
+                    seen.add(e.to_class)
+                    reach.append(e.to_class)
+        out.append((source, tuple(reach), list(by_source)))
+    return out
 
 
 # A path's record: the parameters its last edge's target class takes, its
 # normal form and that form's id.
 _Record = tuple[tuple[Term, ...], Term, int]
+# Each source, the classes it reaches, itself first, and its path groups.
+_Sources = list[tuple[str, tuple[str, ...], list[PathGroup]]]
 
 
 class _Reuse:
@@ -356,10 +366,8 @@ class _Reuse:
     content, so forks share a key exactly when the edge unfolds to the
     same term.
 
-    ``reports`` keeps one object per distinct group report, keyed by its
-    group's identity and its verdicts, so that the orders of a spanning
-    search that decide a group alike share its report.  ``made`` holds each
-    source's class record and reports as last checked (see
+    ``made`` maps a source and the interned structures of the classes it
+    reaches to the source's reports, and keeps every entry (see
     ``_source_reports``)."""
 
     def __init__(self, config: DefEqConfig) -> None:
@@ -367,8 +375,7 @@ class _Reuse:
         self.form_ids: dict[Term, int] = {}
         self.records: dict[tuple, _Record] = {}
         self.extensions: dict[tuple, _Record | None] = {}
-        self.reports: dict[tuple, GroupReport] = {}
-        self.made: dict[str, tuple[ClassInfo, list[GroupReport]]] = {}
+        self.made: dict[tuple, list[GroupReport]] = {}
 
     def record(self, env: Environment, args: tuple[Term, ...], value: Term) -> _Record:
         """The one record of a path whose normal form is ``value`` and whose
@@ -393,27 +400,21 @@ class _Reuse:
         return child
 
 
-def _source_reports(elab: Elaboration, by_source: list[tuple[str, list[PathGroup]]],
-                    reuse: _Reuse) -> list[GroupReport]:
+def _source_reports(elab: Elaboration, by_source: _Sources, reuse: _Reuse) -> list[GroupReport]:
     """The reports of every source's path groups, in source order.  The
     groups' paths are read by declaration name: ``elab``'s environment
-    unfolds them and its instances give their kinds.  A source's diamonds
-    use only the declarations of the classes up to it, so its reports in
-    ``reuse.made`` are reused while its class record there is the one
-    ``elab`` holds; ``reuse.made`` takes the reports checked here."""
-    made = reuse.made
-    preferred: set[str] | None = None
+    unfolds them and its instances give their kinds.  A source's reports
+    depend only on the interned structures of the classes it reaches, and
+    ``reuse.made`` keeps them under those structures' ids."""
+    made, struct = reuse.made, elab.env.struct
+    ids = {c: id(struct(c)) for c in elab.classes}
+    preferred = {i.decl_name for i in elab.instances if i.kind == PREFERRED}
     out: list[GroupReport] = []
-    for source, groups in by_source:
-        info = elab.classes[source]
-        entry = made.get(source)
-        if entry is not None and entry[0] is info:
-            reports = entry[1]
-        else:
-            if preferred is None:
-                preferred = {i.decl_name for i in elab.instances if i.kind == PREFERRED}
-            reports = _check_source(elab.env, source, groups, reuse, preferred)
-            made[source] = (info, reports)
+    for source, reach, groups in by_source:
+        key = (source, *[ids[c] for c in reach])
+        reports = made.get(key)
+        if reports is None:
+            reports = made[key] = _check_source(elab.env, source, groups, reuse, preferred)
         out.extend(reports)
     return out
 
@@ -465,18 +466,14 @@ def _check_source(env: Environment, source: str, groups: Iterable[PathGroup],
                 if oracle:
                     equal.append((i, j))
         kinds = tuple([p[-1].decl_name in preferred for p in paths])
-        key = (id(group), ids, kinds, *equal)
-        report = reuse.reports.get(key)
-        if report is None:
-            report = reuse.reports[key] = GroupReport(group, ids, kinds, frozenset(equal))
-        reports.append(report)
+        reports.append(GroupReport(group, ids, kinds, frozenset(equal)))
     return reports
 
 
 def same_verdicts(a: GroupReport, b: GroupReport) -> bool:
     """Whether two reports on one path group give each diamond the same
-    oracle and predictor.  Orders whose choices leave a group's edges
-    alone share its report, so most calls return at ``a is b``."""
+    oracle and predictor.  Orders whose sources reach the same structures
+    share their reports, so most calls return at ``a is b``."""
     return a is b or list(a.pairs()) == list(b.pairs())
 
 
@@ -512,16 +509,17 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
     class.  The declared order is elaborated first.  Each later order finds
     the first choice class whose parent order differs from the previous
     order's, drops the forks above that class's, forks it again and
-    elaborates from that class on, so a class is elaborated again only when
-    a choice at or before it changed.  A fork shares the class records of
-    the classes before it, so a source's reports are reused while its
-    record is unchanged (see ``_source_reports``).  A source that is
-    checked again looks its path records up in one table kept for the
-    whole search, where edges are keyed by interned declaration (see
-    ``_Reuse``), so it reduces again only the extensions whose edge or
-    prefix unfolds differently.  The search chooses every parent order
-    itself: a ``strategy`` with ``parent_order`` overrides is a
-    ``ValueError``.
+    elaborates the classes and instances from that class on, so a class is
+    elaborated again only when a choice at or before it changed.  The
+    search reads no goal, defeq or ``variables`` block, and the declared
+    order has reported any that is malformed.  A source's reports are
+    reused wherever it reaches the same structures (see
+    ``_source_reports``); one checked again looks its path records up in
+    one table kept for the whole search, where edges are keyed by interned
+    declaration (see ``_Reuse``), so it reduces again only the extensions
+    whose edge or prefix unfolds differently.  The search chooses every
+    parent order itself: a ``strategy`` with ``parent_order`` overrides is
+    a ``ValueError``.
 
     Every order has the same edges, one ``C.to_P`` per class and parent,
     and so the same path groups.  The graph is therefore built, bounded by
@@ -538,11 +536,12 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
                  if isinstance(item, ClassItem) and len(item.parents) >= 2]
     forks: list[Elaboration] = []
 
-    def elaborate_from(elab: Elaboration, start: int) -> Elaboration:
+    def elaborate_from(elab: Elaboration, start: int, kinds: type | tuple = object) -> Elaboration:
         for index in range(start, len(items)):
             if len(forks) < len(positions) and positions[len(forks)] == index:
                 forks.append(elab.fork(elab.strategy))
-            elaborate_item(elab, items[index], config, max_depth)
+            if isinstance(items[index], kinds):
+                elaborate_item(elab, items[index], config, max_depth)
         return elab
 
     elab = begin_elaboration(strategy)
@@ -561,8 +560,8 @@ def spanning_search(module: SurfaceModule, strategy: EncodingStrategy,
         if order != previous:
             d = next(k for k, (new, old) in enumerate(zip(order, previous)) if new != old)
             del forks[d + 1:]
-            overrides = EncodingStrategy(strategy.kind, dict(zip(names, order)))
-            elab = elaborate_from(forks[d].fork(overrides), positions[d])
+            fork = forks[d].fork(EncodingStrategy(strategy.kind, dict(zip(names, order))))
+            elab = elaborate_from(fork, positions[d], (ClassItem, InstanceItem))
             previous = order
         return _source_reports(elab, by_source, reuse)
 

@@ -116,9 +116,9 @@ class InstanceInfo:
 
 @dataclass(frozen=True, eq=False)
 class ClassInfo:
-    """An elaborated class, built once when the class is declared.  A fork
-    shares it, so a record that is still in a fork's ``classes`` stands
-    for the same class, laid out the same way.  A leaf field's ``Binder``
+    """An elaborated class, built each time the class is declared; a fork
+    shares the records of the classes before it.  Its interned ``struct``,
+    not the record, stands for its content.  A leaf field's ``Binder``
     is its parent's whenever the parent's arguments leave its type as it
     was, so a leaf inherited down a chain of classes is one record.
     ``struct`` is the class's structure as the environment holds it, which
@@ -173,8 +173,8 @@ class Elaboration:
 
     def fork(self, strategy: EncodingStrategy) -> "Elaboration":
         """A copy that later items extend separately, under ``strategy``.
-        The containers are copied; declarations and ``ClassInfo`` records
-        are shared, since neither changes once made."""
+        The containers are copied, sharing declarations and ``ClassInfo``
+        records; a declaration, not a record, stands for its content."""
         return Elaboration(strategy, self.env.copy(), list(self.instances),
                            dict(self.classes), self.variables, list(self.goals),
                            list(self.defeqs), dict(self.labels))

@@ -806,6 +806,20 @@ def test_spanning_search_honours_max_depth(run_cli):
     assert out.rstrip().endswith("4 / 4 coherent")
 
 
+def test_spanning_search_does_not_elaborate_probes_again(run_cli, tmp_path):
+    """`iR.to_semiring` resolves only where ring stores semiring, as in the
+    declared order.  The search reads no defeq, so later orders, where ring
+    stores add_comm_group, leave the probe alone, and the placements are
+    those of fig1."""
+    path = tmp_path / "fig1_probe.hier"
+    path.write_text(Path(FIG1).read_text()
+                    + "\ndefeq d2 : iR.to_semiring = iR.to_semiring\n")
+    assert run_cli("defeq", str(path), "d2")[:2] == (0, "d2: equal\n")
+    for flags in ((), ("--emit", "json")):
+        assert run_cli("spanning-search", str(path), *flags) == \
+            run_cli("spanning-search", FIG1, *flags)
+
+
 def test_spanning_search_rejects_parent_order(run_cli, capsys):
     """Spanning search chooses every parent order itself."""
     with pytest.raises(SystemExit) as exc:

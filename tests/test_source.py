@@ -87,3 +87,16 @@ def test_every_definition_is_named_somewhere():
                for line, name in definitions(ast.parse(path.read_text(encoding="utf-8")))
                if name not in used]
     assert unnamed == []
+
+
+def test_every_file_parses_as_python_3_10():
+    """pyproject.toml declares Python 3.10 as the oldest supported
+    version, so no source or test file may use later syntax."""
+    tests = Path(__file__).resolve().parent
+    late = []
+    for path in sorted(SOURCE.glob("*.py")) + sorted(tests.glob("*.py")):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+        except SyntaxError as exc:
+            late.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    assert late == []
